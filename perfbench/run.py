@@ -1,7 +1,10 @@
 """spintrng benchmark: run one workload and print its metrics.
 
-    python3 perfbench/run.py --workload {stream,certify,sweep,pricing}
+    python3 perfbench/run.py --workload {stream,certify,sweep,pricing,all}
         [--seed N] [--seconds S] [--trace 0|1]
+
+`--workload all` runs the four in turn, each ending with its own
+result line.
 
 --trace 0 (end to end) runs the workload the way a user does: each
 CLI invocation in a fresh `python -m spintrng.cli` process with
@@ -371,7 +374,10 @@ def report(workload, full: dict) -> None:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
+    parser.add_argument(
+        "--workload", required=True, choices=[*workloads.WORKLOADS, "all"],
+        help="one workload, or all four in turn",
+    )
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
@@ -383,12 +389,15 @@ def main(argv=None) -> int:
         return 2
     sys.path.insert(0, str(SRC))
 
-    full = run(args)
+    names = list(workloads.WORKLOADS) if args.workload == "all" else [args.workload]
     RESULTS_DIR.mkdir(exist_ok=True)
-    out = RESULTS_DIR / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
-    out.write_text(json.dumps(full, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {out.relative_to(workloads.ROOT)}")
-    report(workloads.WORKLOADS[args.workload], full)
+    for name in names:
+        one = argparse.Namespace(**{**vars(args), "workload": name})
+        full = run(one)
+        out = RESULTS_DIR / f"{name}-seed{args.seed}-trace{args.trace}.json"
+        out.write_text(json.dumps(full, indent=1) + "\n", encoding="utf-8")
+        print(f"== {name}: wrote {out.relative_to(workloads.ROOT)}")
+        report(workloads.WORKLOADS[name], full)
     return 0
 
 

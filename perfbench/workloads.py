@@ -471,7 +471,7 @@ class Certify:
 # -- sweep -----------------------------------------------------------------
 
 
-def check_sweep_csv(ctx: Context, axis: str, text: str) -> int:
+def check_sweep_csv(ctx: Context, axis: str, text: str) -> None:
     """Rows by column name: the grid, and p_one against the Markov model."""
     rows = list(csv.DictReader(io.StringIO(text)))
     needed = {"variant", "axis", "value", "p_one", "p1_model", "p2_model"}
@@ -483,7 +483,7 @@ def check_sweep_csv(ctx: Context, axis: str, text: str) -> int:
         for r in rows:
             expect(float(r["value"]) == ctx.sizes.sweep_samples, f"{axis}: value {r['value']}")
             expect(0.0 <= float(r["p_one"]) <= 1.0, f"{axis}: p_one {r['p_one']}")
-        return len(rows)
+        return
     points = SWEEP_POINTS[axis]
     cells = sorted((r["variant"], round(float(r["value"]), 9)) for r in rows)
     expect(cells == sorted((v, p) for v in SWEEP_VARIANTS for p in points), f"{axis}: grid")
@@ -491,7 +491,6 @@ def check_sweep_csv(ctx: Context, axis: str, text: str) -> int:
         expected, lam = markov_p_one(r["variant"], float(r["p1_model"]), float(r["p2_model"]))
         label = f"{axis} {r['variant']} {r['value']}"
         expect_p_one(label, float(r["p_one"]), n_bits, expected, lam)
-    return len(rows)
 
 
 class Sweep:
