@@ -8,14 +8,18 @@ result line.
 
 --trace 0 (end to end) runs the workload the way a user does: each
 CLI invocation in a fresh `python -m spintrng.cli` process with
---jobs 1, one at a time.  It first imports spintrng.cli in
-SETUP_SAMPLES fresh interpreters (setup_s), then repeats the workload
-until --seconds would be exceeded and reports medians over repeats:
+--jobs 1 and one BLAS thread, one at a time.  It repeats the workload
+until --seconds would be exceeded, imports spintrng.cli in a fresh
+interpreter (setup_s) before each repeat and at the end, at least
+SETUP_SAMPLES times in all, and reports:
 
-    wall_s       summed wall time of one repeat's CLI invocations
-    setup_s      wall time of a fresh interpreter importing spintrng.cli
-    peak_rss_mb  highest peak RSS of any single invocation in a repeat,
-                 from that child's own rusage (os.wait4)
+    wall_s       summed wall time of one repeat's CLI invocations, as
+                 the mean over repeats (the run's total over its count)
+    setup_s      median wall time of a fresh interpreter importing
+                 spintrng.cli
+    peak_rss_mb  median over repeats of the highest peak RSS of any
+                 single invocation in a repeat, from that child's own
+                 rusage (os.wait4)
     work_per_s   workload items per second of wall_s; the item is a bit
                  (stream, certify), a sweep row (sweep) or a priced
                  path (pricing)
@@ -50,16 +54,6 @@ from dataclasses import asdict, dataclass
 from importlib import metadata
 from pathlib import Path
 
-import workloads
-from tracing import NullTracer, Tracer
-from workloads import FULL, SRC, CheckFailed, Context, Sizes
-
-HERE = Path(__file__).resolve().parent
-WORK_DIR = HERE / ".work"
-RESULTS_DIR = HERE / "results"
-
-SETUP_SAMPLES = 5
-CHILD_TIMEOUT_S = 150.0
 BLAS_ENV_VARS = (
     "OMP_NUM_THREADS",
     "OPENBLAS_NUM_THREADS",
@@ -68,6 +62,24 @@ BLAS_ENV_VARS = (
     "VECLIB_MAXIMUM_THREADS",
     "NUMEXPR_NUM_THREADS",
 )
+# One BLAS thread, set before numpy loads here and inherited by every
+# child.  Otherwise OpenBLAS busy-waits a thread on each core during
+# numpy's matmuls (system.py's `bits @ weights`): on a 2-core host that
+# doubles CPU time without shortening wall time, and the timings follow
+# the scheduler instead of the program.
+for _name in BLAS_ENV_VARS:
+    os.environ[_name] = "1"
+
+import workloads  # noqa: E402
+from tracing import NullTracer, Tracer  # noqa: E402
+from workloads import FULL, SRC, CheckFailed, Context, Sizes  # noqa: E402
+
+HERE = Path(__file__).resolve().parent
+WORK_DIR = HERE / ".work"
+RESULTS_DIR = HERE / "results"
+
+SETUP_SAMPLES = 5
+CHILD_TIMEOUT_S = 150.0
 
 END_TO_END = {
     "wall_s": "s",
@@ -75,6 +87,9 @@ END_TO_END = {
     "peak_rss_mb": "MB",
     "work_per_s": "1/s",
 }
+
+# How each end-to-end metric summarises its samples; the rest are medians.
+ESTIMATOR = {"wall_s": "mean"}
 
 GENERATED_VARIANTS = ("rhs-trng", "rhs-parallel", "conv-ap2p")
 PER_LAYER = {
@@ -162,9 +177,9 @@ def run_child(argv: list[str], workdir: Path, env: dict) -> Child:
     return Child(wall, usage.ru_maxrss / 1024.0, proc.returncode, stderr)
 
 
-def measure_setup(workdir: Path, env: dict, tally: Tally) -> list[float]:
+def measure_setup(workdir: Path, env: dict, tally: Tally, n: int = SETUP_SAMPLES) -> list[float]:
     samples = []
-    for _ in range(SETUP_SAMPLES):
+    for _ in range(n):
         child = run_child([sys.executable, "-c", "import spintrng.cli"], workdir, env)
         tally.op("import spintrng.cli", lambda: _expect_exit_0(child))
         samples.append(child.wall_s)
@@ -210,18 +225,27 @@ def run_in_process(workload, ctx: Context, tracer, outdir: Path, tally: Tally, l
 
 
 def end_to_end(workload, ctx_for, seconds: float, sizes: Sizes, env, tally, workdir) -> tuple[dict, dict]:
-    setup = measure_setup(workdir, env, tally)
-    walls, peaks = [], []
+    """Repeats within --seconds, each after one setup sample.
+
+    The host's speed drifts over tens of seconds, so setup samples are
+    spread over the run like the repeats rather than taken in a burst,
+    and wall_s is the mean over repeats: with a handful of repeats
+    split between fast and slow stretches, the median jumps between
+    the two while the mean averages them.
+    """
+    setup, walls, peaks = [], [], []
     start = time.perf_counter()
     while True:
+        setup += measure_setup(workdir, env, tally, 1)
         children = run_cli_pass(workload, ctx_for(f"repeat{len(walls)}"), env, tally)
         walls.append(sum(c.wall_s for c in children))
         peaks.append(max(c.peak_rss_mb for c in children))
         elapsed = time.perf_counter() - start
         # Stop when one more repeat of the average length would overrun.
-        if elapsed * (len(walls) + 1) / len(walls) > seconds:
+        if elapsed + elapsed / len(walls) > seconds:
             break
-    wall_s = statistics.median(walls)
+    setup += measure_setup(workdir, env, tally, max(1, SETUP_SAMPLES - len(setup)))
+    wall_s = statistics.fmean(walls)
     metrics = {
         "wall_s": wall_s,
         "setup_s": statistics.median(setup),
@@ -361,7 +385,7 @@ def report(workload, full: dict) -> None:
         print(f"FAILED {error}")
     for name, metric in result["metrics"].items():
         n = counts.get(name)
-        note = f"  (median of {n})" if n else ""
+        note = f"  ({ESTIMATOR.get(name, 'median')} of {n})" if n else ""
         print(f"{name:<36} {metric['value']:>16.6g} {metric['unit']}{note}")
     if "work_per_s" in result["metrics"]:
         name, unit, scale = workload.work_metric
@@ -379,7 +403,7 @@ def main(argv=None) -> int:
         help="one workload, or all four in turn",
     )
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.seed < 0:
