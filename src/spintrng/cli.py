@@ -38,7 +38,7 @@ from .markov import (
     steady_state,
     xor_output_prob,
 )
-from .nist import all_pass, format_report, results_to_json, run_nist_suite
+from .nist import all_pass, any_ran, format_report, results_to_json, run_nist_suite
 from .sweeps import Axis, run_sweep, spec_for_axis
 from .system import OptionSpec, black_scholes_oracle, speedup_report
 
@@ -254,7 +254,12 @@ def _cmd_test(opts: dict, config: dict) -> None:
         raise UsageError("test requires --in PATH")
     if not os.path.exists(path):
         raise UsageError(f"input file not found: {path}")
-    bits = bitio.read_bits(path)
+    try:
+        bits = bitio.read_bits(path)
+    except ValueError as exc:
+        raise UsageError(f"bad input file {path}: {exc}") from exc
+    if bits.size == 0:
+        raise UsageError(f"input file holds no bits: {path}")
     groups = int(opts["groups"])
     ent = entropy_report(bits)
     try:
@@ -284,6 +289,11 @@ def _cmd_test(opts: dict, config: dict) -> None:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
         print(f"wrote {opts['json_out']}")
+    if not any_ran(results):
+        raise UsageError(
+            f"no module ran on groups of {ent.n_bits // groups} bits; "
+            "use more bits or fewer --groups"
+        )
 
 
 def _cmd_analyze(opts: dict, config: dict) -> None:

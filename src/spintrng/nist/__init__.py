@@ -4,6 +4,7 @@ from spintrng.nist.suite import (
     MODULE_NAMES,
     TestResult,
     all_pass,
+    any_ran,
     composite_p_value,
     format_report,
     results_to_json,
@@ -14,6 +15,7 @@ __all__ = [
     "MODULE_NAMES",
     "TestResult",
     "all_pass",
+    "any_ran",
     "composite_p_value",
     "format_report",
     "results_to_json",

@@ -10,6 +10,23 @@ The implementations follow the standard public formulations of these
 tests; the worked-example values in the test suite pin the exact
 conventions (one-sided vs two-sided statistics, inclusive thresholds,
 wraparound pattern counting, and so on).
+
+The block-structured modules run as whole-array kernels rather than
+per-block or per-bit Python loops; each gives the same integers as the
+textbook loop, so the p-values are unchanged:
+
+* Window codes are built by m shift-or passes over the bits.  The
+  serial and approximate-entropy tests count codes once at their
+  largest m on the wraparound-extended sequence: dropping a code's last
+  bit gives the (m-1)-window starting at the same position, so each
+  smaller m's counts are the sums of adjacent pairs of the larger m's.
+* Every non-overlapping template is borderless (no proper prefix equals
+  a suffix), so two hits of one template can never overlap and the
+  greedy "jump m after a hit" count is the plain hit count.  One
+  bincount of each block's window codes gives every template's count.
+* Berlekamp-Massey runs over all blocks in lockstep on bit-packed
+  polynomials held as (words, blocks) uint64 arrays, and GF(2) rank
+  eliminates all 32x32 matrices in lockstep, one column per step.
 """
 
 from __future__ import annotations
@@ -32,10 +49,25 @@ def _as_bits(bits) -> np.ndarray:
 
 
 def _window_codes(arr: np.ndarray, m: int) -> np.ndarray:
-    """Integer code of every length-m window (MSB = earliest bit)."""
-    win = np.lib.stride_tricks.sliding_window_view(arr, m)
-    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
-    return win.astype(np.int64) @ weights
+    """Integer code of every length-m window along the last axis
+    (MSB = earliest bit), in the smallest unsigned dtype that holds it."""
+    n_win = arr.shape[-1] - m + 1
+    codes = arr[..., :n_win].astype(np.min_scalar_type((1 << m) - 1))
+    for k in range(1, m):
+        codes <<= 1
+        codes |= arr[..., k : k + n_win]
+    return codes
+
+
+def _wrapped_counts(arr: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the n length-m windows of arr read cyclically."""
+    ext = np.concatenate([arr, arr[: m - 1]])
+    return np.bincount(_window_codes(ext, m), minlength=2**m)
+
+
+def _drop_last_bit(counts: np.ndarray) -> np.ndarray:
+    """Counts at m-1 from counts at m: codes c and c|1 share prefix c>>1."""
+    return counts.reshape(-1, 2).sum(axis=1)
 
 
 def frequency(bits) -> list[float]:
@@ -144,22 +176,27 @@ def longest_run(bits) -> list[float]:
     return [float(gammaincc(len(classes) / 2.0 - 0.5, chi2 / 2.0))]
 
 
-def _gf2_rank(rows: list[int], n_cols: int) -> int:
-    rank = 0
-    rows = [r for r in rows if r]
+def _gf2_ranks(rows, n_cols: int) -> np.ndarray:
+    """GF(2) rank of every matrix in a (matrices, rows) array of row ints.
+
+    Elimination in lockstep, one column per step: in every matrix the
+    first row with that bit set is the pivot, and it is added to every
+    row with the bit set, itself included.  The pivot row so becomes
+    zero, as if removed, and the column is cleared from all other rows.
+    """
+    rows = np.array(rows, dtype=np.uint64)
+    idx = np.arange(rows.shape[0])
+    ranks = np.zeros(rows.shape[0], dtype=np.int64)
     for col in range(n_cols - 1, -1, -1):
-        pivot = None
-        mask = 1 << col
-        for idx, r in enumerate(rows):
-            if r & mask:
-                pivot = idx
-                break
-        if pivot is None:
-            continue
-        piv = rows.pop(pivot)
-        rows = [r ^ piv if r & mask else r for r in rows]
-        rank += 1
-    return rank
+        has_bit = (rows & np.uint64(1 << col)) != 0
+        pivot_row = rows[idx, has_bit.argmax(axis=1)]
+        rows ^= np.where(has_bit, pivot_row[:, None], np.uint64(0))
+        ranks += has_bit.any(axis=1)
+    return ranks
+
+
+def _gf2_rank(rows: list[int], n_cols: int) -> int:
+    return int(_gf2_ranks([rows], n_cols)[0]) if rows else 0
 
 
 def _rank_probability(r: int, m: int, q: int) -> float:
@@ -178,18 +215,11 @@ def rank(bits) -> list[float]:
     n_mats = arr.size // (m * q)
     if n_mats < 1:
         raise ValueError(f"need at least {m * q} bits, got {arr.size}")
-    weights = 1 << np.arange(q - 1, -1, -1, dtype=np.int64)
-    mats = arr[: n_mats * m * q].reshape(n_mats, m, q).astype(np.int64)
-    row_ints = mats @ weights
-    full, minus1, rest = 0, 0, 0
-    for mat_rows in row_ints:
-        r = _gf2_rank([int(v) for v in mat_rows], q)
-        if r == m:
-            full += 1
-        elif r == m - 1:
-            minus1 += 1
-        else:
-            rest += 1
+    mats = arr[: n_mats * m * q].reshape(n_mats, m, q)
+    ranks = _gf2_ranks(_window_codes(mats, q)[..., 0], q)
+    full = int(np.count_nonzero(ranks == m))
+    minus1 = int(np.count_nonzero(ranks == m - 1))
+    rest = n_mats - full - minus1
     p_full = _rank_probability(m, m, q)
     p_minus1 = _rank_probability(m - 1, m, q)
     p_rest = 1.0 - p_full - p_minus1
@@ -216,21 +246,13 @@ def spectral(bits) -> list[float]:
     return [float(erfc(abs(d) / math.sqrt(2.0)))]
 
 
-def _count_non_overlapping(positions: np.ndarray, m: int) -> int:
-    count = 0
-    next_free = -1
-    for pos in positions:
-        if pos >= next_free:
-            count += 1
-            next_free = pos + m
-    return count
-
-
 def non_overlapping_templates(bits, m: int = 9, n_blocks: int = 8) -> list[float]:
     """Occurrence counts of every aperiodic length-m template.
 
     The scan jumps m positions after each hit, so hits cannot overlap.
-    One p-value per template.
+    The templates are borderless, so their hits never overlap anyway and
+    each count is the number of windows equal to the template.  One
+    p-value per template.
     """
     arr = _as_bits(bits)
     block_len = arr.size // n_blocks
@@ -238,18 +260,13 @@ def non_overlapping_templates(bits, m: int = 9, n_blocks: int = 8) -> list[float
         raise ValueError(f"blocks of {block_len} bits are too short for m={m}")
     mean = (block_len - m + 1) / 2.0**m
     var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
-    codes = [
-        _window_codes(arr[j * block_len : (j + 1) * block_len], m)
-        for j in range(n_blocks)
-    ]
-    out = []
-    for tpl in template_codes(m):
-        chi2 = 0.0
-        for block in codes:
-            w = _count_non_overlapping(np.flatnonzero(block == tpl), m)
-            chi2 += (w - mean) ** 2 / var
-        out.append(float(gammaincc(n_blocks / 2.0, chi2 / 2.0)))
-    return out
+    codes = _window_codes(arr[: n_blocks * block_len].reshape(n_blocks, block_len), m)
+    templates = template_codes(m)
+    chi2 = np.zeros(templates.size)
+    for block in codes:
+        w = np.bincount(block, minlength=2**m)[templates]
+        chi2 += (w - mean) ** 2 / var
+    return [float(p) for p in gammaincc(n_blocks / 2.0, chi2 / 2.0)]
 
 
 # Class probabilities for the overlapping-template statistic at
@@ -265,24 +282,17 @@ def overlapping_template(bits, m: int = 9, block_len: int = 1032) -> list[float]
         raise ValueError(f"need at least {block_len} bits, got {arr.size}")
     if m != 9 or block_len != 1032:
         raise ValueError("class probabilities are tabulated for m=9, block_len=1032")
-    target = 2**m - 1
     k = len(_OVERLAP_PI) - 1
-    counts = np.zeros(k + 1, dtype=np.int64)
-    for j in range(n_blocks):
-        block = arr[j * block_len : (j + 1) * block_len]
-        hits = int(np.count_nonzero(_window_codes(block, m) == target))
-        counts[min(hits, k)] += 1
+    blocks = arr[: n_blocks * block_len].reshape(n_blocks, block_len)
+    hits = np.count_nonzero(_window_codes(blocks, m) == 2**m - 1, axis=1)
+    counts = np.bincount(np.minimum(hits, k), minlength=k + 1)
     expected = n_blocks * np.asarray(_OVERLAP_PI)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     return [float(gammaincc(k / 2.0, chi2 / 2.0))]
 
 
-def _phi(arr: np.ndarray, m: int) -> float:
-    if m == 0:
-        return 0.0
-    ext = np.concatenate([arr, arr[: m - 1]]) if m > 1 else arr
-    counts = np.bincount(_window_codes(ext, m), minlength=2**m)
-    probs = counts[counts > 0] / arr.size
+def _phi(counts: np.ndarray, n: int) -> float:
+    probs = counts[counts > 0] / n
     return float(np.sum(probs * np.log(probs)))
 
 
@@ -291,17 +301,15 @@ def approximate_entropy(bits, m: int = 10) -> list[float]:
     arr = _as_bits(bits)
     if arr.size < m + 1:
         raise ValueError(f"need more than {m} bits, got {arr.size}")
-    apen = _phi(arr, m) - _phi(arr, m + 1)
+    counts = _wrapped_counts(arr, m + 1)
+    phi_m = _phi(_drop_last_bit(counts), arr.size) if m > 0 else 0.0
+    apen = phi_m - _phi(counts, arr.size)
     chi2 = 2.0 * arr.size * (math.log(2.0) - apen)
     return [float(gammaincc(2.0 ** (m - 1), chi2 / 2.0))]
 
 
-def _psi_sq(arr: np.ndarray, m: int) -> float:
-    if m == 0:
-        return 0.0
-    ext = np.concatenate([arr, arr[: m - 1]]) if m > 1 else arr
-    counts = np.bincount(_window_codes(ext, m), minlength=2**m).astype(np.float64)
-    return float(2.0**m / arr.size * np.sum(counts**2) - arr.size)
+def _psi_sq(counts: np.ndarray, n: int) -> float:
+    return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
 
 
 def serial(bits, m: int = 13) -> list[float]:
@@ -311,9 +319,11 @@ def serial(bits, m: int = 13) -> list[float]:
     arr = _as_bits(bits)
     if arr.size < m:
         raise ValueError(f"need at least {m} bits, got {arr.size}")
-    psi_m = _psi_sq(arr, m)
-    psi_m1 = _psi_sq(arr, m - 1)
-    psi_m2 = _psi_sq(arr, m - 2)
+    counts_m = _wrapped_counts(arr, m)
+    counts_m1 = _drop_last_bit(counts_m)
+    psi_m = _psi_sq(counts_m, arr.size)
+    psi_m1 = _psi_sq(counts_m1, arr.size)
+    psi_m2 = _psi_sq(_drop_last_bit(counts_m1), arr.size) if m > 2 else 0.0
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
     return [
@@ -322,24 +332,56 @@ def serial(bits, m: int = 13) -> list[float]:
     ]
 
 
+def _shift_up(words: np.ndarray) -> None:
+    """Multiply bit-packed polynomials by x in place (word 0 lowest)."""
+    carry = words[:-1] >> 63
+    words <<= 1
+    words[1:] |= carry
+
+
+def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
+    """Berlekamp-Massey LFSR length of every row of a (blocks, n) array.
+
+    All rows step through bit i together.  Polynomials are bit-packed
+    into (words, blocks) uint64 arrays, bit j of the words meaning x^j:
+    c is the connection polynomial, hist holds s[i - j] at bit j, and
+    shifted holds b * x^(i - last_fail), the term a discrepancy adds to
+    c.  Between updates of b it gains one power of x per step, the same
+    shift for every row; an update sets last_fail = i and b = the old c,
+    so shifted becomes the old c and the next step's shift makes it
+    c * x.  No polynomial that is used exceeds degree i + 1 at step i
+    (deg c <= L <= i + 1), so n // 64 + 1 words hold them and step i
+    touches only the words up to degree i + 1.
+    """
+    n_blocks, n = blocks.shape
+    n_words = n // 64 + 1
+    c = np.zeros((n_words, n_blocks), dtype=np.uint64)
+    c[0] = 1
+    shifted = c.copy()
+    hist = np.zeros_like(c)
+    length = np.zeros(n_blocks, dtype=np.int64)
+    bit_columns = np.ascontiguousarray(blocks.T)
+    for i in range(n):
+        w = min(n_words, (i + 1) // 64 + 1)
+        _shift_up(hist[:w])
+        hist[0] |= bit_columns[i]
+        _shift_up(shifted[:w])
+        overlap = np.bitwise_xor.reduce(c[:w] & hist[:w], axis=0)
+        fails = (np.bitwise_count(overlap) & 1).astype(bool)
+        twice = 2 * length
+        grows = fails & (twice <= i)
+        # c ^= shifted where a discrepancy fails; where L grows, the new
+        # shifted is the old c, which is the new c ^ shifted.
+        c[:w] ^= shifted[:w] & -fails.astype(np.uint64)
+        shifted[:w] ^= c[:w] & -grows.astype(np.uint64)
+        length += grows * (i + 1 - twice)
+    return length
+
+
 def berlekamp_massey(bits) -> int:
     """Length of the shortest LFSR generating the sequence."""
     arr = _as_bits(bits)
-    c = 1  # connection polynomial, bit j = coefficient of x^j
-    b = 1
-    length = 0
-    last_fail = -1
-    history = 0  # bit j = bits[i - j] once shifted
-    for i, s in enumerate(arr):
-        history = (history << 1) | int(s)
-        if (c & history).bit_count() & 1:
-            t = c
-            c ^= b << (i - last_fail)
-            if 2 * length <= i:
-                length = i + 1 - length
-                last_fail = i
-                b = t
-    return length
+    return int(_linear_complexities(arr[None, :])[0])
 
 
 # Class probabilities for the linear-complexity statistic T.
@@ -355,16 +397,10 @@ def linear_complexity(bits, block_len: int = 500) -> list[float]:
         raise ValueError(f"need at least {m} bits, got {arr.size}")
     sign = -1.0 if m % 2 else 1.0
     mean = m / 2.0 + (9.0 - sign) / 36.0 - (m / 3.0 + 2.0 / 9.0) / 2.0**m
-    counts = np.zeros(7, dtype=np.int64)
-    for j in range(n_blocks):
-        length = berlekamp_massey(arr[j * m : (j + 1) * m])
-        t = sign * (length - mean) + 2.0 / 9.0
-        if t <= -2.5:
-            counts[0] += 1
-        elif t > 2.5:
-            counts[6] += 1
-        else:
-            counts[int(math.floor(t + 2.5)) + 1] += 1
+    lengths = _linear_complexities(arr[: n_blocks * m].reshape(n_blocks, m))
+    t = sign * (lengths - mean) + 2.0 / 9.0
+    classes = np.where(t <= -2.5, 0, np.where(t > 2.5, 6, np.floor(t + 2.5) + 1))
+    counts = np.bincount(classes.astype(np.int64), minlength=7)
     expected = n_blocks * np.asarray(_LC_PI)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     return [float(gammaincc(3.0, chi2 / 2.0))]

@@ -11,7 +11,8 @@ combines two thresholds:
 * the fraction of sub-p-values at or above 0.01 must reach 0.91.
 
 Modules whose recommended minimum length exceeds the group size are
-reported as skipped, not failed.
+reported as skipped, not failed; a battery in which every module was
+skipped does not pass.
 """
 
 from __future__ import annotations
@@ -126,9 +127,15 @@ def run_nist_suite(bits, n_groups: int = 10) -> list[TestResult]:
     return results
 
 
+def any_ran(results) -> bool:
+    """True when at least one module was not skipped."""
+    return any(r.verdict != "skipped" for r in results)
+
+
 def all_pass(results) -> bool:
-    """True when no module failed (skips do not count against)."""
-    return all(r.verdict != "fail" for r in results)
+    """True when some module ran and none failed (skips do not count
+    against, but a battery where every module was skipped passes nothing)."""
+    return any_ran(results) and all(r.verdict != "fail" for r in results)
 
 
 def format_report(results) -> str:
@@ -139,6 +146,8 @@ def format_report(results) -> str:
         comp = "-" if r.p_value is None else f"{r.p_value:.6f}"
         rate = "-" if r.group_count == 0 else f"{r.pass_count}/{r.group_count}"
         lines.append(f"{r.module_name:<26} {comp:>12} {rate:>10} {r.verdict:>8}")
+    if not any_ran(results):
+        lines.append("no module ran: the groups are shorter than every module's minimum")
     return "\n".join(lines)
 
 

@@ -15,6 +15,7 @@ isolation.
 from __future__ import annotations
 
 import io
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -241,6 +242,29 @@ def temperature_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     return _run_env_sweep(spec, _TAG_TEMPERATURE, jobs)
 
 
+def _process_device(args) -> tuple[float, float, dict]:
+    """One device set of the process study: (p1, p2) of its first cell
+    and the count of ones each requested variant produced from it."""
+    spec, pulses, env, per_dev, i = args
+    dev_a = sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, 0]))
+    dev_b = sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, 1]))
+    p1a = switching_probability(dev_a, pulses[SwitchDirection.P_TO_AP], env)
+    p2a = switching_probability(dev_a, pulses[SwitchDirection.AP_TO_P], env)
+    p1b = switching_probability(dev_b, pulses[SwitchDirection.P_TO_AP], env)
+    p2b = switching_probability(dev_b, pulses[SwitchDirection.AP_TO_P], env)
+    ones = {}
+    for vi, variant in enumerate(SWEEP_VARIANTS):
+        if variant not in spec.variants:
+            continue
+        key = [spec.seed, _TAG_PROCESS + vi, i]
+        if variant is Variant.RHS_TRNG:
+            bits = _trng_bits((p1a, p2a), (p1b, p2b), per_dev, key)
+        else:
+            bits = _variant_bits(variant, p1a, p2a, per_dev, key)
+        ones[variant] = int(np.count_nonzero(bits))
+    return p1a, p2a, ones
+
+
 def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     """Aggregate entropy per variant over a population of device sets.
 
@@ -259,27 +283,23 @@ def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     if per_dev < 1:
         raise ValueError("bits_per_point must be >= n_samples")
 
+    tasks = [(spec, pulses, env, per_dev, i) for i in range(spec.n_samples)]
+    if jobs > 1:
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
+            devices = list(pool.map(_process_device, tasks))
+    else:
+        devices = [_process_device(t) for t in tasks]
+
+    # Summed in device order, so the floats do not depend on jobs.
     ones = {v: 0 for v in spec.variants}
     p1_sum = 0.0
     p2_sum = 0.0
-    for i in range(spec.n_samples):
-        dev_a = sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, 0]))
-        dev_b = sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, 1]))
-        p1a = switching_probability(dev_a, pulses[SwitchDirection.P_TO_AP], env)
-        p2a = switching_probability(dev_a, pulses[SwitchDirection.AP_TO_P], env)
-        p1b = switching_probability(dev_b, pulses[SwitchDirection.P_TO_AP], env)
-        p2b = switching_probability(dev_b, pulses[SwitchDirection.AP_TO_P], env)
+    for p1a, p2a, dev_ones in devices:
         p1_sum += p1a
         p2_sum += p2a
-        for vi, variant in enumerate(SWEEP_VARIANTS):
-            if variant not in ones:
-                continue
-            key = [spec.seed, _TAG_PROCESS + vi, i]
-            if variant is Variant.RHS_TRNG:
-                bits = _trng_bits((p1a, p2a), (p1b, p2b), per_dev, key)
-            else:
-                bits = _variant_bits(variant, p1a, p2a, per_dev, key)
-            ones[variant] += int(np.count_nonzero(bits))
+        for variant, count in dev_ones.items():
+            ones[variant] += count
 
     total = spec.n_samples * per_dev
     rows = []

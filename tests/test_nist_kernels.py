@@ -1,0 +1,161 @@
+"""The battery's whole-array kernels against scalar references, and the
+pooled sub-p-values of every module pinned for one seeded stream."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from spintrng.nist import MODULE_NAMES, run_nist_suite
+from spintrng.nist import modules as M
+from spintrng.nist.templates import template_codes
+
+POOLED_REFERENCE = Path(__file__).parent / "data" / "nist_pooled_pcg64.json"
+
+
+def reference_berlekamp_massey(bits) -> int:
+    """Textbook Berlekamp-Massey over GF(2), one bit at a time."""
+    c = 1  # connection polynomial, bit j = coefficient of x^j
+    b = 1
+    length = 0
+    last_fail = -1
+    history = 0  # bit j = bits[i - j] once shifted
+    for i, s in enumerate(bits):
+        history = (history << 1) | int(s)
+        if (c & history).bit_count() & 1:
+            t = c
+            c ^= b << (i - last_fail)
+            if 2 * length <= i:
+                length = i + 1 - length
+                last_fail = i
+                b = t
+    return length
+
+
+def reference_greedy_count(block: np.ndarray, template: int, m: int) -> int:
+    """Hits of a template when the scan jumps m bits past every hit."""
+    count = 0
+    next_free = -1
+    for pos in np.flatnonzero(reference_window_codes(block, m) == template):
+        if pos >= next_free:
+            count += 1
+            next_free = pos + m
+    return count
+
+
+def reference_window_codes(arr: np.ndarray, m: int) -> np.ndarray:
+    win = np.lib.stride_tricks.sliding_window_view(arr, m)
+    weights = 1 << np.arange(m - 1, -1, -1, dtype=np.int64)
+    return win.astype(np.int64) @ weights
+
+
+def biased_blocks(rng, n_blocks: int, n: int, p_one: float) -> np.ndarray:
+    return (rng.random((n_blocks, n)) < p_one).astype(np.uint8)
+
+
+class TestLockstepBerlekampMassey:
+    @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 500])
+    @pytest.mark.parametrize("p_one", [0.05, 0.5, 0.95])
+    def test_lengths_match_scalar_reference(self, n, p_one):
+        rng = np.random.default_rng(1000 * n + int(100 * p_one))
+        blocks = biased_blocks(rng, 24, n, p_one)
+        got = M._linear_complexities(blocks)
+        assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks]
+
+    @pytest.mark.parametrize("n", [1, 64, 500])
+    def test_constant_blocks(self, n):
+        blocks = np.zeros((3, n), dtype=np.uint8)
+        blocks[1] = 1
+        blocks[2, -1] = 1  # n - 1 zeros then a one: complexity n
+        got = M._linear_complexities(blocks)
+        assert got.tolist() == [0, 1, n]
+        assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks]
+
+    def test_first_one_at_a_word_boundary(self):
+        # a first 1 at bit i leaves shifted = x^(i+1), which crosses into
+        # the next word when i = 63 or 127
+        rng = np.random.default_rng(9)
+        blocks = rng.integers(0, 2, size=(6, 200), dtype=np.uint8)
+        for row, first in zip(blocks, (62, 63, 64, 126, 127, 128)):
+            row[:first] = 0
+            row[first] = 1
+        got = M._linear_complexities(blocks)
+        assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks]
+
+    def test_single_block_wrapper(self):
+        rng = np.random.default_rng(5)
+        bits = rng.integers(0, 2, size=200, dtype=np.uint8)
+        assert M.berlekamp_massey(bits) == reference_berlekamp_massey(bits)
+
+
+class TestTemplateCounts:
+    def test_greedy_count_equals_window_matches(self):
+        # Borderless templates cannot overlap themselves, so the greedy
+        # non-overlapping scan counts every matching window; the module's
+        # bincount of window codes relies on this.
+        m = 9
+        rng = np.random.default_rng(21)
+        blocks = [biased_blocks(rng, 1, 4000, p)[0] for p in (0.2, 0.5, 0.8)]
+        for block in blocks:
+            codes = reference_window_codes(block, m)
+            for tpl in template_codes(m):
+                assert reference_greedy_count(block, tpl, m) == np.count_nonzero(codes == tpl)
+
+    def test_periodic_template_would_differ(self):
+        # the equality needs borderless templates: 1 1 1 overlaps itself
+        block = np.ones(10, dtype=np.uint8)
+        assert reference_greedy_count(block, 0b111, 3) == 3
+        assert np.count_nonzero(reference_window_codes(block, 3) == 0b111) == 8
+
+
+class TestWindowCodes:
+    @pytest.mark.parametrize("m", [1, 2, 8, 9, 13, 16, 17, 32])
+    def test_match_matmul_reference(self, m):
+        rng = np.random.default_rng(m)
+        arr = rng.integers(0, 2, size=300, dtype=np.uint8)
+        assert np.array_equal(M._window_codes(arr, m), reference_window_codes(arr, m))
+
+    def test_rows_are_coded_independently(self):
+        rng = np.random.default_rng(2)
+        rows = rng.integers(0, 2, size=(4, 50), dtype=np.uint8)
+        got = M._window_codes(rows, 9)
+        for row, codes in zip(rows, got):
+            assert np.array_equal(codes, reference_window_codes(row, 9))
+
+    @pytest.mark.parametrize("m", [2, 3, 11, 13])
+    def test_dropping_last_bit_gives_shorter_wrapped_counts(self, m):
+        rng = np.random.default_rng(m)
+        arr = rng.integers(0, 2, size=5000, dtype=np.uint8)
+        shorter = M._drop_last_bit(M._wrapped_counts(arr, m))
+        assert np.array_equal(shorter, M._wrapped_counts(arr, m - 1))
+        assert shorter.sum() == arr.size
+
+
+class TestLockstepRank:
+    def test_ranks_match_single_matrix_elimination(self):
+        rng = np.random.default_rng(31)
+        # dense, sparse and repeated-row matrices give a spread of ranks
+        mats = [rng.integers(0, 2, size=(32, 32)) for _ in range(20)]
+        mats += [(rng.random((32, 32)) < 0.03).astype(np.int64) for _ in range(20)]
+        mats.append(np.tile(rng.integers(0, 2, size=32), (32, 1)))
+        rows = [[int("".join(map(str, r)), 2) for r in mat] for mat in mats]
+        got = M._gf2_ranks(rows, 32)
+        assert got.tolist() == [M._gf2_rank(r, 32) for r in rows]
+        assert len(set(got.tolist())) > 3
+
+
+class TestPinnedSubPValues:
+    def test_every_module_matches_recorded_values(self):
+        # Recorded with the per-block scalar implementations these
+        # kernels replaced; any change to a module's integers moves them.
+        ref = json.loads(POOLED_REFERENCE.read_text(encoding="utf-8"))
+        raw = np.random.PCG64(ref["seed"]).random_raw(ref["bits"] // 64)
+        bits = np.unpackbits(raw.astype("<u8").view(np.uint8))
+        assert bits.size == ref["bits"]
+        results = run_nist_suite(bits, n_groups=ref["groups"])
+        assert [r.module_name for r in results] == list(MODULE_NAMES)
+        for r in results:
+            want = ref["pooled_p_values"][r.module_name]
+            assert len(r.group_p_values) == len(want), r.module_name
+            assert np.max(np.abs(np.subtract(r.group_p_values, want))) <= 1e-12, r.module_name

@@ -215,6 +215,13 @@ class TestSuiteDriver:
         assert all(r.verdict == "pass" for r in runnable)
         assert all_pass(results)
 
+    def test_battery_where_nothing_ran_does_not_pass(self):
+        rng = np.random.default_rng(14)
+        results = run_nist_suite(rng.integers(0, 2, size=64, dtype=np.uint8), n_groups=1)
+        assert {r.verdict for r in results} == {"skipped"}
+        assert not all_pass(results)
+        assert "no module ran" in format_report(results)
+
     def test_alternating_stream_is_rejected(self):
         bits = np.tile(np.array([0, 1], dtype=np.uint8), 50_000)
         results = run_nist_suite(bits, n_groups=10)

@@ -75,6 +75,25 @@ class TestDeterminism:
         b = process_variation_study(spec, jobs=3).to_csv()
         assert a == b
 
+    def test_process_study_parallel_report_equals_serial(self, monkeypatch):
+        # jobs > 1 spreads the devices over a pool; their results are
+        # added up in index order, so the report is the same
+        import spintrng.sweeps as sweeps
+
+        pools = []
+
+        class RecordingPool(sweeps.ProcessPoolExecutor):
+            def __init__(self, max_workers, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        spec = fast_spec(Axis.PROCESS, seed=4, n_samples=12, bits_per_point=12_000)
+        serial = process_variation_study(spec, jobs=1)
+        assert pools == []
+        assert process_variation_study(spec, jobs=2) == serial
+        assert pools == [2]
+
 
 class TestCsvContract:
     def test_header_and_shape(self):
