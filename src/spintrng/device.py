@@ -168,7 +168,10 @@ class WritePulse:
 class DeviceInstance:
     """One sampled device: realized geometry plus derived resistances.
 
-    state is mutated only through apply_write.
+    state is the cell's current magnetic state.  apply_write updates it
+    per pulse, and BitGenerator.generate leaves each feedback cell's
+    last state in it, so a device is not shared between generators
+    that must start from P.
     """
 
     params: DeviceParams

@@ -15,26 +15,26 @@ Two families are modeled:
   n + 1 cells into n XOR output lanes.
 
 Every unit consumes exactly one uniform draw from its own substream
-per cycle, in cycle order, so the vectorized fast path and the
-cycle-by-cycle step path produce bit-identical output.
+per cycle, in cycle order, and BitGenerator.generate turns a block of
+those draws into bits in one vectorized pass.  Each feedback cell's
+last state stays in its device, so a further generate call continues
+the same chains (for rhs-parallel, the unused lanes of a partial last
+cycle are dropped, not carried over).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
 from spintrng.device import (
-    STATE_P,
     DeviceInstance,
     DeviceParams,
     Environment,
     SwitchDirection,
     WritePulse,
-    apply_write,
     calibrated_pulses,
     sample_device,
     switching_probability,
@@ -170,7 +170,7 @@ class CostReport:
 class _Unit:
     """One MTJ cell with its own uniform substream."""
 
-    __slots__ = ("device", "rng", "pulses", "p1", "p2")
+    __slots__ = ("device", "rng", "p1", "p2")
 
     def __init__(
         self,
@@ -182,7 +182,6 @@ class _Unit:
     ) -> None:
         self.device = device
         self.rng = rng
-        self.pulses = pulses
         if override is not None:
             self.p1, self.p2 = float(override[0]), float(override[1])
         else:
@@ -264,68 +263,12 @@ class BitGenerator:
             _Unit(dev, np.random.default_rng(ss), pulses, self.env, config.flip_prob_override)
             for dev, ss in zip(devices, children)
         ]
-        self._cycles_run = 0
 
     def realized_flip_probs(self) -> list[tuple[float, float]]:
         """Per-unit (p1, p2) actually in effect for this run."""
         return [(unit.p1, unit.p2) for unit in self.units]
 
-    # -- cycle-by-cycle path ------------------------------------------------
-
-    def _step_unit_conv(self, unit: _Unit) -> int:
-        direction = (
-            SwitchDirection.AP_TO_P
-            if self.config.variant is Variant.CONV_AP_TO_P
-            else SwitchDirection.P_TO_AP
-        )
-        # Reset phase: deterministic write into the source state.
-        unit.device.state = direction.source_state
-        if self.config.flip_prob_override is not None:
-            p = unit.p2 if direction is SwitchDirection.AP_TO_P else unit.p1
-            if unit.rng.random() < p:
-                unit.device.state = direction.target_state
-        else:
-            apply_write(unit.device, unit.pulses[direction], self.env, unit.rng)
-        return unit.device.state
-
-    def _step_unit_rhs(self, unit: _Unit) -> int:
-        state = unit.device.state
-        direction = (
-            SwitchDirection.P_TO_AP if state == STATE_P else SwitchDirection.AP_TO_P
-        )
-        if self.config.flip_prob_override is not None:
-            p = unit.p1 if direction is SwitchDirection.P_TO_AP else unit.p2
-            if unit.rng.random() < p:
-                unit.device.state = direction.target_state
-        else:
-            apply_write(unit.device, unit.pulses[direction], self.env, unit.rng)
-        return unit.device.state
-
-    def step(self) -> np.ndarray:
-        """Run one cycle; returns this cycle's output bits.
-
-        The emitted value is the post-write state, i.e. what the read
-        phase of the next cycle observes, so the deterministic initial
-        state never leaks into the stream.
-        """
-        config = self.config
-        if config.variant.is_conventional:
-            bits = np.array([self._step_unit_conv(self.units[0])], dtype=np.uint8)
-        else:
-            states = [self._step_unit_rhs(unit) for unit in self.units]
-            if config.variant is Variant.RHS_SINGLE:
-                bits = np.array([states[0]], dtype=np.uint8)
-            elif config.variant is Variant.RHS_TRNG:
-                bits = np.array([states[0] ^ states[1]], dtype=np.uint8)
-            else:
-                arr = np.array(states, dtype=np.uint8)
-                bits = arr[:-1] ^ arr[1:]
-        self._cycles_run += 1
-        return bits
-
-    # -- vectorized path ----------------------------------------------------
-
-    def _unit_states_fast(self, unit: _Unit, n_cycles: int) -> np.ndarray:
+    def _unit_states(self, unit: _Unit, n_cycles: int) -> np.ndarray:
         u = unit.rng.random(n_cycles)
         if self.config.variant.is_conventional:
             if self.config.variant is Variant.CONV_P_TO_AP:
@@ -344,7 +287,7 @@ class BitGenerator:
         if n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {n_bits}")
         n_cycles = -(-n_bits // config.bits_per_cycle)
-        states = [self._unit_states_fast(unit, n_cycles) for unit in self.units]
+        states = [self._unit_states(unit, n_cycles) for unit in self.units]
 
         if config.variant in (Variant.CONV_AP_TO_P, Variant.CONV_P_TO_AP, Variant.RHS_SINGLE):
             bits = states[0]
@@ -355,11 +298,10 @@ class BitGenerator:
             bits = (stacked[:, :-1] ^ stacked[:, 1:]).reshape(-1)
         bits = bits[:n_bits]
 
-        # Advance persistent unit state so step() can continue a run.
+        # Carry each feedback cell's state into the next generate call.
         for unit, traj in zip(self.units, states):
             if not config.variant.is_conventional:
                 unit.device.state = int(traj[-1])
-        self._cycles_run += n_cycles
 
         stream = BitStream(
             bits=bits,

@@ -1,14 +1,17 @@
 """Voltage, temperature, and process-variation experiment harness.
 
-Each sweep point runs every requested TRNG variant with the write
-pulses calibrated once at reference conditions, then measures the
-output statistics under the disturbed environment or device sample.
-Rows also log the model flip probabilities realized at that point so a
-sweep can be explained without re-simulation.
+Each sweep point runs every requested TRNG variant through
+BitGenerator, with the write pulses calibrated at reference
+conditions, then measures the output statistics under the disturbed
+environment or device sample.  Rows also log the model flip
+probabilities realized at that point so a sweep can be explained
+without re-simulation.
 
-Seeding is fully keyed: every (axis, variant, point, unit) tuple maps
-to its own SeedSequence, so results are byte-identical regardless of
---jobs scheduling, and any single point can be reproduced in
+Seeding is fully keyed: every (axis, variant, point) cell seeds its
+own generator, which spawns one substream per unit, and a variant's
+key is its index in SWEEP_VARIANTS.  Results are therefore
+byte-identical regardless of --jobs scheduling or of which other
+variants are requested, and any single point can be reproduced in
 isolation.
 """
 
@@ -21,18 +24,17 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import SeedSequence
 
 from spintrng.device import (
+    STATE_P,
     DeviceParams,
     Environment,
-    SwitchDirection,
     calibrated_pulses,
     sample_device,
-    switching_probability,
 )
 from spintrng.entropy import binary_min_entropy, binary_shannon_entropy
-from spintrng.generator import Variant, _chain_states
+from spintrng.generator import BitGenerator, GeneratorConfig, Variant
 
 
 class Axis(str, Enum):
@@ -109,8 +111,10 @@ class SweepRow:
     """One (variant, axis value) cell of a sweep.
 
     variant is the Variant member itself; the CSV holds its value
-    string.  p1_model and p2_model are the model flip probabilities
-    realized at the point (population means in the process study).
+    string.  p1_model and p2_model are the flip probabilities of the
+    generator's first unit at the point, as realized_flip_probs()
+    reports them (population means of the first cell in the process
+    study).
     """
 
     variant: Variant
@@ -146,55 +150,9 @@ class SweepReport:
         return out.getvalue()
 
 
-def _variant_bits(
-    variant: Variant,
-    p1: float,
-    p2: float,
-    n_bits: int,
-    key: list[int],
-) -> np.ndarray:
-    """Bits for one chain at forced flip probabilities.
-
-    key identifies the (seed, tag, point/device, ...) cell; the unit
-    index is appended here.  One uniform per unit per cycle, matching
-    the generator's draw order exactly.
-    """
-    u = default_rng(SeedSequence(key + [0])).random(n_bits)
-    if variant is Variant.CONV_P_TO_AP:
-        return (u < p1).astype(np.uint8)
-    if variant is Variant.CONV_AP_TO_P:
-        return (u >= p2).astype(np.uint8)
-    if variant is Variant.RHS_SINGLE:
-        return _chain_states(u, p1, p2, 0)
-    raise ValueError(f"unsupported sweep variant {variant}")
-
-
-def _trng_bits(
-    pa: tuple[float, float],
-    pb: tuple[float, float],
-    n_bits: int,
-    key: list[int],
-) -> np.ndarray:
-    xa = _chain_states(default_rng(SeedSequence(key + [0])).random(n_bits), pa[0], pa[1], 0)
-    xb = _chain_states(default_rng(SeedSequence(key + [1])).random(n_bits), pb[0], pb[1], 0)
-    return xa ^ xb
-
-
-def _env_point_row(args) -> SweepRow:
-    """One (variant, environment point) cell of a voltage/temperature sweep."""
-    spec, tag, env, value, vi = args
-    variant = spec.variants[vi]
-    nominal = sample_device(spec.params, process_variation=False)
-    pulses = calibrated_pulses(nominal, Environment())
-    p1 = switching_probability(nominal, pulses[SwitchDirection.P_TO_AP], env)
-    p2 = switching_probability(nominal, pulses[SwitchDirection.AP_TO_P], env)
-    point_idx = spec.points().index(value)
-    key = [spec.seed, tag + vi, point_idx]
-    if variant is Variant.RHS_TRNG:
-        bits = _trng_bits((p1, p2), (p1, p2), spec.bits_per_point, key)
-    else:
-        bits = _variant_bits(variant, p1, p2, spec.bits_per_point, key)
-    p_one = float(np.count_nonzero(bits)) / bits.size
+def _row(
+    spec: SweepSpec, variant: Variant, value: float, p_one: float, p1: float, p2: float
+) -> SweepRow:
     return SweepRow(
         variant=variant,
         axis=spec.axis.value,
@@ -207,17 +165,32 @@ def _env_point_row(args) -> SweepRow:
     )
 
 
+def _env_point_row(args) -> SweepRow:
+    """One (variant, environment point) cell of a voltage/temperature sweep.
+
+    The generator's own calibration (nominal device, reference
+    conditions) is the sweep's, so only the run environment moves the
+    realized flip probabilities.
+    """
+    spec, tag, variant, point_idx, value = args
+    if spec.axis is Axis.VOLTAGE:
+        env = Environment(v_variation_rate=value)
+    else:
+        env = Environment(temperature_k=value)
+    key = [spec.seed, tag + SWEEP_VARIANTS.index(variant), point_idx]
+    gen = BitGenerator(
+        GeneratorConfig(variant=variant), env=env, params=spec.params, seed=SeedSequence(key)
+    )
+    bits = gen.generate(spec.bits_per_point).bits
+    p_one = float(np.count_nonzero(bits)) / bits.size
+    return _row(spec, variant, value, p_one, *gen.realized_flip_probs()[0])
+
+
 def _run_env_sweep(spec: SweepSpec, tag: int, jobs: int = 1) -> SweepReport:
-    envs = {}
-    for value in spec.points():
-        if spec.axis is Axis.VOLTAGE:
-            envs[value] = Environment(v_variation_rate=value)
-        else:
-            envs[value] = Environment(temperature_k=value)
     tasks = [
-        (spec, tag, envs[value], value, vi)
-        for vi in range(len(spec.variants))
-        for value in spec.points()
+        (spec, tag, variant, point_idx, value)
+        for variant in spec.variants
+        for point_idx, value in enumerate(spec.points())
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -245,23 +218,27 @@ def temperature_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
 def _process_device(args) -> tuple[float, float, dict]:
     """One device set of the process study: (p1, p2) of its first cell
     and the count of ones each requested variant produced from it."""
-    spec, pulses, env, per_dev, i = args
-    dev_a = sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, 0]))
-    dev_b = sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, 1]))
-    p1a = switching_probability(dev_a, pulses[SwitchDirection.P_TO_AP], env)
-    p2a = switching_probability(dev_a, pulses[SwitchDirection.AP_TO_P], env)
-    p1b = switching_probability(dev_b, pulses[SwitchDirection.P_TO_AP], env)
-    p2b = switching_probability(dev_b, pulses[SwitchDirection.AP_TO_P], env)
+    spec, pulses, per_dev, i = args
+    cells = [
+        sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, unit]))
+        for unit in range(2)
+    ]
     ones = {}
     for vi, variant in enumerate(SWEEP_VARIANTS):
         if variant not in spec.variants:
             continue
-        key = [spec.seed, _TAG_PROCESS + vi, i]
-        if variant is Variant.RHS_TRNG:
-            bits = _trng_bits((p1a, p2a), (p1b, p2b), per_dev, key)
-        else:
-            bits = _variant_bits(variant, p1a, p2a, per_dev, key)
-        ones[variant] = int(np.count_nonzero(bits))
+        config = GeneratorConfig(variant=variant)
+        # generate() leaves each cell's last state in its device, so
+        # every generator gets copies that start in P.
+        gen = BitGenerator(
+            config,
+            params=spec.params,
+            seed=SeedSequence([spec.seed, _TAG_PROCESS + vi, i]),
+            devices=[replace(dev, state=STATE_P) for dev in cells[: config.n_units]],
+            pulses=pulses,
+        )
+        ones[variant] = int(np.count_nonzero(gen.generate(per_dev).bits))
+    p1a, p2a = gen.realized_flip_probs()[0]
     return p1a, p2a, ones
 
 
@@ -269,21 +246,21 @@ def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     """Aggregate entropy per variant over a population of device sets.
 
     Device i's two cells are drawn from keys (seed, 100, i, unit); the
-    bit draws for variant v use keys (seed, 200 + v, i, unit).  All
-    variants therefore see the same device population, which makes the
-    cross-variant entropy ordering a paired comparison.  The reported
-    row value column holds n_samples.
+    generator for variant v is seeded with (seed, 200 + v, i), v being
+    the variant's index in SWEEP_VARIANTS, and starts from fresh copies
+    of those cells.  All variants therefore see the same device
+    population, which makes the cross-variant entropy ordering a paired
+    comparison.  The reported row value column holds n_samples.
     """
     if spec.axis is not Axis.PROCESS:
         raise ValueError("spec.axis must be process")
-    env = Environment()
     nominal = sample_device(spec.params, process_variation=False)
-    pulses = calibrated_pulses(nominal, env)
+    pulses = calibrated_pulses(nominal, Environment())
     per_dev = spec.bits_per_point // spec.n_samples
     if per_dev < 1:
         raise ValueError("bits_per_point must be >= n_samples")
 
-    tasks = [(spec, pulses, env, per_dev, i) for i in range(spec.n_samples)]
+    tasks = [(spec, pulses, per_dev, i) for i in range(spec.n_samples)]
     if jobs > 1:
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
@@ -302,21 +279,17 @@ def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
             ones[variant] += count
 
     total = spec.n_samples * per_dev
-    rows = []
-    for variant in spec.variants:
-        p_one = ones[variant] / total
-        rows.append(
-            SweepRow(
-                variant=variant,
-                axis=spec.axis.value,
-                value=float(spec.n_samples),
-                p_one=p_one,
-                shannon=binary_shannon_entropy(p_one),
-                min_entropy=binary_min_entropy(p_one),
-                p1_model=p1_sum / spec.n_samples,
-                p2_model=p2_sum / spec.n_samples,
-            )
+    rows = [
+        _row(
+            spec,
+            variant,
+            float(spec.n_samples),
+            ones[variant] / total,
+            p1_sum / spec.n_samples,
+            p2_sum / spec.n_samples,
         )
+        for variant in spec.variants
+    ]
     return SweepReport(spec=spec, rows=tuple(rows))
 
 

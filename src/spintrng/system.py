@@ -17,6 +17,7 @@ from enum import Enum
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
+from scipy.special import ndtr
 
 
 class SourceExhausted(Exception):
@@ -38,18 +39,12 @@ class RngBackend:
     """
 
     kind: BackendKind
-    instructions_per_u15: float = 1.0
     instructions_per_double: float = 1.0
-    latency_cycles: int = 8
 
     def __post_init__(self) -> None:
-        if self.instructions_per_u15 < 1.0 or self.instructions_per_double < 1.0:
+        if self.instructions_per_double < 1.0:
             raise ValueError("per-draw instruction costs must be >= 1")
-        if self.latency_cycles < 1:
-            raise ValueError("latency_cycles must be >= 1")
-        if self.kind is BackendKind.TRNG_INSTRUCTION and (
-            self.instructions_per_u15 != 1.0 or self.instructions_per_double != 1.0
-        ):
+        if self.kind is BackendKind.TRNG_INSTRUCTION and self.instructions_per_double != 1.0:
             raise ValueError("the hardware instruction costs exactly 1 per draw")
 
 
@@ -60,7 +55,6 @@ def trng_backend() -> RngBackend:
 def stdlib_backend(cost: float = 23.5) -> RngBackend:
     return RngBackend(
         kind=BackendKind.SOFTWARE_STDLIB,
-        instructions_per_u15=cost,
         instructions_per_double=cost,
     )
 
@@ -68,7 +62,6 @@ def stdlib_backend(cost: float = 23.5) -> RngBackend:
 def boost_backend(cost: float = 77.5) -> RngBackend:
     return RngBackend(
         kind=BackendKind.SOFTWARE_BOOST_LAGFIB,
-        instructions_per_u15=cost,
         instructions_per_double=cost,
     )
 
@@ -79,18 +72,13 @@ def default_backends() -> tuple[RngBackend, ...]:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Clock and the relaxed generator phase budget.
+    """Clock and issue rate that turn instruction counts into runtime.
 
-    The generator instruction is fully pipelined: its phases must fit
-    inside the architectural latency window, after which one result
-    retires per cycle.
+    The generator instruction is taken as fully pipelined, so one
+    result retires per cycle.
     """
 
     frequency_hz: float = 2.0e9
-    t_pre_ns: float = 0.5
-    t_rd_ns: float = 0.5
-    t_wr_ns: float = 3.0
-    latency_cycles: int = 8
     ipc: float = 1.0
 
     def __post_init__(self) -> None:
@@ -98,13 +86,6 @@ class PipelineConfig:
             raise ValueError("frequency_hz must be > 0")
         if self.ipc <= 0:
             raise ValueError("ipc must be > 0")
-        phase_sum = self.t_pre_ns + self.t_rd_ns + self.t_wr_ns
-        window_ns = self.latency_cycles / self.frequency_hz * 1e9
-        if phase_sum > window_ns + 1e-12:
-            raise ValueError(
-                f"phase times sum to {phase_sum} ns, exceeding the "
-                f"{window_ns} ns instruction latency window"
-            )
 
 
 @dataclass(frozen=True)
@@ -210,43 +191,38 @@ class StreamBitSource:
 _MANTISSA_BITS = {"single": 23, "double": 52}
 
 
+def _uint_array(source, count: int, m: int) -> np.ndarray:
+    """count m-bit unsigned integers as float64, each assembled from m
+    source bits most significant first."""
+    bits = source.take(count * m).reshape(count, m).astype(np.float64)
+    weights = 2.0 ** np.arange(m - 1, -1, -1)
+    return bits @ weights
+
+
+def _frand_array(source, count: int, precision: str = "double") -> np.ndarray:
+    """count uniforms in [0,1), each from one mantissa width of bits."""
+    m = _MANTISSA_BITS.get(precision)
+    if m is None:
+        raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
+    return _uint_array(source, count, m) / 2.0**m
+
+
 def rand_u15(source) -> int:
     """15 source bits assembled most significant first."""
-    bits = source.take(15)
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+    return int(_uint_array(source, 1, 15)[0])
 
 
 def frand(source, precision: str = "double", lo: float = 0.0, hi: float = 1.0) -> float:
     """Uniform value in [lo, hi) from mantissa-width source bits."""
     if lo >= hi:
         raise ValueError(f"invalid range: lo={lo} must be < hi={hi}")
-    m = _MANTISSA_BITS.get(precision)
-    if m is None:
-        raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
-    bits = source.take(m)
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    u = value / 2.0**m
+    u = float(_frand_array(source, 1, precision)[0])
     return lo + u * (hi - lo)
-
-
-def _frand_array(source, count: int, precision: str = "double") -> np.ndarray:
-    """count uniforms in [0,1); bit-for-bit the same stream as frand."""
-    m = _MANTISSA_BITS[precision]
-    bits = source.take(count * m).reshape(count, m).astype(np.float64)
-    weights = 2.0 ** np.arange(m - 1, -1, -1)
-    return (bits @ weights) / 2.0**m
 
 
 def box_muller(source, precision: str = "double") -> float:
     """One standard normal from two uniform draws."""
-    u1 = frand(source, precision)
-    u2 = frand(source, precision)
-    return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
+    return float(_box_muller_array(source, 1, precision)[0])
 
 
 def _box_muller_array(source, count: int, precision: str = "double") -> np.ndarray:
@@ -255,24 +231,6 @@ def _box_muller_array(source, count: int, precision: str = "double") -> np.ndarr
 
 
 # -- pricing -----------------------------------------------------------------
-
-# Rational tail approximation of the standard normal CDF, max absolute
-# error below 1e-7.
-_PHI_P = 0.2316419
-_PHI_B = (0.319381530, -0.356563782, 1.781477937, -1.821255978, 1.330274429)
-
-
-def _norm_cdf(x: float) -> float:
-    if x < 0.0:
-        return 1.0 - _norm_cdf(-x)
-    t = 1.0 / (1.0 + _PHI_P * x)
-    poly = 0.0
-    for b in reversed(_PHI_B):
-        poly = poly * t + b
-    poly *= t
-    density = math.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
-    return 1.0 - density * poly
-
 
 def black_scholes_oracle(spec: OptionSpec) -> float:
     """Closed-form European call value."""
@@ -285,7 +243,7 @@ def black_scholes_oracle(spec: OptionSpec) -> float:
         + (spec.rate + 0.5 * spec.volatility**2) * spec.maturity_years
     ) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
-    return spec.s0 * _norm_cdf(d1) - spec.strike * discount * _norm_cdf(d2)
+    return float(spec.s0 * ndtr(d1) - spec.strike * discount * ndtr(d2))
 
 
 @dataclass(frozen=True)

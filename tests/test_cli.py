@@ -1,10 +1,12 @@
-"""Command-line `test` on inputs the battery cannot judge."""
+"""Command line: `test` on inputs the battery cannot judge, and `sweep`."""
 
 import json
 
 import numpy as np
+import pytest
 
 from spintrng import cli
+from spintrng.sweeps import Axis, run_sweep, spec_for_axis
 
 
 def test_stream_too_short_for_every_module_is_a_usage_error(tmp_path, capsys):
@@ -39,3 +41,16 @@ def test_a_runnable_battery_still_exits_zero(tmp_path, capsys):
     assert cli.main(["test", "--in", str(path), "--groups", "10"]) == 0
     out, _ = capsys.readouterr()
     assert "no module ran" not in out
+
+
+@pytest.mark.parametrize("axis", [a.value for a in Axis])
+def test_sweep_writes_the_report_csv_whatever_the_jobs(axis, tmp_path, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    spec = spec_for_axis(Axis(axis), bits_per_point=10_000, n_samples=10, seed=3)
+    expected = run_sweep(spec).to_csv()
+    for jobs in ("1", "2"):
+        out = tmp_path / f"sweep-{jobs}.csv"
+        args = ["sweep", "--axis", axis, "--bits-per-point", "10000", "--samples", "10"]
+        code = cli.main(args + ["--seed", "3", "--jobs", jobs, "--out", str(out)])
+        assert code == 0
+        assert out.read_text(encoding="utf-8") == expected

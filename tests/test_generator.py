@@ -1,9 +1,20 @@
 """Bitstream generators: cycle semantics, XOR wiring, timing, cost."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from numpy.random import SeedSequence
 
+from spintrng.device import (
+    STATE_P,
+    DeviceParams,
+    Environment,
+    SwitchDirection,
+    apply_write,
+    calibrated_pulses,
+    sample_device,
+)
 from spintrng.generator import (
     BitGenerator,
     CycleTiming,
@@ -88,6 +99,57 @@ class TestXorWiring:
         assert abs(corr) < 0.01
 
 
+def reference_bits(config, entropy, n_bits):
+    """Cycle-by-cycle reference for BitGenerator.generate at nominal
+    devices and conditions.
+
+    Each unit draws from its own default_rng, spawned from
+    SeedSequence(entropy) in unit order, and every cycle applies one
+    write pulse to it: device.apply_write on the physics path, a
+    comparison u < p with flip_prob_override.  A conventional cycle
+    first resets the cell to the pulse's source state; a feedback cycle
+    writes the inverse of the state it reads.  The emitted value is the
+    post-write state (XORed across adjacent cells), so the
+    deterministic initial state never reaches the stream.
+    """
+    rngs = [np.random.default_rng(s) for s in SeedSequence(entropy).spawn(config.n_units)]
+    devices = [sample_device(DeviceParams(), process_variation=False) for _ in rngs]
+    pulses = calibrated_pulses(devices[0], Environment())
+    override = config.flip_prob_override
+
+    def write(device, direction, rng):
+        if override is None:
+            apply_write(device, pulses[direction], Environment(), rng)
+            return
+        p = override[0] if direction is SwitchDirection.P_TO_AP else override[1]
+        if rng.random() < p:
+            device.state = direction.target_state
+
+    bits = []
+    while len(bits) < n_bits:
+        if config.variant.is_conventional:
+            direction = (
+                SwitchDirection.AP_TO_P
+                if config.variant is Variant.CONV_AP_TO_P
+                else SwitchDirection.P_TO_AP
+            )
+            devices[0].state = direction.source_state
+            write(devices[0], direction, rngs[0])
+            bits.append(devices[0].state)
+            continue
+        for device, rng in zip(devices, rngs):
+            direction = (
+                SwitchDirection.P_TO_AP if device.state == STATE_P else SwitchDirection.AP_TO_P
+            )
+            write(device, direction, rng)
+        states = [device.state for device in devices]
+        if config.variant is Variant.RHS_SINGLE:
+            bits.append(states[0])
+        else:
+            bits.extend(a ^ b for a, b in zip(states, states[1:]))
+    return np.array(bits[:n_bits], dtype=np.uint8)
+
+
 class TestFastSlowEquivalence:
     @pytest.mark.parametrize(
         "variant,lanes",
@@ -103,19 +165,40 @@ class TestFastSlowEquivalence:
         config = cfg(variant, lanes=lanes, flip_prob_override=(0.37, 0.61))
         n_bits = 257
         fast = BitGenerator(config, seed=SeedSequence([17])).generate(n_bits).bits
-        slow_gen = BitGenerator(config, seed=SeedSequence([17]))
-        chunks = []
-        while sum(len(c) for c in chunks) < n_bits:
-            chunks.append(slow_gen.step())
-        slow = np.concatenate(chunks)[:n_bits]
-        np.testing.assert_array_equal(fast, slow)
+        np.testing.assert_array_equal(fast, reference_bits(config, [17], n_bits))
 
     def test_physics_path_step_and_generate_agree(self):
         config = cfg(Variant.RHS_TRNG)
         fast = BitGenerator(config, seed=SeedSequence([8])).generate(123).bits
-        slow_gen = BitGenerator(config, seed=SeedSequence([8]))
-        slow = np.concatenate([slow_gen.step() for _ in range(123)])
-        np.testing.assert_array_equal(fast, slow)
+        np.testing.assert_array_equal(fast, reference_bits(config, [8], 123))
+
+
+# sha256 of generate_bitstream(...).bits.tobytes() at seed 2024, 10^5 bits.
+# A change to these is a change to every stream the tool has ever written.
+_PINNED_SHA256 = {
+    (Variant.CONV_P_TO_AP, None): "011d3c3cf2fc9e48361c18c10f2de6a75039d8f5c3363695035e0b1b6b735757",
+    (Variant.CONV_AP_TO_P, None): "76f007709915b83afbd26f82f7bef396e095d90097a2c3ba816e2cb3210a2348",
+    (Variant.RHS_SINGLE, None): "b5fab97e5f6dcf00bb1efb329644b5cd7fd66c398e85b4b35c02ee71998e22d1",
+    (Variant.RHS_TRNG, None): "216428c6023f4a3ecbacef7e5375cd198df6d5e5b68a34ec720d6d639e7a2028",
+    (Variant.RHS_PARALLEL, None): "3661e6b9ced2f548654fea48aa35656d6634f6ced5e1fa7874896397c4e90722",
+    (Variant.CONV_P_TO_AP, (0.37, 0.61)): "9eb2c657db2fe45f9a6a834bcf1ebdccb240cbfbb9552428ac0e08ad2918290d",
+    (Variant.CONV_AP_TO_P, (0.37, 0.61)): "5c1320c48bf5a47110bb4c73ce8b3ea90068bb78882b29d56414bc09c8b460fb",
+    (Variant.RHS_SINGLE, (0.37, 0.61)): "5ddee95db8915605147e132f8e83b72002adbc120f5a83e921682ba0429e84fa",
+    (Variant.RHS_TRNG, (0.37, 0.61)): "ad5e8daef322686451aa31a232d2d210dce404e98181a73df65edae5235e2c00",
+    (Variant.RHS_PARALLEL, (0.37, 0.61)): "4cb6721c309d730a39978e397fe4128d8c55eef82b5c5f84003d3ac6dd31dcf2",
+}
+
+
+@pytest.mark.parametrize(
+    "variant,override",
+    list(_PINNED_SHA256),
+    ids=lambda x: x.value if isinstance(x, Variant) else ("physics" if x is None else "override"),
+)
+def test_generate_output_is_pinned(variant, override):
+    lanes = 3 if variant is Variant.RHS_PARALLEL else 1
+    config = cfg(variant, lanes=lanes, flip_prob_override=override)
+    bits = generate_bitstream(config, n_bits=100_000, seed=2024).bits
+    assert hashlib.sha256(bits.tobytes()).hexdigest() == _PINNED_SHA256[(variant, override)]
 
 
 class TestCalibrationAndPhysics:
@@ -154,6 +237,14 @@ class TestDeterminism:
             seed=SeedSequence([5]),
         ).bits
         np.testing.assert_array_equal(short, long[:500])
+
+    @pytest.mark.parametrize("variant", [Variant.RHS_TRNG, Variant.CONV_AP_TO_P])
+    def test_generate_calls_continue_one_run(self, variant):
+        # each cell's state and substream carry over between calls
+        gen = BitGenerator(cfg(variant), seed=SeedSequence([6]))
+        parts = [gen.generate(n).bits for n in (300, 1, 199)]
+        whole = generate_bitstream(cfg(variant), n_bits=500, seed=SeedSequence([6])).bits
+        np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 class TestTimingAndCost:

@@ -14,6 +14,7 @@ from spintrng.device import (
     switching_exponent,
     switching_probability,
 )
+from spintrng.generator import Variant
 from spintrng.sweeps import (
     SWEEP_VARIANTS,
     Axis,
@@ -93,6 +94,15 @@ class TestDeterminism:
         assert pools == []
         assert process_variation_study(spec, jobs=2) == serial
         assert pools == [2]
+
+    @pytest.mark.parametrize("axis", list(Axis))
+    def test_single_variant_run_reproduces_its_rows(self, axis):
+        # each cell is keyed by the variant itself, and every generator
+        # starts from fresh devices, so dropping the other variants
+        # changes none of the rhs-trng rows
+        full = run_sweep(fast_spec(axis, seed=1))
+        alone = run_sweep(fast_spec(axis, seed=1, variants=(Variant.RHS_TRNG,)))
+        assert alone.rows == tuple(r for r in full.rows if r.variant is Variant.RHS_TRNG)
 
 
 class TestCsvContract:
@@ -217,8 +227,6 @@ class TestValidation:
             SweepSpec(axis=Axis.VOLTAGE, bits_per_point=5000)
 
     def test_parallel_variant_rejected(self):
-        from spintrng.generator import Variant
-
         with pytest.raises(ValueError):
             SweepSpec(axis=Axis.VOLTAGE, variants=(Variant.RHS_PARALLEL,))
 
