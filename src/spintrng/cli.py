@@ -15,6 +15,7 @@ file, and unknown config keys are rejected.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,7 +41,7 @@ from .markov import (
 )
 from .nist import all_pass, any_ran, format_report, results_to_json, run_nist_suite
 from .sweeps import Axis, run_sweep, spec_for_axis
-from .system import OptionSpec, black_scholes_oracle, speedup_report
+from .system import BENCH_COLUMNS, OptionSpec, black_scholes_oracle, speedup_report
 
 CONFIG_ENV_VAR = "SPINTRNG_CONFIG"
 
@@ -141,33 +142,22 @@ def _merge_options(command: str, args: argparse.Namespace, config: dict) -> dict
     return merged
 
 
-def _device_params(config: dict) -> DeviceParams:
-    section = config.get("device")
+def _config_section(config: dict, name: str, cls):
+    """cls built from config section `name` (dashed keys allowed), or
+    cls() when the section is absent; unknown keys are rejected."""
+    section = config.get(name)
     if section is None:
-        return DeviceParams()
+        return cls()
     if not isinstance(section, dict):
-        raise UsageError("config section 'device' must be a JSON object")
-    try:
-        return DeviceParams.from_dict(section)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad device config: {exc}") from exc
-
-
-def _option_spec(config: dict) -> OptionSpec:
-    section = config.get("option")
-    if section is None:
-        return OptionSpec()
-    if not isinstance(section, dict):
-        raise UsageError("config section 'option' must be a JSON object")
-    fields = {_normalize_key(k): v for k, v in section.items()}
-    known = set(OptionSpec.__dataclass_fields__)
-    unknown = set(fields) - known
+        raise UsageError(f"config section {name!r} must be a JSON object")
+    values = {_normalize_key(k): v for k, v in section.items()}
+    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
-        raise UsageError(f"unknown option config keys: {', '.join(sorted(unknown))}")
+        raise UsageError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
     try:
-        return OptionSpec(**fields)
+        return cls(**values)
     except (TypeError, ValueError) as exc:
-        raise UsageError(f"bad option config: {exc}") from exc
+        raise UsageError(f"bad {name} config: {exc}") from exc
 
 
 def _resolve_seed(value) -> int:
@@ -223,7 +213,7 @@ def _cmd_generate(opts: dict, config: dict) -> None:
         temperature_k=float(opts["temperature_k"]),
         v_variation_rate=float(opts["v_rate"]),
     )
-    params = _device_params(config)
+    params = _config_section(config, "device", DeviceParams)
     seed = _resolve_seed(opts["seed"])
     n_bits = int(opts["bits"])
     if n_bits < 1:
@@ -345,7 +335,7 @@ def _cmd_sweep(opts: dict, config: dict) -> None:
         axis = Axis(opts["axis"])
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    params = _device_params(config)
+    params = _config_section(config, "device", DeviceParams)
     try:
         spec = spec_for_axis(
             axis,
@@ -366,7 +356,7 @@ def _cmd_bench(opts: dict, config: dict) -> None:
     paths = _parse_number_list(opts["paths"], int, "--paths")
     if any(n < 1 for n in paths):
         raise UsageError("--paths values must be >= 1")
-    option = _option_spec(config)
+    option = _config_section(config, "option", OptionSpec)
     report = speedup_report(
         spec=option,
         n_paths_grid=tuple(paths),
@@ -376,14 +366,14 @@ def _cmd_bench(opts: dict, config: dict) -> None:
     print(f"black_scholes_oracle={black_scholes_oracle(option):.4f}")
     header = (
         f"{'backend':<24}{'n_paths':>9}{'price':>10}{'stderr':>9}"
-        f"{'instructions':>14}{'runtime_s':>12}{'ratio':>8}{'speedup':>9}"
+        f"{'instructions':>14}{'runtime_s':>12}{'ratio':>8}"
     )
     print(header)
     for r in report.rows:
         print(
             f"{r.backend:<24}{r.n_paths:>9}{r.price:>10.4f}{r.std_error:>9.4f}"
             f"{r.instruction_count:>14.0f}{r.simulated_runtime_s:>12.6g}"
-            f"{r.ratio_vs_trng:>8.4f}{r.speedup_vs_trng:>9.4f}"
+            f"{r.ratio_vs_trng:>8.4f}"
         )
     if opts["out"]:
         with open(opts["out"], "w", encoding="utf-8") as fh:
@@ -391,16 +381,7 @@ def _cmd_bench(opts: dict, config: dict) -> None:
         print(f"wrote {opts['out']}")
     if opts["json_out"]:
         rows = [
-            {
-                "backend": r.backend,
-                "n_paths": r.n_paths,
-                "price": r.price,
-                "stderr": r.std_error,
-                "instructions": r.instruction_count,
-                "runtime_s": r.simulated_runtime_s,
-                "ratio_vs_trng": r.ratio_vs_trng,
-                "speedup_vs_trng": r.speedup_vs_trng,
-            }
+            {column: getattr(r, name) for column, name, _ in BENCH_COLUMNS}
             for r in report.rows
         ]
         with open(opts["json_out"], "w", encoding="utf-8") as fh:

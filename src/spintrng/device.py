@@ -19,7 +19,7 @@ parameters through first-order physical dependencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -27,6 +27,12 @@ import numpy as np
 # State encoding used for bit output everywhere in the package.
 STATE_P = 0
 STATE_AP = 1
+
+# The design's write pulse: every write lasts PULSE_WIDTH_NS, and the
+# current of each polarity is calibrated on the nominal device so that
+# the pulse switches with probability CALIBRATION_TARGET.
+PULSE_WIDTH_NS = 2.9
+CALIBRATION_TARGET = 0.5
 
 _MAX_RESAMPLE = 100
 _CALIBRATION_TOL = 1e-6
@@ -56,7 +62,7 @@ class DeviceParams:
     Thickness/TMR sigmas default to 3 percent of their nominals.  The
     switching constants (delta_300, delta_asym, Ic0 per direction,
     tau0) are behavioral-model calibration values: they only need to
-    admit a 50 percent switching operating point at the default 2.9 ns
+    admit the CALIBRATION_TARGET operating point at the PULSE_WIDTH_NS
     write pulse and to produce the documented direction asymmetry.
     """
 
@@ -105,15 +111,6 @@ class DeviceParams:
             raise ValueError(
                 f"delta_asym must lie in (-1, 1), got {self.delta_asym}"
             )
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DeviceParams":
-        """Build params from a JSON-style dict, rejecting unknown keys."""
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown device parameter keys: {unknown}")
-        return cls(**data)
 
     def delta_300_for(self, direction: SwitchDirection) -> float:
         """Thermal stability factor of one polarity at 300 K.
@@ -259,7 +256,8 @@ def sample_devices(
     process_variation: bool = True,
     seed=None,
 ) -> list[DeviceInstance]:
-    """Draw n devices from one stream (vectorized convenience)."""
+    """Draw n devices in turn from one stream: n calls of sample_device
+    sharing one generator."""
     rng = _as_generator(seed)
     return [sample_device(params, process_variation, rng) for _ in range(n)]
 
@@ -366,13 +364,11 @@ def calibrate_pulse(
 
 
 def calibrated_pulses(
-    device: DeviceInstance,
-    env: Environment,
-    target_prob: float = 0.5,
-    width_ns: float = 2.9,
+    device: DeviceInstance, env: Environment
 ) -> dict[SwitchDirection, WritePulse]:
-    """Calibrate both polarities at the same width and target."""
+    """Calibrate both polarities to the design's operating point:
+    PULSE_WIDTH_NS wide, switching with probability CALIBRATION_TARGET."""
     return {
-        direction: calibrate_pulse(direction, target_prob, width_ns, device, env)
+        direction: calibrate_pulse(direction, CALIBRATION_TARGET, PULSE_WIDTH_NS, device, env)
         for direction in SwitchDirection
     }

@@ -18,18 +18,26 @@ Every unit consumes exactly one uniform draw from its own substream
 per cycle, in cycle order, and BitGenerator.generate turns a block of
 those draws into bits in one vectorized pass.  Each feedback cell's
 last state stays in its device, so a further generate call continues
-the same chains (for rhs-parallel, the unused lanes of a partial last
-cycle are dropped, not carried over).
+the same chains.  A request that rhs-parallel's lane count does not
+divide still runs whole cycles; the generator keeps the unused lanes
+of the last cycle and emits them first on the next call, so any split
+of a request into calls yields the bits of one call.
+
+Timing, energy and area are the paper's fixed design figures, held
+as module constants: a feedback cycle is precharge, read and the
+write pulse (3.3 ns, 303 Mb/s per lane); a conventional cycle adds a
+reset write of the same width.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from spintrng.device import (
+    PULSE_WIDTH_NS,
     DeviceInstance,
     DeviceParams,
     Environment,
@@ -53,34 +61,30 @@ class Variant(str, Enum):
         return self in (Variant.CONV_AP_TO_P, Variant.CONV_P_TO_AP)
 
 
-@dataclass(frozen=True)
-class CycleTiming:
-    """Phase durations in nanoseconds.
+# Phase durations in nanoseconds besides the write pulse itself.
+T_PRE_NS = 0.2
+T_RD_NS = 0.2
 
-    The feedback designs run precharge, read, write every cycle; the
-    conventional designs additionally spend a reset write.
-    """
+# Per-bit energy of the dual-cell XOR design and of one feedback unit,
+# and the layout area of each; the XOR gate takes what the cell's area
+# leaves beyond its two units.
+ENERGY_PJ_PER_BIT_CELL = 5.3
+ENERGY_PJ_PER_BIT_UNIT = 2.65
+AREA_UM2_CELL = 24.29
+AREA_UM2_UNIT = 9.79
 
-    t_pre_ns: float = 0.2
-    t_rd_ns: float = 0.2
-    t_wr_ns: float = 2.9
-    t_reset_ns: float = 2.9
 
-    def __post_init__(self) -> None:
-        for name in ("t_pre_ns", "t_rd_ns", "t_wr_ns", "t_reset_ns"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-
-    def cycle_ns(self, variant: Variant) -> float:
-        base = self.t_pre_ns + self.t_rd_ns + self.t_wr_ns
-        if variant.is_conventional:
-            base += self.t_reset_ns
-        return base
+def _cycle_ns(variant: Variant) -> float:
+    """Precharge, read and write; conventional designs add a reset write."""
+    base = T_PRE_NS + T_RD_NS + PULSE_WIDTH_NS
+    if variant.is_conventional:
+        base += PULSE_WIDTH_NS
+    return base
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Which TRNG design to simulate plus its bookkeeping constants.
+    """Which TRNG design to simulate.
 
     lanes is only meaningful for rhs-parallel (number of output
     lanes; lanes + 1 cells are instantiated).  flip_prob_override
@@ -91,32 +95,11 @@ class GeneratorConfig:
 
     variant: Variant = Variant.RHS_TRNG
     lanes: int = 1
-    timing: CycleTiming = field(default_factory=CycleTiming)
-    energy_pj_per_bit_cell: float = 5.3
-    energy_pj_per_bit_parallel_asymptote: float = 2.65
-    area_um2_cell: float = 24.29
-    area_um2_unit: float = 9.79
-    area_um2_per_bit_parallel_asymptote: float = 14.5
-    write_target_prob: float = 0.5
-    pulse_width_ns: float = 2.9
     flip_prob_override: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
-        for name in (
-            "energy_pj_per_bit_cell",
-            "energy_pj_per_bit_parallel_asymptote",
-            "area_um2_cell",
-            "area_um2_unit",
-            "area_um2_per_bit_parallel_asymptote",
-        ):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be > 0")
-        if not 0.0 < self.write_target_prob < 1.0:
-            raise ValueError("write_target_prob must lie in (0, 1)")
-        if not self.pulse_width_ns > 0.0:
-            raise ValueError("pulse_width_ns must be > 0")
         if self.flip_prob_override is not None:
             p1, p2 = self.flip_prob_override
             if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
@@ -252,17 +235,14 @@ class BitGenerator:
             pulses = None
         elif pulses is None:
             reference = sample_device(self.params, process_variation=False)
-            pulses = calibrated_pulses(
-                reference,
-                Environment(),
-                target_prob=config.write_target_prob,
-                width_ns=config.pulse_width_ns,
-            )
+            pulses = calibrated_pulses(reference, Environment())
 
         self.units = [
             _Unit(dev, np.random.default_rng(ss), pulses, self.env, config.flip_prob_override)
             for dev, ss in zip(devices, children)
         ]
+        # rhs-parallel lanes of the last cycle that no call has emitted yet.
+        self._carried = np.empty(0, dtype=np.uint8)
 
     def realized_flip_probs(self) -> list[tuple[float, float]]:
         """Per-unit (p1, p2) actually in effect for this run."""
@@ -280,13 +260,16 @@ class BitGenerator:
         """Produce n_bits as a BitStream (vectorized).
 
         For rhs-parallel the bits are emitted row-major: all lanes of
-        cycle 1, then all lanes of cycle 2, and so on.  Optionally also
-        returns the per-unit state trajectories for analysis.
+        cycle 1, then all lanes of cycle 2, and so on, starting with
+        the lanes an earlier call left unused.  simulated_time_ns
+        counts the cycles this call runs.  Optionally also returns the
+        per-unit state trajectories of those cycles for analysis.
         """
         config = self.config
         if n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-        n_cycles = -(-n_bits // config.bits_per_cycle)
+        carried = self._carried
+        n_cycles = -(-max(n_bits - carried.size, 0) // config.bits_per_cycle)
         states = [self._unit_states(unit, n_cycles) for unit in self.units]
 
         if config.variant in (Variant.CONV_AP_TO_P, Variant.CONV_P_TO_AP, Variant.RHS_SINGLE):
@@ -296,11 +279,14 @@ class BitGenerator:
         else:
             stacked = np.stack(states, axis=1)
             bits = (stacked[:, :-1] ^ stacked[:, 1:]).reshape(-1)
+            if carried.size:
+                bits = np.concatenate((carried, bits))
+            self._carried = bits[n_bits:].copy()
         bits = bits[:n_bits]
 
         # Carry each feedback cell's state into the next generate call.
-        for unit, traj in zip(self.units, states):
-            if not config.variant.is_conventional:
+        if n_cycles and not config.variant.is_conventional:
+            for unit, traj in zip(self.units, states):
                 unit.device.state = int(traj[-1])
 
         stream = BitStream(
@@ -309,7 +295,7 @@ class BitGenerator:
             variant=config.variant.value,
             lanes=config.lanes if config.variant is Variant.RHS_PARALLEL else 1,
             seed=self.seed_entropy,
-            simulated_time_ns=n_cycles * config.timing.cycle_ns(config.variant),
+            simulated_time_ns=n_cycles * _cycle_ns(config.variant),
             energy_pj=n_bits * cost_report(config).energy_pj_per_bit,
         )
         if return_unit_states:
@@ -333,7 +319,7 @@ def generate_bitstream(
 
 def throughput_report(config: GeneratorConfig) -> ThroughputReport:
     """Per-lane and aggregate generation rate in Mb/s."""
-    cycle = config.timing.cycle_ns(config.variant)
+    cycle = _cycle_ns(config.variant)
     per_lane = 1e3 / cycle
     lanes = config.bits_per_cycle
     return ThroughputReport(
@@ -353,16 +339,15 @@ def cost_report(config: GeneratorConfig) -> CostReport:
     Conventional designs spend a reset write plus the random write on
     a single cell each bit.
     """
-    energy_unit = config.energy_pj_per_bit_parallel_asymptote
-    xor_area = config.area_um2_cell - 2.0 * config.area_um2_unit
+    xor_area = AREA_UM2_CELL - 2.0 * AREA_UM2_UNIT
     if config.variant is Variant.RHS_TRNG:
-        return CostReport(config.energy_pj_per_bit_cell, config.area_um2_cell)
+        return CostReport(ENERGY_PJ_PER_BIT_CELL, AREA_UM2_CELL)
     if config.variant is Variant.RHS_SINGLE:
-        return CostReport(energy_unit, config.area_um2_unit)
+        return CostReport(ENERGY_PJ_PER_BIT_UNIT, AREA_UM2_UNIT)
     if config.variant is Variant.RHS_PARALLEL:
         n = config.lanes
-        energy = energy_unit * (n + 1) / n
-        area = ((n + 1) * config.area_um2_unit + n * xor_area) / n
+        energy = ENERGY_PJ_PER_BIT_UNIT * (n + 1) / n
+        area = ((n + 1) * AREA_UM2_UNIT + n * xor_area) / n
         return CostReport(energy, area)
     # Conventional: two write operations (reset + random) per bit.
-    return CostReport(2.0 * energy_unit, config.area_um2_unit)
+    return CostReport(2.0 * ENERGY_PJ_PER_BIT_UNIT, AREA_UM2_UNIT)

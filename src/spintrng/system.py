@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -30,78 +30,37 @@ class BackendKind(str, Enum):
     SOFTWARE_BOOST_LAGFIB = "software-boost-lagfib"
 
 
-@dataclass(frozen=True)
-class RngBackend:
-    """Per-draw instruction costs of one RNG implementation.
+# Instructions per uniform draw: the hardware instruction returns one
+# in a single instruction; the software routines cost tens.
+INSTRUCTIONS_PER_DRAW = {
+    BackendKind.TRNG_INSTRUCTION: 1.0,
+    BackendKind.SOFTWARE_STDLIB: 23.5,
+    BackendKind.SOFTWARE_BOOST_LAGFIB: 77.5,
+}
 
-    The hardware instruction always costs exactly one instruction per
-    draw; software backends carry calibrated per-call routine costs.
-    """
+# The pipeline that turns instruction counts into runtime: a fixed
+# clock, and an IPC of 1 because the generator instruction is taken as
+# fully pipelined, so one result retires per cycle.
+FREQUENCY_HZ = 2.0e9
+IPC = 1.0
 
-    kind: BackendKind
-    instructions_per_double: float = 1.0
+# Calibrated instruction counts of the pricing benchmark: the work of
+# one path besides its two draws, and the fixed overhead of a run.
+PER_PATH_WORK = 16.0
+FIXED_OVERHEAD = 17100.0
 
-    def __post_init__(self) -> None:
-        if self.instructions_per_double < 1.0:
-            raise ValueError("per-draw instruction costs must be >= 1")
-        if self.kind is BackendKind.TRNG_INSTRUCTION and self.instructions_per_double != 1.0:
-            raise ValueError("the hardware instruction costs exactly 1 per draw")
-
-
-def trng_backend() -> RngBackend:
-    return RngBackend(kind=BackendKind.TRNG_INSTRUCTION)
-
-
-def stdlib_backend(cost: float = 23.5) -> RngBackend:
-    return RngBackend(
-        kind=BackendKind.SOFTWARE_STDLIB,
-        instructions_per_double=cost,
-    )
+# Paths priced per batch of normal draws.
+_CHUNK = 1 << 16
 
 
-def boost_backend(cost: float = 77.5) -> RngBackend:
-    return RngBackend(
-        kind=BackendKind.SOFTWARE_BOOST_LAGFIB,
-        instructions_per_double=cost,
-    )
+def default_backends() -> tuple[BackendKind, ...]:
+    """Every backend, the hardware instruction first."""
+    return tuple(BackendKind)
 
 
-def default_backends() -> tuple[RngBackend, ...]:
-    return (trng_backend(), stdlib_backend(), boost_backend())
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    """Clock and issue rate that turn instruction counts into runtime.
-
-    The generator instruction is taken as fully pipelined, so one
-    result retires per cycle.
-    """
-
-    frequency_hz: float = 2.0e9
-    ipc: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise ValueError("frequency_hz must be > 0")
-        if self.ipc <= 0:
-            raise ValueError("ipc must be > 0")
-
-
-@dataclass(frozen=True)
-class CostModel:
-    """Calibrated instruction counts for the pricing benchmark."""
-
-    per_path_work: float = 16.0
-    fixed_overhead: float = 17100.0
-
-    def __post_init__(self) -> None:
-        if self.per_path_work <= 0 or self.fixed_overhead < 0:
-            raise ValueError("per_path_work must be > 0 and fixed_overhead >= 0")
-
-    def instructions(self, backend: RngBackend, n_paths: int) -> float:
-        per_draw = backend.instructions_per_double
-        return self.fixed_overhead + n_paths * (self.per_path_work + 2.0 * per_draw)
+def _instructions(backend: BackendKind, n_paths: int) -> float:
+    per_draw = INSTRUCTIONS_PER_DRAW[backend]
+    return FIXED_OVERHEAD + n_paths * (PER_PATH_WORK + 2.0 * per_draw)
 
 
 @dataclass(frozen=True)
@@ -247,17 +206,13 @@ def black_scholes_oracle(spec: OptionSpec) -> float:
 
 
 @dataclass(frozen=True)
-class BenchEntry:
-    backend: str
-    n_paths: int
-    price: float
-    std_error: float
-    instruction_count: float
-    simulated_runtime_s: float
-
-
-@dataclass(frozen=True)
 class BenchRow:
+    """One backend priced at one path count, with its analytic cost.
+
+    ratio_vs_trng is the instruction count over the hardware
+    instruction's at the same path count.
+    """
+
     backend: str
     n_paths: int
     price: float
@@ -265,7 +220,19 @@ class BenchRow:
     instruction_count: float
     simulated_runtime_s: float
     ratio_vs_trng: float
-    speedup_vs_trng: float
+
+
+# (column, BenchRow field, CSV format), in the order of the bench CSV
+# and of the keys of its JSON rows.
+BENCH_COLUMNS = (
+    ("backend", "backend", "{}"),
+    ("n_paths", "n_paths", "{}"),
+    ("price", "price", "{:.6f}"),
+    ("stderr", "std_error", "{:.6f}"),
+    ("instructions", "instruction_count", "{:.1f}"),
+    ("runtime_s", "simulated_runtime_s", "{:.9g}"),
+    ("ratio_vs_trng", "ratio_vs_trng", "{:.6f}"),
+)
 
 
 @dataclass(frozen=True)
@@ -274,35 +241,24 @@ class BenchReport:
 
     def to_csv(self) -> str:
         out = io.StringIO()
-        out.write(
-            "backend,n_paths,price,stderr,instructions,runtime_s,"
-            "ratio_vs_trng,speedup_vs_trng\n"
-        )
+        out.write(",".join(column for column, _, _ in BENCH_COLUMNS) + "\n")
         for r in self.rows:
-            out.write(
-                f"{r.backend},{r.n_paths},{r.price:.6f},{r.std_error:.6f},"
-                f"{r.instruction_count:.1f},{r.simulated_runtime_s:.9g},"
-                f"{r.ratio_vs_trng:.6f},{r.speedup_vs_trng:.6f}\n"
-            )
+            cells = (fmt.format(getattr(r, name)) for _, name, fmt in BENCH_COLUMNS)
+            out.write(",".join(cells) + "\n")
         return out.getvalue()
 
 
 def price_option_mc(
     spec: OptionSpec,
-    backend: RngBackend,
+    backend: BackendKind,
     seed=None,
-    pipeline: PipelineConfig | None = None,
-    costs: CostModel | None = None,
     source=None,
-    chunk: int = 1 << 16,
-) -> BenchEntry:
+) -> BenchRow:
     """Monte Carlo estimate plus the backend's analytic cost figures.
 
     Terminal-value sampling: S_T = s0 exp((r - sigma^2/2) T + sigma
     sqrt(T) Z), one normal per path built from two uniform draws.
     """
-    pipeline = pipeline if pipeline is not None else PipelineConfig()
-    costs = costs if costs is not None else CostModel()
     if source is None:
         source = FairBitSource(seed)
 
@@ -320,7 +276,7 @@ def price_option_mc(
         total_sq = 0.0
         done = 0
         while done < n:
-            batch = min(chunk, n - done)
+            batch = min(_CHUNK, n - done)
             z = _box_muller_array(source, batch)
             payoff = np.maximum(
                 spec.s0 * np.exp(drift + vol_term * z) - spec.strike, 0.0
@@ -336,98 +292,50 @@ def price_option_mc(
         else:
             std_error = 0.0
 
-    instructions = costs.instructions(backend, n)
-    runtime_s = instructions / (pipeline.ipc * pipeline.frequency_hz)
-    return BenchEntry(
-        backend=backend.kind.value,
+    instructions = _instructions(backend, n)
+    return BenchRow(
+        backend=backend.value,
         n_paths=n,
         price=price,
         std_error=std_error,
         instruction_count=instructions,
-        simulated_runtime_s=runtime_s,
+        simulated_runtime_s=instructions / (IPC * FREQUENCY_HZ),
+        ratio_vs_trng=instructions / _instructions(BackendKind.TRNG_INSTRUCTION, n),
     )
 
 
 DEFAULT_PATH_GRID = (10**2, 10**3, 10**4, 10**5, 10**6)
 
 
-def _bench_cell(task):
-    pi_idx, b_idx, run_spec, backend, seed, pipeline, costs = task
-    entry = price_option_mc(
-        run_spec,
-        backend,
-        seed=SeedSequence([seed, pi_idx, b_idx]),
-        pipeline=pipeline,
-        costs=costs,
-    )
-    return pi_idx, b_idx, entry
+def _bench_cell(task) -> BenchRow:
+    pi_idx, b_idx, backend, run_spec, seed = task
+    return price_option_mc(run_spec, backend, seed=SeedSequence([seed, pi_idx, b_idx]))
 
 
 def speedup_report(
     spec: OptionSpec | None = None,
     n_paths_grid=DEFAULT_PATH_GRID,
-    backends=None,
     seed=0,
-    pipeline: PipelineConfig | None = None,
-    costs: CostModel | None = None,
     jobs: int = 1,
 ) -> BenchReport:
-    """Instruction-count ratios and runtime speedups versus the hardware path.
+    """Every backend priced at every path count, with its instruction
+    ratio versus the hardware path.
 
     Rows are ordered by (n_paths, backend) with the hardware backend
-    first, so the ratio denominators precede their numerators.  Each
-    (n_paths, backend) cell is seeded independently, so jobs > 1 only
-    reorders the work, never the results.
+    first.  Each (n_paths, backend) cell is seeded independently, so
+    jobs > 1 only spreads the work, never changes the results.
     """
     spec = spec if spec is not None else OptionSpec()
-    backends = tuple(backends) if backends is not None else default_backends()
-    if not any(b.kind is BackendKind.TRNG_INSTRUCTION for b in backends):
-        raise ValueError("backends must include the hardware instruction baseline")
-    pipeline = pipeline if pipeline is not None else PipelineConfig()
-    costs = costs if costs is not None else CostModel()
-
-    tasks = []
-    for pi_idx, n_paths in enumerate(n_paths_grid):
-        run_spec = OptionSpec(
-            s0=spec.s0,
-            strike=spec.strike,
-            rate=spec.rate,
-            volatility=spec.volatility,
-            maturity_years=spec.maturity_years,
-            n_paths=int(n_paths),
-        )
-        for b_idx, backend in enumerate(backends):
-            tasks.append((pi_idx, b_idx, run_spec, backend, seed, pipeline, costs))
-
+    tasks = [
+        (pi_idx, b_idx, backend, replace(spec, n_paths=int(n_paths)), seed)
+        for pi_idx, n_paths in enumerate(n_paths_grid)
+        for b_idx, backend in enumerate(default_backends())
+    ]
     if jobs > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(_bench_cell, tasks))
+            rows = list(pool.map(_bench_cell, tasks))
     else:
-        cells = [_bench_cell(t) for t in tasks]
-    entry_map = {(pi, bi): entry for pi, bi, entry in cells}
-
-    rows = []
-    for pi_idx in range(len(n_paths_grid)):
-        entries = [entry_map[(pi_idx, b_idx)] for b_idx in range(len(backends))]
-        base = next(
-            e
-            for e, b in zip(entries, backends)
-            if b.kind is BackendKind.TRNG_INSTRUCTION
-        )
-        for entry in entries:
-            rows.append(
-                BenchRow(
-                    backend=entry.backend,
-                    n_paths=entry.n_paths,
-                    price=entry.price,
-                    std_error=entry.std_error,
-                    instruction_count=entry.instruction_count,
-                    simulated_runtime_s=entry.simulated_runtime_s,
-                    ratio_vs_trng=entry.instruction_count / base.instruction_count,
-                    speedup_vs_trng=entry.simulated_runtime_s
-                    / base.simulated_runtime_s,
-                )
-            )
+        rows = [_bench_cell(t) for t in tasks]
     return BenchReport(rows=tuple(rows))

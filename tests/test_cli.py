@@ -1,4 +1,5 @@
-"""Command line: `test` on inputs the battery cannot judge, and `sweep`."""
+"""Command line: config precedence and validation, `test` on inputs the
+battery cannot judge, `sweep`, and the --json outputs."""
 
 import json
 
@@ -54,3 +55,82 @@ def test_sweep_writes_the_report_csv_whatever_the_jobs(axis, tmp_path, monkeypat
         code = cli.main(args + ["--seed", "3", "--jobs", jobs, "--out", str(out)])
         assert code == 0
         assert out.read_text(encoding="utf-8") == expected
+
+
+def _write_config(tmp_path, payload) -> str:
+    path = tmp_path / "config.json"
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+    return str(path)
+
+
+def _analyze_p1(capsys, argv) -> str:
+    assert cli.main(["analyze", *argv]) == 0
+    out, _ = capsys.readouterr()
+    return out.split()[0]
+
+
+def test_flags_beat_config_beats_defaults(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    config = _write_config(tmp_path, {"analyze": {"p1": "0.3"}})
+    assert _analyze_p1(capsys, []) == "p1=0.5000"
+    assert _analyze_p1(capsys, ["--config", config]) == "p1=0.3000"
+    assert _analyze_p1(capsys, ["--config", config, "--p1", "0.2"]) == "p1=0.2000"
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, config)
+    assert _analyze_p1(capsys, []) == "p1=0.3000"
+    assert _analyze_p1(capsys, ["--p1", "0.2"]) == "p1=0.2000"
+
+
+@pytest.mark.parametrize(
+    "command,payload,message",
+    [
+        (["analyze"], {"analyze": {"bogus": 1}}, "unknown config keys for analyze: bogus"),
+        (["analyze"], {"bogus": 1}, "unknown config keys for analyze: bogus"),
+        (["bench", "--paths", "100"], {"option": {"bogus": 1}}, "unknown option config keys: bogus"),
+        (["sweep", "--out", "x.csv"], {"device": {"bogus": 1}}, "unknown device config keys: bogus"),
+        (["analyze"], "{not json", "malformed config"),
+        (["analyze"], "[1, 2]", "config root must be a JSON object"),
+    ],
+)
+def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    code = cli.main([*command, "--config", _write_config(tmp_path, payload)])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [("device", "delta-300", 3.5), ("device", "r_p_ohm", 5000.0), ("option", "maturity-years", 1.0)],
+)
+def test_config_sections_accept_dashed_and_underscored_keys(
+    tmp_path, capsys, monkeypatch, section, key, value
+):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    config = _write_config(tmp_path, {section: {key: value}})
+    if section == "device":
+        args = ["generate", "--bits", "1000", "--seed", "4", "--out"]
+        assert cli.main([*args, str(tmp_path / "a.bin"), "--config", config]) == 0
+        assert cli.main([*args, str(tmp_path / "b.bin")]) == 0
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+    else:
+        assert cli.main(["bench", "--paths", "100", "--config", config]) == 0
+
+
+def test_json_outputs_parse(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    bits = tmp_path / "bits.bin"
+    assert cli.main(["generate", "--bits", "100000", "--seed", "2", "--out", str(bits)]) == 0
+    test_json, analyze_json, bench_json = (tmp_path / f"{c}.json" for c in ("t", "a", "b"))
+    assert cli.main(["test", "--in", str(bits), "--json", str(test_json)]) == 0
+    assert cli.main(["analyze", "--p1", "0.4,0.5", "--json", str(analyze_json)]) == 0
+    assert cli.main(["bench", "--paths", "100,200", "--json", str(bench_json)]) == 0
+
+    report = json.loads(test_json.read_text(encoding="utf-8"))
+    assert report["entropy"]["n_bits"] == 100_000
+    assert [row["p1"] for row in json.loads(analyze_json.read_text(encoding="utf-8"))] == [0.4, 0.5]
+    rows = json.loads(bench_json.read_text(encoding="utf-8"))
+    assert len(rows) == 6
+    assert list(rows[0]) == [
+        "backend", "n_paths", "price", "stderr", "instructions", "runtime_s", "ratio_vs_trng"
+    ]

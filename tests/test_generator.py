@@ -17,7 +17,6 @@ from spintrng.device import (
 )
 from spintrng.generator import (
     BitGenerator,
-    CycleTiming,
     GeneratorConfig,
     Variant,
     cost_report,
@@ -238,21 +237,25 @@ class TestDeterminism:
         ).bits
         np.testing.assert_array_equal(short, long[:500])
 
-    @pytest.mark.parametrize("variant", [Variant.RHS_TRNG, Variant.CONV_AP_TO_P])
+    @pytest.mark.parametrize(
+        "variant", [Variant.RHS_TRNG, Variant.CONV_AP_TO_P, Variant.RHS_PARALLEL]
+    )
     def test_generate_calls_continue_one_run(self, variant):
-        # each cell's state and substream carry over between calls
-        gen = BitGenerator(cfg(variant), seed=SeedSequence([6]))
-        parts = [gen.generate(n).bits for n in (300, 1, 199)]
-        whole = generate_bitstream(cfg(variant), n_bits=500, seed=SeedSequence([6])).bits
+        # each cell's state and substream carry over between calls, and
+        # so do the rhs-parallel lanes a call leaves unused
+        config = cfg(variant, lanes=3 if variant is Variant.RHS_PARALLEL else 1)
+        gen = BitGenerator(config, seed=SeedSequence([6]))
+        parts = [gen.generate(n).bits for n in (300, 1, 199, 1, 1)]
+        whole = generate_bitstream(config, n_bits=502, seed=SeedSequence([6])).bits
         np.testing.assert_array_equal(np.concatenate(parts), whole)
 
 
 class TestTimingAndCost:
     def test_default_cycle_times(self):
-        timing = CycleTiming()
-        assert timing.cycle_ns(Variant.RHS_TRNG) == pytest.approx(3.3)
-        assert timing.cycle_ns(Variant.RHS_SINGLE) == pytest.approx(3.3)
-        assert timing.cycle_ns(Variant.CONV_P_TO_AP) == pytest.approx(6.2)
+        # exact: the sidecar's simulated time is a multiple of these
+        assert throughput_report(cfg(Variant.RHS_TRNG)).cycle_ns == 3.3
+        assert throughput_report(cfg(Variant.RHS_SINGLE)).cycle_ns == 3.3
+        assert throughput_report(cfg(Variant.CONV_P_TO_AP)).cycle_ns == 6.199999999999999
 
     def test_single_cell_rate(self):
         rep = throughput_report(cfg(Variant.RHS_SINGLE))

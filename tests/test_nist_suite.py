@@ -18,6 +18,7 @@ from spintrng.nist import (
     run_nist_suite,
 )
 from spintrng.nist import modules as M
+from spintrng.nist.suite import pass_rate_threshold
 from spintrng.nist.templates import aperiodic_templates
 
 
@@ -279,6 +280,24 @@ class TestSuiteDriver:
         assert entry["verdict"] in ("pass", "fail")
         assert 0.0 <= entry["p_value"] <= 1.0
         assert entry["pass_rate"] == entry["pass_count"] / entry["group_count"]
+
+
+    def test_pass_rate_threshold_follows_sp800_22(self):
+        # p - 3 sqrt(p (1 - p) / m), p = 0.99: one low sub-p in ten passes
+        assert pass_rate_threshold(10) == pytest.approx(0.8956072, abs=1e-7)
+        assert pass_rate_threshold(1480) == pytest.approx(0.9822410, abs=1e-7)
+        assert 9 / 10 >= pass_rate_threshold(10)
+        assert 8 / 10 < pass_rate_threshold(10)
+
+    def test_false_alarm_rate_on_ideal_bits_is_bounded(self):
+        # 20 ideal 10^6-bit streams in groups of 10^5 bits: 4 fail with
+        # the threshold computed from m; a fixed 0.91, which one low
+        # sub-p in ten already misses, failed 14.  A quarter is the bound.
+        failed = 0
+        for seed in range(20):
+            bits = np.random.default_rng(seed).integers(0, 2, size=10**6, dtype=np.uint8)
+            failed += not all_pass(run_nist_suite(bits, n_groups=10))
+        assert failed <= 5
 
 
 class TestLinearComplexityLaw:

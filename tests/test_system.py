@@ -7,8 +7,6 @@ from spintrng.system import (
     BackendKind,
     FairBitSource,
     OptionSpec,
-    PipelineConfig,
-    RngBackend,
     SourceExhausted,
     StreamBitSource,
     _box_muller_array,
@@ -18,7 +16,7 @@ from spintrng.system import (
     frand,
     price_option_mc,
     rand_u15,
-    trng_backend,
+    speedup_report,
 )
 
 
@@ -77,21 +75,35 @@ class TestPricing:
 
     def test_monte_carlo_price_within_four_standard_errors(self):
         spec = OptionSpec(n_paths=100_000)
-        entry = price_option_mc(spec, trng_backend(), seed=2024)
+        entry = price_option_mc(spec, BackendKind.TRNG_INSTRUCTION, seed=2024)
         assert entry.std_error > 0.0
         assert abs(entry.price - black_scholes_oracle(spec)) < 4.0 * entry.std_error
 
 
 class TestCostModel:
     def test_hardware_instruction_costs_one_per_draw(self):
-        with pytest.raises(ValueError):
-            RngBackend(kind=BackendKind.TRNG_INSTRUCTION, instructions_per_double=2.0)
-        with pytest.raises(ValueError):
-            RngBackend(kind=BackendKind.SOFTWARE_STDLIB, instructions_per_double=0.5)
+        # 17,100 fixed plus, per path, 16 of work and two draws
+        costs = {
+            BackendKind.TRNG_INSTRUCTION: 1.0,
+            BackendKind.SOFTWARE_STDLIB: 23.5,
+            BackendKind.SOFTWARE_BOOST_LAGFIB: 77.5,
+        }
+        for backend, per_draw in costs.items():
+            row = price_option_mc(OptionSpec(n_paths=10), backend, seed=0)
+            assert row.instruction_count == 17100.0 + 10 * (16.0 + 2.0 * per_draw)
+            assert row.ratio_vs_trng == row.instruction_count / 17280.0
 
     def test_runtime_is_instructions_over_clock(self):
-        pipeline = PipelineConfig(frequency_hz=1.0e9, ipc=2.0)
-        entry = price_option_mc(OptionSpec(n_paths=10), trng_backend(), seed=0, pipeline=pipeline)
-        assert entry.simulated_runtime_s == pytest.approx(entry.instruction_count / 2.0e9)
-        with pytest.raises(ValueError):
-            PipelineConfig(frequency_hz=0.0)
+        row = price_option_mc(OptionSpec(n_paths=10), BackendKind.TRNG_INSTRUCTION, seed=0)
+        assert row.simulated_runtime_s == pytest.approx(row.instruction_count / 2.0e9)
+
+    def test_report_rows_are_the_seeded_cells_whatever_the_jobs(self):
+        report = speedup_report(n_paths_grid=(100, 1000), seed=5)
+        assert report.to_csv() == speedup_report(n_paths_grid=(100, 1000), seed=5, jobs=2).to_csv()
+        assert [(r.n_paths, r.backend) for r in report.rows] == [
+            (n, b.value) for n in (100, 1000) for b in BackendKind
+        ]
+        cell = price_option_mc(
+            OptionSpec(n_paths=1000), BackendKind.SOFTWARE_STDLIB, seed=[5, 1, 1]
+        )
+        assert report.rows[4] == cell
