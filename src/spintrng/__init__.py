@@ -4,150 +4,3 @@ Behavioral device model, TRNG bitstream generators, Markov-chain
 oracles, entropy and statistical test batteries, PVT sweep harness,
 and a system-level Monte Carlo benchmark.
 """
-
-from spintrng.bitio import (
-    FORMAT_ASCII,
-    FORMAT_PACKED,
-    StreamMetadata,
-    read_bits,
-    read_metadata,
-    save_stream,
-    write_bits,
-)
-from spintrng.device import (
-    STATE_AP,
-    STATE_P,
-    DeviceInstance,
-    DeviceParams,
-    Environment,
-    SwitchDirection,
-    WritePulse,
-    apply_write,
-    calibrate_pulse,
-    sample_device,
-    switching_probability,
-)
-from spintrng.entropy import EntropyReport, entropy_report, min_entropy, shannon_entropy
-from spintrng.generator import (
-    BitStream,
-    GeneratorConfig,
-    Variant,
-    cost_report,
-    generate_bitstream,
-    throughput_report,
-)
-from spintrng.markov import (
-    FlipProbs,
-    SteadyState,
-    lag1_autocorrelation,
-    predicted_entropy,
-    steady_state,
-    xor_output_prob,
-)
-from spintrng.nist import (
-    MODULE_NAMES,
-    TestResult,
-    all_pass,
-    composite_p_value,
-    format_report,
-    results_to_json,
-    run_nist_suite,
-)
-from spintrng.sweeps import (
-    SWEEP_VARIANTS,
-    Axis,
-    SweepReport,
-    SweepRow,
-    SweepSpec,
-    process_variation_study,
-    run_sweep,
-    spec_for_axis,
-    temperature_sweep,
-    voltage_sweep,
-)
-from spintrng.system import (
-    BackendKind,
-    BenchReport,
-    BenchRow,
-    FairBitSource,
-    OptionSpec,
-    SourceExhausted,
-    StreamBitSource,
-    black_scholes_oracle,
-    box_muller,
-    default_backends,
-    frand,
-    price_option_mc,
-    rand_u15,
-    speedup_report,
-)
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "FORMAT_ASCII",
-    "FORMAT_PACKED",
-    "MODULE_NAMES",
-    "STATE_AP",
-    "STATE_P",
-    "SWEEP_VARIANTS",
-    "Axis",
-    "BackendKind",
-    "BenchReport",
-    "BenchRow",
-    "BitStream",
-    "DeviceInstance",
-    "DeviceParams",
-    "EntropyReport",
-    "Environment",
-    "FairBitSource",
-    "FlipProbs",
-    "GeneratorConfig",
-    "OptionSpec",
-    "SourceExhausted",
-    "SteadyState",
-    "StreamBitSource",
-    "StreamMetadata",
-    "SweepReport",
-    "SweepRow",
-    "SweepSpec",
-    "SwitchDirection",
-    "TestResult",
-    "Variant",
-    "WritePulse",
-    "all_pass",
-    "apply_write",
-    "black_scholes_oracle",
-    "box_muller",
-    "calibrate_pulse",
-    "composite_p_value",
-    "cost_report",
-    "default_backends",
-    "entropy_report",
-    "format_report",
-    "frand",
-    "generate_bitstream",
-    "lag1_autocorrelation",
-    "min_entropy",
-    "predicted_entropy",
-    "price_option_mc",
-    "process_variation_study",
-    "rand_u15",
-    "read_bits",
-    "read_metadata",
-    "results_to_json",
-    "run_nist_suite",
-    "run_sweep",
-    "sample_device",
-    "save_stream",
-    "shannon_entropy",
-    "spec_for_axis",
-    "speedup_report",
-    "steady_state",
-    "switching_probability",
-    "temperature_sweep",
-    "throughput_report",
-    "voltage_sweep",
-    "write_bits",
-    "xor_output_prob",
-]

@@ -9,7 +9,11 @@ grids), sweep (voltage/temperature/process CSV tables), and bench
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
 Defaults can come from a JSON config file (--config or the
 SPINTRNG_CONFIG environment variable); explicit flags win over the
-file, and unknown config keys are rejected.
+file.  Every section of the file is checked whichever command runs:
+a command section's keys must be that command's options and its
+values pass the same type and choice checks as the flags, and the
+device and option sections must build a DeviceParams and an
+OptionSpec.
 """
 
 from __future__ import annotations
@@ -39,9 +43,10 @@ from .markov import (
     steady_state,
     xor_output_prob,
 )
-from .nist import all_pass, any_ran, format_report, results_to_json, run_nist_suite
 from .sweeps import Axis, run_sweep, spec_for_axis
-from .system import BENCH_COLUMNS, OptionSpec, black_scholes_oracle, speedup_report
+
+# .nist and .system load scipy, so only the commands that run them
+# import them: generate, analyze and sweep start without scipy.
 
 CONFIG_ENV_VAR = "SPINTRNG_CONFIG"
 
@@ -92,8 +97,6 @@ _DEFAULTS: dict[str, dict] = {
     },
 }
 
-_SECTION_KEYS = set(_DEFAULTS) | {"device", "option"}
-
 
 def _normalize_key(key: str) -> str:
     return key.replace("-", "_")
@@ -115,27 +118,62 @@ def _load_config(flag_path: str | None) -> dict:
     return {_normalize_key(k): v for k, v in raw.items()}
 
 
-def _merge_options(command: str, args: argparse.Namespace, config: dict) -> dict:
-    """Defaults < config file < explicit flags; unknown keys rejected."""
-    defaults = _DEFAULTS[command]
-    from_file: dict = {}
-    for key, value in config.items():
-        if key in _SECTION_KEYS:
-            if key in _DEFAULTS and not isinstance(value, dict):
-                raise UsageError(f"config section {key!r} must be a JSON object")
-            if key == command:
-                for sub_key, sub_value in value.items():
-                    from_file[_normalize_key(sub_key)] = sub_value
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -> None:
+    """Pass config values through the type and choices of the flags
+    they stand for, as argparse does with flag values, in place."""
+    for action in parser._actions:
+        value = values.get(action.dest)
+        if value is None:
             continue
-        from_file[key] = value
-    unknown = set(from_file) - set(defaults)
-    if unknown:
-        raise UsageError(
-            f"unknown config keys for {command}: {', '.join(sorted(unknown))}"
-        )
-    merged = dict(defaults)
-    merged.update(from_file)
-    for key in defaults:
+        try:
+            if action.type is not None:
+                value = action.type(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise UsageError(f"bad {section} config value {action.dest}: {exc}") from exc
+        if action.choices is not None and value not in action.choices:
+            raise UsageError(
+                f"bad {section} config value {action.dest}: {value!r} "
+                f"(choose from {', '.join(action.choices)})"
+            )
+        values[action.dest] = value
+
+
+def _merge_options(
+    command: str, args: argparse.Namespace, config: dict, commands: dict
+) -> dict:
+    """Defaults < config file < explicit flags, after every config
+    section is checked; keys outside any section belong to `command`."""
+    sections: dict[str, dict] = {name: {} for name in _DEFAULTS}
+    for key, value in config.items():
+        if key in _DEFAULTS:
+            if not isinstance(value, dict):
+                raise UsageError(f"config section {key!r} must be a JSON object")
+            sections[key].update((_normalize_key(k), v) for k, v in value.items())
+        elif key not in ("device", "option"):
+            sections[command][key] = value
+    for name, values in sections.items():
+        unknown = set(values) - set(_DEFAULTS[name])
+        if unknown:
+            raise UsageError(
+                f"unknown config keys for {name}: {', '.join(sorted(unknown))}"
+            )
+        _check_values(name, values, commands[name])
+    _config_section(config, "device", DeviceParams)
+    if "option" in config:
+        from .system import OptionSpec
+
+        _config_section(config, "option", OptionSpec)
+
+    merged = dict(_DEFAULTS[command])
+    merged.update(sections[command])
+    for key in _DEFAULTS[command]:
         flag_value = getattr(args, key, None)
         if flag_value is not None:
             merged[key] = flag_value
@@ -190,10 +228,7 @@ def _build(cls, kind: str, /, **kwargs):
 def _cmd_generate(opts: dict, config: dict) -> None:
     if not opts["out"]:
         raise UsageError("generate requires --out PATH")
-    try:
-        variant = Variant(opts["variant"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    variant = Variant(opts["variant"])
     if (opts["force_p1"] is None) != (opts["force_p2"] is None):
         raise UsageError("--force-p1 and --force-p2 must be given together")
     override = None
@@ -239,6 +274,8 @@ def _cmd_generate(opts: dict, config: dict) -> None:
 
 
 def _cmd_test(opts: dict, config: dict) -> None:
+    from .nist import all_pass, any_ran, format_report, results_to_json, run_nist_suite
+
     path = opts["in_path"]
     if not path:
         raise UsageError("test requires --in PATH")
@@ -331,10 +368,7 @@ def _cmd_analyze(opts: dict, config: dict) -> None:
 def _cmd_sweep(opts: dict, config: dict) -> None:
     if not opts["out"]:
         raise UsageError("sweep requires --out PATH")
-    try:
-        axis = Axis(opts["axis"])
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    axis = Axis(opts["axis"])
     params = _config_section(config, "device", DeviceParams)
     try:
         spec = spec_for_axis(
@@ -353,6 +387,8 @@ def _cmd_sweep(opts: dict, config: dict) -> None:
 
 
 def _cmd_bench(opts: dict, config: dict) -> None:
+    from .system import BENCH_COLUMNS, OptionSpec, black_scholes_oracle, speedup_report
+
     paths = _parse_number_list(opts["paths"], int, "--paths")
     if any(n < 1 for n in paths):
         raise UsageError("--paths values must be >= 1")
@@ -402,7 +438,8 @@ _DISPATCH = {
 # -- parser ------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser, and each command's subparser by name."""
     parser = argparse.ArgumentParser(
         prog="spintrng",
         description="Spintronic TRNG simulator: generation, statistical "
@@ -463,7 +500,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     s.add_argument("--seed", type=int)
     s.add_argument("--out", help="CSV output path")
-    s.add_argument("--jobs", type=int, help="parallel workers")
+    s.add_argument("--jobs", type=_positive_int, help="parallel workers")
     add_config(s)
 
     b = sub.add_parser("bench", help="option-pricing backend comparison")
@@ -471,14 +508,14 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--seed", type=int)
     b.add_argument("--out", help="CSV output path")
     b.add_argument("--json", dest="json_out", help="also write rows as JSON")
-    b.add_argument("--jobs", type=int, help="parallel workers")
+    b.add_argument("--jobs", type=_positive_int, help="parallel workers")
     add_config(b)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -486,7 +523,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         config = _load_config(args.config)
-        opts = _merge_options(args.command, args, config)
+        opts = _merge_options(args.command, args, config, commands)
         _DISPATCH[args.command](opts, config)
     except UsageError as exc:
         print(f"spintrng: error: {exc}", file=sys.stderr)
@@ -494,7 +531,7 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"spintrng: error: missing file: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"spintrng: runtime error: {exc}", file=sys.stderr)
         return 2
     return 0

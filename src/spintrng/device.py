@@ -250,18 +250,6 @@ def sample_device(
     return _build_instance(params, t_fl, t_tb, tmr)
 
 
-def sample_devices(
-    params: DeviceParams,
-    n: int,
-    process_variation: bool = True,
-    seed=None,
-) -> list[DeviceInstance]:
-    """Draw n devices in turn from one stream: n calls of sample_device
-    sharing one generator."""
-    rng = _as_generator(seed)
-    return [sample_device(params, process_variation, rng) for _ in range(n)]
-
-
 def switching_exponent(
     device: DeviceInstance, pulse: WritePulse, env: Environment
 ) -> float:

@@ -38,18 +38,6 @@ def _fraction_of_ones(bits) -> tuple[float, int]:
     return float(np.count_nonzero(arr)) / n, n
 
 
-def shannon_entropy(bits) -> float:
-    """Shannon entropy per bit of the observed 0/1 marginal."""
-    p, _ = _fraction_of_ones(bits)
-    return binary_shannon_entropy(p)
-
-
-def min_entropy(bits) -> float:
-    """Min-entropy per bit of the observed 0/1 marginal."""
-    p, _ = _fraction_of_ones(bits)
-    return binary_min_entropy(p)
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     n_bits: int

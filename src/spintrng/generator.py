@@ -256,14 +256,13 @@ class BitGenerator:
             return (u >= unit.p2).astype(np.uint8)
         return _chain_states(u, unit.p1, unit.p2, unit.device.state)
 
-    def generate(self, n_bits: int, return_unit_states: bool = False):
+    def generate(self, n_bits: int) -> BitStream:
         """Produce n_bits as a BitStream (vectorized).
 
         For rhs-parallel the bits are emitted row-major: all lanes of
         cycle 1, then all lanes of cycle 2, and so on, starting with
         the lanes an earlier call left unused.  simulated_time_ns
-        counts the cycles this call runs.  Optionally also returns the
-        per-unit state trajectories of those cycles for analysis.
+        counts the cycles this call runs.
         """
         config = self.config
         if n_bits < 1:
@@ -289,7 +288,7 @@ class BitGenerator:
             for unit, traj in zip(self.units, states):
                 unit.device.state = int(traj[-1])
 
-        stream = BitStream(
+        return BitStream(
             bits=bits,
             n_bits=n_bits,
             variant=config.variant.value,
@@ -298,9 +297,6 @@ class BitGenerator:
             simulated_time_ns=n_cycles * _cycle_ns(config.variant),
             energy_pj=n_bits * cost_report(config).energy_pj_per_bit,
         )
-        if return_unit_states:
-            return stream, states
-        return stream
 
 
 def generate_bitstream(

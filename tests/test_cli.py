@@ -1,7 +1,12 @@
 """Command line: config precedence and validation, `test` on inputs the
-battery cannot judge, `sweep`, and the --json outputs."""
+battery cannot judge, `sweep`, the --json outputs, exit codes, and the
+commands that start without scipy."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,14 +94,70 @@ def test_flags_beat_config_beats_defaults(tmp_path, capsys, monkeypatch):
         (["sweep", "--out", "x.csv"], {"device": {"bogus": 1}}, "unknown device config keys: bogus"),
         (["analyze"], "{not json", "malformed config"),
         (["analyze"], "[1, 2]", "config root must be a JSON object"),
+        (["analyze"], {"generate": {"bogus": 1}}, "unknown config keys for generate: bogus"),
+        (["analyze"], {"device": {"bogus": 1}}, "unknown device config keys: bogus"),
+        (["analyze"], {"option": {"bogus": 1}}, "unknown option config keys: bogus"),
+        (["analyze"], {"device": {"delta_300": -1.0}}, "bad device config"),
+        (["generate", "--out", "x.bin"], {"generate": {"format": "bogus"}}, "bad generate config value format"),
+        (["generate", "--out", "x.bin"], {"generate": {"bits": "abc"}}, "bad generate config value bits"),
+        (["analyze"], {"sweep": {"axis": "bogus"}}, "bad sweep config value axis"),
+        (["sweep", "--out", "x.csv"], {"sweep": {"jobs": 0}}, "bad sweep config value jobs: must be >= 1"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
     code = cli.main([*command, "--config", _write_config(tmp_path, payload)])
     _, err = capsys.readouterr()
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+@pytest.mark.parametrize("command", [["sweep", "--out", "x.csv"], ["bench", "--paths", "100"]])
+def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, jobs):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([*command, "--jobs", jobs])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert f"argument --jobs: must be >= 1, got {jobs}" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(cli, "generate_bitstream", fail)
+    code = cli.main(["generate", "--bits", "100", "--out", str(tmp_path / "s.bin")])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert "spintrng: runtime error: simulated fault" in err
+
+
+def test_generate_analyze_and_sweep_never_load_scipy(tmp_path):
+    # A fresh interpreter: this test process has scipy loaded already.
+    script = """
+import sys
+from spintrng import cli
+assert "scipy" not in sys.modules, "import spintrng.cli"
+assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", "s.bin"]) == 0
+assert "scipy" not in sys.modules, "generate"
+assert cli.main(["analyze"]) == 0
+assert "scipy" not in sys.modules, "analyze"
+assert cli.main(["sweep", "--bits-per-point", "10000", "--seed", "1", "--out", "s.csv"]) == 0
+assert "scipy" not in sys.modules, "sweep"
+"""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop(cli.CONFIG_ENV_VAR, None)
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
 
 
 @pytest.mark.parametrize(

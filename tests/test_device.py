@@ -18,7 +18,6 @@ from spintrng.device import (
     calibrate_pulse,
     calibrated_pulses,
     sample_device,
-    sample_devices,
     switching_exponent,
     switching_probability,
 )
@@ -228,7 +227,8 @@ class TestSampling:
         assert (a.t_fl_nm, a.t_tb_nm, a.tmr) != (c.t_fl_nm, c.t_tb_nm, c.tmr)
 
     def test_population_statistics(self):
-        devs = sample_devices(NOMINAL, 4000, seed=0)
+        rng = np.random.default_rng(0)
+        devs = [sample_device(NOMINAL, seed=rng) for _ in range(4000)]
         t_fl = np.array([d.t_fl_nm for d in devs])
         t_tb = np.array([d.t_tb_nm for d in devs])
         tmr = np.array([d.tmr for d in devs])

@@ -67,33 +67,35 @@ class TestCycleSemantics:
         assert bits.mean() == pytest.approx(0.3 / 0.8, abs=0.004)
 
 
+def unit_trajectories(config, seed, n_cycles):
+    """Each unit's states over the first n_cycles cycles that a
+    generator built with this config and seed runs."""
+    gen = BitGenerator(config, seed=seed)
+    return [gen._unit_states(unit, n_cycles) for unit in gen.units]
+
+
 class TestXorWiring:
     def test_trng_is_xor_of_unit_trajectories(self):
-        gen = BitGenerator(
-            cfg(Variant.RHS_TRNG, flip_prob_override=(0.4, 0.6)), seed=21
-        )
-        stream, states = gen.generate(5000, return_unit_states=True)
+        config = cfg(Variant.RHS_TRNG, flip_prob_override=(0.4, 0.6))
+        stream = BitGenerator(config, seed=21).generate(5000)
+        states = unit_trajectories(config, 21, 5000)
         assert len(states) == 2
         np.testing.assert_array_equal(stream.bits, states[0] ^ states[1])
 
     def test_parallel_adjacent_xor_row_major(self):
         lanes = 3
-        gen = BitGenerator(
-            cfg(Variant.RHS_PARALLEL, lanes=lanes, flip_prob_override=(0.4, 0.6)),
-            seed=4,
-        )
+        config = cfg(Variant.RHS_PARALLEL, lanes=lanes, flip_prob_override=(0.4, 0.6))
         n_bits = 3 * lanes * 7
-        stream, states = gen.generate(n_bits, return_unit_states=True)
+        stream = BitGenerator(config, seed=4).generate(n_bits)
+        states = unit_trajectories(config, 4, n_bits // lanes)
         assert len(states) == lanes + 1
         stacked = np.stack(states, axis=1)
-        expected = (stacked[:, :-1] ^ stacked[:, 1:]).reshape(-1)[:n_bits]
+        expected = (stacked[:, :-1] ^ stacked[:, 1:]).reshape(-1)
         np.testing.assert_array_equal(stream.bits, expected)
 
     def test_unit_streams_are_independent(self):
-        gen = BitGenerator(
-            cfg(Variant.RHS_TRNG, flip_prob_override=(0.5, 0.5)), seed=33
-        )
-        _, states = gen.generate(200_000, return_unit_states=True)
+        config = cfg(Variant.RHS_TRNG, flip_prob_override=(0.5, 0.5))
+        states = unit_trajectories(config, 33, 200_000)
         corr = np.corrcoef(states[0], states[1])[0, 1]
         assert abs(corr) < 0.01
 
