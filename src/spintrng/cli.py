@@ -7,13 +7,15 @@ grids), sweep (voltage/temperature/process CSV tables), and bench
 (option-pricing backend comparison).
 
 Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
-Defaults can come from a JSON config file (--config or the
-SPINTRNG_CONFIG environment variable); explicit flags win over the
-file.  Every section of the file is checked whichever command runs:
-a command section's keys must be that command's options and its
-values pass the same type and choice checks as the flags, and the
-device and option sections must build a DeviceParams and an
-OptionSpec.
+The argparse parser is the one schema of the options: each option's
+default lives in its add_argument call.  A JSON config file (--config
+or the SPINTRNG_CONFIG environment variable) replaces those defaults
+for the command that runs, and explicit flags win over the file.
+Every section of the file is checked whichever command runs: a
+command section's keys must be that command's options and its values
+pass the same type and choice checks as the flags, and the device and
+option sections must build a DeviceParams and an OptionSpec (bench
+takes its path counts from --paths, not from the option section).
 """
 
 from __future__ import annotations
@@ -55,47 +57,9 @@ class UsageError(Exception):
     """Bad flags, malformed config, or a missing input file."""
 
 
-# Per-subcommand option defaults; also the schema used to reject
-# unknown config keys.
-_DEFAULTS: dict[str, dict] = {
-    "generate": {
-        "variant": Variant.RHS_TRNG.value,
-        "bits": 1_000_000,
-        "lanes": 8,
-        "out": None,
-        "format": bitio.FORMAT_PACKED,
-        "seed": None,
-        "temperature_k": 300.0,
-        "v_rate": 0.0,
-        "force_p1": None,
-        "force_p2": None,
-    },
-    "test": {
-        "in_path": None,
-        "groups": 10,
-        "json_out": None,
-    },
-    "analyze": {
-        "p1": "0.5",
-        "p2": "0.5",
-        "json_out": None,
-    },
-    "sweep": {
-        "axis": Axis.VOLTAGE.value,
-        "bits_per_point": 1_000_000,
-        "samples": 200,
-        "seed": 0,
-        "out": None,
-        "jobs": 1,
-    },
-    "bench": {
-        "paths": "100,1000,10000,100000,1000000",
-        "seed": 0,
-        "out": None,
-        "json_out": None,
-        "jobs": 1,
-    },
-}
+# Dataclass fields that a config section may not set: bench takes its
+# path counts from --paths.
+_CONFIG_EXCLUDED = {"option": {"n_paths"}}
 
 
 def _normalize_key(key: str) -> str:
@@ -127,14 +91,21 @@ def _positive_int(text) -> int:
 
 def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -> None:
     """Pass config values through the type and choices of the flags
-    they stand for, as argparse does with flag values, in place."""
+    they stand for, in place, so that each value means what the same
+    text would mean as a flag: a number given to an untyped option is
+    its text, and an integer option takes only integral numbers."""
     for action in parser._actions:
         value = values.get(action.dest)
         if value is None:
             continue
         try:
-            if action.type is not None:
-                value = action.type(value)
+            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+                raise ValueError(f"expected a JSON string or number, got {value!r}")
+            if isinstance(value, float) and action.type not in (None, float):
+                if not value.is_integer():
+                    raise ValueError(f"{value!r} is not an integer")
+                value = int(value)
+            value = str(value) if action.type is None else action.type(value)
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise UsageError(f"bad {section} config value {action.dest}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
@@ -145,21 +116,21 @@ def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -
         values[action.dest] = value
 
 
-def _merge_options(
-    command: str, args: argparse.Namespace, config: dict, commands: dict
-) -> dict:
-    """Defaults < config file < explicit flags, after every config
-    section is checked; keys outside any section belong to `command`."""
-    sections: dict[str, dict] = {name: {} for name in _DEFAULTS}
+def _apply_config(command: str, config: dict, commands: dict) -> None:
+    """Check every config section, then make the running command's
+    section its subparser's defaults, so explicit flags still win; keys
+    outside any section belong to `command`."""
+    sections: dict[str, dict] = {name: {} for name in commands}
     for key, value in config.items():
-        if key in _DEFAULTS:
+        if key in commands:
             if not isinstance(value, dict):
                 raise UsageError(f"config section {key!r} must be a JSON object")
             sections[key].update((_normalize_key(k), v) for k, v in value.items())
         elif key not in ("device", "option"):
             sections[command][key] = value
     for name, values in sections.items():
-        unknown = set(values) - set(_DEFAULTS[name])
+        known = {action.dest for action in commands[name]._actions} - {"help", "config"}
+        unknown = set(values) - known
         if unknown:
             raise UsageError(
                 f"unknown config keys for {name}: {', '.join(sorted(unknown))}"
@@ -170,14 +141,7 @@ def _merge_options(
         from .system import OptionSpec
 
         _config_section(config, "option", OptionSpec)
-
-    merged = dict(_DEFAULTS[command])
-    merged.update(sections[command])
-    for key in _DEFAULTS[command]:
-        flag_value = getattr(args, key, None)
-        if flag_value is not None:
-            merged[key] = flag_value
-    return merged
+    commands[command].set_defaults(**sections[command])
 
 
 def _config_section(config: dict, name: str, cls):
@@ -189,7 +153,8 @@ def _config_section(config: dict, name: str, cls):
     if not isinstance(section, dict):
         raise UsageError(f"config section {name!r} must be a JSON object")
     values = {_normalize_key(k): v for k, v in section.items()}
-    unknown = set(values) - {f.name for f in dataclasses.fields(cls)}
+    known = {f.name for f in dataclasses.fields(cls)} - _CONFIG_EXCLUDED.get(name, set())
+    unknown = set(values) - known
     if unknown:
         raise UsageError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
     try:
@@ -200,14 +165,12 @@ def _config_section(config: dict, name: str, cls):
 
 def _resolve_seed(value) -> int:
     """Explicit seed, or fresh OS entropy echoed to the outputs."""
-    if value is not None:
-        return int(value)
-    return int(SeedSequence().entropy)
+    return value if value is not None else int(SeedSequence().entropy)
 
 
 def _parse_number_list(text: str, cast, what: str) -> list:
     try:
-        values = [cast(tok) for tok in str(text).split(",") if tok.strip()]
+        values = [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad {what} list {text!r}: {exc}") from exc
     if not values:
@@ -233,8 +196,8 @@ def _cmd_generate(opts: dict, config: dict) -> None:
         raise UsageError("--force-p1 and --force-p2 must be given together")
     override = None
     if opts["force_p1"] is not None:
-        override = (float(opts["force_p1"]), float(opts["force_p2"]))
-    lanes = int(opts["lanes"]) if variant is Variant.RHS_PARALLEL else 1
+        override = (opts["force_p1"], opts["force_p2"])
+    lanes = opts["lanes"] if variant is Variant.RHS_PARALLEL else 1
     gen_config = _build(
         GeneratorConfig,
         "generator config",
@@ -245,12 +208,12 @@ def _cmd_generate(opts: dict, config: dict) -> None:
     env = _build(
         Environment,
         "environment",
-        temperature_k=float(opts["temperature_k"]),
-        v_variation_rate=float(opts["v_rate"]),
+        temperature_k=opts["temperature_k"],
+        v_variation_rate=opts["v_rate"],
     )
     params = _config_section(config, "device", DeviceParams)
     seed = _resolve_seed(opts["seed"])
-    n_bits = int(opts["bits"])
+    n_bits = opts["bits"]
     if n_bits < 1:
         raise UsageError(f"--bits must be >= 1, got {n_bits}")
 
@@ -287,7 +250,7 @@ def _cmd_test(opts: dict, config: dict) -> None:
         raise UsageError(f"bad input file {path}: {exc}") from exc
     if bits.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
-    groups = int(opts["groups"])
+    groups = opts["groups"]
     ent = entropy_report(bits)
     try:
         results = run_nist_suite(bits, n_groups=groups)
@@ -373,14 +336,14 @@ def _cmd_sweep(opts: dict, config: dict) -> None:
     try:
         spec = spec_for_axis(
             axis,
-            bits_per_point=int(opts["bits_per_point"]),
-            n_samples=int(opts["samples"]),
-            seed=int(opts["seed"]),
+            bits_per_point=opts["bits_per_point"],
+            n_samples=opts["samples"],
+            seed=opts["seed"],
             params=params,
         )
     except ValueError as exc:
         raise UsageError(f"bad sweep config: {exc}") from exc
-    report = run_sweep(spec, jobs=int(opts["jobs"]))
+    report = run_sweep(spec, jobs=opts["jobs"])
     with open(opts["out"], "w", encoding="utf-8") as fh:
         fh.write(report.to_csv())
     print(f"wrote {opts['out']} ({len(report.rows)} rows, axis={axis.value})")
@@ -396,8 +359,8 @@ def _cmd_bench(opts: dict, config: dict) -> None:
     report = speedup_report(
         spec=option,
         n_paths_grid=tuple(paths),
-        seed=int(opts["seed"]),
-        jobs=int(opts["jobs"]),
+        seed=opts["seed"],
+        jobs=opts["jobs"],
     )
     print(f"black_scholes_oracle={black_scholes_oracle(option):.4f}")
     header = (
@@ -454,17 +417,17 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         )
 
     g = sub.add_parser("generate", help="simulate a design and write a bitstream")
-    g.add_argument("--variant", choices=[v.value for v in Variant])
-    g.add_argument("--bits", type=int, help="number of output bits")
-    g.add_argument("--lanes", type=int, help="output lanes (rhs-parallel only)")
+    g.add_argument("--variant", choices=[v.value for v in Variant], default=Variant.RHS_TRNG.value)
+    g.add_argument("--bits", type=int, default=1_000_000, help="number of output bits")
+    g.add_argument("--lanes", type=int, default=8, help="output lanes (rhs-parallel only)")
     g.add_argument("--seed", type=int)
     g.add_argument("--out", help="bitstream path; sidecar written to PATH.json")
     g.add_argument(
-        "--format", choices=[bitio.FORMAT_PACKED, bitio.FORMAT_ASCII], dest="format"
+        "--format", choices=[bitio.FORMAT_PACKED, bitio.FORMAT_ASCII], default=bitio.FORMAT_PACKED
     )
-    g.add_argument("--temperature-k", type=float, dest="temperature_k")
+    g.add_argument("--temperature-k", type=float, default=300.0, dest="temperature_k")
     g.add_argument(
-        "--v-rate", type=float, dest="v_rate", help="supply deviation fraction"
+        "--v-rate", type=float, default=0.0, dest="v_rate", help="supply deviation fraction"
     )
     g.add_argument(
         "--force-p1",
@@ -482,33 +445,37 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     t = sub.add_parser("test", help="statistical battery for a bitstream file")
     t.add_argument("--in", dest="in_path", help="bitstream file to test")
-    t.add_argument("--groups", type=int, help="equal-size substreams (default 10)")
+    t.add_argument(
+        "--groups", type=int, default=10, help="equal-size substreams (default %(default)s)"
+    )
     t.add_argument("--json", dest="json_out", help="also write the report as JSON")
     add_config(t)
 
     a = sub.add_parser("analyze", help="closed-form chain predictions")
-    a.add_argument("--p1", help="comma-separated P-to-AP flip probabilities")
-    a.add_argument("--p2", help="comma-separated AP-to-P flip probabilities")
+    a.add_argument("--p1", default="0.5", help="comma-separated P-to-AP flip probabilities")
+    a.add_argument("--p2", default="0.5", help="comma-separated AP-to-P flip probabilities")
     a.add_argument("--json", dest="json_out", help="also write rows as JSON")
     add_config(a)
 
     s = sub.add_parser("sweep", help="environmental/process sweep to CSV")
-    s.add_argument("--axis", choices=[ax.value for ax in Axis])
-    s.add_argument("--bits-per-point", type=int, dest="bits_per_point")
+    s.add_argument("--axis", choices=[ax.value for ax in Axis], default=Axis.VOLTAGE.value)
+    s.add_argument("--bits-per-point", type=int, default=1_000_000, dest="bits_per_point")
     s.add_argument(
-        "--samples", type=int, help="device samples (process axis only)"
+        "--samples", type=int, default=200, help="device samples (process axis only)"
     )
-    s.add_argument("--seed", type=int)
+    s.add_argument("--seed", type=int, default=0)
     s.add_argument("--out", help="CSV output path")
-    s.add_argument("--jobs", type=_positive_int, help="parallel workers")
+    s.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     add_config(s)
 
     b = sub.add_parser("bench", help="option-pricing backend comparison")
-    b.add_argument("--paths", help="comma-separated path counts")
-    b.add_argument("--seed", type=int)
+    b.add_argument(
+        "--paths", default="100,1000,10000,100000,1000000", help="comma-separated path counts"
+    )
+    b.add_argument("--seed", type=int, default=0)
     b.add_argument("--out", help="CSV output path")
     b.add_argument("--json", dest="json_out", help="also write rows as JSON")
-    b.add_argument("--jobs", type=_positive_int, help="parallel workers")
+    b.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     add_config(b)
 
     return parser, sub.choices
@@ -523,7 +490,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         config = _load_config(args.config)
-        opts = _merge_options(args.command, args, config, commands)
+        _apply_config(args.command, config, commands)
+        opts = vars(parser.parse_args(argv))
         _DISPATCH[args.command](opts, config)
     except UsageError as exc:
         print(f"spintrng: error: {exc}", file=sys.stderr)

@@ -11,8 +11,8 @@ Two families are modeled:
 * Read-half-select feedback designs: every cycle reads the cell, emits
   the read value, and writes the inverted value back with the
   direction-appropriate calibrated pulse.  rhs-single is one such
-  cell; rhs-trng XORs two independent cells; rhs-parallel(n) chains
-  n + 1 cells into n XOR output lanes.
+  cell; rhs-parallel(n) chains n + 1 cells into n XOR output lanes,
+  and rhs-trng is its one-lane case, the XOR of two independent cells.
 
 Every unit consumes exactly one uniform draw from its own substream
 per cycle, in cycle order, and BitGenerator.generate turns a block of
@@ -65,10 +65,9 @@ class Variant(str, Enum):
 T_PRE_NS = 0.2
 T_RD_NS = 0.2
 
-# Per-bit energy of the dual-cell XOR design and of one feedback unit,
-# and the layout area of each; the XOR gate takes what the cell's area
-# leaves beyond its two units.
-ENERGY_PJ_PER_BIT_CELL = 5.3
+# Per-bit energy of one feedback unit, and the layout area of the
+# dual-cell XOR design and of one unit; the XOR gate takes what the
+# cell's area leaves beyond its two units.
 ENERGY_PJ_PER_BIT_UNIT = 2.65
 AREA_UM2_CELL = 24.29
 AREA_UM2_UNIT = 9.79
@@ -107,10 +106,8 @@ class GeneratorConfig:
 
     @property
     def n_units(self) -> int:
-        if self.variant is Variant.RHS_TRNG:
-            return 2
-        if self.variant is Variant.RHS_PARALLEL:
-            return self.lanes + 1
+        if self.variant in (Variant.RHS_TRNG, Variant.RHS_PARALLEL):
+            return self.bits_per_cycle + 1
         return 1
 
     @property
@@ -271,16 +268,18 @@ class BitGenerator:
         n_cycles = -(-max(n_bits - carried.size, 0) // config.bits_per_cycle)
         states = [self._unit_states(unit, n_cycles) for unit in self.units]
 
-        if config.variant in (Variant.CONV_AP_TO_P, Variant.CONV_P_TO_AP, Variant.RHS_SINGLE):
+        if len(states) == 1:
             bits = states[0]
-        elif config.variant is Variant.RHS_TRNG:
-            bits = states[0] ^ states[1]
         else:
-            stacked = np.stack(states, axis=1)
-            bits = (stacked[:, :-1] ^ stacked[:, 1:]).reshape(-1)
-            if carried.size:
-                bits = np.concatenate((carried, bits))
-            self._carried = bits[n_bits:].copy()
+            # Lane k of a cycle is cell k XOR cell k + 1, written
+            # straight into the row-major output.
+            lanes = np.empty((n_cycles, len(states) - 1), dtype=np.uint8)
+            for k in range(len(states) - 1):
+                np.bitwise_xor(states[k], states[k + 1], out=lanes[:, k])
+            bits = lanes.reshape(-1)
+        if carried.size:
+            bits = np.concatenate((carried, bits))
+        self._carried = bits[n_bits:].copy()
         bits = bits[:n_bits]
 
         # Carry each feedback cell's state into the next generate call.
@@ -292,7 +291,7 @@ class BitGenerator:
             bits=bits,
             n_bits=n_bits,
             variant=config.variant.value,
-            lanes=config.lanes if config.variant is Variant.RHS_PARALLEL else 1,
+            lanes=config.bits_per_cycle,
             seed=self.seed_entropy,
             simulated_time_ns=n_cycles * _cycle_ns(config.variant),
             energy_pj=n_bits * cost_report(config).energy_pj_per_bit,
@@ -329,19 +328,17 @@ def throughput_report(config: GeneratorConfig) -> ThroughputReport:
 def cost_report(config: GeneratorConfig) -> CostReport:
     """Per-bit energy and area bookkeeping.
 
-    The dual-cell XOR design is the reference cell.  rhs-parallel
-    amortizes n + 1 cells and n XOR gates over n lanes, so its per-bit
-    figures decrease monotonically toward the per-unit asymptotes.
-    Conventional designs spend a reset write plus the random write on
-    a single cell each bit.
+    The XOR designs amortize n + 1 cells and n XOR gates over n lanes:
+    one lane (rhs-trng) is the dual-cell reference, and rhs-parallel's
+    per-bit figures decrease monotonically toward the per-unit
+    asymptotes.  Conventional designs spend a reset write plus the
+    random write on a single cell each bit.
     """
-    xor_area = AREA_UM2_CELL - 2.0 * AREA_UM2_UNIT
-    if config.variant is Variant.RHS_TRNG:
-        return CostReport(ENERGY_PJ_PER_BIT_CELL, AREA_UM2_CELL)
     if config.variant is Variant.RHS_SINGLE:
         return CostReport(ENERGY_PJ_PER_BIT_UNIT, AREA_UM2_UNIT)
-    if config.variant is Variant.RHS_PARALLEL:
-        n = config.lanes
+    if config.n_units > 1:
+        n = config.bits_per_cycle
+        xor_area = AREA_UM2_CELL - 2.0 * AREA_UM2_UNIT
         energy = ENERGY_PJ_PER_BIT_UNIT * (n + 1) / n
         area = ((n + 1) * AREA_UM2_UNIT + n * xor_area) / n
         return CostReport(energy, area)

@@ -1,18 +1,18 @@
 """Voltage, temperature, and process-variation experiment harness.
 
-Each sweep point runs every requested TRNG variant through
-BitGenerator, with the write pulses calibrated at reference
-conditions, then measures the output statistics under the disturbed
-environment or device sample.  Rows also log the model flip
-probabilities realized at that point so a sweep can be explained
-without re-simulation.
+run_sweep is the one entry point.  Each sweep point runs every variant
+of SWEEP_VARIANTS through BitGenerator, with the write pulses
+calibrated at reference conditions, then measures the output
+statistics under the disturbed environment (the fixed grids
+VOLTAGE_POINTS and TEMPERATURE_POINTS) or device sample.  Rows also
+log the model flip probabilities realized at that point so a sweep can
+be explained without re-simulation.
 
 Seeding is fully keyed: every (axis, variant, point) cell seeds its
 own generator, which spawns one substream per unit, and a variant's
 key is its index in SWEEP_VARIANTS.  Results are therefore
-byte-identical regardless of --jobs scheduling or of which other
-variants are requested, and any single point can be reproduced in
-isolation.
+byte-identical regardless of --jobs scheduling, and any single point
+can be reproduced in isolation.
 """
 
 from __future__ import annotations
@@ -58,52 +58,31 @@ _TAG_VOLTAGE = 300
 _TAG_TEMPERATURE = 400
 
 
+# Sweep grids: supply deviation fraction, and temperature in kelvin.
+VOLTAGE_POINTS = (-0.1, -0.08, -0.06, -0.04, -0.02, 0.0, 0.02, 0.04, 0.06, 0.08, 0.1)
+TEMPERATURE_POINTS = (280.15, 285.15, 290.15, 295.15, 300.15, 305.15, 310.15, 315.15, 320.15)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """What to sweep and how hard.
 
-    Voltage points run v_min..v_max inclusive in v_step increments;
-    temperature likewise in kelvin.  The process study draws n_samples
-    device sets and splits bits_per_point evenly across them.
+    Voltage and temperature sweeps run bits_per_point bits at every
+    point of their grid.  The process study draws n_samples device
+    sets and splits bits_per_point evenly across them.
     """
 
     axis: Axis = Axis.VOLTAGE
-    variants: tuple[Variant, ...] = SWEEP_VARIANTS
-    v_min: float = -0.10
-    v_max: float = 0.10
-    v_step: float = 0.02
-    t_min_k: float = 280.15
-    t_max_k: float = 320.15
-    t_step_k: float = 5.0
     n_samples: int = 200
     bits_per_point: int = 1_000_000
     seed: int = 0
     params: DeviceParams = field(default_factory=DeviceParams)
 
     def __post_init__(self) -> None:
-        if not self.variants:
-            raise ValueError("variants must be non-empty")
-        if Variant.RHS_PARALLEL in self.variants:
-            raise ValueError("sweeps cover the single-lane variants only")
         if self.bits_per_point < 10_000:
             raise ValueError("bits_per_point must be >= 10000")
-        if self.v_step <= 0 or self.t_step_k <= 0:
-            raise ValueError("steps must be > 0")
-        if self.v_max < self.v_min or self.t_max_k < self.t_min_k:
-            raise ValueError("range upper bound below lower bound")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-
-    def points(self) -> list[float]:
-        """Axis values for this spec, in sweep order."""
-        if self.axis is Axis.VOLTAGE:
-            lo, hi, step = self.v_min, self.v_max, self.v_step
-        elif self.axis is Axis.TEMPERATURE:
-            lo, hi, step = self.t_min_k, self.t_max_k, self.t_step_k
-        else:
-            return [float(self.n_samples)]
-        count = int(round((hi - lo) / step)) + 1
-        return [round(lo + k * step, 9) for k in range(count)]
 
 
 @dataclass(frozen=True)
@@ -132,7 +111,7 @@ class SweepReport:
     """A sweep's rows and the spec that produced them.
 
     Voltage and temperature rows are ordered by variant value, then by
-    axis value; process-study rows follow spec.variants.
+    axis value; process-study rows follow SWEEP_VARIANTS.
     """
 
     spec: SweepSpec
@@ -186,11 +165,16 @@ def _env_point_row(args) -> SweepRow:
     return _row(spec, variant, value, p_one, *gen.realized_flip_probs()[0])
 
 
-def _run_env_sweep(spec: SweepSpec, tag: int, jobs: int = 1) -> SweepReport:
+def _run_env_sweep(spec: SweepSpec, jobs: int) -> SweepReport:
+    """Entropy of each variant at every point of the axis's grid."""
+    if spec.axis is Axis.VOLTAGE:
+        tag, points = _TAG_VOLTAGE, VOLTAGE_POINTS
+    else:
+        tag, points = _TAG_TEMPERATURE, TEMPERATURE_POINTS
     tasks = [
         (spec, tag, variant, point_idx, value)
-        for variant in spec.variants
-        for point_idx, value in enumerate(spec.points())
+        for variant in SWEEP_VARIANTS
+        for point_idx, value in enumerate(points)
     ]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -201,23 +185,9 @@ def _run_env_sweep(spec: SweepSpec, tag: int, jobs: int = 1) -> SweepReport:
     return SweepReport(spec=spec, rows=tuple(rows))
 
 
-def voltage_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
-    """Entropy of each variant across supply-voltage variation rates."""
-    if spec.axis is not Axis.VOLTAGE:
-        raise ValueError("spec.axis must be voltage")
-    return _run_env_sweep(spec, _TAG_VOLTAGE, jobs)
-
-
-def temperature_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
-    """Entropy of each variant across operating temperature."""
-    if spec.axis is not Axis.TEMPERATURE:
-        raise ValueError("spec.axis must be temperature")
-    return _run_env_sweep(spec, _TAG_TEMPERATURE, jobs)
-
-
 def _process_device(args) -> tuple[float, float, dict]:
     """One device set of the process study: (p1, p2) of its first cell
-    and the count of ones each requested variant produced from it."""
+    and the count of ones each variant produced from it."""
     spec, pulses, per_dev, i = args
     cells = [
         sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, unit]))
@@ -225,8 +195,6 @@ def _process_device(args) -> tuple[float, float, dict]:
     ]
     ones = {}
     for vi, variant in enumerate(SWEEP_VARIANTS):
-        if variant not in spec.variants:
-            continue
         config = GeneratorConfig(variant=variant)
         # generate() leaves each cell's last state in its device, so
         # every generator gets copies that start in P.
@@ -242,7 +210,7 @@ def _process_device(args) -> tuple[float, float, dict]:
     return p1a, p2a, ones
 
 
-def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
+def _run_process_study(spec: SweepSpec, jobs: int) -> SweepReport:
     """Aggregate entropy per variant over a population of device sets.
 
     Device i's two cells are drawn from keys (seed, 100, i, unit); the
@@ -252,8 +220,6 @@ def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
     population, which makes the cross-variant entropy ordering a paired
     comparison.  The reported row value column holds n_samples.
     """
-    if spec.axis is not Axis.PROCESS:
-        raise ValueError("spec.axis must be process")
     nominal = sample_device(spec.params, process_variation=False)
     pulses = calibrated_pulses(nominal, Environment())
     per_dev = spec.bits_per_point // spec.n_samples
@@ -269,7 +235,7 @@ def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
         devices = [_process_device(t) for t in tasks]
 
     # Summed in device order, so the floats do not depend on jobs.
-    ones = {v: 0 for v in spec.variants}
+    ones = {v: 0 for v in SWEEP_VARIANTS}
     p1_sum = 0.0
     p2_sum = 0.0
     for p1a, p2a, dev_ones in devices:
@@ -288,18 +254,18 @@ def process_variation_study(spec: SweepSpec, jobs: int = 1) -> SweepReport:
             p1_sum / spec.n_samples,
             p2_sum / spec.n_samples,
         )
-        for variant in spec.variants
+        for variant in SWEEP_VARIANTS
     ]
     return SweepReport(spec=spec, rows=tuple(rows))
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
-    """Dispatch on spec.axis."""
-    if spec.axis is Axis.VOLTAGE:
-        return voltage_sweep(spec, jobs)
-    if spec.axis is Axis.TEMPERATURE:
-        return temperature_sweep(spec, jobs)
-    return process_variation_study(spec, jobs)
+    """Every variant of SWEEP_VARIANTS along spec.axis: at each point of
+    VOLTAGE_POINTS or TEMPERATURE_POINTS, or over the process study's
+    device population."""
+    if spec.axis is Axis.PROCESS:
+        return _run_process_study(spec, jobs)
+    return _run_env_sweep(spec, jobs)
 
 
 def spec_for_axis(axis: Axis, **overrides) -> SweepSpec:

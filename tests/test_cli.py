@@ -85,6 +85,24 @@ def test_flags_beat_config_beats_defaults(tmp_path, capsys, monkeypatch):
     assert _analyze_p1(capsys, ["--p1", "0.2"]) == "p1=0.2000"
 
 
+def test_flags_beat_config_for_typed_options(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    config = _write_config(tmp_path, {"generate": {"bits": 1e3, "seed": 1}})
+    out = str(tmp_path / "s.bin")
+    for flags, n_bits in (([], 1000), (["--bits", "500"], 500)):
+        assert cli.main(["generate", "--config", config, "--out", out, *flags]) == 0
+        stdout, _ = capsys.readouterr()
+        assert stdout.splitlines()[0] == f"wrote {out} ({n_bits} bits, packed)"
+
+
+def test_numeric_config_path_is_its_text(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path, {"generate": {"out": 7}})
+    assert cli.main(["generate", "--bits", "100", "--seed", "1", "--config", config]) == 0
+    assert (tmp_path / "7").stat().st_size == 13
+
+
 @pytest.mark.parametrize(
     "command,payload,message",
     [
@@ -102,6 +120,12 @@ def test_flags_beat_config_beats_defaults(tmp_path, capsys, monkeypatch):
         (["generate", "--out", "x.bin"], {"generate": {"bits": "abc"}}, "bad generate config value bits"),
         (["analyze"], {"sweep": {"axis": "bogus"}}, "bad sweep config value axis"),
         (["sweep", "--out", "x.csv"], {"sweep": {"jobs": 0}}, "bad sweep config value jobs: must be >= 1"),
+        (["generate", "--out", "x.bin"], {"generate": {"bits": 2.5}}, "bad generate config value bits"),
+        (["generate", "--out", "x.bin"], {"generate": {"bits": True}}, "bad generate config value bits"),
+        (["generate", "--out", "x.bin"], {"generate": {"v_rate": False}}, "bad generate config value v_rate"),
+        (["analyze"], {"analyze": {"p1": True}}, "bad analyze config value p1"),
+        (["generate"], {"generate": {"out": ["x.bin"]}}, "bad generate config value out"),
+        (["bench", "--paths", "100"], {"option": {"n_paths": 7}}, "unknown option config keys: n_paths"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):

@@ -93,6 +93,18 @@ class TestXorWiring:
         expected = (stacked[:, :-1] ^ stacked[:, 1:]).reshape(-1)
         np.testing.assert_array_equal(stream.bits, expected)
 
+    @pytest.mark.parametrize("override", [None, (0.4, 0.6)], ids=["physics", "override"])
+    def test_trng_is_the_one_lane_parallel_chain(self, override):
+        trng = cfg(Variant.RHS_TRNG, flip_prob_override=override)
+        one_lane = cfg(Variant.RHS_PARALLEL, lanes=1, flip_prob_override=override)
+        a = generate_bitstream(trng, n_bits=5000, seed=SeedSequence([9]))
+        b = generate_bitstream(one_lane, n_bits=5000, seed=SeedSequence([9]))
+        np.testing.assert_array_equal(a.bits, b.bits)
+        assert (a.lanes, a.simulated_time_ns, a.energy_pj) == (
+            b.lanes, b.simulated_time_ns, b.energy_pj
+        )
+        assert cost_report(trng) == cost_report(one_lane)
+
     def test_unit_streams_are_independent(self):
         config = cfg(Variant.RHS_TRNG, flip_prob_override=(0.5, 0.5))
         states = unit_trajectories(config, 33, 200_000)

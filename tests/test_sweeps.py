@@ -14,16 +14,14 @@ from spintrng.device import (
     switching_exponent,
     switching_probability,
 )
-from spintrng.generator import Variant
 from spintrng.sweeps import (
     SWEEP_VARIANTS,
+    TEMPERATURE_POINTS,
+    VOLTAGE_POINTS,
     Axis,
     SweepSpec,
-    process_variation_study,
     run_sweep,
     spec_for_axis,
-    temperature_sweep,
-    voltage_sweep,
 )
 
 FAST = dict(bits_per_point=20_000, n_samples=40)
@@ -34,46 +32,49 @@ def fast_spec(axis, **overrides):
     return spec_for_axis(axis, **merged)
 
 
+def generated_grid(lo, step, count):
+    """The grid as the sweeps once computed it from a range and a step."""
+    return tuple(round(lo + k * step, 9) for k in range(count))
+
+
 class TestGrids:
     def test_voltage_points(self):
-        points = spec_for_axis(Axis.VOLTAGE).points()
-        assert points[0] == pytest.approx(-0.10)
-        assert points[-1] == pytest.approx(0.10)
-        assert len(points) == 11
-        assert 0.0 in points
+        assert VOLTAGE_POINTS == generated_grid(-0.10, 0.02, 11)
+        assert 0.0 in VOLTAGE_POINTS
+        rows = run_sweep(fast_spec(Axis.VOLTAGE, seed=0)).rows
+        assert tuple(r.value for r in rows[: len(VOLTAGE_POINTS)]) == VOLTAGE_POINTS
 
     def test_temperature_points(self):
-        points = spec_for_axis(Axis.TEMPERATURE).points()
-        assert points[0] == pytest.approx(280.15)
-        assert points[-1] == pytest.approx(320.15)
-        assert len(points) == 9
+        assert TEMPERATURE_POINTS == generated_grid(280.15, 5.0, 9)
+        rows = run_sweep(fast_spec(Axis.TEMPERATURE, seed=0)).rows
+        assert tuple(r.value for r in rows[: len(TEMPERATURE_POINTS)]) == TEMPERATURE_POINTS
 
     def test_process_uses_sample_count(self):
-        report = process_variation_study(fast_spec(Axis.PROCESS, seed=0))
+        report = run_sweep(fast_spec(Axis.PROCESS, seed=0))
         assert all(row.value == 40 for row in report.rows)
 
 
 class TestDeterminism:
     def test_identical_seeds_identical_csv(self):
-        a = voltage_sweep(fast_spec(Axis.VOLTAGE, seed=5)).to_csv()
-        b = voltage_sweep(fast_spec(Axis.VOLTAGE, seed=5)).to_csv()
+        a = run_sweep(fast_spec(Axis.VOLTAGE, seed=5)).to_csv()
+        b = run_sweep(fast_spec(Axis.VOLTAGE, seed=5)).to_csv()
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = voltage_sweep(fast_spec(Axis.VOLTAGE, seed=5)).to_csv()
-        b = voltage_sweep(fast_spec(Axis.VOLTAGE, seed=6)).to_csv()
+        a = run_sweep(fast_spec(Axis.VOLTAGE, seed=5)).to_csv()
+        b = run_sweep(fast_spec(Axis.VOLTAGE, seed=6)).to_csv()
         assert a != b
 
     def test_parallel_jobs_change_nothing(self):
         spec = fast_spec(Axis.TEMPERATURE, seed=3)
-        serial = temperature_sweep(spec, jobs=1).to_csv()
-        parallel = temperature_sweep(spec, jobs=4).to_csv()
+        serial = run_sweep(spec, jobs=1).to_csv()
+        parallel = run_sweep(spec, jobs=4).to_csv()
         assert serial == parallel
 
     def test_process_study_deterministic(self):
         spec = fast_spec(Axis.PROCESS, seed=9)
-        a = process_variation_study(spec).to_csv()
-        b = process_variation_study(spec, jobs=3).to_csv()
+        a = run_sweep(spec).to_csv()
+        b = run_sweep(spec, jobs=3).to_csv()
         assert a == b
 
     def test_process_study_parallel_report_equals_serial(self, monkeypatch):
@@ -90,24 +91,15 @@ class TestDeterminism:
 
         monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
         spec = fast_spec(Axis.PROCESS, seed=4, n_samples=12, bits_per_point=12_000)
-        serial = process_variation_study(spec, jobs=1)
+        serial = run_sweep(spec, jobs=1)
         assert pools == []
-        assert process_variation_study(spec, jobs=2) == serial
+        assert run_sweep(spec, jobs=2) == serial
         assert pools == [2]
-
-    @pytest.mark.parametrize("axis", list(Axis))
-    def test_single_variant_run_reproduces_its_rows(self, axis):
-        # each cell is keyed by the variant itself, and every generator
-        # starts from fresh devices, so dropping the other variants
-        # changes none of the rhs-trng rows
-        full = run_sweep(fast_spec(axis, seed=1))
-        alone = run_sweep(fast_spec(axis, seed=1, variants=(Variant.RHS_TRNG,)))
-        assert alone.rows == tuple(r for r in full.rows if r.variant is Variant.RHS_TRNG)
 
 
 class TestCsvContract:
     def test_header_and_shape(self):
-        report = voltage_sweep(fast_spec(Axis.VOLTAGE, seed=1))
+        report = run_sweep(fast_spec(Axis.VOLTAGE, seed=1))
         lines = report.to_csv().strip().split("\n")
         assert lines[0] == (
             "variant,axis,value,p_one,shannon,min_entropy,p1_model,p2_model"
@@ -121,7 +113,7 @@ class TestCsvContract:
             float(cell)
 
     def test_rows_sorted_by_variant_then_value(self):
-        report = voltage_sweep(fast_spec(Axis.VOLTAGE, seed=1))
+        report = run_sweep(fast_spec(Axis.VOLTAGE, seed=1))
         keys = [(row.variant, row.value) for row in report.rows]
         assert keys == sorted(keys)
 
@@ -131,7 +123,7 @@ class TestModelAgreement:
         # per-point chain statistics against the device-model
         # predictions, with correlation-corrected tolerances
         spec = spec_for_axis(Axis.VOLTAGE, bits_per_point=50_000, seed=2)
-        report = voltage_sweep(spec)
+        report = run_sweep(spec)
         for row in report.rows:
             p1, p2 = row.p1_model, row.p2_model
             if row.variant.value == "conv-p2ap":
@@ -153,7 +145,7 @@ class TestModelAgreement:
             )
 
     def test_conventional_degrades_away_from_nominal(self):
-        report = voltage_sweep(fast_spec(Axis.VOLTAGE, seed=0))
+        report = run_sweep(fast_spec(Axis.VOLTAGE, seed=0))
         rows = [r for r in report.rows if r.variant.value == "conv-p2ap"]
         rows.sort(key=lambda r: r.value)
         p1_values = [r.p1_model for r in rows]
@@ -169,7 +161,7 @@ class TestModelAgreement:
         # thermal rescaling moves them in lockstep: each polarity's
         # exponent ln(tau/tau0) is its 300 K value times 300/T.  The
         # calibration itself is exact only to 1e-6 per polarity, at 300 K.
-        report = temperature_sweep(fast_spec(Axis.TEMPERATURE, seed=0))
+        report = run_sweep(fast_spec(Axis.TEMPERATURE, seed=0))
         nominal = sample_device(report.spec.params, process_variation=False)
         pulses = calibrated_pulses(nominal, Environment())
         p_to_ap = pulses[SwitchDirection.P_TO_AP]
@@ -191,7 +183,7 @@ class TestModelAgreement:
                 ), (row.variant, row.value, pulse.direction)
 
     def test_trng_entropy_dominates_at_every_point(self):
-        report = voltage_sweep(fast_spec(Axis.VOLTAGE, bits_per_point=50_000, seed=4))
+        report = run_sweep(fast_spec(Axis.VOLTAGE, bits_per_point=50_000, seed=4))
         by_point: dict = {}
         for row in report.rows:
             by_point.setdefault(row.value, {})[row.variant.value] = row.shannon
@@ -202,18 +194,18 @@ class TestModelAgreement:
 
 class TestProcessStudy:
     def test_variant_population_is_shared(self):
-        report = process_variation_study(fast_spec(Axis.PROCESS, seed=7))
+        report = run_sweep(fast_spec(Axis.PROCESS, seed=7))
         p1_models = {row.p1_model for row in report.rows}
         p2_models = {row.p2_model for row in report.rows}
         assert len(p1_models) == 1  # same device draw for every variant
         assert len(p2_models) == 1
 
     def test_all_variants_reported(self):
-        report = process_variation_study(fast_spec(Axis.PROCESS, seed=7))
+        report = run_sweep(fast_spec(Axis.PROCESS, seed=7))
         assert {row.variant for row in report.rows} == set(SWEEP_VARIANTS)
 
     def test_xor_recovers_most_entropy(self):
-        report = process_variation_study(
+        report = run_sweep(
         spec_for_axis(Axis.PROCESS, bits_per_point=200_000, n_samples=40, seed=7)
         )
         by = {row.variant.value: row for row in report.rows}
@@ -226,10 +218,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             SweepSpec(axis=Axis.VOLTAGE, bits_per_point=5000)
 
-    def test_parallel_variant_rejected(self):
-        with pytest.raises(ValueError):
-            SweepSpec(axis=Axis.VOLTAGE, variants=(Variant.RHS_PARALLEL,))
-
     def test_spec_for_axis_passes_overrides(self):
         spec = spec_for_axis(Axis.PROCESS, n_samples=123, seed=9)
         assert spec.axis is Axis.PROCESS
@@ -239,5 +227,5 @@ class TestValidation:
     def test_custom_device_params_accepted(self):
         params = DeviceParams(delta_300=2.0)
         spec = fast_spec(Axis.VOLTAGE, params=params, seed=0)
-        report = voltage_sweep(spec)
+        report = run_sweep(spec)
         assert len(report.rows) == 11 * 4
