@@ -93,10 +93,13 @@ def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -
     """Pass config values through the type and choices of the flags
     they stand for, in place, so that each value means what the same
     text would mean as a flag: a number given to an untyped option is
-    its text, and an integer option takes only integral numbers."""
+    its text, and an integer option takes only integral numbers.  A
+    JSON null stands for an option's default only where that is None."""
     for action in parser._actions:
-        value = values.get(action.dest)
-        if value is None:
+        if action.dest not in values:
+            continue
+        value = values[action.dest]
+        if value is None and action.default is None:
             continue
         try:
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):

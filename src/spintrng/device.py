@@ -70,7 +70,6 @@ class DeviceParams:
     sigma_t_fl: float = 0.039
     t_tb_nm: float = 0.85
     sigma_t_tb: float = 0.0255
-    cd_nm: float = 32.0
     tmr: float = 2.00
     sigma_tmr: float = 0.06
     r_p_ohm: float = 5000.0
@@ -86,7 +85,6 @@ class DeviceParams:
         positive = (
             ("t_fl_nm", self.t_fl_nm),
             ("t_tb_nm", self.t_tb_nm),
-            ("cd_nm", self.cd_nm),
             ("tmr", self.tmr),
             ("r_p_ohm", self.r_p_ohm),
             ("delta_300", self.delta_300),
@@ -166,9 +164,8 @@ class DeviceInstance:
     """One sampled device: realized geometry plus derived resistances.
 
     state is the cell's current magnetic state.  apply_write updates it
-    per pulse, and BitGenerator.generate leaves each feedback cell's
-    last state in it, so a device is not shared between generators
-    that must start from P.
+    per pulse; BitGenerator reads it once, as the cell's initial state,
+    and never writes it.
     """
 
     params: DeviceParams

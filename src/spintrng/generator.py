@@ -16,12 +16,14 @@ Two families are modeled:
 
 Every unit consumes exactly one uniform draw from its own substream
 per cycle, in cycle order, and BitGenerator.generate turns a block of
-those draws into bits in one vectorized pass.  Each feedback cell's
-last state stays in its device, so a further generate call continues
-the same chains.  A request that rhs-parallel's lane count does not
-divide still runs whole cycles; the generator keeps the unused lanes
-of the last cycle and emits them first on the next call, so any split
-of a request into calls yields the bits of one call.
+those draws into bits in one vectorized pass.  The generator keeps
+each cell's chain state, starting from its device's state, so a
+further generate call continues the same chains; the devices it is
+given are inputs that it never changes.  A request that rhs-parallel's
+lane count does not divide still runs whole cycles; the generator
+keeps the unused lanes of the last cycle and emits them first on the
+next call, so any split of a request into calls yields the bits of one
+call.
 
 Timing, energy and area are the paper's fixed design figures, held
 as module constants: a feedback cycle is precharge, read and the
@@ -148,9 +150,10 @@ class CostReport:
 
 
 class _Unit:
-    """One MTJ cell with its own uniform substream."""
+    """One MTJ cell: its own uniform substream, its flip probabilities
+    and its chain state, which starts as its device's state."""
 
-    __slots__ = ("device", "rng", "p1", "p2")
+    __slots__ = ("state", "rng", "p1", "p2")
 
     def __init__(
         self,
@@ -160,7 +163,7 @@ class _Unit:
         env: Environment,
         override: tuple[float, float] | None,
     ) -> None:
-        self.device = device
+        self.state = device.state
         self.rng = rng
         if override is not None:
             self.p1, self.p2 = float(override[0]), float(override[1])
@@ -172,24 +175,27 @@ class _Unit:
 def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
     """States X_1..X_n of the two-state flip chain driven by uniforms u.
 
-    Equivalent to, and bit-identical with, the sequential recursion
-    X_t = X_{t-1} XOR (u_t < flip_prob(X_{t-1})).  Draws where the two
-    state-conditional comparisons disagree force the next state
-    outright (renewal points); between renewals the state follows the
-    parity of both-flip draws.
+    Bit-identical with the sequential recursion
+    X_t = X_{t-1} XOR (u_t < flip_prob(X_{t-1})), starting from X_0 = x0,
+    in two prefix-XOR scans over bool arrays.  A draw where the two
+    state-conditional comparisons disagree forces the next state to
+    u_t < p1 whatever the state was (a restart); any other draw toggles
+    the state when both comparisons are set.  So with parity the running
+    XOR of the toggles, a restart at t fixes s_t = X_t XOR parity_t, and
+    each state is the latest restart's s (x0 before the first) XOR
+    parity.  The second scan forward-fills s from its changes.
     """
     a = u < p1
     b = u < p2
-    toggle = a & b
-    parity = np.cumsum(toggle, dtype=np.int64)
     forced = a != b
-    idx = np.arange(u.size, dtype=np.int64)
-    last = np.maximum.accumulate(np.where(forced, idx, -1))
-    has_renewal = last >= 0
-    safe = np.maximum(last, 0)
-    base = np.where(has_renewal, a[safe], bool(x0))
-    parity_base = np.where(has_renewal, parity[safe], 0)
-    return (base ^ (((parity - parity_base) & 1) > 0)).astype(np.uint8)
+    parity = np.bitwise_xor.accumulate(np.logical_and(a, b, out=b), out=b)
+    restarts = a[forced] ^ parity[forced]
+    change = np.zeros_like(a)
+    change[forced] = restarts ^ np.concatenate(([bool(x0)], restarts[:-1]))
+    states = np.bitwise_xor.accumulate(change, out=change)
+    states ^= parity
+    states ^= bool(x0)
+    return states.view(np.uint8)
 
 
 class BitGenerator:
@@ -251,7 +257,7 @@ class BitGenerator:
             if self.config.variant is Variant.CONV_P_TO_AP:
                 return (u < unit.p1).astype(np.uint8)
             return (u >= unit.p2).astype(np.uint8)
-        return _chain_states(u, unit.p1, unit.p2, unit.device.state)
+        return _chain_states(u, unit.p1, unit.p2, unit.state)
 
     def generate(self, n_bits: int) -> BitStream:
         """Produce n_bits as a BitStream (vectorized).
@@ -282,10 +288,10 @@ class BitGenerator:
         self._carried = bits[n_bits:].copy()
         bits = bits[:n_bits]
 
-        # Carry each feedback cell's state into the next generate call.
-        if n_cycles and not config.variant.is_conventional:
+        # Carry each cell's state into the next generate call.
+        if n_cycles:
             for unit, traj in zip(self.units, states):
-                unit.device.state = int(traj[-1])
+                unit.state = int(traj[-1])
 
         return BitStream(
             bits=bits,
@@ -304,12 +310,9 @@ def generate_bitstream(
     n_bits: int = 1,
     seed=None,
     params: DeviceParams | None = None,
-    devices: list[DeviceInstance] | None = None,
 ) -> BitStream:
     """One-shot bitstream generation; deterministic for a given seed."""
-    return BitGenerator(config, env=env, params=params, seed=seed, devices=devices).generate(
-        n_bits
-    )
+    return BitGenerator(config, env=env, params=params, seed=seed).generate(n_bits)
 
 
 def throughput_report(config: GeneratorConfig) -> ThroughputReport:

@@ -26,13 +26,7 @@ from enum import Enum
 import numpy as np
 from numpy.random import SeedSequence
 
-from spintrng.device import (
-    STATE_P,
-    DeviceParams,
-    Environment,
-    calibrated_pulses,
-    sample_device,
-)
+from spintrng.device import DeviceParams, Environment, calibrated_pulses, sample_device
 from spintrng.entropy import binary_min_entropy, binary_shannon_entropy
 from spintrng.generator import BitGenerator, GeneratorConfig, Variant
 
@@ -83,6 +77,8 @@ class SweepSpec:
             raise ValueError("bits_per_point must be >= 10000")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.axis is Axis.PROCESS and self.bits_per_point < self.n_samples:
+            raise ValueError("bits_per_point must be >= n_samples")
 
 
 @dataclass(frozen=True)
@@ -196,13 +192,11 @@ def _process_device(args) -> tuple[float, float, dict]:
     ones = {}
     for vi, variant in enumerate(SWEEP_VARIANTS):
         config = GeneratorConfig(variant=variant)
-        # generate() leaves each cell's last state in its device, so
-        # every generator gets copies that start in P.
         gen = BitGenerator(
             config,
             params=spec.params,
             seed=SeedSequence([spec.seed, _TAG_PROCESS + vi, i]),
-            devices=[replace(dev, state=STATE_P) for dev in cells[: config.n_units]],
+            devices=cells[: config.n_units],
             pulses=pulses,
         )
         ones[variant] = int(np.count_nonzero(gen.generate(per_dev).bits))
@@ -215,16 +209,14 @@ def _run_process_study(spec: SweepSpec, jobs: int) -> SweepReport:
 
     Device i's two cells are drawn from keys (seed, 100, i, unit); the
     generator for variant v is seeded with (seed, 200 + v, i), v being
-    the variant's index in SWEEP_VARIANTS, and starts from fresh copies
-    of those cells.  All variants therefore see the same device
+    the variant's index in SWEEP_VARIANTS, and starts those cells in P,
+    as sampled.  All variants therefore see the same device
     population, which makes the cross-variant entropy ordering a paired
     comparison.  The reported row value column holds n_samples.
     """
     nominal = sample_device(spec.params, process_variation=False)
     pulses = calibrated_pulses(nominal, Environment())
     per_dev = spec.bits_per_point // spec.n_samples
-    if per_dev < 1:
-        raise ValueError("bits_per_point must be >= n_samples")
 
     tasks = [(spec, pulses, per_dev, i) for i in range(spec.n_samples)]
     if jobs > 1:

@@ -103,6 +103,14 @@ def test_numeric_config_path_is_its_text(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "7").stat().st_size == 13
 
 
+def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    config = _write_config(tmp_path, {"generate": {"seed": None, "force_p1": None}})
+    out = tmp_path / "s.bin"
+    assert cli.main(["generate", "--bits", "100", "--out", str(out), "--config", config]) == 0
+    assert out.stat().st_size == 13
+
+
 @pytest.mark.parametrize(
     "command,payload,message",
     [
@@ -126,6 +134,14 @@ def test_numeric_config_path_is_its_text(tmp_path, capsys, monkeypatch):
         (["analyze"], {"analyze": {"p1": True}}, "bad analyze config value p1"),
         (["generate"], {"generate": {"out": ["x.bin"]}}, "bad generate config value out"),
         (["bench", "--paths", "100"], {"option": {"n_paths": 7}}, "unknown option config keys: n_paths"),
+        (["generate", "--out", "x.bin"], {"generate": {"bits": None}}, "bad generate config value bits"),
+        (["sweep", "--out", "x.csv"], {"sweep": {"jobs": None}}, "bad sweep config value jobs"),
+        (
+            ["sweep", "--axis", "process", "--out", "x.csv"],
+            {"sweep": {"samples": 20000, "bits_per_point": 10000}},
+            "bad sweep config: bits_per_point must be >= n_samples",
+        ),
+        (["generate", "--out", "x.bin"], {"device": {"cd_nm": 32}}, "unknown device config keys: cd_nm"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):

@@ -1,6 +1,8 @@
 """Bitstream generators: cycle semantics, XOR wiring, timing, cost."""
 
 import hashlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from spintrng.generator import (
     BitGenerator,
     GeneratorConfig,
     Variant,
+    _chain_states,
     cost_report,
     generate_bitstream,
     throughput_report,
@@ -163,19 +166,35 @@ def reference_bits(config, entropy, n_bits):
     return np.array(bits[:n_bits], dtype=np.uint8)
 
 
+# Override pairs for the oracle comparison: (0, 0) never flips, (1, 1)
+# flips every cycle, (0, 1) and (1, 0) force every draw and (0.5, 0.5)
+# never does.  Cases for (0.37, 0.61) are named by variant and lanes only.
+_ORACLE_OVERRIDES = ((0.37, 0.61), (0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (0.5, 0.5))
+
+
 class TestFastSlowEquivalence:
     @pytest.mark.parametrize(
-        "variant,lanes",
+        "variant,lanes,override",
         [
-            (Variant.RHS_SINGLE, 1),
-            (Variant.RHS_TRNG, 1),
-            (Variant.CONV_P_TO_AP, 1),
-            (Variant.CONV_AP_TO_P, 1),
-            (Variant.RHS_PARALLEL, 3),
+            pytest.param(
+                variant,
+                lanes,
+                override,
+                id=f"{variant.value}-{lanes}"
+                + ("" if override == (0.37, 0.61) else "-{:g}-{:g}".format(*override)),
+            )
+            for variant, lanes in (
+                (Variant.RHS_SINGLE, 1),
+                (Variant.RHS_TRNG, 1),
+                (Variant.CONV_P_TO_AP, 1),
+                (Variant.CONV_AP_TO_P, 1),
+                (Variant.RHS_PARALLEL, 3),
+            )
+            for override in _ORACLE_OVERRIDES
         ],
     )
-    def test_step_and_generate_agree(self, variant, lanes):
-        config = cfg(variant, lanes=lanes, flip_prob_override=(0.37, 0.61))
+    def test_step_and_generate_agree(self, variant, lanes, override):
+        config = cfg(variant, lanes=lanes, flip_prob_override=override)
         n_bits = 257
         fast = BitGenerator(config, seed=SeedSequence([17])).generate(n_bits).bits
         np.testing.assert_array_equal(fast, reference_bits(config, [17], n_bits))
@@ -184,6 +203,39 @@ class TestFastSlowEquivalence:
         config = cfg(Variant.RHS_TRNG)
         fast = BitGenerator(config, seed=SeedSequence([8])).generate(123).bits
         np.testing.assert_array_equal(fast, reference_bits(config, [8], 123))
+
+
+class TestChainState:
+    @pytest.mark.parametrize("p1,p2", [(0.5000005371, 0.4999990962), (0.37, 0.61), (1.0, 0.0)])
+    def test_chain_kernel_allocates_few_bytes_per_cycle(self, p1, p2):
+        u = np.random.default_rng(3).random(1_000_000)
+        tracemalloc.start()
+        try:
+            _chain_states(u, p1, p2, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * u.size
+
+    def test_generate_leaves_its_devices_unchanged(self):
+        # (1, 0) flips P to AP on the first cycle and never back
+        config = cfg(Variant.RHS_SINGLE, flip_prob_override=(1.0, 0.0))
+        device = sample_device(DeviceParams(), process_variation=False)
+        gen = BitGenerator(config, seed=SeedSequence([4]), devices=[device])
+        parts = [gen.generate(n).bits for n in (5, 7)]
+        assert device.state == STATE_P
+        np.testing.assert_array_equal(np.concatenate(parts), np.ones(12, dtype=np.uint8))
+
+    def test_physics_generate_leaves_its_devices_unchanged(self):
+        config = cfg(Variant.RHS_TRNG)
+        devices = [sample_device(DeviceParams(), True, SeedSequence([9, k])) for k in range(2)]
+        before = [replace(dev) for dev in devices]
+        gen = BitGenerator(config, seed=SeedSequence([9]), devices=devices)
+        first = gen.generate(300).bits
+        assert devices == before
+        # the same devices start a second generator where the first started
+        again = BitGenerator(config, seed=SeedSequence([9]), devices=devices).generate(300).bits
+        np.testing.assert_array_equal(first, again)
 
 
 # sha256 of generate_bitstream(...).bits.tobytes() at seed 2024, 10^5 bits.

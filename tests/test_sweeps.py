@@ -218,6 +218,13 @@ class TestValidation:
         with pytest.raises(ValueError):
             SweepSpec(axis=Axis.VOLTAGE, bits_per_point=5000)
 
+    def test_process_study_needs_a_bit_per_device(self):
+        with pytest.raises(ValueError, match="bits_per_point must be >= n_samples"):
+            SweepSpec(axis=Axis.PROCESS, n_samples=20_000, bits_per_point=10_000)
+        # the environment sweeps do not split their bits over n_samples
+        SweepSpec(axis=Axis.VOLTAGE, n_samples=20_000, bits_per_point=10_000)
+        SweepSpec(axis=Axis.PROCESS, n_samples=10_000, bits_per_point=10_000)
+
     def test_spec_for_axis_passes_overrides(self):
         spec = spec_for_axis(Axis.PROCESS, n_samples=123, seed=9)
         assert spec.axis is Axis.PROCESS
