@@ -59,15 +59,18 @@ def write_bits(path: str, bits: np.ndarray, fmt: str = FORMAT_PACKED) -> None:
         with open(path, "wb") as fh:
             fh.write(np.packbits(bits, bitorder="little").tobytes())
         return
-    chars = np.where(bits > 0, "1", "0")
-    lines = [
-        "".join(chars[i : i + _ASCII_LINE_BITS])
-        for i in range(0, bits.size, _ASCII_LINE_BITS)
-    ]
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines))
-        if lines:
-            fh.write("\n")
+    # Lines of _ASCII_LINE_BITS characters, the last possibly shorter,
+    # each ending in a newline.
+    chars = bits + np.uint8(ord("0"))
+    n_full = bits.size // _ASCII_LINE_BITS
+    full = np.full((n_full, _ASCII_LINE_BITS + 1), ord("\n"), dtype=np.uint8)
+    full[:, :-1] = chars[: n_full * _ASCII_LINE_BITS].reshape(n_full, _ASCII_LINE_BITS)
+    tail = chars[n_full * _ASCII_LINE_BITS :]
+    with open(path, "wb") as fh:
+        fh.write(full)
+        if tail.size:
+            fh.write(tail)
+            fh.write(b"\n")
 
 
 def read_bits(path: str, fmt: str | None = None, n_bits: int | None = None) -> np.ndarray:

@@ -46,9 +46,10 @@ from .markov import (
     xor_output_prob,
 )
 from .sweeps import Axis, run_sweep, spec_for_axis
+from .system import BENCH_COLUMNS, OptionSpec, black_scholes_oracle, speedup_report
 
-# .nist and .system load scipy, so only the commands that run them
-# import them: generate, analyze and sweep start without scipy.
+# .nist loads scipy, so only `test` imports it: the other commands
+# start without scipy.
 
 CONFIG_ENV_VAR = "SPINTRNG_CONFIG"
 
@@ -140,10 +141,7 @@ def _apply_config(command: str, config: dict, commands: dict) -> None:
             )
         _check_values(name, values, commands[name])
     _config_section(config, "device", DeviceParams)
-    if "option" in config:
-        from .system import OptionSpec
-
-        _config_section(config, "option", OptionSpec)
+    _config_section(config, "option", OptionSpec)
     commands[command].set_defaults(**sections[command])
 
 
@@ -353,8 +351,6 @@ def _cmd_sweep(opts: dict, config: dict) -> None:
 
 
 def _cmd_bench(opts: dict, config: dict) -> None:
-    from .system import BENCH_COLUMNS, OptionSpec, black_scholes_oracle, speedup_report
-
     paths = _parse_number_list(opts["paths"], int, "--paths")
     if any(n < 1 for n in paths):
         raise UsageError("--paths values must be >= 1")

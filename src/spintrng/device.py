@@ -189,12 +189,6 @@ class DeviceInstance:
         return self.params.ic0_for(direction) * scale
 
 
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
 def _sample_positive(rng: np.random.Generator, mean: float, sigma: float, name: str) -> float:
     if sigma == 0.0:
         return mean
@@ -240,7 +234,7 @@ def sample_device(
     """
     if not process_variation:
         return _build_instance(params, params.t_fl_nm, params.t_tb_nm, params.tmr)
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     t_fl = _sample_positive(rng, params.t_fl_nm, params.sigma_t_fl, "t_fl_nm")
     t_tb = _sample_positive(rng, params.t_tb_nm, params.sigma_t_tb, "t_tb_nm")
     tmr = _sample_positive(rng, params.tmr, params.sigma_tmr, "tmr")

@@ -1,11 +1,18 @@
 """Random-number instruction semantics, cost model, and the pricing benchmark.
 
 Models a CPU extended with a hardware random instruction: one
-instruction returns a 15-bit unsigned integer or a uniform float,
-versus software RNG routines costing tens of instructions per draw.
-An analytical pipeline model (IPC 1, fixed clock) converts instruction
+instruction returns a uniform double built from 52 random bits, versus
+software RNG routines costing tens of instructions per draw.  An
+analytical pipeline model (IPC 1, fixed clock) converts instruction
 counts into runtimes, and a Monte Carlo European call option pricer
 exercises the backends end to end.
+
+The paper's abstract reports a 3.4-12x speed-up for this benchmark.
+The cost model's ratio over the hardware instruction runs from 1.24x
+to 9.49x on the default path grid, and its limit as the path count
+grows is (16 + 155) / 18 = 9.5x for the boost backend, so it cannot
+reach 12x.  The constants are not re-tuned to close that gap, because
+only the abstract is available to tune them against.
 """
 
 from __future__ import annotations
@@ -17,11 +24,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
-from scipy.special import ndtr
-
-
-class SourceExhausted(Exception):
-    """A fixed bit source ran out of bits."""
 
 
 class BackendKind(str, Enum):
@@ -103,93 +105,52 @@ class FairBitSource:
     def take(self, n_bits: int) -> np.ndarray:
         if n_bits < 0:
             raise ValueError("n_bits must be >= 0")
-        chunks = []
-        remaining = n_bits
-        while remaining > 0:
-            avail = self._buffer.size - self._pos
-            if avail == 0:
-                self._buffer = self._rng.integers(
-                    0, 2, size=self._BLOCK, dtype=np.uint8
-                )
-                self._pos = 0
-                continue
-            grab = min(avail, remaining)
-            chunks.append(self._buffer[self._pos : self._pos + grab])
-            self._pos += grab
-            remaining -= grab
-        if not chunks:
-            return np.empty(0, dtype=np.uint8)
-        return np.concatenate(chunks)
-
-
-class StreamBitSource:
-    """A fixed bit array consumed front to back."""
-
-    def __init__(self, bits) -> None:
-        self._bits = np.asarray(bits, dtype=np.uint8).ravel()
-        self._pos = 0
-
-    @property
-    def remaining(self) -> int:
-        return self._bits.size - self._pos
-
-    def take(self, n_bits: int) -> np.ndarray:
-        if n_bits < 0:
-            raise ValueError("n_bits must be >= 0")
-        if n_bits > self.remaining:
-            raise SourceExhausted(
-                f"requested {n_bits} bits, only {self.remaining} left"
-            )
-        out = self._bits[self._pos : self._pos + n_bits]
-        self._pos += n_bits
-        return out
+        head = self._buffer[self._pos : self._pos + n_bits]
+        self._pos += head.size
+        short = n_bits - head.size
+        if short == 0:
+            return head
+        blocks = [
+            self._rng.integers(0, 2, size=self._BLOCK, dtype=np.uint8)
+            for _ in range(-(-short // self._BLOCK))
+        ]
+        # Keep only the last block, the one the next take continues.
+        self._buffer = blocks[-1]
+        self._pos = short - (len(blocks) - 1) * self._BLOCK
+        return np.concatenate([head, *blocks])[:n_bits]
 
 
 # -- instruction semantics ---------------------------------------------------
 
-_MANTISSA_BITS = {"single": 23, "double": 52}
+# Bits per uniform draw: a double's mantissa width.
+_MANTISSA_BITS = 52
 
 
-def _uint_array(source, count: int, m: int) -> np.ndarray:
-    """count m-bit unsigned integers as float64, each assembled from m
-    source bits most significant first."""
-    bits = source.take(count * m).reshape(count, m).astype(np.float64)
-    weights = 2.0 ** np.arange(m - 1, -1, -1)
-    return bits @ weights
+def _uint_array(source, count: int) -> np.ndarray:
+    """count 52-bit unsigned integers, each assembled from 52 source
+    bits most significant first."""
+    bits = source.take(count * _MANTISSA_BITS).reshape(count, _MANTISSA_BITS)
+    rows = np.zeros((count, 8), dtype=np.uint8)
+    rows[:, :7] = np.packbits(bits, axis=1)
+    return rows.view(">u8").ravel() >> (64 - _MANTISSA_BITS)
 
 
-def _frand_array(source, count: int, precision: str = "double") -> np.ndarray:
-    """count uniforms in [0,1), each from one mantissa width of bits."""
-    m = _MANTISSA_BITS.get(precision)
-    if m is None:
-        raise ValueError(f"precision must be 'single' or 'double', got {precision!r}")
-    return _uint_array(source, count, m) / 2.0**m
+def _frand_array(source, count: int) -> np.ndarray:
+    """count uniforms in [0,1), each from 52 source bits."""
+    return _uint_array(source, count) / 2.0**_MANTISSA_BITS
 
 
-def rand_u15(source) -> int:
-    """15 source bits assembled most significant first."""
-    return int(_uint_array(source, 1, 15)[0])
-
-
-def frand(source, precision: str = "double", lo: float = 0.0, hi: float = 1.0) -> float:
-    """Uniform value in [lo, hi) from mantissa-width source bits."""
-    if lo >= hi:
-        raise ValueError(f"invalid range: lo={lo} must be < hi={hi}")
-    u = float(_frand_array(source, 1, precision)[0])
-    return lo + u * (hi - lo)
-
-
-def box_muller(source, precision: str = "double") -> float:
-    """One standard normal from two uniform draws."""
-    return float(_box_muller_array(source, 1, precision)[0])
-
-
-def _box_muller_array(source, count: int, precision: str = "double") -> np.ndarray:
-    u = _frand_array(source, 2 * count, precision).reshape(count, 2)
+def _box_muller_array(source, count: int) -> np.ndarray:
+    """count standard normals, each from two uniform draws."""
+    u = _frand_array(source, 2 * count).reshape(count, 2)
     return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 
 # -- pricing -----------------------------------------------------------------
+
+def _norm_cdf(x: float) -> float:
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
+
 
 def black_scholes_oracle(spec: OptionSpec) -> float:
     """Closed-form European call value."""
@@ -202,7 +163,7 @@ def black_scholes_oracle(spec: OptionSpec) -> float:
         + (spec.rate + 0.5 * spec.volatility**2) * spec.maturity_years
     ) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
-    return float(spec.s0 * ndtr(d1) - spec.strike * discount * ndtr(d2))
+    return spec.s0 * _norm_cdf(d1) - spec.strike * discount * _norm_cdf(d2)
 
 
 @dataclass(frozen=True)
@@ -248,20 +209,13 @@ class BenchReport:
         return out.getvalue()
 
 
-def price_option_mc(
-    spec: OptionSpec,
-    backend: BackendKind,
-    seed=None,
-    source=None,
-) -> BenchRow:
+def price_option_mc(spec: OptionSpec, backend: BackendKind, source) -> BenchRow:
     """Monte Carlo estimate plus the backend's analytic cost figures.
 
     Terminal-value sampling: S_T = s0 exp((r - sigma^2/2) T + sigma
-    sqrt(T) Z), one normal per path built from two uniform draws.
+    sqrt(T) Z), one normal per path built from two uniform draws of
+    source's bits (any object with FairBitSource's take).
     """
-    if source is None:
-        source = FairBitSource(seed)
-
     discount = math.exp(-spec.rate * spec.maturity_years)
     drift = (spec.rate - 0.5 * spec.volatility**2) * spec.maturity_years
     vol_term = spec.volatility * math.sqrt(spec.maturity_years)
@@ -309,7 +263,9 @@ DEFAULT_PATH_GRID = (10**2, 10**3, 10**4, 10**5, 10**6)
 
 def _bench_cell(task) -> BenchRow:
     pi_idx, b_idx, backend, run_spec, seed = task
-    return price_option_mc(run_spec, backend, seed=SeedSequence([seed, pi_idx, b_idx]))
+    return price_option_mc(
+        run_spec, backend, FairBitSource(SeedSequence([seed, pi_idx, b_idx]))
+    )
 
 
 def speedup_report(

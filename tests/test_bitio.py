@@ -58,6 +58,15 @@ class TestAscii:
         assert [len(line) for line in lines] == [64, 64, 2]
         assert set(text) <= {"0", "1", "\n"}
 
+    @pytest.mark.parametrize("n_bits", [0, 1, 63, 64, 65, 129])
+    def test_exact_bytes(self, tmp_path, n_bits):
+        bits = (np.arange(n_bits) % 3 == 0).astype(np.uint8)
+        path = tmp_path / "s.txt"
+        bitio.write_bits(str(path), bits, bitio.FORMAT_ASCII)
+        text = "".join(str(b) for b in bits)
+        lines = [text[i : i + 64] + "\n" for i in range(0, n_bits, 64)]
+        assert path.read_bytes() == "".join(lines).encode("ascii")
+
     def test_sniffs_format_without_sidecar(self, tmp_path, bits):
         path = str(tmp_path / "plain.txt")
         bitio.write_bits(path, bits, bitio.FORMAT_ASCII)

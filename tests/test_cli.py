@@ -190,6 +190,8 @@ assert cli.main(["analyze"]) == 0
 assert "scipy" not in sys.modules, "analyze"
 assert cli.main(["sweep", "--bits-per-point", "10000", "--seed", "1", "--out", "s.csv"]) == 0
 assert "scipy" not in sys.modules, "sweep"
+assert cli.main(["bench", "--paths", "100"]) == 0
+assert "scipy" not in sys.modules, "bench"
 """
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
