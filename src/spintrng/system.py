@@ -91,11 +91,20 @@ class OptionSpec:
 class FairBitSource:
     """Unbounded iid fair bits with buffered, order-stable delivery.
 
+    The bits are the top bit of each byte of the seeded PCG64's raw
+    64-bit words, the bytes read little-endian.  They equal the bits
+    of default_rng(seed).integers(0, 2, dtype=np.uint8) drawn in blocks
+    of 2^16: numpy reads each uint8 draw's result from the top bit of
+    one byte of those words, and the source only ever draws whole
+    blocks of 8,192 words, so the generator never holds part of a word
+    between takes.
+
     take(a) followed by take(b) returns the same bits as one take(a+b)
     split in two, so batched and sequential consumers agree exactly.
     """
 
     _BLOCK = 1 << 16
+    _WORDS_PER_BLOCK = _BLOCK // 8
 
     def __init__(self, seed=None) -> None:
         self._rng = default_rng(seed)
@@ -110,14 +119,17 @@ class FairBitSource:
         short = n_bits - head.size
         if short == 0:
             return head
-        blocks = [
-            self._rng.integers(0, 2, size=self._BLOCK, dtype=np.uint8)
-            for _ in range(-(-short // self._BLOCK))
-        ]
-        # Keep only the last block, the one the next take continues.
-        self._buffer = blocks[-1]
-        self._pos = short - (len(blocks) - 1) * self._BLOCK
-        return np.concatenate([head, *blocks])[:n_bits]
+        n_blocks = -(-short // self._BLOCK)
+        words = self._rng.bit_generator.random_raw(n_blocks * self._WORDS_PER_BLOCK)
+        fresh = words.astype("<u8", copy=False).view(np.uint8)
+        fresh >>= 7
+        # Keep a copy of only the last block, the one the next take
+        # continues; a view would keep every fresh block alive.
+        self._buffer = fresh[-self._BLOCK :].copy()
+        self._pos = short - (n_blocks - 1) * self._BLOCK
+        if head.size == 0:
+            return fresh[:n_bits]
+        return np.concatenate([head, fresh[:short]])
 
 
 # -- instruction semantics ---------------------------------------------------

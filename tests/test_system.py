@@ -1,6 +1,7 @@
 """RNG instruction semantics, bit source, cost model and option pricing."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,26 @@ class TestBitSources:
         blocks = [rng.integers(0, 2, size=1 << 16, dtype=np.uint8) for _ in range(6)]
         np.testing.assert_array_equal(split, np.concatenate(blocks)[: split.size])
 
+        # a partial block, then pricing's chunk of 2^16 paths x 104 bits in one take
+        seed = np.random.SeedSequence([5, 1, 1])
+        source = FairBitSource(seed)
+        takes = (1000, 104 << 16, 5)
+        split = np.concatenate([source.take(n) for n in takes])
+        rng = np.random.default_rng(seed)
+        blocks = [rng.integers(0, 2, size=1 << 16, dtype=np.uint8) for _ in range(106)]
+        np.testing.assert_array_equal(split, np.concatenate(blocks)[: split.size])
+
+    def test_fair_source_keeps_only_the_block_it_continues(self):
+        tracemalloc.start()
+        try:
+            source = FairBitSource(11)
+            bits = source.take((104 << 16) - 1000)
+            del bits
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 2 << 16
+
 
 class TestPricing:
     def test_black_scholes_reference_value(self):
@@ -71,6 +92,17 @@ class TestPricing:
         entry = price_option_mc(spec, BackendKind.TRNG_INSTRUCTION, FairBitSource(2024))
         assert entry.std_error > 0.0
         assert abs(entry.price - black_scholes_oracle(spec)) < 4.0 * entry.std_error
+
+    def test_many_block_price_is_pinned(self):
+        # 100,000 paths of 104 bits take 159 blocks of 2^16 bits over two chunks;
+        # the figures were recorded with the per-block integers(0, 2) source
+        entry = price_option_mc(
+            OptionSpec(n_paths=100_000),
+            BackendKind.TRNG_INSTRUCTION,
+            FairBitSource(np.random.SeedSequence([5, 2, 0])),
+        )
+        assert entry.price == 10.47705835806379
+        assert entry.std_error == 0.04675383671505544
 
 
 class TestCostModel:
