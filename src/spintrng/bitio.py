@@ -73,23 +73,20 @@ def write_bits(path: str, bits: np.ndarray, fmt: str = FORMAT_PACKED) -> None:
             fh.write(b"\n")
 
 
-def read_bits(path: str, fmt: str | None = None, n_bits: int | None = None) -> np.ndarray:
+def read_bits(path: str) -> np.ndarray:
     """Read a bitstream written by write_bits.
 
-    When fmt is None the sidecar (if present) decides; otherwise the
-    content is sniffed: a file made only of 0/1/whitespace bytes is
-    treated as ascii, anything else as packed.  n_bits trims packed
-    padding; it defaults to the sidecar's count or 8 * file size.
+    The sidecar, when present, gives the format and the bit count that
+    trims packed padding.  Without one the content is sniffed: a file
+    made only of 0/1/whitespace bytes is read as ascii, anything else
+    as packed, all 8 bits of every byte.
     """
     meta = read_metadata(path)
-    if fmt is None:
-        fmt = meta.format if meta is not None else None
-    if n_bits is None and meta is not None:
-        n_bits = meta.n_bits
-
     with open(path, "rb") as fh:
         raw = fh.read()
-    if fmt is None:
+    if meta is not None:
+        fmt = meta.format
+    else:
         fmt = FORMAT_ASCII if raw and not set(raw) - set(b"01 \t\r\n") else FORMAT_PACKED
     if fmt == FORMAT_ASCII:
         text = raw.decode("ascii")
@@ -98,17 +95,15 @@ def read_bits(path: str, fmt: str | None = None, n_bits: int | None = None) -> n
         if bad:
             raise ValueError(f"ascii bitstream contains non-bit characters: {sorted(bad)}")
         bits = np.frombuffer(stripped.encode("ascii"), dtype=np.uint8) - ord("0")
-    elif fmt == FORMAT_PACKED:
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
     else:
-        raise ValueError(f"unknown bitstream format {fmt!r}")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
 
-    if n_bits is not None:
-        if n_bits > bits.size:
+    if meta is not None:
+        if meta.n_bits > bits.size:
             raise ValueError(
-                f"file holds {bits.size} bits but metadata claims {n_bits}"
+                f"file holds {bits.size} bits but metadata claims {meta.n_bits}"
             )
-        bits = bits[:n_bits]
+        bits = bits[: meta.n_bits]
     return bits.astype(np.uint8)
 
 
@@ -125,10 +120,20 @@ def read_metadata(path: str) -> StreamMetadata | None:
         return None
     with open(side, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError("metadata must be a JSON object")
     known = {f for f in StreamMetadata.__dataclass_fields__}
     unknown = set(payload) - known
     if unknown:
         raise ValueError(f"unknown metadata keys: {sorted(unknown)}")
+    missing = known - set(payload)
+    if missing:
+        raise ValueError(f"missing metadata keys: {sorted(missing)}")
+    if payload["format"] not in _FORMATS:
+        raise ValueError(f"unknown bitstream format {payload['format']!r}")
+    n_bits = payload["n_bits"]
+    if isinstance(n_bits, bool) or not isinstance(n_bits, int) or n_bits < 0:
+        raise ValueError(f"metadata n_bits must be a non-negative integer, got {n_bits!r}")
     return StreamMetadata(**payload)
 
 

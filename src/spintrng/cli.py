@@ -160,7 +160,7 @@ def _config_section(config: dict, name: str, cls):
         raise UsageError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
     try:
         return cls(**values)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {name} config: {exc}") from exc
 
 
@@ -177,6 +177,13 @@ def _parse_number_list(text: str, cast, what: str) -> list:
     if not values:
         raise UsageError(f"empty {what} list")
     return values
+
+
+def _write_json(path: str, payload) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh, indent=2)
+        fh.write("\n")
+    print(f"wrote {path}")
 
 
 def _build(cls, kind: str, /, **kwargs):
@@ -238,7 +245,7 @@ def _cmd_generate(opts: dict, config: dict) -> None:
 
 
 def _cmd_test(opts: dict, config: dict) -> None:
-    from .nist import all_pass, any_ran, format_report, results_to_json, run_nist_suite
+    from .nist import all_pass, any_ran, format_report, result_rows, run_nist_suite
 
     path = opts["in_path"]
     if not path:
@@ -267,19 +274,11 @@ def _cmd_test(opts: dict, config: dict) -> None:
     print(f"overall: {'pass' if overall else 'fail'}")
     if opts["json_out"]:
         payload = {
-            "entropy": {
-                "n_bits": ent.n_bits,
-                "p_one": ent.p_one,
-                "shannon": ent.shannon,
-                "min_entropy": ent.min_entropy,
-            },
-            "nist": json.loads(results_to_json(results)),
+            "entropy": dataclasses.asdict(ent),
+            "nist": result_rows(results),
             "overall_pass": overall,
         }
-        with open(opts["json_out"], "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {opts['json_out']}")
+        _write_json(opts["json_out"], payload)
     if not any_ran(results):
         raise UsageError(
             f"no module ran on groups of {ent.n_bits // groups} bits; "
@@ -295,7 +294,7 @@ def _cmd_analyze(opts: dict, config: dict) -> None:
         for p2 in p2_values:
             fp = _build(FlipProbs, "flip probabilities", p1=p1, p2=p2)
             try:
-                ss = steady_state(fp)
+                p_out_1 = steady_state(fp)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
             single = predicted_entropy(fp)
@@ -304,8 +303,8 @@ def _cmd_analyze(opts: dict, config: dict) -> None:
                 {
                     "p1": p1,
                     "p2": p2,
-                    "p_out_1": ss.p_out_1,
-                    "xor_p_out_1": xor_output_prob(ss.p_out_1, ss.p_out_1),
+                    "p_out_1": p_out_1,
+                    "xor_p_out_1": xor_output_prob(p_out_1, p_out_1),
                     "lag1_autocorr": lag1_autocorrelation(fp),
                     "shannon": single.shannon,
                     "min_entropy": single.min_entropy,
@@ -323,10 +322,7 @@ def _cmd_analyze(opts: dict, config: dict) -> None:
             f"xor_min_entropy={row['xor_min_entropy']:.6f}"
         )
     if opts["json_out"]:
-        with open(opts["json_out"], "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {opts['json_out']}")
+        _write_json(opts["json_out"], rows)
 
 
 def _cmd_sweep(opts: dict, config: dict) -> None:
@@ -382,10 +378,7 @@ def _cmd_bench(opts: dict, config: dict) -> None:
             {column: getattr(r, name) for column, name, _ in BENCH_COLUMNS}
             for r in report.rows
         ]
-        with open(opts["json_out"], "w", encoding="utf-8") as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        print(f"wrote {opts['json_out']}")
+        _write_json(opts["json_out"], rows)
 
 
 _DISPATCH = {

@@ -19,7 +19,7 @@ parameters through first-order physical dependencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
@@ -50,10 +50,6 @@ class SwitchDirection(IntEnum):
     def source_state(self) -> int:
         return STATE_AP if self is SwitchDirection.AP_TO_P else STATE_P
 
-    @property
-    def target_state(self) -> int:
-        return STATE_P if self is SwitchDirection.AP_TO_P else STATE_AP
-
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -82,6 +78,10 @@ class DeviceParams:
     tb_decay_nm: float = 0.1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value}")
         positive = (
             ("t_fl_nm", self.t_fl_nm),
             ("t_tb_nm", self.t_tb_nm),
@@ -159,13 +159,11 @@ class WritePulse:
             raise ValueError(f"width_ns must be > 0, got {self.width_ns}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DeviceInstance:
     """One sampled device: realized geometry plus derived resistances.
 
-    state is the cell's current magnetic state.  apply_write updates it
-    per pulse; BitGenerator reads it once, as the cell's initial state,
-    and never writes it.
+    It holds no magnetic state: the generator keeps each cell's state.
     """
 
     params: DeviceParams
@@ -174,7 +172,6 @@ class DeviceInstance:
     tmr: float
     r_p_eff_ohm: float
     r_ap_eff_ohm: float
-    state: int = STATE_P
 
     def resistance_of(self, state: int) -> float:
         return self.r_ap_eff_ohm if state == STATE_AP else self.r_p_eff_ohm
@@ -215,7 +212,6 @@ def _build_instance(
         tmr=tmr,
         r_p_eff_ohm=r_p_eff,
         r_ap_eff_ohm=r_ap_eff,
-        state=STATE_P,
     )
 
 
@@ -230,7 +226,7 @@ def sample_device(
     equal the nominals.  Otherwise t_fl, t_tb, and tmr are drawn
     independently from Gaussians centered on their nominals; draws that
     land at or below zero are rejected and retried a bounded number of
-    times.  Deterministic for a given seed.  Initial state is P.
+    times.  Deterministic for a given seed.
     """
     if not process_variation:
         return _build_instance(params, params.t_fl_nm, params.t_tb_nm, params.tmr)
@@ -266,27 +262,6 @@ def switching_probability(
     decides applicability."""
     tau = device.params.tau0_ns * math.exp(switching_exponent(device, pulse, env))
     return -math.expm1(-pulse.width_ns / tau)
-
-
-def apply_write(
-    device: DeviceInstance,
-    pulse: WritePulse,
-    env: Environment,
-    rng: np.random.Generator,
-) -> bool:
-    """Apply one write pulse; returns True if the state flipped.
-
-    A pulse whose polarity does not oppose the current state is a
-    no-op: a same-direction write cannot switch.  Consumes exactly one
-    uniform draw from rng when the pulse is applicable.
-    """
-    if device.state != pulse.direction.source_state:
-        return False
-    p_sw = switching_probability(device, pulse, env)
-    switched = rng.random() < p_sw
-    if switched:
-        device.state = pulse.direction.target_state
-    return switched
 
 
 def calibrate_pulse(

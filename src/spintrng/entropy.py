@@ -28,16 +28,6 @@ def binary_min_entropy(p: float) -> float:
     return -math.log2(max(p, 1.0 - p))
 
 
-def _fraction_of_ones(bits) -> tuple[float, int]:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1:
-        arr = arr.ravel()
-    n = arr.size
-    if n < 1:
-        raise ValueError("need at least one bit")
-    return float(np.count_nonzero(arr)) / n, n
-
-
 @dataclass(frozen=True)
 class EntropyReport:
     n_bits: int
@@ -47,9 +37,12 @@ class EntropyReport:
 
 
 def entropy_report(bits) -> EntropyReport:
-    p, n = _fraction_of_ones(bits)
+    arr = np.asarray(bits, dtype=np.uint8).ravel()
+    if arr.size < 1:
+        raise ValueError("need at least one bit")
+    p = float(np.count_nonzero(arr)) / arr.size
     return EntropyReport(
-        n_bits=n,
+        n_bits=arr.size,
         p_one=p,
         shannon=binary_shannon_entropy(p),
         min_entropy=binary_min_entropy(p),

@@ -17,9 +17,8 @@ Two families are modeled:
 Every unit consumes exactly one uniform draw from its own substream
 per cycle, in cycle order, and BitGenerator.generate turns a block of
 those draws into bits in one vectorized pass.  The generator keeps
-each cell's chain state, starting from its device's state, so a
-further generate call continues the same chains; the devices it is
-given are inputs that it never changes.  A request that rhs-parallel's
+each cell's chain state, starting at P, so a further generate call
+continues the same chains.  A request that rhs-parallel's
 lane count does not divide still runs whole cycles; the generator
 keeps the unused lanes of the last cycle and emits them first on the
 next call, so any split of a request into calls yields the bits of one
@@ -40,6 +39,7 @@ import numpy as np
 
 from spintrng.device import (
     PULSE_WIDTH_NS,
+    STATE_P,
     DeviceInstance,
     DeviceParams,
     Environment,
@@ -151,7 +151,7 @@ class CostReport:
 
 class _Unit:
     """One MTJ cell: its own uniform substream, its flip probabilities
-    and its chain state, which starts as its device's state."""
+    and its chain state, which starts at P."""
 
     __slots__ = ("state", "rng", "p1", "p2")
 
@@ -163,7 +163,7 @@ class _Unit:
         env: Environment,
         override: tuple[float, float] | None,
     ) -> None:
-        self.state = device.state
+        self.state = STATE_P
         self.rng = rng
         if override is not None:
             self.p1, self.p2 = float(override[0]), float(override[1])

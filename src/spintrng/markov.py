@@ -33,21 +33,14 @@ class FlipProbs:
 
 
 @dataclass(frozen=True)
-class SteadyState:
-    p_ap: float
-    p_p: float
-    p_out_1: float
-    p_out_0: float
-
-
-@dataclass(frozen=True)
 class EntropyPrediction:
     shannon: float
     min_entropy: float
 
 
-def steady_state(fp: FlipProbs) -> SteadyState:
-    """Stationary distribution of the chain.
+def steady_state(fp: FlipProbs) -> float:
+    """Stationary probability of AP, which is the probability of an
+    output 1: p1 / (p1 + p2).
 
     With both flip probabilities zero the chain is absorbing and has
     no unique stationary distribution, so that case is rejected.
@@ -55,8 +48,7 @@ def steady_state(fp: FlipProbs) -> SteadyState:
     total = fp.p1 + fp.p2
     if total == 0.0:
         raise ValueError("p1 = p2 = 0 gives an absorbing chain with no unique steady state")
-    p_ap = fp.p1 / total
-    return SteadyState(p_ap=p_ap, p_p=1.0 - p_ap, p_out_1=p_ap, p_out_0=1.0 - p_ap)
+    return fp.p1 / total
 
 
 def xor_output_prob(p_a: float, p_b: float) -> float:
@@ -88,7 +80,7 @@ def predicted_entropy(fp: FlipProbs, xor_of_two: bool = False) -> EntropyPredict
     correlation is deliberately ignored: these are marginal-entropy
     figures.
     """
-    p = steady_state(fp).p_out_1
+    p = steady_state(fp)
     if xor_of_two:
         p = xor_output_prob(p, p)
     return EntropyPrediction(

@@ -7,7 +7,7 @@ from spintrng.nist.suite import (
     any_ran,
     composite_p_value,
     format_report,
-    results_to_json,
+    result_rows,
     run_nist_suite,
 )
 
@@ -18,6 +18,6 @@ __all__ = [
     "any_ran",
     "composite_p_value",
     "format_report",
-    "results_to_json",
+    "result_rows",
     "run_nist_suite",
 ]

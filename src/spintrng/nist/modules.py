@@ -32,11 +32,10 @@ textbook loop, so the p-values are unchanged:
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
-
-from spintrng.nist.templates import template_codes
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -195,10 +194,6 @@ def _gf2_ranks(rows, n_cols: int) -> np.ndarray:
     return ranks
 
 
-def _gf2_rank(rows: list[int], n_cols: int) -> int:
-    return int(_gf2_ranks([rows], n_cols)[0]) if rows else 0
-
-
 def _rank_probability(r: int, m: int, q: int) -> float:
     log2 = (r * (m + q - r) - m * q) * math.log(2.0)
     acc = math.exp(log2)
@@ -244,6 +239,28 @@ def spectral(bits) -> list[float]:
     n1 = int(np.count_nonzero(mods < threshold))
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     return [float(erfc(abs(d) / math.sqrt(2.0)))]
+
+
+@lru_cache(maxsize=None)
+def template_codes(m: int) -> np.ndarray:
+    """Codes of the borderless length-m templates, ascending, MSB first.
+
+    A template is borderless when no proper prefix equals the suffix of
+    the same length, so it cannot overlap a shifted copy of itself;
+    148 of the 512 codes at m = 9 are.
+    """
+    if m < 2:
+        raise ValueError(f"template length must be >= 2, got {m}")
+    codes = np.array(
+        [
+            v
+            for v in range(2**m)
+            if all((v >> (m - k)) != (v & ((1 << k) - 1)) for k in range(1, m))
+        ],
+        dtype=np.int64,
+    )
+    codes.setflags(write=False)
+    return codes
 
 
 def non_overlapping_templates(bits, m: int = 9, n_blocks: int = 8) -> list[float]:
@@ -376,12 +393,6 @@ def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
         shifted[:w] ^= c[:w] & -grows.astype(np.uint64)
         length += grows * (i + 1 - twice)
     return length
-
-
-def berlekamp_massey(bits) -> int:
-    """Length of the shortest LFSR generating the sequence."""
-    arr = _as_bits(bits)
-    return int(_linear_complexities(arr[None, :])[0])
 
 
 # Class probabilities for the linear-complexity statistic T.

@@ -21,7 +21,6 @@ skipped does not pass.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -161,8 +160,9 @@ def format_report(results) -> str:
     return "\n".join(lines)
 
 
-def results_to_json(results) -> str:
-    payload = [
+def result_rows(results) -> list[dict]:
+    """One JSON-ready dict per module, in the report's order."""
+    return [
         {
             "module": r.module_name,
             "p_value": r.p_value,
@@ -173,4 +173,3 @@ def results_to_json(results) -> str:
         }
         for r in results
     ]
-    return json.dumps(payload, indent=2)

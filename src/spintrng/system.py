@@ -77,6 +77,9 @@ class OptionSpec:
     n_paths: int = 10_000
 
     def __post_init__(self) -> None:
+        values = (self.s0, self.strike, self.rate, self.volatility, self.maturity_years)
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("s0, strike, rate, volatility and maturity_years must be finite")
         if self.s0 <= 0 or self.strike <= 0 or self.maturity_years <= 0:
             raise ValueError("s0, strike, and maturity_years must be > 0")
         if self.volatility < 0:
@@ -147,14 +150,10 @@ def _uint_array(source, count: int) -> np.ndarray:
     return rows.view(">u8").ravel() >> (64 - _MANTISSA_BITS)
 
 
-def _frand_array(source, count: int) -> np.ndarray:
-    """count uniforms in [0,1), each from 52 source bits."""
-    return _uint_array(source, count) / 2.0**_MANTISSA_BITS
-
-
 def _box_muller_array(source, count: int) -> np.ndarray:
-    """count standard normals, each from two uniform draws."""
-    u = _frand_array(source, 2 * count).reshape(count, 2)
+    """count standard normals, each from two uniforms in [0, 1) of 52
+    source bits each."""
+    u = (_uint_array(source, 2 * count) / 2.0**_MANTISSA_BITS).reshape(count, 2)
     return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 

@@ -1,15 +1,24 @@
-"""Shared fixtures: reference bit material, golden p-values, and the
-acceptance-criteria summary printed at the end of the run."""
+"""Shared fixtures: reference bit material, golden p-values, the
+one-sequence linear complexity, and the acceptance-criteria summary
+printed at the end of the run."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from spintrng.nist.modules import _linear_complexities
+
 
 def bits_from_string(s: str) -> np.ndarray:
     s = s.replace(" ", "").replace("\n", "")
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
+
+
+def linear_complexity_of(bits) -> int:
+    """Berlekamp-Massey LFSR length of one sequence, through the
+    battery's lockstep kernel."""
+    return int(_linear_complexities(np.asarray(bits, dtype=np.uint8)[None, :])[0])
 
 
 def _constant_bits(x, n: int) -> np.ndarray:

@@ -15,12 +15,17 @@ def bits():
     return rng.integers(0, 2, size=1003, dtype=np.uint8)
 
 
+def write_with_sidecar(path: str, bits, fmt: str, n_bits: int) -> None:
+    bitio.write_bits(path, bits, fmt)
+    meta = bitio.StreamMetadata(fmt, n_bits, "rhs-trng", 1, 0, 0.0, 0.0)
+    bitio.write_metadata(path, meta)
+
+
 class TestPacked:
     def test_round_trip(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
-        bitio.write_bits(path, bits, bitio.FORMAT_PACKED)
-        back = bitio.read_bits(path, fmt=bitio.FORMAT_PACKED, n_bits=len(bits))
-        np.testing.assert_array_equal(back, bits)
+        write_with_sidecar(path, bits, bitio.FORMAT_PACKED, len(bits))
+        np.testing.assert_array_equal(bitio.read_bits(path), bits)
 
     def test_file_size_is_ceil_bits_over_8(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
@@ -38,17 +43,16 @@ class TestPacked:
 
     def test_trim_overflow_rejected(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
-        bitio.write_bits(path, bits, bitio.FORMAT_PACKED)
+        write_with_sidecar(path, bits, bitio.FORMAT_PACKED, len(bits) + 100)
         with pytest.raises(ValueError):
-            bitio.read_bits(path, fmt=bitio.FORMAT_PACKED, n_bits=len(bits) + 100)
+            bitio.read_bits(path)
 
 
 class TestAscii:
     def test_round_trip(self, tmp_path, bits):
         path = str(tmp_path / "s.txt")
-        bitio.write_bits(path, bits, bitio.FORMAT_ASCII)
-        back = bitio.read_bits(path, fmt=bitio.FORMAT_ASCII)
-        np.testing.assert_array_equal(back, bits)
+        write_with_sidecar(path, bits, bitio.FORMAT_ASCII, len(bits))
+        np.testing.assert_array_equal(bitio.read_bits(path), bits)
 
     def test_line_wrapped_text(self, tmp_path):
         path = str(tmp_path / "s.txt")

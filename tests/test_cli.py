@@ -2,6 +2,7 @@
 battery cannot judge, `sweep`, the --json outputs, exit codes, and the
 commands that start without scipy."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -142,6 +143,16 @@ def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
             "bad sweep config: bits_per_point must be >= n_samples",
         ),
         (["generate", "--out", "x.bin"], {"device": {"cd_nm": 32}}, "unknown device config keys: cd_nm"),
+        (["bench", "--paths", "100"], {"option": {"s0": float("nan")}}, "bad option config"),
+        (["bench", "--paths", "100"], {"option": {"rate": float("inf")}}, "bad option config"),
+        (["generate", "--out", "x.bin"], {"device": {"r_load_ohm": float("nan")}}, "bad device config"),
+        (
+            ["sweep", "--axis", "process", "--out", "x.csv"],
+            {"device": {"sigma_tmr": float("nan")}},
+            "bad device config",
+        ),
+        (["analyze"], {"device": {"tmr": 10**400}}, "bad device config: int too large"),
+        (["analyze"], {"option": {"s0": 10**400}}, "bad option config: int too large"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):
@@ -237,3 +248,72 @@ def test_json_outputs_parse(tmp_path, capsys, monkeypatch):
     assert list(rows[0]) == [
         "backend", "n_paths", "price", "stderr", "instructions", "runtime_s", "ratio_vs_trng"
     ]
+
+
+_SIDECAR = {
+    "format": "packed",
+    "n_bits": 1000,
+    "variant": "rhs-trng",
+    "lanes": 1,
+    "seed": 0,
+    "simulated_time_ns": 3300.0,
+    "energy_pj": 5300.0,
+}
+
+
+@pytest.mark.parametrize(
+    "sidecar,message",
+    [
+        ({**_SIDECAR, "n_bits": -5}, "metadata n_bits must be a non-negative integer, got -5"),
+        ({**_SIDECAR, "n_bits": "12"}, "metadata n_bits must be a non-negative integer, got '12'"),
+        ({**_SIDECAR, "n_bits": 2.5}, "metadata n_bits must be a non-negative integer, got 2.5"),
+        ({**_SIDECAR, "n_bits": True}, "metadata n_bits must be a non-negative integer, got True"),
+        ({**_SIDECAR, "format": "base64"}, "unknown bitstream format 'base64'"),
+        ({}, "missing metadata keys: ['energy_pj', 'format', 'lanes', 'n_bits'"),
+        ([], "metadata must be a JSON object"),
+    ],
+)
+def test_bad_sidecar_exits_one(tmp_path, capsys, sidecar, message):
+    path = tmp_path / "s.bin"
+    bits = np.random.default_rng(1).integers(0, 2, size=1000, dtype=np.uint8)
+    path.write_bytes(np.packbits(bits, bitorder="little").tobytes())
+    (tmp_path / "s.bin.json").write_text(json.dumps(sidecar))
+    code = cli.main(["test", "--in", str(path), "--groups", "1"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"spintrng: error: bad input file {path}: {message}")
+    assert err.count("\n") == 1
+
+
+# sha256 of stdout and of the --json file, recorded before test, analyze
+# and bench shared one JSON writer.
+_PINNED_CLI = {
+    "t.json": (
+        ["test", "--in", "s.bin", "--groups", "1"],
+        "0886f0e016d1ae4cf7019b08b7c50ff06726fdacc947db5b7d3adcc6a601b22a",
+        "c7354fdb4e24a0ddb4b6037728f07ca820a1d0d78f0dcb60635edb60afc592bd",
+    ),
+    "a.json": (
+        ["analyze", "--p1", "0.4,0.5"],
+        "fb551c3b8071f5c8dc1fd806ce85a1c71e5f633649863a8782ab644f352d3d1e",
+        "d3117c2d3697a30e1dc432b60459a7b73bdc953b03c15614ce9b1799fa54bdf2",
+    ),
+    "b.json": (
+        ["bench", "--paths", "100,200"],
+        "10ac6054e36ca585cce9cad0b890fee349dab8fce813a555e085014909024a30",
+        "9699514a8aad84af4f9d00ba8a51e8d106fb51e25edb740d98db55a422b53f38",
+    ),
+}
+
+
+def test_json_commands_output_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "--bits", "100000", "--seed", "1", "--out", "s.bin"]) == 0
+    capsys.readouterr()
+    for json_path, (argv, stdout_sha, json_sha) in _PINNED_CLI.items():
+        assert cli.main([*argv, "--json", json_path]) == 0
+        out, _ = capsys.readouterr()
+        assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv[0]
+        assert hashlib.sha256((tmp_path / json_path).read_bytes()).hexdigest() == json_sha, argv[0]

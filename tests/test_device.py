@@ -1,5 +1,6 @@
 """Device model: resistances, switching law, calibration, sampling."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,13 +15,13 @@ from spintrng.device import (
     Environment,
     SwitchDirection,
     WritePulse,
-    apply_write,
     calibrate_pulse,
     calibrated_pulses,
     sample_device,
     switching_exponent,
     switching_probability,
 )
+from spintrng.generator import BitGenerator, GeneratorConfig, Variant
 
 NOMINAL = DeviceParams()
 ENV = Environment()
@@ -185,32 +186,23 @@ class TestCalibration:
 
 
 class TestApplyWrite:
-    def test_inapplicable_pulse_is_noop_and_draws_nothing(self):
-        dev = nominal_device()
-        assert dev.state == STATE_P
-        pulse = WritePulse(SwitchDirection.AP_TO_P, 40.0, 2.9)
-        rng = np.random.default_rng(0)
-        probe = np.random.default_rng(0)
-        assert apply_write(dev, pulse, ENV, rng) is False
-        assert dev.state == STATE_P
-        assert rng.random() == probe.random()
+    """A write pulse applied by the generator switches its cell with the
+    pulse's switching probability."""
 
     def test_certain_switch_flips_state(self):
         dev = nominal_device()
-        pulse = WritePulse(SwitchDirection.P_TO_AP, 500.0, 1e9)
-        rng = np.random.default_rng(1)
-        assert apply_write(dev, pulse, ENV, rng) is True
-        assert dev.state == STATE_AP
+        pulses = {d: WritePulse(d, 500.0, 1e9) for d in SwitchDirection}
+        assert switching_probability(dev, pulses[SwitchDirection.P_TO_AP], ENV) == 1.0
+        # conv-p2ap resets to P, writes towards AP and emits the state
+        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=1, pulses=pulses)
+        assert gen.generate(64).bits.tolist() == [STATE_AP] * 64
 
     def test_empirical_rate_matches_probability(self):
-        pulse = WritePulse(SwitchDirection.P_TO_AP, 50.0, 2.9)
-        dev = nominal_device()
-        p = switching_probability(dev, pulse, ENV)
-        rng = np.random.default_rng(7)
-        n, hits = 20000, 0
-        for _ in range(n):
-            dev.state = STATE_P
-            hits += apply_write(dev, pulse, ENV, rng)
+        pulses = {d: WritePulse(d, 50.0, 2.9) for d in SwitchDirection}
+        p = switching_probability(nominal_device(), pulses[SwitchDirection.P_TO_AP], ENV)
+        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=7, pulses=pulses)
+        n = 20000
+        hits = int(gen.generate(n).bits.sum())
         assert hits / n == pytest.approx(p, abs=4.0 * math.sqrt(p * (1 - p) / n))
 
 
@@ -218,6 +210,12 @@ class TestSampling:
     def test_no_variation_returns_nominals(self):
         dev = sample_device(NOMINAL, process_variation=False)
         assert (dev.t_fl_nm, dev.t_tb_nm, dev.tmr) == (1.3, 0.85, 2.0)
+
+    def test_devices_are_frozen_and_stateless(self):
+        dev = nominal_device()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dev.t_fl_nm = 2.0
+        assert "state" not in {f.name for f in dataclasses.fields(dev)}
 
     def test_deterministic_per_seed(self):
         a = sample_device(NOMINAL, seed=11)
@@ -237,7 +235,6 @@ class TestSampling:
         assert t_tb.mean() == pytest.approx(0.85, abs=0.002)
         assert t_tb.std() == pytest.approx(0.0255, rel=0.1)
         assert tmr.std() == pytest.approx(0.06, rel=0.1)
-        assert all(d.state == STATE_P for d in devs[:50])
 
     def test_zero_sigma_collapses_to_nominal(self):
         params = DeviceParams(sigma_t_fl=0.0, sigma_t_tb=0.0, sigma_tmr=0.0)
@@ -257,6 +254,9 @@ class TestValidation:
             {"delta_asym": 1.0},
             {"delta_asym": -1.5},
             {"ic0_p2ap_ua": 0.0},
+            {"r_load_ohm": math.nan},
+            {"sigma_tmr": math.nan},
+            {"tmr": math.inf},
         ],
     )
     def test_bad_params_rejected(self, kwargs):

@@ -13,9 +13,9 @@ from spintrng.device import (
     DeviceParams,
     Environment,
     SwitchDirection,
-    apply_write,
     calibrated_pulses,
     sample_device,
+    switching_probability,
 )
 from spintrng.generator import (
     BitGenerator,
@@ -121,26 +121,23 @@ def reference_bits(config, entropy, n_bits):
 
     Each unit draws from its own default_rng, spawned from
     SeedSequence(entropy) in unit order, and every cycle applies one
-    write pulse to it: device.apply_write on the physics path, a
-    comparison u < p with flip_prob_override.  A conventional cycle
-    first resets the cell to the pulse's source state; a feedback cycle
-    writes the inverse of the state it reads.  The emitted value is the
-    post-write state (XORed across adjacent cells), so the
-    deterministic initial state never reaches the stream.
+    write pulse to it: the pulse switches the cell when its draw u is
+    below the pulse's switching probability (or the override's p).  A
+    conventional cycle first resets the cell to the pulse's source
+    state; a feedback cycle writes the inverse of the state it reads.
+    Every cell starts at P.  The emitted value is the post-write state
+    (XORed across adjacent cells), so the deterministic initial state
+    never reaches the stream.
     """
     rngs = [np.random.default_rng(s) for s in SeedSequence(entropy).spawn(config.n_units)]
-    devices = [sample_device(DeviceParams(), process_variation=False) for _ in rngs]
-    pulses = calibrated_pulses(devices[0], Environment())
-    override = config.flip_prob_override
+    if config.flip_prob_override is None:
+        device = sample_device(DeviceParams(), process_variation=False)
+        pulses = calibrated_pulses(device, Environment())
+        p = {d: switching_probability(device, pulses[d], Environment()) for d in SwitchDirection}
+    else:
+        p = dict(zip((SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P), config.flip_prob_override))
 
-    def write(device, direction, rng):
-        if override is None:
-            apply_write(device, pulses[direction], Environment(), rng)
-            return
-        p = override[0] if direction is SwitchDirection.P_TO_AP else override[1]
-        if rng.random() < p:
-            device.state = direction.target_state
-
+    states = [STATE_P] * config.n_units
     bits = []
     while len(bits) < n_bits:
         if config.variant.is_conventional:
@@ -149,16 +146,11 @@ def reference_bits(config, entropy, n_bits):
                 if config.variant is Variant.CONV_AP_TO_P
                 else SwitchDirection.P_TO_AP
             )
-            devices[0].state = direction.source_state
-            write(devices[0], direction, rngs[0])
-            bits.append(devices[0].state)
+            bits.append(direction.source_state ^ int(rngs[0].random() < p[direction]))
             continue
-        for device, rng in zip(devices, rngs):
-            direction = (
-                SwitchDirection.P_TO_AP if device.state == STATE_P else SwitchDirection.AP_TO_P
-            )
-            write(device, direction, rng)
-        states = [device.state for device in devices]
+        for k, rng in enumerate(rngs):
+            direction = SwitchDirection.P_TO_AP if states[k] == STATE_P else SwitchDirection.AP_TO_P
+            states[k] ^= int(rng.random() < p[direction])
         if config.variant is Variant.RHS_SINGLE:
             bits.append(states[0])
         else:
@@ -218,13 +210,16 @@ class TestChainState:
         assert peak <= 8 * u.size
 
     def test_generate_leaves_its_devices_unchanged(self):
-        # (1, 0) flips P to AP on the first cycle and never back
-        config = cfg(Variant.RHS_SINGLE, flip_prob_override=(1.0, 0.0))
+        # (1, 1) flips every cycle, so the bits show the chain's phase:
+        # it carries over between calls and restarts at P in a new
+        # generator on the same device
+        config = cfg(Variant.RHS_SINGLE, flip_prob_override=(1.0, 1.0))
         device = sample_device(DeviceParams(), process_variation=False)
         gen = BitGenerator(config, seed=SeedSequence([4]), devices=[device])
         parts = [gen.generate(n).bits for n in (5, 7)]
-        assert device.state == STATE_P
-        np.testing.assert_array_equal(np.concatenate(parts), np.ones(12, dtype=np.uint8))
+        np.testing.assert_array_equal(np.concatenate(parts), np.arange(1, 13) % 2)
+        again = BitGenerator(config, seed=SeedSequence([4]), devices=[device]).generate(5).bits
+        np.testing.assert_array_equal(again, parts[0])
 
     def test_physics_generate_leaves_its_devices_unchanged(self):
         config = cfg(Variant.RHS_TRNG)

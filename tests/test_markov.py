@@ -19,20 +19,14 @@ probs = st.floats(0.0, 1.0, allow_nan=False)
 
 class TestSteadyState:
     def test_symmetric_chain_is_fair(self):
-        ss = steady_state(FlipProbs(0.5, 0.5))
-        assert ss.p_out_1 == pytest.approx(0.5)
-        assert ss.p_ap + ss.p_p == pytest.approx(1.0)
+        assert steady_state(FlipProbs(0.5, 0.5)) == pytest.approx(0.5)
 
     def test_hand_value(self):
         # pi_AP = p1 / (p1 + p2)
-        ss = steady_state(FlipProbs(0.3, 0.7))
-        assert ss.p_ap == pytest.approx(0.3)
-        assert ss.p_out_1 == ss.p_ap
-        assert ss.p_out_0 == pytest.approx(0.7)
+        assert steady_state(FlipProbs(0.3, 0.7)) == pytest.approx(0.3)
 
     def test_unequal_rates(self):
-        ss = steady_state(FlipProbs(0.2, 0.6))
-        assert ss.p_out_1 == pytest.approx(0.25)
+        assert steady_state(FlipProbs(0.2, 0.6)) == pytest.approx(0.25)
 
     def test_absorbing_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -43,11 +37,11 @@ class TestSteadyState:
     def test_is_stationary_fixed_point(self, p1, p2):
         if p1 + p2 == 0.0:
             return
-        ss = steady_state(FlipProbs(p1, p2))
+        p_ap = steady_state(FlipProbs(p1, p2))
         # one transition step leaves the distribution unchanged
-        next_ap = ss.p_p * p1 + ss.p_ap * (1.0 - p2)
-        assert next_ap == pytest.approx(ss.p_ap, abs=1e-12)
-        assert 0.0 <= ss.p_ap <= 1.0
+        next_ap = (1.0 - p_ap) * p1 + p_ap * (1.0 - p2)
+        assert next_ap == pytest.approx(p_ap, abs=1e-12)
+        assert 0.0 <= p_ap <= 1.0
 
 
 class TestXorCombining:

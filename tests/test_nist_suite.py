@@ -1,6 +1,7 @@
 """Battery internals against exact combinatorial oracles, plus driver
 behavior: grouping, verdicts, skips, and report serialization."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -14,20 +15,20 @@ from spintrng.nist import (
     all_pass,
     composite_p_value,
     format_report,
-    results_to_json,
+    result_rows,
     run_nist_suite,
 )
+from conftest import linear_complexity_of
 from spintrng.nist import modules as M
 from spintrng.nist.suite import pass_rate_threshold
-from spintrng.nist.templates import aperiodic_templates
 
 
 class TestBerlekampMassey:
     def test_known_small_sequences(self):
-        assert M.berlekamp_massey(np.array([0, 0, 0, 0], dtype=np.uint8)) == 0
-        assert M.berlekamp_massey(np.array([1, 0, 0, 0], dtype=np.uint8)) == 1
+        assert linear_complexity_of([0, 0, 0, 0]) == 0
+        assert linear_complexity_of([1, 0, 0, 0]) == 1
         # alternating sequence has complexity 2 (x_{i} = x_{i-2})
-        assert M.berlekamp_massey(np.array([1, 0, 1, 0, 1, 0], dtype=np.uint8)) == 2
+        assert linear_complexity_of([1, 0, 1, 0, 1, 0]) == 2
 
     def test_exhaustive_distribution_matches_lfsr_counting_law(self):
         # The number of n-bit sequences with linear complexity L is
@@ -35,13 +36,9 @@ class TestBerlekampMassey:
         # sequence at L = 0.  Checking every 12-bit sequence pins the
         # implementation exactly.
         n = 12
-        counts = {}
-        for value in range(2**n):
-            bits = np.array(
-                [(value >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8
-            )
-            length = M.berlekamp_massey(bits)
-            counts[length] = counts.get(length, 0) + 1
+        blocks = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
+        lengths, tally = np.unique(M._linear_complexities(blocks), return_counts=True)
+        counts = dict(zip(lengths.tolist(), tally.tolist()))
         expected = {0: 1}
         for length in range(1, n + 1):
             expected[length] = 2 ** min(2 * n - 2 * length, 2 * length - 1)
@@ -51,7 +48,7 @@ class TestBerlekampMassey:
         rng = np.random.default_rng(0)
         for _ in range(50):
             bits = rng.integers(0, 2, size=40, dtype=np.uint8)
-            assert 0 <= M.berlekamp_massey(bits) <= 40
+            assert 0 <= linear_complexity_of(bits) <= 40
 
     def test_lfsr_reproduces_sequence(self):
         # a maximal-length LFSR stream must come back with its own order
@@ -62,7 +59,7 @@ class TestBerlekampMassey:
             out.append(state[-1])
             fb = state[taps[0] - 1] ^ state[taps[1] - 1]
             state = [fb] + state[:-1]
-        assert M.berlekamp_massey(np.array(out, dtype=np.uint8)) == 5
+        assert linear_complexity_of(out) == 5
 
 
 class TestOverlappingTemplateProbabilities:
@@ -133,36 +130,46 @@ class TestRank:
                 rank += 1
             return rank
 
-        for _ in range(40):
-            mat = rng.integers(0, 2, size=(32, 32), dtype=np.uint8)
-            rows = [int("".join(map(str, row)), 2) for row in mat]
-            assert M._gf2_rank(rows, 32) == reference_rank(mat)
+        mats = [rng.integers(0, 2, size=(32, 32), dtype=np.uint8) for _ in range(40)]
+        rows = [[int("".join(map(str, row)), 2) for row in mat] for mat in mats]
+        assert M._gf2_ranks(rows, 32).tolist() == [reference_rank(mat) for mat in mats]
 
     def test_identity_and_degenerate_ranks(self):
         eye = [1 << i for i in range(32)]
-        assert M._gf2_rank(eye, 32) == 32
-        assert M._gf2_rank([0] * 32, 32) == 0
-        assert M._gf2_rank([7, 7, 7], 3) == 1
+        assert M._gf2_ranks([eye, [0] * 32], 32).tolist() == [32, 0]
+        assert M._gf2_ranks([[7, 7, 7]], 3).tolist() == [1]
+
+
+def reference_template_codes(m: int) -> list[int]:
+    """MSB-first codes of the length-m bit tuples in which no proper
+    prefix equals the suffix of the same length, ascending."""
+    return [
+        int("".join(map(str, bits)), 2)
+        for bits in itertools.product((0, 1), repeat=m)
+        if all(bits[:k] != bits[m - k :] for k in range(1, m))
+    ]
 
 
 class TestTemplates:
     def test_counts_by_length(self):
         expected = {2: 2, 3: 4, 4: 6, 5: 12, 6: 20, 7: 40, 8: 74, 9: 148, 10: 284}
         for m, count in expected.items():
-            assert len(aperiodic_templates(m)) == count
+            assert len(M.template_codes(m)) == count
+        for m in range(2, 12):
+            assert M.template_codes(m).tolist() == reference_template_codes(m)
 
     def test_templates_have_no_periodic_overlap(self):
         # an aperiodic template never matches a shifted copy of itself
-        for tpl in aperiodic_templates(9):
-            s = "".join(map(str, tpl))
+        for code in M.template_codes(9):
+            s = format(code, "09b")
             for shift in range(1, len(s)):
                 assert s[:shift] != s[-shift:]
 
     def test_sorted_and_binary(self):
-        tpls = aperiodic_templates(5)
-        codes = [int("".join(map(str, t)), 2) for t in tpls]
-        assert codes == sorted(codes)
-        assert all(set(np.unique(t)) <= {0, 1} for t in tpls)
+        codes = M.template_codes(5)
+        assert codes.tolist() == sorted(codes.tolist())
+        assert codes.min() >= 0 and codes.max() < 2**5
+        assert not codes.flags.writeable
 
 
 class TestComposite:
@@ -274,7 +281,7 @@ class TestSuiteDriver:
         text = format_report(results)
         for name in MODULE_NAMES:
             assert name in text
-        payload = json.loads(results_to_json(results))
+        payload = json.loads(json.dumps(result_rows(results)))
         assert len(payload) == len(MODULE_NAMES)
         entry = {item["module"]: item for item in payload}["frequency"]
         assert entry["verdict"] in ("pass", "fail")
@@ -306,7 +313,7 @@ class TestLinearComplexityLaw:
         # to M/2 + 4/18 (even M), far from any degenerate value
         rng = np.random.default_rng(8)
         lengths = [
-            M.berlekamp_massey(rng.integers(0, 2, size=500, dtype=np.uint8))
+            linear_complexity_of(rng.integers(0, 2, size=500, dtype=np.uint8))
             for _ in range(80)
         ]
         mean = sum(lengths) / len(lengths)

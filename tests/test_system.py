@@ -10,7 +10,7 @@ from spintrng.system import (
     BackendKind,
     FairBitSource,
     OptionSpec,
-    _frand_array,
+    _box_muller_array,
     _uint_array,
     black_scholes_oracle,
     price_option_mc,
@@ -41,10 +41,12 @@ class TestInstructionSemantics:
         assert _uint_array(ListSource(bits.ravel()), 1000).tolist() == expected
 
     def test_uniforms_are_exact_binary_fractions(self):
-        source = ListSource([1] * 52 + [1] + [0] * 51)
-        u = _frand_array(source, 2)
-        assert u[0] == (2**52 - 1) / 2**52
-        assert u[1] == 0.5
+        # the normal's two uniforms are (2^52 - 1) / 2^52 and 1/4 exactly;
+        # near those points one ulp off moves the result by far more
+        source = ListSource([1] * 52 + [0, 1] + [0] * 50)
+        u0, u1 = np.float64((2**52 - 1) / 2**52), np.float64(0.25)
+        expected = np.sqrt(-2.0 * np.log1p(-u0)) * np.cos(2.0 * np.pi * u1)
+        assert _box_muller_array(source, 1).tolist() == [expected]
 
 
 class TestBitSources:
