@@ -12,23 +12,39 @@ Two interchange formats:
 Every written stream gets a JSON sidecar at <path>.json carrying the
 format, bit count, variant, seed, and the simulated time/energy
 accounting, so a stream file round-trips without guessing.
+
+save_stream writes a BitStream already in memory.  write_generated,
+which the CLI uses, asks a BitGenerator for CHUNK_BITS bits at a time
+and appends each chunk to the file as it is made, so memory stays flat
+however long the request; the sidecar comes last.  Both go through one
+encoder per format, and an output file holds the bits of one generate
+call for the whole request, byte for byte.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
+import shutil
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from spintrng.generator import BitStream
+from spintrng.generator import BitGenerator, BitStream
 
 FORMAT_PACKED = "packed"
 FORMAT_ASCII = "ascii"
 _FORMATS = (FORMAT_PACKED, FORMAT_ASCII)
 
 _ASCII_LINE_BITS = 64
+
+# Bits per generate call in write_generated.  A multiple of 64, so every
+# chunk but the last ends on a byte and on an ascii line, and the
+# chunks' encodings join into the encoding of the whole request.  At
+# 2^18 bits a chunk's uniforms and chain states stay in cache; 2^20 was
+# slower.
+CHUNK_BITS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -48,29 +64,41 @@ def metadata_path(path: str) -> str:
     return path + ".json"
 
 
-def write_bits(path: str, bits: np.ndarray, fmt: str = FORMAT_PACKED) -> None:
-    """Write a 0/1 array to path in the requested format."""
+def _check_format(fmt: str) -> None:
     if fmt not in _FORMATS:
         raise ValueError(f"unknown bitstream format {fmt!r}")
+
+
+def _encoded_size(n_bits: int, fmt: str) -> int:
+    """Bytes of a fmt file holding n_bits."""
+    if fmt == FORMAT_PACKED:
+        return -(-n_bits // 8)
+    return n_bits - (-n_bits // _ASCII_LINE_BITS)
+
+
+def _encode(bits: np.ndarray, fmt: str) -> np.ndarray:
+    """The bytes of a fmt file holding the 0/1 array bits."""
+    if fmt == FORMAT_PACKED:
+        return np.packbits(bits, bitorder="little")
+    # Lines of _ASCII_LINE_BITS characters, the last possibly shorter,
+    # each ending in a newline.
+    line = _ASCII_LINE_BITS
+    n_full = bits.size // line
+    out = np.full(_encoded_size(bits.size, fmt), ord("\n"), dtype=np.uint8)
+    full = out[: n_full * (line + 1)].reshape(n_full, line + 1)
+    np.add(bits[: n_full * line].reshape(n_full, line), ord("0"), out=full[:, :-1])
+    np.add(bits[n_full * line :], ord("0"), out=out[n_full * (line + 1) : -1])
+    return out
+
+
+def write_bits(path: str, bits: np.ndarray, fmt: str = FORMAT_PACKED) -> None:
+    """Write a 0/1 array to path in the requested format."""
+    _check_format(fmt)
     bits = np.asarray(bits, dtype=np.uint8).ravel()
     if bits.size and bits.max() > 1:
         raise ValueError("bitstream values must be 0 or 1")
-    if fmt == FORMAT_PACKED:
-        with open(path, "wb") as fh:
-            fh.write(np.packbits(bits, bitorder="little").tobytes())
-        return
-    # Lines of _ASCII_LINE_BITS characters, the last possibly shorter,
-    # each ending in a newline.
-    chars = bits + np.uint8(ord("0"))
-    n_full = bits.size // _ASCII_LINE_BITS
-    full = np.full((n_full, _ASCII_LINE_BITS + 1), ord("\n"), dtype=np.uint8)
-    full[:, :-1] = chars[: n_full * _ASCII_LINE_BITS].reshape(n_full, _ASCII_LINE_BITS)
-    tail = chars[n_full * _ASCII_LINE_BITS :]
     with open(path, "wb") as fh:
-        fh.write(full)
-        if tail.size:
-            fh.write(tail)
-            fh.write(b"\n")
+        fh.write(_encode(bits, fmt))
 
 
 def read_bits(path: str) -> np.ndarray:
@@ -104,7 +132,7 @@ def read_bits(path: str) -> np.ndarray:
                 f"file holds {bits.size} bits but metadata claims {meta.n_bits}"
             )
         bits = bits[: meta.n_bits]
-    return bits.astype(np.uint8)
+    return bits
 
 
 def write_metadata(path: str, meta: StreamMetadata) -> None:
@@ -129,8 +157,7 @@ def read_metadata(path: str) -> StreamMetadata | None:
     missing = known - set(payload)
     if missing:
         raise ValueError(f"missing metadata keys: {sorted(missing)}")
-    if payload["format"] not in _FORMATS:
-        raise ValueError(f"unknown bitstream format {payload['format']!r}")
+    _check_format(payload["format"])
     n_bits = payload["n_bits"]
     if isinstance(n_bits, bool) or not isinstance(n_bits, int) or n_bits < 0:
         raise ValueError(f"metadata n_bits must be a non-negative integer, got {n_bits!r}")
@@ -148,6 +175,48 @@ def save_stream(stream: BitStream, path: str, fmt: str = FORMAT_PACKED) -> Strea
         seed=stream.seed,
         simulated_time_ns=stream.simulated_time_ns,
         energy_pj=stream.energy_pj,
+    )
+    write_metadata(path, meta)
+    return meta
+
+
+def write_generated(
+    gen: BitGenerator, n_bits: int, path: str, fmt: str = FORMAT_PACKED
+) -> StreamMetadata:
+    """Write gen's next n_bits to path as they are made, then the sidecar.
+
+    The file and sidecar equal those save_stream writes for one
+    gen.generate(n_bits) call; the simulated time and energy are that
+    call's, not a sum over chunks.  An output that the path's disk
+    cannot hold raises OSError (ENOSPC) before anything is written; a
+    write that fails partway removes the partial file and writes no
+    sidecar.
+    """
+    _check_format(fmt)
+    if n_bits < 1:
+        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+    need = _encoded_size(n_bits, fmt)
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    if need > free:
+        raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free")
+    simulated_time_ns, energy_pj = gen.accounting(n_bits)
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for start in range(0, n_bits, CHUNK_BITS):
+                chunk = gen.generate(min(CHUNK_BITS, n_bits - start))
+                fh.write(_encode(chunk.bits, fmt))
+    except BaseException:
+        os.remove(path)
+        raise
+    meta = StreamMetadata(
+        format=fmt,
+        n_bits=n_bits,
+        variant=chunk.variant,
+        lanes=chunk.lanes,
+        seed=chunk.seed,
+        simulated_time_ns=simulated_time_ns,
+        energy_pj=energy_pj,
     )
     write_metadata(path, meta)
     return meta

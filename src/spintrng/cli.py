@@ -6,7 +6,8 @@ file), analyze (closed-form chain predictions for flip-probability
 grids), sweep (voltage/temperature/process CSV tables), and bench
 (option-pricing backend comparison).
 
-Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+Exit codes: 0 success, 1 usage or config error or an output that
+cannot be written, 2 runtime failure.
 The argparse parser is the one schema of the options: each option's
 default lives in its add_argument call.  A JSON config file (--config
 or the SPINTRNG_CONFIG environment variable) replaces those defaults
@@ -32,10 +33,10 @@ from . import bitio
 from .device import DeviceParams, Environment
 from .entropy import entropy_report
 from .generator import (
+    BitGenerator,
     GeneratorConfig,
     Variant,
     cost_report,
-    generate_bitstream,
     throughput_report,
 )
 from .markov import (
@@ -225,17 +226,18 @@ def _cmd_generate(opts: dict, config: dict) -> None:
     if n_bits < 1:
         raise UsageError(f"--bits must be >= 1, got {n_bits}")
 
-    stream = generate_bitstream(
-        gen_config, env=env, n_bits=n_bits, seed=seed, params=params
-    )
-    bitio.save_stream(stream, opts["out"], opts["format"])
+    gen = BitGenerator(gen_config, env=env, params=params, seed=seed)
+    try:
+        meta = bitio.write_generated(gen, n_bits, opts["out"], opts["format"])
+    except OSError as exc:
+        raise UsageError(f"cannot write {opts['out']}: {exc.strerror or exc}") from exc
     rate = throughput_report(gen_config)
     cost = cost_report(gen_config)
-    print(f"wrote {opts['out']} ({stream.n_bits} bits, {opts['format']})")
-    print(f"variant={stream.variant} lanes={stream.lanes} seed={seed}")
+    print(f"wrote {opts['out']} ({meta.n_bits} bits, {opts['format']})")
+    print(f"variant={meta.variant} lanes={meta.lanes} seed={seed}")
     print(
-        f"simulated_time_ns={stream.simulated_time_ns:.6g} "
-        f"energy_pj={stream.energy_pj:.6g}"
+        f"simulated_time_ns={meta.simulated_time_ns:.6g} "
+        f"energy_pj={meta.energy_pj:.6g}"
     )
     print(
         f"rate_mbps={rate.mbps_aggregate:.6g} "

@@ -22,7 +22,9 @@ continues the same chains.  A request that rhs-parallel's
 lane count does not divide still runs whole cycles; the generator
 keeps the unused lanes of the last cycle and emits them first on the
 next call, so any split of a request into calls yields the bits of one
-call.
+call.  The CLI relies on this: it writes a request in fixed chunks
+(bitio.write_generated), and the output file holds the bits of one
+call for the whole request.
 
 Timing, energy and area are the paper's fixed design figures, held
 as module constants: a feedback cycle is precharge, read and the
@@ -259,6 +261,20 @@ class BitGenerator:
             return (u >= unit.p2).astype(np.uint8)
         return _chain_states(u, unit.p1, unit.p2, unit.state)
 
+    def _n_cycles(self, n_bits: int) -> int:
+        """Cycles a generate(n_bits) call made now runs, after the
+        carried lanes."""
+        return -(-max(n_bits - self._carried.size, 0) // self.config.bits_per_cycle)
+
+    def accounting(self, n_bits: int) -> tuple[float, float]:
+        """(simulated_time_ns, energy_pj) that a generate(n_bits) call
+        made now reports."""
+        config = self.config
+        return (
+            self._n_cycles(n_bits) * _cycle_ns(config.variant),
+            n_bits * cost_report(config).energy_pj_per_bit,
+        )
+
     def generate(self, n_bits: int) -> BitStream:
         """Produce n_bits as a BitStream (vectorized).
 
@@ -270,8 +286,9 @@ class BitGenerator:
         config = self.config
         if n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+        simulated_time_ns, energy_pj = self.accounting(n_bits)
         carried = self._carried
-        n_cycles = -(-max(n_bits - carried.size, 0) // config.bits_per_cycle)
+        n_cycles = self._n_cycles(n_bits)
         states = [self._unit_states(unit, n_cycles) for unit in self.units]
 
         if len(states) == 1:
@@ -299,8 +316,8 @@ class BitGenerator:
             variant=config.variant.value,
             lanes=config.bits_per_cycle,
             seed=self.seed_entropy,
-            simulated_time_ns=n_cycles * _cycle_ns(config.variant),
-            energy_pj=n_bits * cost_report(config).energy_pj_per_bit,
+            simulated_time_ns=simulated_time_ns,
+            energy_pj=energy_pj,
         )
 
 

@@ -1,12 +1,16 @@
 """Bitstream file formats and metadata sidecars."""
 
+import errno
 import json
+import shutil
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spintrng import bitio
-from spintrng.generator import GeneratorConfig, Variant, generate_bitstream
+from spintrng.generator import BitGenerator, GeneratorConfig, Variant, generate_bitstream
 
 
 @pytest.fixture
@@ -46,6 +50,22 @@ class TestPacked:
         write_with_sidecar(path, bits, bitio.FORMAT_PACKED, len(bits) + 100)
         with pytest.raises(ValueError):
             bitio.read_bits(path)
+
+    def test_read_makes_no_copy_of_the_bits(self, tmp_path):
+        # 10^7 bits unpack to 10 MB; the 1.25 MB file read comes on top
+        n_bits = 10_000_000
+        path = str(tmp_path / "s.bin")
+        raw = np.random.default_rng(4).integers(0, 256, size=n_bits // 8, dtype=np.uint8)
+        (tmp_path / "s.bin").write_bytes(raw.tobytes())
+        bitio.write_metadata(path, bitio.StreamMetadata("packed", n_bits, "rhs-trng", 1, 0, 0.0, 0.0))
+        tracemalloc.start()
+        try:
+            bits = bitio.read_bits(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bits.dtype == np.uint8 and bits.size == n_bits
+        assert peak <= 12 * 2**20
 
 
 class TestAscii:
@@ -138,6 +158,56 @@ class TestSaveStream:
         meta = bitio.save_stream(stream, str(tmp_path / "s.bin"))
         assert meta.simulated_time_ns == pytest.approx(3300.0)
         assert meta.energy_pj == pytest.approx(5300.0)
+
+
+VARIANT_LANES = [
+    (Variant.CONV_AP_TO_P, 1),
+    (Variant.CONV_P_TO_AP, 1),
+    (Variant.RHS_SINGLE, 1),
+    (Variant.RHS_TRNG, 1),
+    (Variant.RHS_PARALLEL, 3),
+]
+
+
+class TestWriteGenerated:
+    def test_chunk_ends_on_a_byte_and_an_ascii_line(self):
+        assert bitio.CHUNK_BITS % 64 == 0
+
+    # 5,003 bits end mid-byte and mid-line; no chunk size below is a
+    # multiple of rhs-parallel's 3 lanes, so lanes carry between chunks.
+    @pytest.mark.parametrize("chunk_bits", [64, 320, 4096, 8192])
+    @pytest.mark.parametrize("fmt", [bitio.FORMAT_PACKED, bitio.FORMAT_ASCII])
+    @pytest.mark.parametrize("variant,lanes", VARIANT_LANES)
+    def test_chunked_file_equals_one_shot(self, tmp_path, monkeypatch, variant, lanes, fmt, chunk_bits):
+        config = GeneratorConfig(variant=variant, lanes=lanes)
+        one_shot = str(tmp_path / "one.dat")
+        chunked = str(tmp_path / "chunked.dat")
+        bitio.save_stream(BitGenerator(config, seed=21).generate(5_003), one_shot, fmt)
+        monkeypatch.setattr(bitio, "CHUNK_BITS", chunk_bits)
+        bitio.write_generated(BitGenerator(config, seed=21), 5_003, chunked, fmt)
+        for suffix in ("", ".json"):
+            with open(chunked + suffix, "rb") as a, open(one_shot + suffix, "rb") as b:
+                assert a.read() == b.read()
+
+    def test_sidecar_totals_are_not_summed_over_chunks(self, tmp_path):
+        # 10^7 rhs-trng bits in 2^18-bit chunks would sum to 32999999.999999978 ns
+        gen = BitGenerator(GeneratorConfig(variant=Variant.RHS_TRNG), seed=1)
+        meta = bitio.write_generated(gen, 10_000_000, str(tmp_path / "s.bin"))
+        assert meta.simulated_time_ns == 33_000_000.0
+        assert meta == bitio.read_metadata(str(tmp_path / "s.bin"))
+
+    @pytest.mark.parametrize("fmt,size", [(bitio.FORMAT_PACKED, 626), (bitio.FORMAT_ASCII, 5_082)])
+    def test_output_must_fit_on_its_disk(self, tmp_path, monkeypatch, fmt, size):
+        path = tmp_path / "s.dat"
+        gen = BitGenerator(GeneratorConfig(), seed=2)
+        monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=size - 1))
+        with pytest.raises(OSError) as info:
+            bitio.write_generated(gen, 5_003, str(path), fmt)
+        assert info.value.errno == errno.ENOSPC
+        assert not path.exists()
+        monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=size))
+        bitio.write_generated(gen, 5_003, str(path), fmt)
+        assert path.stat().st_size == size
 
 
 class TestValidation:

@@ -5,14 +5,17 @@ commands that start without scipy."""
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from spintrng import cli
+from spintrng.generator import BitGenerator, GeneratorConfig
 from spintrng.sweeps import Axis, run_sweep, spec_for_axis
 
 
@@ -182,11 +185,148 @@ def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("simulated fault")
 
-    monkeypatch.setattr(cli, "generate_bitstream", fail)
+    monkeypatch.setattr(cli.BitGenerator, "generate", fail)
     code = cli.main(["generate", "--bits", "100", "--out", str(tmp_path / "s.bin")])
     _, err = capsys.readouterr()
     assert code == 2
     assert "spintrng: runtime error: simulated fault" in err
+    assert not (tmp_path / "s.bin").exists()
+
+
+def test_output_larger_than_the_free_disk_exits_one(tmp_path, capsys, monkeypatch):
+    # 10^13 bits would fill the disk long before the run ended.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=1000))
+    code = cli.main(["generate", "--bits", "10000000000000", "--seed", "1", "--out", "s.bin"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "spintrng: error: cannot write s.bin: needs 1250000000000 bytes, its disk has 1000 free\n"
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+def _cli_env() -> dict:
+    """Environment for a fresh interpreter that imports this spintrng."""
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    env.pop(cli.CONFIG_ENV_VAR, None)
+    return env
+
+
+def test_failed_write_removes_the_partial_file_and_exits_one(tmp_path):
+    # The file size limit makes a real write fail partway, with EFBIG.
+    script = """
+import resource, sys
+from spintrng import cli
+resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+sys.exit(cli.main(["generate", "--bits", "2000000", "--seed", "1", "--out", "s.bin"]))
+"""
+    run = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, env=_cli_env(), capture_output=True, text=True
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == "spintrng: error: cannot write s.bin: File too large\n"
+    assert sorted(os.listdir(tmp_path)) == []
+
+
+# Starts the CLI with the given arguments and prints its exit code and
+# peak RSS in KiB from os.wait4.  A child's ru_maxrss also counts the
+# peak RSS of the process that started it (the kernel carries it across
+# exec), so a small launcher starts the CLI, not the test process.
+_MEASURE_CLI = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, "-m", "spintrng.cli", *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def test_generate_streams_in_flat_memory(tmp_path):
+    # Held at once, 10^8 rhs-trng bits would take about 1.6 GB.
+    argv = ["generate", "--bits", "100000000", "--seed", "3", "--out", "s.bin"]
+    run = subprocess.run(
+        [sys.executable, "-c", _MEASURE_CLI, *argv],
+        cwd=tmp_path, env=_cli_env(), capture_output=True, text=True,
+    )
+    code, peak_kib = map(int, run.stdout.split())
+    assert code == 0, run.stderr
+    gen = BitGenerator(GeneratorConfig(), seed=3)
+    digest = hashlib.sha256()
+    for _ in range(10):
+        digest.update(np.packbits(gen.generate(10_000_000).bits, bitorder="little"))
+    assert hashlib.sha256((tmp_path / "s.bin").read_bytes()).hexdigest() == digest.hexdigest()
+    assert peak_kib < 128 * 1024
+
+
+# sha256 of stdout, sidecar and file, recorded before generate wrote in
+# chunks: 600,001 bits span three chunks and end mid-byte and mid-line,
+# and rhs-parallel's 3 lanes do not divide a chunk.
+_PINNED_GENERATE = {
+    ("conv-ap2p", "packed"): (
+        "c34548c3930a552664e2a6936dc2248686f79e43e98c96195eebbf6042a627df",
+        "3195d93217c2f363f3ba091b5699931ad06a1284aa704dddab09ef239ae14a51",
+        "ef1e1072337d8ad163ee0dc189a99b9daa8f03e7317cb34bb32d5b20bf14b6ec",
+    ),
+    ("conv-ap2p", "ascii"): (
+        "12bb3e9917270082079652a375e18b180e1607b2a9a0697b821662bffbc63828",
+        "ea506d305a611de6bdcb5fe12af3c34232ef64ed2a1d0c6f05c24f5a16e64d38",
+        "e349709c0eea9d9fd27db7ed208f20617a91888589fecb7da499bc70e3bdacd0",
+    ),
+    ("conv-p2ap", "packed"): (
+        "e9b854035a1722abf978885c00c9720eeb5332e5f02ff3c43489f50b817d9dec",
+        "00e1e2b019205aa5bf9bbea288fe0520b35a3f6833fca89f5756824ca86c4c55",
+        "036c34f1293fad537f135e307503ed7ab51a9beeb7f9934d27325ab2edaaf587",
+    ),
+    ("conv-p2ap", "ascii"): (
+        "6e0672b9911c5dcd0ca006408384f020ac4ddd619fd5453c38ee96f4e562697e",
+        "5087a53c75553655fb422c0467539eb267362189a90668334e7068a16f4577ee",
+        "0f462c833bc2987bbd93ccf064c6d23a61bfbec00219e1275de7a802dad591e0",
+    ),
+    ("rhs-single", "packed"): (
+        "523662093e8be35d2620ba8124075de590bf7409a7547d1df97a109dd4d90dce",
+        "87bf31c82cfad76b964fafbac9db60c2d8e66f73dc479ed1e7d2dfddec5bbcbc",
+        "2f0e7ce7b48e41eb573122f22d2505992e622e96ecf5b2039086505c44df8a50",
+    ),
+    ("rhs-single", "ascii"): (
+        "b3070e2bac075bc314ffa6f080c0cc797e9cd28cae6697c3215a04d8eee348bd",
+        "a86639fdd65bddcab74720939e2c47fc6ab27bcbe24b1c50059cd2d3b43cc16d",
+        "c2eaaed31dabc1b210150237993907399144d616521ff118bea6c0888e07f98a",
+    ),
+    ("rhs-trng", "packed"): (
+        "5a9248882b6ab75b2ba2d652e94bb5fa85e14103137085c244ef93fdba76517f",
+        "c85ec77170ec497ba1677748728796381f4152e5dd7346d697dd20a05bcfc04c",
+        "198cd1e7e6b20e756f125f46d7324dad561e0ea225fd9a81d36298f6d2c8d0b5",
+    ),
+    ("rhs-trng", "ascii"): (
+        "d17ca245e3091bc233fd52e027c858faec8113577caaa8ce7a1a635b9ab65a21",
+        "105a787c7eddc38d139cc07eb7c1820ff55c0693b7d3b79b1731ec0c9497be12",
+        "9b624876f8d8573a887f69728911c6687c44bf7dac9595351a66996a3e9ebd82",
+    ),
+    ("rhs-parallel", "packed"): (
+        "767c148f8ba4b15934dd53ed411a4141a5836c6d2efaa71400e72e12b8315850",
+        "633c187ce6cc200a65423de5dc7c623f9cc5c31ae720f5a10f6d50c6cda9a2ee",
+        "65ce49ca95648d26db35f40e5e9b49f04cdd43c3ad8542870bbadf184a8d58ab",
+    ),
+    ("rhs-parallel", "ascii"): (
+        "89623b7039153d9a2938f3b2719abf45e127be87da9215e470b5f882dc48ef19",
+        "0de73ef8ec5e70bd43be6c6b33b04177628231134e17d1420af548d460bf79bf",
+        "0f52b2cb3efbf7a63cec07604fb048514da3beb749a5d7455f8d9f771da59cb9",
+    ),
+}
+
+
+@pytest.mark.parametrize("variant,fmt", list(_PINNED_GENERATE))
+def test_generate_command_output_is_pinned(tmp_path, capsys, monkeypatch, variant, fmt):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "--variant", variant, "--bits", "600001", "--seed", "13"]
+    argv += ["--format", fmt, "--out", "s.out", "--lanes", "3"]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    got = [out.encode(), (tmp_path / "s.out.json").read_bytes(), (tmp_path / "s.out").read_bytes()]
+    assert [hashlib.sha256(b).hexdigest() for b in got] == list(_PINNED_GENERATE[variant, fmt])
 
 
 def test_generate_analyze_and_sweep_never_load_scipy(tmp_path):
@@ -204,11 +344,8 @@ assert "scipy" not in sys.modules, "sweep"
 assert cli.main(["bench", "--paths", "100"]) == 0
 assert "scipy" not in sys.modules, "bench"
 """
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    env.pop(cli.CONFIG_ENV_VAR, None)
     run = subprocess.run(
-        [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True
+        [sys.executable, "-c", script], cwd=tmp_path, env=_cli_env(), capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
 
