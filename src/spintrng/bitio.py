@@ -39,6 +39,15 @@ _FORMATS = (FORMAT_PACKED, FORMAT_ASCII)
 
 _ASCII_LINE_BITS = 64
 
+# Byte classes of an ascii file: the bit characters, the whitespace a
+# file without a sidecar may hold, the rest of str.split's ASCII
+# whitespace, and everything else.
+_BIT, _SNIFF_SPACE, _SPACE, _BAD = range(4)
+_ASCII_CLASS = np.full(256, _BAD, dtype=np.uint8)
+_ASCII_CLASS[[c for c in range(128) if chr(c).isspace()]] = _SPACE
+_ASCII_CLASS[list(b" \t\r\n")] = _SNIFF_SPACE
+_ASCII_CLASS[list(b"01")] = _BIT
+
 # Bits per generate call in write_generated.  A multiple of 64, so every
 # chunk but the last ends on a byte and on an ascii line, and the
 # chunks' encodings join into the encoding of the whole request.  At
@@ -106,25 +115,27 @@ def read_bits(path: str) -> np.ndarray:
 
     The sidecar, when present, gives the format and the bit count that
     trims packed padding.  Without one the content is sniffed: a file
-    made only of 0/1/whitespace bytes is read as ascii, anything else
-    as packed, all 8 bits of every byte.
+    made only of 0, 1, space, tab, CR and LF bytes is read as ascii,
+    anything else as packed, all 8 bits of every byte.
     """
     meta = read_metadata(path)
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if meta is not None:
-        fmt = meta.format
-    else:
-        fmt = FORMAT_ASCII if raw and not set(raw) - set(b"01 \t\r\n") else FORMAT_PACKED
+        data = np.frombuffer(fh.read(), dtype=np.uint8)
+    fmt = meta.format if meta is not None else None
+    if fmt != FORMAT_PACKED:
+        classes = _ASCII_CLASS[data]
+        top = classes.max(initial=_BIT)
+        if fmt is None:
+            fmt = FORMAT_ASCII if data.size and top <= _SNIFF_SPACE else FORMAT_PACKED
     if fmt == FORMAT_ASCII:
-        text = raw.decode("ascii")
-        stripped = "".join(text.split())
-        bad = set(stripped) - {"0", "1"}
-        if bad:
-            raise ValueError(f"ascii bitstream contains non-bit characters: {sorted(bad)}")
-        bits = np.frombuffer(stripped.encode("ascii"), dtype=np.uint8) - ord("0")
+        if top == _BAD:
+            bad = [chr(c) for c in np.unique(data[classes == _BAD])]
+            raise ValueError(f"ascii bitstream contains non-bit characters: {bad}")
+        # The bit mask overwrites classes, so the text is held twice at most.
+        bits = data[np.equal(classes, _BIT, out=classes.view(bool))]
+        bits -= ord("0")
     else:
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+        bits = np.unpackbits(data, bitorder="little")
 
     if meta is not None:
         if meta.n_bits > bits.size:

@@ -18,6 +18,7 @@ parameters through first-order physical dependencies.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 from enum import IntEnum
@@ -317,12 +318,14 @@ def calibrate_pulse(
     )
 
 
-def calibrated_pulses(
-    device: DeviceInstance, env: Environment
-) -> dict[SwitchDirection, WritePulse]:
-    """Calibrate both polarities to the design's operating point:
-    PULSE_WIDTH_NS wide, switching with probability CALIBRATION_TARGET."""
-    return {
-        direction: calibrate_pulse(direction, CALIBRATION_TARGET, PULSE_WIDTH_NS, device, env)
+@functools.lru_cache
+def calibrated_pulses(params: DeviceParams) -> tuple[WritePulse, ...]:
+    """The design's write pulses for params, indexed by SwitchDirection:
+    each polarity calibrated on the nominal device at Environment() to
+    switch with probability CALIBRATION_TARGET in PULSE_WIDTH_NS.
+    Cached, so generators of equal params share one immutable tuple."""
+    nominal = sample_device(params, process_variation=False)
+    return tuple(
+        calibrate_pulse(direction, CALIBRATION_TARGET, PULSE_WIDTH_NS, nominal, Environment())
         for direction in SwitchDirection
-    }
+    )

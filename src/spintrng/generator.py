@@ -161,7 +161,7 @@ class _Unit:
         self,
         device: DeviceInstance,
         rng: np.random.Generator,
-        pulses: dict[SwitchDirection, WritePulse] | None,
+        pulses: tuple[WritePulse, ...] | None,
         env: Environment,
         override: tuple[float, float] | None,
     ) -> None:
@@ -203,10 +203,12 @@ def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
 class BitGenerator:
     """Stateful driver for one configured TRNG instance.
 
-    Pulses are calibrated once on the nominal device at reference
-    conditions and then held fixed; the run environment and the unit
-    devices shift the realized flip probabilities, which is the
-    disturbance mechanism the sweeps measure.
+    The write pulses are calibrated_pulses(params): calibrated on the
+    nominal device of the generator's params at reference conditions,
+    whatever devices the units are given, and then held fixed.  The
+    run environment and the unit devices shift the realized flip
+    probabilities, which is the disturbance mechanism the sweeps
+    measure.
     """
 
     def __init__(
@@ -216,7 +218,6 @@ class BitGenerator:
         params: DeviceParams | None = None,
         seed=None,
         devices: list[DeviceInstance] | None = None,
-        pulses: dict[SwitchDirection, WritePulse] | None = None,
     ) -> None:
         self.config = config
         self.env = env if env is not None else Environment()
@@ -236,11 +237,7 @@ class BitGenerator:
                 f"{config.variant.value} needs {config.n_units} devices, got {len(devices)}"
             )
 
-        if config.flip_prob_override is not None:
-            pulses = None
-        elif pulses is None:
-            reference = sample_device(self.params, process_variation=False)
-            pulses = calibrated_pulses(reference, Environment())
+        pulses = calibrated_pulses(self.params) if config.flip_prob_override is None else None
 
         self.units = [
             _Unit(dev, np.random.default_rng(ss), pulses, self.env, config.flip_prob_override)

@@ -1,24 +1,25 @@
 """Voltage, temperature, and process-variation experiment harness.
 
-run_sweep is the one entry point.  Each sweep point runs every variant
-of SWEEP_VARIANTS through BitGenerator, with the write pulses
-calibrated at reference conditions, then measures the output
-statistics under the disturbed environment (the fixed grids
-VOLTAGE_POINTS and TEMPERATURE_POINTS) or device sample.  Rows also
-log the model flip probabilities realized at that point so a sweep can
-be explained without re-simulation.
+run_sweep is the one entry point.  Every sweep is a list of cells, one
+variant of SWEEP_VARIANTS on one environment and set of devices, each
+run by _cell through BitGenerator with the write pulses calibrated at
+reference conditions.  The voltage and temperature sweeps run nominal
+devices at every point of VOLTAGE_POINTS or TEMPERATURE_POINTS; the
+process study runs sampled device sets at reference conditions.  They
+differ only in their cell lists and in how they aggregate each cell's
+count of ones and first-unit flip probabilities, which the rows log so
+a sweep can be explained without re-simulation.
 
-Seeding is fully keyed: every (axis, variant, point) cell seeds its
-own generator, which spawns one substream per unit, and a variant's
-key is its index in SWEEP_VARIANTS.  Results are therefore
-byte-identical regardless of --jobs scheduling, and any single point
-can be reproduced in isolation.
+Seeding is fully keyed: every cell seeds its own generator, which
+spawns one substream per unit, and a variant's key is its index in
+SWEEP_VARIANTS.  Results are therefore byte-identical regardless of
+--jobs scheduling, and any single cell can be reproduced in
+isolation.
 """
 
 from __future__ import annotations
 
 import io
-import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -26,7 +27,7 @@ from enum import Enum
 import numpy as np
 from numpy.random import SeedSequence
 
-from spintrng.device import DeviceParams, Environment, calibrated_pulses, sample_device
+from spintrng.device import DeviceParams, Environment, sample_device
 from spintrng.entropy import binary_min_entropy, binary_shannon_entropy
 from spintrng.generator import BitGenerator, GeneratorConfig, Variant
 
@@ -140,101 +141,84 @@ def _row(
     )
 
 
-def _env_point_row(args) -> SweepRow:
-    """One (variant, environment point) cell of a voltage/temperature sweep.
+def _cell(task) -> tuple[int, float, float]:
+    """One sweep cell: the count of ones in n_bits of variant's output,
+    and the (p1, p2) of its first unit.  devices of None means nominal
+    devices."""
+    variant, env, params, key, devices, n_bits = task
+    config = GeneratorConfig(variant=variant)
+    gen = BitGenerator(config, env=env, params=params, seed=SeedSequence(key), devices=devices)
+    ones = int(np.count_nonzero(gen.generate(n_bits).bits))
+    return (ones, *gen.realized_flip_probs()[0])
 
-    The generator's own calibration (nominal device, reference
-    conditions) is the sweep's, so only the run environment moves the
-    realized flip probabilities.
+
+def _run_cells(tasks: list, jobs: int) -> list[tuple[int, float, float]]:
+    """_cell of every task, in task order, on jobs worker processes.
+
+    The tasks go out in about four chunks per worker, so the process
+    study's many short cells do not each cost a round trip.
     """
-    spec, tag, variant, point_idx, value = args
-    if spec.axis is Axis.VOLTAGE:
-        env = Environment(v_variation_rate=value)
-    else:
-        env = Environment(temperature_k=value)
-    key = [spec.seed, tag + SWEEP_VARIANTS.index(variant), point_idx]
-    gen = BitGenerator(
-        GeneratorConfig(variant=variant), env=env, params=spec.params, seed=SeedSequence(key)
-    )
-    bits = gen.generate(spec.bits_per_point).bits
-    p_one = float(np.count_nonzero(bits)) / bits.size
-    return _row(spec, variant, value, p_one, *gen.realized_flip_probs()[0])
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(_cell, tasks, chunksize=-(-len(tasks) // (4 * jobs))))
+    return [_cell(t) for t in tasks]
 
 
 def _run_env_sweep(spec: SweepSpec, jobs: int) -> SweepReport:
     """Entropy of each variant at every point of the axis's grid."""
     if spec.axis is Axis.VOLTAGE:
-        tag, points = _TAG_VOLTAGE, VOLTAGE_POINTS
+        tag, points, setting = _TAG_VOLTAGE, VOLTAGE_POINTS, "v_variation_rate"
     else:
-        tag, points = _TAG_TEMPERATURE, TEMPERATURE_POINTS
+        tag, points, setting = _TAG_TEMPERATURE, TEMPERATURE_POINTS, "temperature_k"
     tasks = [
-        (spec, tag, variant, point_idx, value)
-        for variant in SWEEP_VARIANTS
-        for point_idx, value in enumerate(points)
+        (variant, Environment(**{setting: value}), spec.params, [spec.seed, tag + vi, i], None,
+         spec.bits_per_point)
+        for vi, variant in enumerate(SWEEP_VARIANTS)
+        for i, value in enumerate(points)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_env_point_row, tasks))
-    else:
-        rows = [_env_point_row(t) for t in tasks]
+    rows = [
+        _row(spec, variant, getattr(env, setting), ones / spec.bits_per_point, p1, p2)
+        for (variant, env, *_), (ones, p1, p2) in zip(tasks, _run_cells(tasks, jobs))
+    ]
     rows.sort(key=lambda r: (r.variant, r.value))
     return SweepReport(spec=spec, rows=tuple(rows))
-
-
-def _process_device(args) -> tuple[float, float, dict]:
-    """One device set of the process study: (p1, p2) of its first cell
-    and the count of ones each variant produced from it."""
-    spec, pulses, per_dev, i = args
-    cells = [
-        sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, unit]))
-        for unit in range(2)
-    ]
-    ones = {}
-    for vi, variant in enumerate(SWEEP_VARIANTS):
-        config = GeneratorConfig(variant=variant)
-        gen = BitGenerator(
-            config,
-            params=spec.params,
-            seed=SeedSequence([spec.seed, _TAG_PROCESS + vi, i]),
-            devices=cells[: config.n_units],
-            pulses=pulses,
-        )
-        ones[variant] = int(np.count_nonzero(gen.generate(per_dev).bits))
-    p1a, p2a = gen.realized_flip_probs()[0]
-    return p1a, p2a, ones
 
 
 def _run_process_study(spec: SweepSpec, jobs: int) -> SweepReport:
     """Aggregate entropy per variant over a population of device sets.
 
-    Device i's two cells are drawn from keys (seed, 100, i, unit); the
+    The device sets are sampled here, and each (device set, variant)
+    pair is one task.  Device i's two cells are drawn from keys (seed, 100, i, unit); the
     generator for variant v is seeded with (seed, 200 + v, i), v being
     the variant's index in SWEEP_VARIANTS, and starts those cells in P,
     as sampled.  All variants therefore see the same device
     population, which makes the cross-variant entropy ordering a paired
     comparison.  The reported row value column holds n_samples.
     """
-    nominal = sample_device(spec.params, process_variation=False)
-    pulses = calibrated_pulses(nominal, Environment())
     per_dev = spec.bits_per_point // spec.n_samples
+    tasks = []
+    for i in range(spec.n_samples):
+        devices = [
+            sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, unit]))
+            for unit in range(2)
+        ]
+        for vi, variant in enumerate(SWEEP_VARIANTS):
+            n_units = GeneratorConfig(variant=variant).n_units
+            key = [spec.seed, _TAG_PROCESS + vi, i]
+            tasks.append((variant, Environment(), spec.params, key, devices[:n_units], per_dev))
 
-    tasks = [(spec, pulses, per_dev, i) for i in range(spec.n_samples)]
-    if jobs > 1:
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=jobs, mp_context=context) as pool:
-            devices = list(pool.map(_process_device, tasks))
-    else:
-        devices = [_process_device(t) for t in tasks]
-
-    # Summed in device order, so the floats do not depend on jobs.
-    ones = {v: 0 for v in SWEEP_VARIANTS}
+    # Summed in device order, so the floats do not depend on jobs.  Every
+    # variant's first unit is the device set's first cell, so one (p1, p2)
+    # per device set.
+    ones = [0] * len(SWEEP_VARIANTS)
     p1_sum = 0.0
     p2_sum = 0.0
-    for p1a, p2a, dev_ones in devices:
-        p1_sum += p1a
-        p2_sum += p2a
-        for variant, count in dev_ones.items():
-            ones[variant] += count
+    for k, (count, p1, p2) in enumerate(_run_cells(tasks, jobs)):
+        vi = k % len(SWEEP_VARIANTS)
+        ones[vi] += count
+        if vi == 0:
+            p1_sum += p1
+            p2_sum += p2
 
     total = spec.n_samples * per_dev
     rows = [
@@ -242,11 +226,11 @@ def _run_process_study(spec: SweepSpec, jobs: int) -> SweepReport:
             spec,
             variant,
             float(spec.n_samples),
-            ones[variant] / total,
+            ones[vi] / total,
             p1_sum / spec.n_samples,
             p2_sum / spec.n_samples,
         )
-        for variant in SWEEP_VARIANTS
+        for vi, variant in enumerate(SWEEP_VARIANTS)
     ]
     return SweepReport(spec=spec, rows=tuple(rows))
 

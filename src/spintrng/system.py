@@ -96,40 +96,32 @@ class FairBitSource:
 
     The bits are the top bit of each byte of the seeded PCG64's raw
     64-bit words, the bytes read little-endian.  They equal the bits
-    of default_rng(seed).integers(0, 2, dtype=np.uint8) drawn in blocks
-    of 2^16: numpy reads each uint8 draw's result from the top bit of
-    one byte of those words, and the source only ever draws whole
-    blocks of 8,192 words, so the generator never holds part of a word
-    between takes.
+    of default_rng(seed).integers(0, 2, dtype=np.uint8) drawn in sizes
+    that are multiples of 8, such as blocks of 2^16: numpy reads each
+    uint8 draw's result from the top bit of one byte of those words.
+    A take draws only the whole words it needs and buffers the fewer
+    than 8 bits of the last word that it does not return.
 
     take(a) followed by take(b) returns the same bits as one take(a+b)
     split in two, so batched and sequential consumers agree exactly.
     """
 
-    _BLOCK = 1 << 16
-    _WORDS_PER_BLOCK = _BLOCK // 8
-
     def __init__(self, seed=None) -> None:
         self._rng = default_rng(seed)
         self._buffer = np.empty(0, dtype=np.uint8)
-        self._pos = 0
 
     def take(self, n_bits: int) -> np.ndarray:
         if n_bits < 0:
             raise ValueError("n_bits must be >= 0")
-        head = self._buffer[self._pos : self._pos + n_bits]
-        self._pos += head.size
+        head, self._buffer = self._buffer[:n_bits], self._buffer[n_bits:]
         short = n_bits - head.size
         if short == 0:
             return head
-        n_blocks = -(-short // self._BLOCK)
-        words = self._rng.bit_generator.random_raw(n_blocks * self._WORDS_PER_BLOCK)
+        words = self._rng.bit_generator.random_raw(-(-short // 8))
         fresh = words.astype("<u8", copy=False).view(np.uint8)
         fresh >>= 7
-        # Keep a copy of only the last block, the one the next take
-        # continues; a view would keep every fresh block alive.
-        self._buffer = fresh[-self._BLOCK :].copy()
-        self._pos = short - (n_blocks - 1) * self._BLOCK
+        # Copy the leftover bits; a view would keep the whole draw alive.
+        self._buffer = fresh[short:].copy()
         if head.size == 0:
             return fresh[:n_bits]
         return np.concatenate([head, fresh[:short]])

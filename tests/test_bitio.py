@@ -2,6 +2,7 @@
 
 import errno
 import json
+import re
 import shutil
 import tracemalloc
 from types import SimpleNamespace
@@ -67,7 +68,6 @@ class TestPacked:
         assert bits.dtype == np.uint8 and bits.size == n_bits
         assert peak <= 12 * 2**20
 
-
 class TestAscii:
     def test_round_trip(self, tmp_path, bits):
         path = str(tmp_path / "s.txt")
@@ -95,6 +95,41 @@ class TestAscii:
         path = str(tmp_path / "plain.txt")
         bitio.write_bits(path, bits, bitio.FORMAT_ASCII)
         np.testing.assert_array_equal(bitio.read_bits(path), bits)
+
+    def test_any_ascii_whitespace_is_skipped(self, tmp_path):
+        # str.split's whitespace, including the separators \x1c-\x1f;
+        # without a sidecar only space, tab, CR and LF mark a file ascii
+        path = tmp_path / "s.txt"
+        path.write_bytes(b" 0\t1\r\n1\x0b0\x0c1\x1c0\x1d0\x1e1\x1f")
+        bitio.write_metadata(str(path), bitio.StreamMetadata("ascii", 8, "rhs-trng", 1, 0, 0.0, 0.0))
+        assert bitio.read_bits(str(path)).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
+        (tmp_path / "s.txt.json").unlink()
+        assert bitio.read_bits(str(path)).size == 8 * len(path.read_bytes())
+
+    @pytest.mark.parametrize("text, bad", [(b"01x1\n2\n", "['2', 'x']"), (b"01\xff1\n", "['\xff']")])
+    def test_non_bit_characters_rejected(self, tmp_path, text, bad):
+        path = tmp_path / "s.txt"
+        path.write_bytes(text)
+        bitio.write_metadata(str(path), bitio.StreamMetadata("ascii", 1, "rhs-trng", 1, 0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="non-bit characters: " + re.escape(bad)):
+            bitio.read_bits(str(path))
+
+    def test_ascii_read_holds_the_text_twice_at_most(self, tmp_path):
+        # 10^7 bits: the 10.2 MB text, one byte class per character and
+        # the 10 MB of bits make 29 MB; decoding through str took 48 MB
+        n_bits = 10_000_000
+        path = str(tmp_path / "s.txt")
+        bits = np.random.default_rng(4).integers(0, 2, size=n_bits, dtype=np.uint8)
+        bitio.write_bits(path, bits, bitio.FORMAT_ASCII)
+        bitio.write_metadata(path, bitio.StreamMetadata("ascii", n_bits, "rhs-trng", 1, 0, 0.0, 0.0))
+        tracemalloc.start()
+        try:
+            got = bitio.read_bits(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(got, bits)
+        assert peak <= 32 * 2**20
 
 
 class TestMetadata:

@@ -176,10 +176,12 @@ class TestCalibration:
 
     def test_calibrated_pulses_covers_both_directions(self):
         dev = nominal_device()
-        pulses = calibrated_pulses(dev, ENV)
-        assert set(pulses) == set(SwitchDirection)
-        for direction, pulse in pulses.items():
-            assert pulse.direction is direction
+        pulses = calibrated_pulses(NOMINAL)
+        # one immutable tuple, indexed by direction, shared by equal params
+        assert isinstance(pulses, tuple)
+        assert calibrated_pulses(DeviceParams()) is pulses
+        assert [pulse.direction for pulse in pulses] == list(SwitchDirection)
+        for pulse in pulses:
             assert switching_probability(dev, pulse, ENV) == pytest.approx(
                 0.5, abs=1e-6
             )
@@ -189,18 +191,26 @@ class TestApplyWrite:
     """A write pulse applied by the generator switches its cell with the
     pulse's switching probability."""
 
-    def test_certain_switch_flips_state(self):
+    @staticmethod
+    def use_pulses(monkeypatch, current_ua, width_ns):
+        """Make every generator write with these pulses instead of the
+        calibrated ones."""
+        pulses = tuple(WritePulse(d, current_ua, width_ns) for d in SwitchDirection)
+        monkeypatch.setattr("spintrng.generator.calibrated_pulses", lambda params: pulses)
+        return pulses
+
+    def test_certain_switch_flips_state(self, monkeypatch):
         dev = nominal_device()
-        pulses = {d: WritePulse(d, 500.0, 1e9) for d in SwitchDirection}
+        pulses = self.use_pulses(monkeypatch, 500.0, 1e9)
         assert switching_probability(dev, pulses[SwitchDirection.P_TO_AP], ENV) == 1.0
         # conv-p2ap resets to P, writes towards AP and emits the state
-        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=1, pulses=pulses)
+        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=1)
         assert gen.generate(64).bits.tolist() == [STATE_AP] * 64
 
-    def test_empirical_rate_matches_probability(self):
-        pulses = {d: WritePulse(d, 50.0, 2.9) for d in SwitchDirection}
+    def test_empirical_rate_matches_probability(self, monkeypatch):
+        pulses = self.use_pulses(monkeypatch, 50.0, 2.9)
         p = switching_probability(nominal_device(), pulses[SwitchDirection.P_TO_AP], ENV)
-        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=7, pulses=pulses)
+        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=7)
         n = 20000
         hits = int(gen.generate(n).bits.sum())
         assert hits / n == pytest.approx(p, abs=4.0 * math.sqrt(p * (1 - p) / n))

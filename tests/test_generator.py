@@ -132,7 +132,7 @@ def reference_bits(config, entropy, n_bits):
     rngs = [np.random.default_rng(s) for s in SeedSequence(entropy).spawn(config.n_units)]
     if config.flip_prob_override is None:
         device = sample_device(DeviceParams(), process_variation=False)
-        pulses = calibrated_pulses(device, Environment())
+        pulses = calibrated_pulses(DeviceParams())
         p = {d: switching_probability(device, pulses[d], Environment()) for d in SwitchDirection}
     else:
         p = dict(zip((SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P), config.flip_prob_override))
@@ -220,6 +220,20 @@ class TestChainState:
         np.testing.assert_array_equal(np.concatenate(parts), np.arange(1, 13) % 2)
         again = BitGenerator(config, seed=SeedSequence([4]), devices=[device]).generate(5).bits
         np.testing.assert_array_equal(again, parts[0])
+
+    def test_pulses_come_from_the_generator_params(self):
+        # devices drawn from other params still see the pulses calibrated
+        # on the nominal device of the generator's params
+        device = sample_device(DeviceParams(ic0_p2ap_ua=60.0), process_variation=False)
+        gen = BitGenerator(cfg(Variant.CONV_P_TO_AP), params=DeviceParams(), devices=[device])
+        pulses = calibrated_pulses(DeviceParams())
+        assert gen.realized_flip_probs() == [
+            (
+                switching_probability(device, pulses[SwitchDirection.P_TO_AP], Environment()),
+                switching_probability(device, pulses[SwitchDirection.AP_TO_P], Environment()),
+            )
+        ]
+        assert gen.realized_flip_probs()[0][0] < 0.5
 
     def test_physics_generate_leaves_its_devices_unchanged(self):
         config = cfg(Variant.RHS_TRNG)

@@ -1,5 +1,6 @@
 """Sweep harness: determinism, CSV contract, model/empirical agreement."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -97,6 +98,27 @@ class TestDeterminism:
         assert pools == [2]
 
 
+# sha256 of the CSV at 10^5 bits per point, 20 device samples, seed 5,
+# recorded before the env sweep and the process study shared one cell
+# function and one pool.
+_PINNED_CSV = {
+    (Axis.VOLTAGE, False): "f9ef7fc8e412fa072d8be8c656f781e9ce9bb335e43a60ba71444b4a7a6c7ffc",
+    (Axis.TEMPERATURE, False): "e55b0ad6bacee367e195f6ae7ff326ae7b35518bfab4fe39ce85b784f5b6bf91",
+    (Axis.PROCESS, False): "fed989b015c810c05a6e130dca20de7a94def9d0e87d0e3919bd3ba3b59f1b03",
+    (Axis.PROCESS, True): "a51b068202fb6514552509c33ef30dedf951694630899648e442141dfbda095f",
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("axis, custom", sorted(_PINNED_CSV, key=str))
+def test_csv_is_pinned(axis, custom, jobs):
+    # custom is the device section {"tmr": 1.5, "sigma_tmr": 0.1}
+    params = DeviceParams(tmr=1.5, sigma_tmr=0.1) if custom else DeviceParams()
+    spec = spec_for_axis(axis, bits_per_point=100_000, n_samples=20, seed=5, params=params)
+    csv = run_sweep(spec, jobs=jobs).to_csv()
+    assert hashlib.sha256(csv.encode("ascii")).hexdigest() == _PINNED_CSV[axis, custom]
+
+
 class TestCsvContract:
     def test_header_and_shape(self):
         report = run_sweep(fast_spec(Axis.VOLTAGE, seed=1))
@@ -163,7 +185,7 @@ class TestModelAgreement:
         # calibration itself is exact only to 1e-6 per polarity, at 300 K.
         report = run_sweep(fast_spec(Axis.TEMPERATURE, seed=0))
         nominal = sample_device(report.spec.params, process_variation=False)
-        pulses = calibrated_pulses(nominal, Environment())
+        pulses = calibrated_pulses(report.spec.params)
         p_to_ap = pulses[SwitchDirection.P_TO_AP]
         ap_to_p = pulses[SwitchDirection.AP_TO_P]
         tau0 = report.spec.params.tau0_ns
@@ -211,6 +233,16 @@ class TestProcessStudy:
         by = {row.variant.value: row for row in report.rows}
         assert by["rhs-trng"].min_entropy > by["rhs-single"].min_entropy
         assert by["rhs-trng"].min_entropy > 0.99
+
+
+@pytest.mark.parametrize("axis", list(Axis))
+def test_calibration_runs_once_per_params(axis):
+    # every cell's generator shares the cached pulses of its params
+    calibrated_pulses.cache_clear()
+    run_sweep(fast_spec(axis, n_samples=20, seed=1))
+    assert calibrated_pulses.cache_info().misses == 1
+    run_sweep(fast_spec(axis, n_samples=20, seed=1, params=DeviceParams(tmr=1.5)))
+    assert calibrated_pulses.cache_info().misses == 2
 
 
 class TestValidation:

@@ -52,7 +52,7 @@ class TestInstructionSemantics:
 class TestBitSources:
     def test_fair_source_split_takes_equal_one_take(self):
         source = FairBitSource(11)
-        # the sixth take ends on a block boundary, the last starts a new block
+        # the sixth take ends on a 2^16 boundary, the last starts past it
         takes = (7, 0, 70_000, 3, 200_000, 57_670, 1)
         split = np.concatenate([source.take(n) for n in takes])
         np.testing.assert_array_equal(split, FairBitSource(11).take(sum(takes)))
@@ -69,16 +69,22 @@ class TestBitSources:
         blocks = [rng.integers(0, 2, size=1 << 16, dtype=np.uint8) for _ in range(106)]
         np.testing.assert_array_equal(split, np.concatenate(blocks)[: split.size])
 
-    def test_fair_source_keeps_only_the_block_it_continues(self):
+    def test_fair_source_keeps_only_the_bits_it_continues(self):
+        # a take of 6.8 MB leaves the 3 bits of its last word buffered,
+        # and nothing else: no block, no view of the draw
+        source = FairBitSource(11)
         tracemalloc.start()
         try:
-            source = FairBitSource(11)
-            bits = source.take((104 << 16) - 1000)
+            before, _ = tracemalloc.get_traced_memory()
+            bits = source.take((104 << 16) - 1003)
             del bits
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert held <= 2 << 16
+        assert held - before <= 256
+        np.testing.assert_array_equal(
+            source.take(3), FairBitSource(11).take(104 << 16)[-1003:-1000]
+        )
 
 
 class TestPricing:
