@@ -13,12 +13,14 @@ Every written stream gets a JSON sidecar at <path>.json carrying the
 format, bit count, variant, seed, and the simulated time/energy
 accounting, so a stream file round-trips without guessing.
 
-save_stream writes a BitStream already in memory.  write_generated,
-which the CLI uses, asks a BitGenerator for CHUNK_BITS bits at a time
-and appends each chunk to the file as it is made, so memory stays flat
-however long the request; the sidecar comes last.  Both go through one
-encoder per format, and an output file holds the bits of one generate
-call for the whole request, byte for byte.
+Every stream file is written by one writer, _write, which takes the
+bits as a sequence of 0/1 chunks and encodes each as it arrives:
+save_stream passes a BitStream already in memory as one chunk, and
+write_generated, which the CLI uses, passes BitGenerator.chunks, so
+memory stays flat however long the request.  The writer refuses an
+output its disk cannot hold before writing anything, removes a partial
+file when anything fails, and writes the sidecar last.  A file holds
+the bits of one generate call for the whole request, byte for byte.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import errno
 import json
 import os
 import shutil
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -47,13 +50,6 @@ _ASCII_CLASS = np.full(256, _BAD, dtype=np.uint8)
 _ASCII_CLASS[[c for c in range(128) if chr(c).isspace()]] = _SPACE
 _ASCII_CLASS[list(b" \t\r\n")] = _SNIFF_SPACE
 _ASCII_CLASS[list(b"01")] = _BIT
-
-# Bits per generate call in write_generated.  A multiple of 64, so every
-# chunk but the last ends on a byte and on an ascii line, and the
-# chunks' encodings join into the encoding of the whole request.  At
-# 2^18 bits a chunk's uniforms and chain states stay in cache; 2^20 was
-# slower.
-CHUNK_BITS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -100,18 +96,8 @@ def _encode(bits: np.ndarray, fmt: str) -> np.ndarray:
     return out
 
 
-def write_bits(path: str, bits: np.ndarray, fmt: str = FORMAT_PACKED) -> None:
-    """Write a 0/1 array to path in the requested format."""
-    _check_format(fmt)
-    bits = np.asarray(bits, dtype=np.uint8).ravel()
-    if bits.size and bits.max() > 1:
-        raise ValueError("bitstream values must be 0 or 1")
-    with open(path, "wb") as fh:
-        fh.write(_encode(bits, fmt))
-
-
 def read_bits(path: str) -> np.ndarray:
-    """Read a bitstream written by write_bits.
+    """Read a bitstream written by save_stream or write_generated.
 
     The sidecar, when present, gives the format and the bit count that
     trims packed padding.  Without one the content is sniffed: a file
@@ -175,9 +161,32 @@ def read_metadata(path: str) -> StreamMetadata | None:
     return StreamMetadata(**payload)
 
 
+def _write(path: str, chunks: Iterable[np.ndarray], meta: StreamMetadata) -> StreamMetadata:
+    """Write the 0/1 chunks to path in meta.format, then the sidecar meta.
+
+    An output that the path's disk cannot hold raises OSError (ENOSPC)
+    before anything is written; any exception while the chunks are
+    made or written removes the partial file and writes no sidecar.
+    """
+    _check_format(meta.format)
+    need = _encoded_size(meta.n_bits, meta.format)
+    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+    if need > free:
+        raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free")
+    fh = open(path, "wb")
+    try:
+        with fh:
+            for bits in chunks:
+                fh.write(_encode(bits, meta.format))
+    except BaseException:
+        os.remove(path)
+        raise
+    write_metadata(path, meta)
+    return meta
+
+
 def save_stream(stream: BitStream, path: str, fmt: str = FORMAT_PACKED) -> StreamMetadata:
     """Write a generated stream plus its sidecar; returns the metadata."""
-    write_bits(path, stream.bits, fmt)
     meta = StreamMetadata(
         format=fmt,
         n_bits=stream.n_bits,
@@ -187,8 +196,7 @@ def save_stream(stream: BitStream, path: str, fmt: str = FORMAT_PACKED) -> Strea
         simulated_time_ns=stream.simulated_time_ns,
         energy_pj=stream.energy_pj,
     )
-    write_metadata(path, meta)
-    return meta
+    return _write(path, [stream.bits], meta)
 
 
 def write_generated(
@@ -198,36 +206,16 @@ def write_generated(
 
     The file and sidecar equal those save_stream writes for one
     gen.generate(n_bits) call; the simulated time and energy are that
-    call's, not a sum over chunks.  An output that the path's disk
-    cannot hold raises OSError (ENOSPC) before anything is written; a
-    write that fails partway removes the partial file and writes no
-    sidecar.
+    call's, not a sum over chunks.
     """
-    _check_format(fmt)
-    if n_bits < 1:
-        raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-    need = _encoded_size(n_bits, fmt)
-    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
-    if need > free:
-        raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free")
     simulated_time_ns, energy_pj = gen.accounting(n_bits)
-    fh = open(path, "wb")
-    try:
-        with fh:
-            for start in range(0, n_bits, CHUNK_BITS):
-                chunk = gen.generate(min(CHUNK_BITS, n_bits - start))
-                fh.write(_encode(chunk.bits, fmt))
-    except BaseException:
-        os.remove(path)
-        raise
     meta = StreamMetadata(
         format=fmt,
         n_bits=n_bits,
-        variant=chunk.variant,
-        lanes=chunk.lanes,
-        seed=chunk.seed,
+        variant=gen.config.variant.value,
+        lanes=gen.config.bits_per_cycle,
+        seed=gen.seed_entropy,
         simulated_time_ns=simulated_time_ns,
         energy_pj=energy_pj,
     )
-    write_metadata(path, meta)
-    return meta
+    return _write(path, gen.chunks(n_bits), meta)

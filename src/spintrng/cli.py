@@ -31,7 +31,7 @@ from numpy.random import SeedSequence
 
 from . import bitio
 from .device import DeviceParams, Environment
-from .entropy import entropy_report
+from .entropy import binary_min_entropy, binary_shannon_entropy, entropy_report
 from .generator import (
     BitGenerator,
     GeneratorConfig,
@@ -42,7 +42,6 @@ from .generator import (
 from .markov import (
     FlipProbs,
     lag1_autocorrelation,
-    predicted_entropy,
     steady_state,
     xor_output_prob,
 )
@@ -299,19 +298,18 @@ def _cmd_analyze(opts: dict, config: dict) -> None:
                 p_out_1 = steady_state(fp)
             except ValueError as exc:
                 raise UsageError(str(exc)) from exc
-            single = predicted_entropy(fp)
-            xor = predicted_entropy(fp, xor_of_two=True)
+            xor_p_out_1 = xor_output_prob(p_out_1, p_out_1)
             rows.append(
                 {
                     "p1": p1,
                     "p2": p2,
                     "p_out_1": p_out_1,
-                    "xor_p_out_1": xor_output_prob(p_out_1, p_out_1),
+                    "xor_p_out_1": xor_p_out_1,
                     "lag1_autocorr": lag1_autocorrelation(fp),
-                    "shannon": single.shannon,
-                    "min_entropy": single.min_entropy,
-                    "xor_shannon": xor.shannon,
-                    "xor_min_entropy": xor.min_entropy,
+                    "shannon": binary_shannon_entropy(p_out_1),
+                    "min_entropy": binary_min_entropy(p_out_1),
+                    "xor_shannon": binary_shannon_entropy(xor_p_out_1),
+                    "xor_min_entropy": binary_min_entropy(xor_p_out_1),
                 }
             )
     for row in rows:
@@ -494,7 +492,8 @@ def main(argv=None) -> int:
         print(f"spintrng: error: missing file: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:
-        print(f"spintrng: runtime error: {exc}", file=sys.stderr)
+        # str(MemoryError()) is empty, so name the type instead.
+        print(f"spintrng: runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
     return 0
 

@@ -22,9 +22,10 @@ continues the same chains.  A request that rhs-parallel's
 lane count does not divide still runs whole cycles; the generator
 keeps the unused lanes of the last cycle and emits them first on the
 next call, so any split of a request into calls yields the bits of one
-call.  The CLI relies on this: it writes a request in fixed chunks
-(bitio.write_generated), and the output file holds the bits of one
-call for the whole request.
+call.  BitGenerator.chunks relies on this: it is the one place that
+splits a request into generate calls of CHUNK_BITS bits, and every
+consumer of long streams (the file writer, the sweep cells) takes its
+bits from it, so memory stays flat however long the request.
 
 Timing, energy and area are the paper's fixed design figures, held
 as module constants: a feedback cycle is precharge, read and the
@@ -34,6 +35,7 @@ reset write of the same width.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -75,6 +77,13 @@ T_RD_NS = 0.2
 ENERGY_PJ_PER_BIT_UNIT = 2.65
 AREA_UM2_CELL = 24.29
 AREA_UM2_UNIT = 9.79
+
+# Bits per generate call in BitGenerator.chunks.  A multiple of 64, so
+# every chunk but the last ends on a byte and on an ascii line, and the
+# chunks' file encodings join into the encoding of the whole request.
+# At 2^18 bits a chunk's uniforms and chain states stay in cache; 2^20
+# was slower.
+CHUNK_BITS = 1 << 18
 
 
 def _cycle_ns(variant: Variant) -> float:
@@ -271,6 +280,15 @@ class BitGenerator:
             self._n_cycles(n_bits) * _cycle_ns(config.variant),
             n_bits * cost_report(config).energy_pj_per_bit,
         )
+
+    def chunks(self, n_bits: int) -> Iterator[np.ndarray]:
+        """The next n_bits, as the bits of generate calls of at most
+        CHUNK_BITS each; together they are the bits of one
+        generate(n_bits) call."""
+        if n_bits < 1:
+            raise ValueError(f"n_bits must be >= 1, got {n_bits}")
+        for start in range(0, n_bits, CHUNK_BITS):
+            yield self.generate(min(CHUNK_BITS, n_bits - start)).bits
 
     def generate(self, n_bits: int) -> BitStream:
         """Produce n_bits as a BitStream (vectorized).

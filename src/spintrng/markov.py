@@ -3,16 +3,13 @@
 The read-invert-write cell is a two-state Markov chain over {P, AP}
 with per-cycle flip probabilities p1 (P to AP) and p2 (AP to P).
 These functions give its stationary output distribution, the effect of
-XOR-combining two independent cells, the chain's autocorrelation, and
-the entropy predicted from the stationary marginal.  They are the
-ground truth the simulator is verified against.
+XOR-combining two independent cells and the chain's autocorrelation.
+They are the ground truth the simulator is verified against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-from spintrng.entropy import binary_min_entropy, binary_shannon_entropy
 
 
 @dataclass(frozen=True)
@@ -30,12 +27,6 @@ class FlipProbs:
         for name, value in (("p1", self.p1), ("p2", self.p2)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-@dataclass(frozen=True)
-class EntropyPrediction:
-    shannon: float
-    min_entropy: float
 
 
 def steady_state(fp: FlipProbs) -> float:
@@ -71,19 +62,3 @@ def lag1_autocorrelation(fp: FlipProbs) -> float:
         raise ValueError("lag-1 autocorrelation undefined for the absorbing chain")
     return 1.0 - fp.p1 - fp.p2
 
-
-def predicted_entropy(fp: FlipProbs, xor_of_two: bool = False) -> EntropyPrediction:
-    """Entropy of the stationary output marginal.
-
-    With xor_of_two set, predicts the output of two independent cells
-    with identical flip probabilities combined by XOR.  Serial
-    correlation is deliberately ignored: these are marginal-entropy
-    figures.
-    """
-    p = steady_state(fp)
-    if xor_of_two:
-        p = xor_output_prob(p, p)
-    return EntropyPrediction(
-        shannon=binary_shannon_entropy(p),
-        min_entropy=binary_min_entropy(p),
-    )

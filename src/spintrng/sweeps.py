@@ -144,11 +144,12 @@ def _row(
 def _cell(task) -> tuple[int, float, float]:
     """One sweep cell: the count of ones in n_bits of variant's output,
     and the (p1, p2) of its first unit.  devices of None means nominal
-    devices."""
+    devices.  The ones are counted chunk by chunk as the generator makes
+    them, so a cell's memory does not grow with n_bits."""
     variant, env, params, key, devices, n_bits = task
     config = GeneratorConfig(variant=variant)
     gen = BitGenerator(config, env=env, params=params, seed=SeedSequence(key), devices=devices)
-    ones = int(np.count_nonzero(gen.generate(n_bits).bits))
+    ones = sum(int(np.count_nonzero(bits)) for bits in gen.chunks(n_bits))
     return (ones, *gen.realized_flip_probs()[0])
 
 

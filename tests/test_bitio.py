@@ -2,16 +2,20 @@
 
 import errno
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from spintrng import bitio
-from spintrng.generator import BitGenerator, GeneratorConfig, Variant, generate_bitstream
+from spintrng import bitio, generator
+from spintrng.generator import BitGenerator, BitStream, GeneratorConfig, Variant, generate_bitstream
 
 
 @pytest.fixture
@@ -20,21 +24,25 @@ def bits():
     return rng.integers(0, 2, size=1003, dtype=np.uint8)
 
 
-def write_with_sidecar(path: str, bits, fmt: str, n_bits: int) -> None:
-    bitio.write_bits(path, bits, fmt)
-    meta = bitio.StreamMetadata(fmt, n_bits, "rhs-trng", 1, 0, 0.0, 0.0)
-    bitio.write_metadata(path, meta)
+def write_fixture(path: str, bits, fmt: str, n_bits: int | None = None) -> None:
+    """Write the 0/1 array bits to path through save_stream, with a
+    sidecar that claims n_bits bits (all of them by default)."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    bitio.save_stream(BitStream(bits, bits.size, "rhs-trng", 1, 0, 0.0, 0.0), path, fmt)
+    if n_bits is not None:
+        meta = bitio.StreamMetadata(fmt, n_bits, "rhs-trng", 1, 0, 0.0, 0.0)
+        bitio.write_metadata(path, meta)
 
 
 class TestPacked:
     def test_round_trip(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
-        write_with_sidecar(path, bits, bitio.FORMAT_PACKED, len(bits))
+        write_fixture(path, bits, bitio.FORMAT_PACKED)
         np.testing.assert_array_equal(bitio.read_bits(path), bits)
 
     def test_file_size_is_ceil_bits_over_8(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
-        bitio.write_bits(path, bits, bitio.FORMAT_PACKED)
+        write_fixture(path, bits, bitio.FORMAT_PACKED)
         assert (tmp_path / "s.bin").stat().st_size == (len(bits) + 7) // 8
 
     def test_lsb_first_byte_layout(self, tmp_path):
@@ -42,13 +50,13 @@ class TestPacked:
         path = str(tmp_path / "one.bin")
         one_hot = np.zeros(16, dtype=np.uint8)
         one_hot[9] = 1
-        bitio.write_bits(path, one_hot, bitio.FORMAT_PACKED)
+        write_fixture(path, one_hot, bitio.FORMAT_PACKED)
         raw = (tmp_path / "one.bin").read_bytes()
         assert raw == bytes([0x00, 0x02])
 
     def test_trim_overflow_rejected(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
-        write_with_sidecar(path, bits, bitio.FORMAT_PACKED, len(bits) + 100)
+        write_fixture(path, bits, bitio.FORMAT_PACKED, len(bits) + 100)
         with pytest.raises(ValueError):
             bitio.read_bits(path)
 
@@ -71,12 +79,12 @@ class TestPacked:
 class TestAscii:
     def test_round_trip(self, tmp_path, bits):
         path = str(tmp_path / "s.txt")
-        write_with_sidecar(path, bits, bitio.FORMAT_ASCII, len(bits))
+        write_fixture(path, bits, bitio.FORMAT_ASCII)
         np.testing.assert_array_equal(bitio.read_bits(path), bits)
 
     def test_line_wrapped_text(self, tmp_path):
         path = str(tmp_path / "s.txt")
-        bitio.write_bits(path, np.ones(130, dtype=np.uint8), bitio.FORMAT_ASCII)
+        write_fixture(path, np.ones(130, dtype=np.uint8), bitio.FORMAT_ASCII)
         text = (tmp_path / "s.txt").read_text()
         lines = text.strip().split("\n")
         assert [len(line) for line in lines] == [64, 64, 2]
@@ -86,14 +94,15 @@ class TestAscii:
     def test_exact_bytes(self, tmp_path, n_bits):
         bits = (np.arange(n_bits) % 3 == 0).astype(np.uint8)
         path = tmp_path / "s.txt"
-        bitio.write_bits(str(path), bits, bitio.FORMAT_ASCII)
+        write_fixture(str(path), bits, bitio.FORMAT_ASCII)
         text = "".join(str(b) for b in bits)
         lines = [text[i : i + 64] + "\n" for i in range(0, n_bits, 64)]
         assert path.read_bytes() == "".join(lines).encode("ascii")
 
     def test_sniffs_format_without_sidecar(self, tmp_path, bits):
         path = str(tmp_path / "plain.txt")
-        bitio.write_bits(path, bits, bitio.FORMAT_ASCII)
+        write_fixture(path, bits, bitio.FORMAT_ASCII)
+        os.remove(bitio.metadata_path(path))
         np.testing.assert_array_equal(bitio.read_bits(path), bits)
 
     def test_any_ascii_whitespace_is_skipped(self, tmp_path):
@@ -120,8 +129,7 @@ class TestAscii:
         n_bits = 10_000_000
         path = str(tmp_path / "s.txt")
         bits = np.random.default_rng(4).integers(0, 2, size=n_bits, dtype=np.uint8)
-        bitio.write_bits(path, bits, bitio.FORMAT_ASCII)
-        bitio.write_metadata(path, bitio.StreamMetadata("ascii", n_bits, "rhs-trng", 1, 0, 0.0, 0.0))
+        write_fixture(path, bits, bitio.FORMAT_ASCII)
         tracemalloc.start()
         try:
             got = bitio.read_bits(path)
@@ -206,7 +214,7 @@ VARIANT_LANES = [
 
 class TestWriteGenerated:
     def test_chunk_ends_on_a_byte_and_an_ascii_line(self):
-        assert bitio.CHUNK_BITS % 64 == 0
+        assert generator.CHUNK_BITS % 64 == 0
 
     # 5,003 bits end mid-byte and mid-line; no chunk size below is a
     # multiple of rhs-parallel's 3 lanes, so lanes carry between chunks.
@@ -218,7 +226,7 @@ class TestWriteGenerated:
         one_shot = str(tmp_path / "one.dat")
         chunked = str(tmp_path / "chunked.dat")
         bitio.save_stream(BitGenerator(config, seed=21).generate(5_003), one_shot, fmt)
-        monkeypatch.setattr(bitio, "CHUNK_BITS", chunk_bits)
+        monkeypatch.setattr(generator, "CHUNK_BITS", chunk_bits)
         bitio.write_generated(BitGenerator(config, seed=21), 5_003, chunked, fmt)
         for suffix in ("", ".json"):
             with open(chunked + suffix, "rb") as a, open(one_shot + suffix, "rb") as b:
@@ -234,24 +242,55 @@ class TestWriteGenerated:
     @pytest.mark.parametrize("fmt,size", [(bitio.FORMAT_PACKED, 626), (bitio.FORMAT_ASCII, 5_082)])
     def test_output_must_fit_on_its_disk(self, tmp_path, monkeypatch, fmt, size):
         path = tmp_path / "s.dat"
-        gen = BitGenerator(GeneratorConfig(), seed=2)
-        monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=size - 1))
-        with pytest.raises(OSError) as info:
-            bitio.write_generated(gen, 5_003, str(path), fmt)
-        assert info.value.errno == errno.ENOSPC
-        assert not path.exists()
-        monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=size))
-        bitio.write_generated(gen, 5_003, str(path), fmt)
-        assert path.stat().st_size == size
+        writers = [
+            lambda: bitio.write_generated(BitGenerator(GeneratorConfig(), seed=2), 5_003, str(path), fmt),
+            lambda: bitio.save_stream(generate_bitstream(GeneratorConfig(), n_bits=5_003, seed=2), str(path), fmt),
+        ]
+        for write in writers:
+            monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=size - 1))
+            with pytest.raises(OSError) as info:
+                write()
+            assert info.value.errno == errno.ENOSPC
+            assert sorted(os.listdir(tmp_path)) == []
+            monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=size))
+            write()
+            assert path.stat().st_size == size
+            for name in os.listdir(tmp_path):
+                os.remove(tmp_path / name)
+
+    def test_failed_save_stream_leaves_no_file(self, tmp_path):
+        # The file size limit makes the write of 250,000 packed bytes fail
+        # partway, with EFBIG, after 100,000 bytes.
+        script = """
+import errno, os, resource, sys
+from spintrng import bitio
+from spintrng.generator import GeneratorConfig, generate_bitstream
+stream = generate_bitstream(GeneratorConfig(), n_bits=2_000_000, seed=1)
+resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
+try:
+    bitio.save_stream(stream, "s.bin")
+except OSError as exc:
+    sys.exit(exc.errno != errno.EFBIG)
+sys.exit(3)
+"""
+        src = str(Path(bitio.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True)
+        assert run.returncode == 0, run.stderr
+        assert sorted(os.listdir(tmp_path)) == []
 
 
 class TestValidation:
-    def test_unknown_format_rejected(self, tmp_path, bits):
-        with pytest.raises(ValueError):
-            bitio.write_bits(str(tmp_path / "x"), bits, "base64")
+    def test_unknown_format_rejected(self, tmp_path):
+        path = tmp_path / "x"
+        with pytest.raises(ValueError, match="unknown bitstream format 'base64'"):
+            bitio.save_stream(generate_bitstream(GeneratorConfig(), n_bits=100), str(path), "base64")
+        with pytest.raises(ValueError, match="unknown bitstream format 'base64'"):
+            bitio.write_generated(BitGenerator(GeneratorConfig()), 100, str(path), "base64")
+        assert sorted(os.listdir(tmp_path)) == []
 
-    def test_non_binary_values_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            bitio.write_bits(
-                str(tmp_path / "x"), np.array([0, 1, 2], dtype=np.uint8)
-            )
+    def test_empty_request_rejected(self, tmp_path):
+        # chunks raises on its first step, after the file is opened
+        with pytest.raises(ValueError, match="n_bits must be >= 1, got 0"):
+            bitio.write_generated(BitGenerator(GeneratorConfig()), 0, str(tmp_path / "x"))
+        assert sorted(os.listdir(tmp_path)) == []

@@ -193,6 +193,21 @@ def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.bin").exists()
 
 
+def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):
+    # str(MemoryError()) is empty, as when numpy cannot allocate a huge --lanes
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+
+    def fail(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli.BitGenerator, "generate", fail)
+    code = cli.main(["generate", "--bits", "100", "--out", str(tmp_path / "s.bin")])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err == "spintrng: runtime error: MemoryError\n"
+    assert not (tmp_path / "s.bin").exists()
+
+
 def test_output_larger_than_the_free_disk_exits_one(tmp_path, capsys, monkeypatch):
     # 10^13 bits would fill the disk long before the run ended.
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from spintrng.device import (
     switching_exponent,
     switching_probability,
 )
+from spintrng.generator import BitGenerator, GeneratorConfig, Variant
 from spintrng.sweeps import (
     SWEEP_VARIANTS,
     TEMPERATURE_POINTS,
     VOLTAGE_POINTS,
     Axis,
     SweepSpec,
+    _cell,
     run_sweep,
     spec_for_axis,
 )
@@ -244,6 +247,22 @@ def test_calibration_runs_once_per_params(axis):
     run_sweep(fast_spec(axis, n_samples=20, seed=1, params=DeviceParams(tmr=1.5)))
     assert calibrated_pulses.cache_info().misses == 2
 
+
+
+def test_cell_counts_in_flat_memory():
+    # Held at once, 4*10^6 rhs-trng bits traced 49.6 MB; chunk by chunk
+    # a cell holds one chunk's uniforms, states and bits.
+    task = (Variant.RHS_TRNG, Environment(), DeviceParams(), [7, 1], None, 4_000_000)
+    tracemalloc.start()
+    try:
+        ones, p1, p2 = _cell(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+    gen = BitGenerator(GeneratorConfig(variant=Variant.RHS_TRNG), seed=np.random.SeedSequence([7, 1]))
+    assert ones == int(np.count_nonzero(gen.generate(4_000_000).bits))
+    assert (p1, p2) == gen.realized_flip_probs()[0]
 
 class TestValidation:
     def test_minimum_bits_enforced(self):
