@@ -20,7 +20,6 @@ isolation.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -160,6 +159,8 @@ def _run_cells(tasks: list, jobs: int) -> list[tuple[int, float, float]]:
     study's many short cells do not each cost a round trip.
     """
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_cell, tasks, chunksize=-(-len(tasks) // (4 * jobs))))
     return [_cell(t) for t in tasks]

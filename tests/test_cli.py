@@ -350,8 +350,10 @@ def test_generate_analyze_and_sweep_never_load_scipy(tmp_path):
 import sys
 from spintrng import cli
 assert "scipy" not in sys.modules, "import spintrng.cli"
+assert "concurrent.futures" not in sys.modules, "import spintrng.cli"
 assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", "s.bin"]) == 0
 assert "scipy" not in sys.modules, "generate"
+assert "concurrent.futures" not in sys.modules, "generate"
 assert cli.main(["analyze"]) == 0
 assert "scipy" not in sys.modules, "analyze"
 assert cli.main(["sweep", "--bits-per-point", "10000", "--seed", "1", "--out", "s.csv"]) == 0

@@ -1,11 +1,14 @@
 """The battery's whole-array kernels against scalar references, and the
 pooled sub-p-values of every module pinned for one seeded stream."""
 
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import erfc, gammaincc
 
 from conftest import linear_complexity_of
 from spintrng.nist import MODULE_NAMES, run_nist_suite
@@ -52,6 +55,35 @@ def reference_window_codes(arr: np.ndarray, m: int) -> np.ndarray:
 
 def biased_blocks(rng, n_blocks: int, n: int, p_one: float) -> np.ndarray:
     return (rng.random((n_blocks, n)) < p_one).astype(np.uint8)
+
+
+def reference_spectral(bits) -> list[float]:
+    """The spectral test with the moduli of the full complex fft."""
+    n = bits.size
+    x = bits.astype(np.float64) * 2.0 - 1.0
+    mods = np.abs(np.fft.fft(x)[: n // 2])
+    n1 = int(np.count_nonzero(mods < math.sqrt(n * math.log(1.0 / 0.05))))
+    d = (n1 - 0.95 * n / 2.0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
+    return [float(erfc(abs(d) / math.sqrt(2.0)))]
+
+
+def reference_cusum_excursions(bits) -> list[int]:
+    """Largest |partial sum| of the +-1 sequence, forward and reversed."""
+    x = bits.astype(np.int64) * 2 - 1
+    return [int(np.abs(np.cumsum(series)).max()) for series in (x, x[::-1])]
+
+
+def reference_longest_one_run(row: np.ndarray) -> int:
+    if not row.any():
+        return 0
+    padded = np.concatenate(([0], row, [0]))
+    edges = np.flatnonzero(np.diff(padded))
+    return int((edges[1::2] - edges[::2]).max())
+
+
+def random_groups(seed: int, lengths) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, 2, size=n, dtype=np.uint8) for n in lengths]
 
 
 class TestLockstepBerlekampMassey:
@@ -143,6 +175,97 @@ class TestLockstepRank:
         got = M._gf2_ranks(rows, 32)
         assert got.tolist() == [M._gf2_ranks([r], 32)[0] for r in rows]
         assert len(set(got.tolist())) > 3
+
+
+class TestSpectral:
+    # every 0/1 sequence of length 2, 3 and 4, then random odd and even n
+    SMALL = [
+        np.array(b, dtype=np.uint8) for n in (2, 3, 4) for b in itertools.product((0, 1), repeat=n)
+    ]
+    GROUPS = SMALL + random_groups(41, [5, 1001, 1024, 4095, 10_000, 65_537, 100_000, 1_000_000])
+
+    @staticmethod
+    def counting_fft(monkeypatch) -> list:
+        calls = []
+        fft = np.fft.fft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "fft", counted)
+        return calls
+
+    def test_rfft_moduli_match_fft_far_inside_the_guard(self):
+        for bits in self.GROUPS:
+            n = bits.size
+            x = bits.astype(np.float64) * 2.0 - 1.0
+            full = np.abs(np.fft.fft(x)[: n // 2])
+            half = np.abs(np.fft.rfft(x)[: n // 2])
+            assert np.max(np.abs(full - half), initial=0.0) < M.SPECTRAL_GUARD * 1e-3, n
+
+    def test_rfft_path_equals_fft_path(self, monkeypatch):
+        want = [reference_spectral(bits) for bits in self.GROUPS]
+        calls = self.counting_fft(monkeypatch)
+        assert [M.spectral(bits) for bits in self.GROUPS] == want
+        assert calls == []
+
+    def test_forced_fallback_equals_fft_path(self, monkeypatch):
+        # a band wider than any modulus puts every group in the fallback
+        want = [reference_spectral(bits) for bits in self.GROUPS]
+        monkeypatch.setattr(M, "SPECTRAL_GUARD", 1e9)
+        calls = self.counting_fft(monkeypatch)
+        assert [M.spectral(bits) for bits in self.GROUPS] == want
+        assert len(calls) == len(self.GROUPS)
+
+
+class TestCumulativeSums:
+    GROUPS = (
+        [np.full(n, b, dtype=np.uint8) for n in (1, 1000) for b in (0, 1)]
+        + random_groups(43, [2, 3, 100, 999, 10_000, 1_000_000])
+        + [biased_blocks(np.random.default_rng(44), 1, 5000, p)[0] for p in (0.1, 0.9)]
+    )
+
+    def test_one_scan_equals_two_cumsums(self):
+        for bits in self.GROUPS:
+            want = [M._cusum_p_value(z, bits.size) for z in reference_cusum_excursions(bits)]
+            assert M.cumulative_sums(bits) == want, bits.size
+
+    def test_reversal_swaps_forward_and_backward(self):
+        for bits in self.GROUPS:
+            assert M.cumulative_sums(bits[::-1]) == M.cumulative_sums(bits)[::-1], bits.size
+
+
+class TestLongestRuns:
+    @pytest.mark.parametrize("m", [8, 128, 10**4])
+    @pytest.mark.parametrize("p_one", [0.02, 0.5, 0.98])
+    def test_rows_match_per_row_oracle(self, m, p_one):
+        rng = np.random.default_rng(m + int(100 * p_one))
+        blocks = biased_blocks(rng, 2000 if m < 10**4 else 60, m, p_one)
+        blocks[0] = 0  # empty row
+        blocks[1] = 1  # full row
+        blocks[2] = 0
+        blocks[2, 0] = blocks[2, -1] = 1  # runs of one at both edges
+        blocks[3, -3:] = 1  # a run to the end of one row...
+        blocks[4, :2] = 1  # ...and one from the start of the next
+        blocks[5] = 1
+        blocks[5, 1] = 0  # the longest run ends at the row's end
+        got = M._longest_one_runs(blocks)
+        assert got.tolist() == [reference_longest_one_run(row) for row in blocks]
+
+    def test_no_ones_anywhere(self):
+        assert M._longest_one_runs(np.zeros((5, 8), np.uint8)).tolist() == [0] * 5
+
+    @pytest.mark.parametrize("n", [128, 6271, 6272, 10_000, 750_000])
+    def test_module_equals_per_block_loop(self, n):
+        (bits,) = random_groups(n, [n])
+        m, classes, pi = next((t[1:] for t in reversed(M._LONGEST_RUN_TABLES) if n >= t[0]))
+        longest = [reference_longest_one_run(row) for row in bits[: n // m * m].reshape(-1, m)]
+        clamped = np.clip(longest, classes[0], classes[-1]) - classes[0]
+        counts = np.bincount(clamped, minlength=len(classes))
+        expected = len(longest) * np.asarray(pi)
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert M.longest_run(bits) == [float(gammaincc(len(classes) / 2.0 - 0.5, chi2 / 2.0))]
 
 
 class TestPinnedSubPValues:

@@ -84,16 +84,16 @@ class TestDeterminism:
     def test_process_study_parallel_report_equals_serial(self, monkeypatch):
         # jobs > 1 spreads the devices over a pool; their results are
         # added up in index order, so the report is the same
-        import spintrng.sweeps as sweeps
+        import concurrent.futures
 
         pools = []
 
-        class RecordingPool(sweeps.ProcessPoolExecutor):
+        class RecordingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, max_workers, **kwargs):
                 pools.append(max_workers)
                 super().__init__(max_workers=max_workers, **kwargs)
 
-        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         spec = fast_spec(Axis.PROCESS, seed=4, n_samples=12, bits_per_point=12_000)
         serial = run_sweep(spec, jobs=1)
         assert pools == []
