@@ -6,8 +6,8 @@ file), analyze (closed-form chain predictions for flip-probability
 grids), sweep (voltage/temperature/process CSV tables), and bench
 (option-pricing backend comparison).
 
-Exit codes: 0 success, 1 usage or config error or an output that
-cannot be written, 2 runtime failure.
+Exit codes: 0 success, 1 usage or config error, an input that cannot
+be read or an output that cannot be written, 2 runtime failure.
 The argparse parser is the one schema of the options: each option's
 default lives in its add_argument call.  A JSON config file (--config
 or the SPINTRNG_CONFIG environment variable) replaces those defaults
@@ -15,8 +15,9 @@ for the command that runs, and explicit flags win over the file.
 Every section of the file is checked whichever command runs: a
 command section's keys must be that command's options and its values
 pass the same type and choice checks as the flags, and the device and
-option sections must build a DeviceParams and an OptionSpec (bench
-takes its path counts from --paths, not from the option section).
+option sections must build a DeviceParams whose write currents
+calibrate and an OptionSpec (bench takes its path counts from --paths,
+not from the option section).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import sys
 from numpy.random import SeedSequence
 
 from . import bitio
-from .device import DeviceParams, Environment
+from .device import DeviceParams, Environment, calibrated_currents
 from .entropy import binary_min_entropy, binary_shannon_entropy, entropy_report
 from .generator import (
     BitGenerator,
@@ -55,7 +56,7 @@ CONFIG_ENV_VAR = "SPINTRNG_CONFIG"
 
 
 class UsageError(Exception):
-    """Bad flags, malformed config, or a missing input file."""
+    """Bad flags, a malformed config, or an input the command cannot use."""
 
 
 # Dataclass fields that a config section may not set: bench takes its
@@ -71,8 +72,6 @@ def _load_config(flag_path: str | None) -> dict:
     path = flag_path or os.environ.get(CONFIG_ENV_VAR)
     if not path:
         return {}
-    if not os.path.exists(path):
-        raise UsageError(f"config file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -140,7 +139,11 @@ def _apply_config(command: str, config: dict, commands: dict) -> None:
                 f"unknown config keys for {name}: {', '.join(sorted(unknown))}"
             )
         _check_values(name, values, commands[name])
-    _config_section(config, "device", DeviceParams)
+    params = _config_section(config, "device", DeviceParams)
+    try:
+        calibrated_currents(params)
+    except ValueError as exc:
+        raise UsageError(f"bad device config: {exc}") from exc
     _config_section(config, "option", OptionSpec)
     commands[command].set_defaults(**sections[command])
 
@@ -251,8 +254,6 @@ def _cmd_test(opts: dict, config: dict) -> None:
     path = opts["in_path"]
     if not path:
         raise UsageError("test requires --in PATH")
-    if not os.path.exists(path):
-        raise UsageError(f"input file not found: {path}")
     try:
         bits = bitio.read_bits(path)
     except ValueError as exc:
@@ -488,14 +489,23 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"spintrng: error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"spintrng: error: missing file: {exc}", file=sys.stderr)
+    except OSError as exc:
+        # A failed open names its path, and every path here is the
+        # user's: an input that cannot be read or an output that cannot
+        # be written.
+        if exc.filename is None:
+            return _runtime_error(exc)
+        print(f"spintrng: error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 1
     except Exception as exc:
-        # str(MemoryError()) is empty, so name the type instead.
-        print(f"spintrng: runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
-        return 2
+        return _runtime_error(exc)
     return 0
+
+
+def _runtime_error(exc: Exception) -> int:
+    # str(MemoryError()) is empty, so name the type instead.
+    print(f"spintrng: runtime error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -1,19 +1,32 @@
 """Behavioral model of a single STT-MTJ storage element.
 
 The element has two stable magnetic states, P (parallel, low
-resistance) and AP (anti-parallel, high resistance).  A write pulse of
-a given polarity switches it with a probability that follows a
+resistance) and AP (anti-parallel, high resistance).  A write of a
+given polarity switches it with a probability that follows a
 thermally activated switching-time law:
 
     tau  = tau0 * exp(delta(T) * (1 - I_eff / Ic0_dir)),  tau >= tau0
-    P_sw = 1 - exp(-width / tau)
+    P_sw = 1 - exp(-PULSE_WIDTH_NS / tau)
 
-Drive current is divided by the series resistance of the selected cell,
-so the two switching polarities see different effective currents, and
-supply-rail variation scales the drive linearly.  Process variation is
-modeled by Gaussian sampling of the free-layer thickness, the tunnel
-barrier thickness, and the TMR ratio, each propagated to the switching
-parameters through first-order physical dependencies.
+switching_exponent is the one place that reads the law:
+
+* delta(T) is the polarity's barrier, delta_300 * (1 + delta_asym) for
+  P to AP and delta_300 * (1 - delta_asym) for AP to P, scaled by
+  free-layer volume and by 300 / T;
+* Ic0_dir is the polarity's critical current, scaled by free-layer
+  volume;
+* I_eff is the write current times the supply shift (1 + v) and the
+  divider (R_P + R_load) / (R_source + R_load), where R_source is the
+  resistance of the state the write leaves.
+
+The design has one operating point: every write lasts PULSE_WIDTH_NS,
+and calibrated_currents sets each polarity's current once, on the
+nominal device at Environment(), to switch with probability
+CALIBRATION_TARGET.  The currents are then held fixed while voltage,
+temperature and process vary.  Process variation samples the
+free-layer thickness, the tunnel barrier thickness and the TMR ratio
+from Gaussians, each propagated to the switching parameters through
+first-order physical dependencies.
 """
 
 from __future__ import annotations
@@ -29,9 +42,7 @@ import numpy as np
 STATE_P = 0
 STATE_AP = 1
 
-# The design's write pulse: every write lasts PULSE_WIDTH_NS, and the
-# current of each polarity is calibrated on the nominal device so that
-# the pulse switches with probability CALIBRATION_TARGET.
+# The design's one operating point (see the module docstring).
 PULSE_WIDTH_NS = 2.9
 CALIBRATION_TARGET = 0.5
 
@@ -47,10 +58,6 @@ class SwitchDirection(IntEnum):
     AP_TO_P = 0
     P_TO_AP = 1
 
-    @property
-    def source_state(self) -> int:
-        return STATE_AP if self is SwitchDirection.AP_TO_P else STATE_P
-
 
 @dataclass(frozen=True)
 class DeviceParams:
@@ -58,9 +65,10 @@ class DeviceParams:
 
     Thickness/TMR sigmas default to 3 percent of their nominals.  The
     switching constants (delta_300, delta_asym, Ic0 per direction,
-    tau0) are behavioral-model calibration values: they only need to
-    admit the CALIBRATION_TARGET operating point at the PULSE_WIDTH_NS
-    write pulse and to produce the documented direction asymmetry.
+    tau0) are behavioral-model values: they only need to admit the
+    CALIBRATION_TARGET operating point at PULSE_WIDTH_NS and to produce
+    the documented direction asymmetry; the P to AP transition carries
+    the higher barrier.
     """
 
     t_fl_nm: float = 1.3
@@ -107,24 +115,7 @@ class DeviceParams:
             if value < 0.0:
                 raise ValueError(f"{name} must be >= 0, got {value}")
         if not -1.0 < self.delta_asym < 1.0:
-            raise ValueError(
-                f"delta_asym must lie in (-1, 1), got {self.delta_asym}"
-            )
-
-    def delta_300_for(self, direction: SwitchDirection) -> float:
-        """Thermal stability factor of one polarity at 300 K.
-
-        The P to AP transition carries the higher barrier; the spread
-        between polarities is controlled by delta_asym.
-        """
-        if direction is SwitchDirection.P_TO_AP:
-            return self.delta_300 * (1.0 + self.delta_asym)
-        return self.delta_300 * (1.0 - self.delta_asym)
-
-    def ic0_for(self, direction: SwitchDirection) -> float:
-        if direction is SwitchDirection.P_TO_AP:
-            return self.ic0_p2ap_ua
-        return self.ic0_ap2p_ua
+            raise ValueError(f"delta_asym must lie in (-1, 1), got {self.delta_asym}")
 
 
 @dataclass(frozen=True)
@@ -148,19 +139,6 @@ class Environment:
 
 
 @dataclass(frozen=True)
-class WritePulse:
-    direction: SwitchDirection
-    current_ua: float
-    width_ns: float
-
-    def __post_init__(self) -> None:
-        if not self.current_ua > 0.0:
-            raise ValueError(f"current_ua must be > 0, got {self.current_ua}")
-        if not self.width_ns > 0.0:
-            raise ValueError(f"width_ns must be > 0, got {self.width_ns}")
-
-
-@dataclass(frozen=True)
 class DeviceInstance:
     """One sampled device: realized geometry plus derived resistances.
 
@@ -173,18 +151,6 @@ class DeviceInstance:
     tmr: float
     r_p_eff_ohm: float
     r_ap_eff_ohm: float
-
-    def resistance_of(self, state: int) -> float:
-        return self.r_ap_eff_ohm if state == STATE_AP else self.r_p_eff_ohm
-
-    def delta_300_for(self, direction: SwitchDirection) -> float:
-        # Energy barrier scales with free-layer volume.
-        scale = self.t_fl_nm / self.params.t_fl_nm
-        return self.params.delta_300_for(direction) * scale
-
-    def ic0_for(self, direction: SwitchDirection) -> float:
-        scale = self.t_fl_nm / self.params.t_fl_nm
-        return self.params.ic0_for(direction) * scale
 
 
 def _sample_positive(rng: np.random.Generator, mean: float, sigma: float, name: str) -> float:
@@ -200,9 +166,7 @@ def _sample_positive(rng: np.random.Generator, mean: float, sigma: float, name: 
     )
 
 
-def _build_instance(
-    params: DeviceParams, t_fl: float, t_tb: float, tmr: float
-) -> DeviceInstance:
+def _build_instance(params: DeviceParams, t_fl: float, t_tb: float, tmr: float) -> DeviceInstance:
     # Tunneling resistance grows exponentially with barrier thickness.
     r_p_eff = params.r_p_ohm * math.exp((t_tb - params.t_tb_nm) / params.tb_decay_nm)
     r_ap_eff = r_p_eff * (1.0 + tmr)
@@ -239,93 +203,86 @@ def sample_device(
 
 
 def switching_exponent(
-    device: DeviceInstance, pulse: WritePulse, env: Environment
+    device: DeviceInstance, direction: SwitchDirection, current_ua: float, env: Environment
 ) -> float:
-    """Activation exponent ln(tau/tau0), floored at zero.
+    """Activation exponent ln(tau/tau0) of a write of current_ua in
+    direction, floored at zero.
 
     The floor implements the tau >= tau0 clamp for overdrive currents
     at or above the critical current.
     """
-    delta_t = device.delta_300_for(pulse.direction) * (300.0 / env.temperature_k)
-    r_from = device.resistance_of(pulse.direction.source_state)
-    r_load = device.params.r_load_ohm
-    divider = (device.params.r_p_ohm + r_load) / (r_from + r_load)
-    i_eff = pulse.current_ua * (1.0 + env.v_variation_rate) * divider
-    exponent = delta_t * (1.0 - i_eff / device.ic0_for(pulse.direction))
+    params = device.params
+    if direction is SwitchDirection.P_TO_AP:
+        delta_300 = params.delta_300 * (1.0 + params.delta_asym)
+        ic0, r_from = params.ic0_p2ap_ua, device.r_p_eff_ohm
+    else:
+        delta_300 = params.delta_300 * (1.0 - params.delta_asym)
+        ic0, r_from = params.ic0_ap2p_ua, device.r_ap_eff_ohm
+    # Barrier and critical current scale with free-layer volume.
+    scale = device.t_fl_nm / params.t_fl_nm
+    delta_t = delta_300 * scale * (300.0 / env.temperature_k)
+    r_load = params.r_load_ohm
+    divider = (params.r_p_ohm + r_load) / (r_from + r_load)
+    i_eff = current_ua * (1.0 + env.v_variation_rate) * divider
+    exponent = delta_t * (1.0 - i_eff / (ic0 * scale))
     return max(0.0, exponent)
 
 
 def switching_probability(
-    device: DeviceInstance, pulse: WritePulse, env: Environment
+    device: DeviceInstance, direction: SwitchDirection, current_ua: float, env: Environment
 ) -> float:
-    """Probability that the pulse switches a device sitting in the
-    pulse's source state.  Defined for any device state; the caller
-    decides applicability."""
-    tau = device.params.tau0_ns * math.exp(switching_exponent(device, pulse, env))
-    return -math.expm1(-pulse.width_ns / tau)
+    """Probability that a PULSE_WIDTH_NS write of current_ua in
+    direction switches a device sitting in the direction's source
+    state.  Defined for any device state; the caller decides
+    applicability."""
+    tau = device.params.tau0_ns * math.exp(switching_exponent(device, direction, current_ua, env))
+    return -math.expm1(-PULSE_WIDTH_NS / tau)
 
 
-def calibrate_pulse(
-    direction: SwitchDirection,
-    target_prob: float,
-    width_ns: float,
-    device: DeviceInstance,
-    env: Environment,
-) -> WritePulse:
-    """Bisect the write current until the switching probability hits
-    target_prob to within 1e-6.
-
-    The bound holds per call, so per polarity: two polarities
-    calibrated to one target can differ by up to about 2e-6.
-
-    Calibration is normally run once at nominal conditions; the
-    returned amplitude is then held fixed while the environment or the
-    device population is varied, which is exactly the disturbance
-    mechanism the sweeps study.  Raises ValueError if the target is
-    not reachable inside the current search span, e.g. a saturation
-    probability above 1 - exp(-width / tau0).
-    """
-    if not 0.0 < target_prob < 1.0:
-        raise ValueError(f"target_prob must lie in (0, 1), got {target_prob}")
-    if not width_ns > 0.0:
-        raise ValueError(f"width_ns must be > 0, got {width_ns}")
+def _calibrate(device: DeviceInstance, direction: SwitchDirection, hi: float) -> float:
+    """Bisect the write current in [0, hi] until the switching
+    probability at Environment() hits CALIBRATION_TARGET to within
+    1e-6, so two polarities can differ by up to about 2e-6.  Raises
+    ValueError if the target is unreachable: above the saturation
+    1 - exp(-PULSE_WIDTH_NS / tau0), or below what a write at zero
+    current already switches."""
 
     def probe(current: float) -> float:
-        pulse = WritePulse(direction=direction, current_ua=current, width_ns=width_ns)
-        return switching_probability(device, pulse, env)
+        return switching_probability(device, direction, current, Environment())
 
+    target = CALIBRATION_TARGET
     lo = 0.0
-    hi = _CALIBRATION_CURRENT_SPAN * device.ic0_for(direction)
-    p_hi = probe(hi)
-    if p_hi < target_prob - _CALIBRATION_TOL:
+    p_lo, p_hi = probe(lo), probe(hi)
+    if not p_lo - _CALIBRATION_TOL <= target <= p_hi + _CALIBRATION_TOL:
         raise ValueError(
-            f"target probability {target_prob} unreachable at width "
-            f"{width_ns} ns (maximum attainable is {p_hi:.6f})"
+            f"target probability {target} unreachable at width "
+            f"{PULSE_WIDTH_NS} ns (attainable range is {p_lo:.6f} to {p_hi:.6f})"
         )
-    current = hi
     for _ in range(_CALIBRATION_MAX_ITER):
         current = 0.5 * (lo + hi)
         p_mid = probe(current)
-        if abs(p_mid - target_prob) <= _CALIBRATION_TOL:
-            return WritePulse(direction=direction, current_ua=current, width_ns=width_ns)
-        if p_mid < target_prob:
+        if abs(p_mid - target) <= _CALIBRATION_TOL:
+            return current
+        if p_mid < target:
             lo = current
         else:
             hi = current
     raise ValueError(
-        f"calibration did not converge to {target_prob} in "
-        f"{_CALIBRATION_MAX_ITER} iterations"
+        f"calibration did not converge to {target} in {_CALIBRATION_MAX_ITER} iterations"
     )
 
 
 @functools.lru_cache
-def calibrated_pulses(params: DeviceParams) -> tuple[WritePulse, ...]:
-    """The design's write pulses for params, indexed by SwitchDirection:
-    each polarity calibrated on the nominal device at Environment() to
-    switch with probability CALIBRATION_TARGET in PULSE_WIDTH_NS.
-    Cached, so generators of equal params share one immutable tuple."""
+def calibrated_currents(params: DeviceParams) -> tuple[float, ...]:
+    """The design's write currents for params in microamps, indexed by
+    SwitchDirection: each polarity calibrated on the nominal device at
+    Environment() to switch with probability CALIBRATION_TARGET in
+    PULSE_WIDTH_NS, searching up to _CALIBRATION_CURRENT_SPAN times its
+    critical current.  Cached, so generators of equal params share one
+    immutable tuple."""
     nominal = sample_device(params, process_variation=False)
+    ic0 = (params.ic0_ap2p_ua, params.ic0_p2ap_ua)  # indexed by SwitchDirection
     return tuple(
-        calibrate_pulse(direction, CALIBRATION_TARGET, PULSE_WIDTH_NS, nominal, Environment())
+        _calibrate(nominal, direction, _CALIBRATION_CURRENT_SPAN * ic0[direction])
         for direction in SwitchDirection
     )

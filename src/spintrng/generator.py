@@ -10,7 +10,7 @@ Two families are modeled:
 
 * Read-half-select feedback designs: every cycle reads the cell, emits
   the read value, and writes the inverted value back with the
-  direction-appropriate calibrated pulse.  rhs-single is one such
+  direction-appropriate calibrated current.  rhs-single is one such
   cell; rhs-parallel(n) chains n + 1 cells into n XOR output lanes,
   and rhs-trng is its one-lane case, the XOR of two independent cells.
 
@@ -48,8 +48,7 @@ from spintrng.device import (
     DeviceParams,
     Environment,
     SwitchDirection,
-    WritePulse,
-    calibrated_pulses,
+    calibrated_currents,
     sample_device,
     switching_probability,
 )
@@ -161,8 +160,9 @@ class CostReport:
 
 
 class _Unit:
-    """One MTJ cell: its own uniform substream, its flip probabilities
-    and its chain state, which starts at P."""
+    """One MTJ cell: its own uniform substream, its chain state, which
+    starts at P, and its flip probabilities under the write currents
+    (indexed by SwitchDirection) or the override."""
 
     __slots__ = ("state", "rng", "p1", "p2")
 
@@ -170,7 +170,7 @@ class _Unit:
         self,
         device: DeviceInstance,
         rng: np.random.Generator,
-        pulses: tuple[WritePulse, ...] | None,
+        currents: tuple[float, ...] | None,
         env: Environment,
         override: tuple[float, float] | None,
     ) -> None:
@@ -179,8 +179,10 @@ class _Unit:
         if override is not None:
             self.p1, self.p2 = float(override[0]), float(override[1])
         else:
-            self.p1 = switching_probability(device, pulses[SwitchDirection.P_TO_AP], env)
-            self.p2 = switching_probability(device, pulses[SwitchDirection.AP_TO_P], env)
+            self.p1, self.p2 = (
+                switching_probability(device, d, currents[d], env)
+                for d in (SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P)
+            )
 
 
 def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
@@ -212,7 +214,7 @@ def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
 class BitGenerator:
     """Stateful driver for one configured TRNG instance.
 
-    The write pulses are calibrated_pulses(params): calibrated on the
+    The write currents are calibrated_currents(params): calibrated on the
     nominal device of the generator's params at reference conditions,
     whatever devices the units are given, and then held fixed.  The
     run environment and the unit devices shift the realized flip
@@ -246,10 +248,10 @@ class BitGenerator:
                 f"{config.variant.value} needs {config.n_units} devices, got {len(devices)}"
             )
 
-        pulses = calibrated_pulses(self.params) if config.flip_prob_override is None else None
+        currents = calibrated_currents(self.params) if config.flip_prob_override is None else None
 
         self.units = [
-            _Unit(dev, np.random.default_rng(ss), pulses, self.env, config.flip_prob_override)
+            _Unit(dev, np.random.default_rng(ss), currents, self.env, config.flip_prob_override)
             for dev, ss in zip(devices, children)
         ]
         # rhs-parallel lanes of the last cycle that no call has emitted yet.

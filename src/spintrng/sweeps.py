@@ -2,7 +2,7 @@
 
 run_sweep is the one entry point.  Every sweep is a list of cells, one
 variant of SWEEP_VARIANTS on one environment and set of devices, each
-run by _cell through BitGenerator with the write pulses calibrated at
+run by _cell through BitGenerator with the write currents calibrated at
 reference conditions.  The voltage and temperature sweeps run nominal
 devices at every point of VOLTAGE_POINTS or TEMPERATURE_POINTS; the
 process study runs sampled device sets at reference conditions.  They
@@ -29,6 +29,7 @@ from numpy.random import SeedSequence
 from spintrng.device import DeviceParams, Environment, sample_device
 from spintrng.entropy import binary_min_entropy, binary_shannon_entropy
 from spintrng.generator import BitGenerator, GeneratorConfig, Variant
+from spintrng.parallel import ordered_map
 
 
 class Axis(str, Enum):
@@ -152,20 +153,6 @@ def _cell(task) -> tuple[int, float, float]:
     return (ones, *gen.realized_flip_probs()[0])
 
 
-def _run_cells(tasks: list, jobs: int) -> list[tuple[int, float, float]]:
-    """_cell of every task, in task order, on jobs worker processes.
-
-    The tasks go out in about four chunks per worker, so the process
-    study's many short cells do not each cost a round trip.
-    """
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_cell, tasks, chunksize=-(-len(tasks) // (4 * jobs))))
-    return [_cell(t) for t in tasks]
-
-
 def _run_env_sweep(spec: SweepSpec, jobs: int) -> SweepReport:
     """Entropy of each variant at every point of the axis's grid."""
     if spec.axis is Axis.VOLTAGE:
@@ -180,7 +167,7 @@ def _run_env_sweep(spec: SweepSpec, jobs: int) -> SweepReport:
     ]
     rows = [
         _row(spec, variant, getattr(env, setting), ones / spec.bits_per_point, p1, p2)
-        for (variant, env, *_), (ones, p1, p2) in zip(tasks, _run_cells(tasks, jobs))
+        for (variant, env, *_), (ones, p1, p2) in zip(tasks, ordered_map(_cell, tasks, jobs))
     ]
     rows.sort(key=lambda r: (r.variant, r.value))
     return SweepReport(spec=spec, rows=tuple(rows))
@@ -215,7 +202,7 @@ def _run_process_study(spec: SweepSpec, jobs: int) -> SweepReport:
     ones = [0] * len(SWEEP_VARIANTS)
     p1_sum = 0.0
     p2_sum = 0.0
-    for k, (count, p1, p2) in enumerate(_run_cells(tasks, jobs)):
+    for k, (count, p1, p2) in enumerate(ordered_map(_cell, tasks, jobs)):
         vi = k % len(SWEEP_VARIANTS)
         ones[vi] += count
         if vi == 0:

@@ -25,6 +25,8 @@ from enum import Enum
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
+from spintrng.parallel import ordered_map
+
 
 class BackendKind(str, Enum):
     TRNG_INSTRUCTION = "trng-instruction"
@@ -290,11 +292,4 @@ def speedup_report(
         for pi_idx, n_paths in enumerate(n_paths_grid)
         for b_idx, backend in enumerate(default_backends())
     ]
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_bench_cell, tasks))
-    else:
-        rows = [_bench_cell(t) for t in tasks]
-    return BenchReport(rows=tuple(rows))
+    return BenchReport(rows=tuple(ordered_map(_bench_cell, tasks, jobs)))

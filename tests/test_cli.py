@@ -156,6 +156,18 @@ def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
         ),
         (["analyze"], {"device": {"tmr": 10**400}}, "bad device config: int too large"),
         (["analyze"], {"option": {"s0": 10**400}}, "bad option config: int too large"),
+        # saturation 1 - exp(-2.9 / 5) = 0.440 stays below the 0.5 target
+        (
+            ["generate", "--out", "x.bin"],
+            {"device": {"tau0_ns": 5.0}},
+            "bad device config: target probability 0.5 unreachable",
+        ),
+        # a write at zero current already switches with 1 - exp(-2.9) = 0.945
+        (
+            ["sweep", "--out", "x.csv"],
+            {"device": {"delta_300": 1e-9}},
+            "bad device config: target probability 0.5 unreachable",
+        ),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):
@@ -165,6 +177,26 @@ def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, m
     _, err = capsys.readouterr()
     assert code == 1
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["test", "--in", "d"],
+        ["sweep", "--bits-per-point", "10000", "--out", "d"],
+        ["bench", "--paths", "100", "--out", "d"],
+        ["analyze", "--config", "d"],
+    ],
+    ids=["test-in", "sweep-out", "bench-out", "config"],
+)
+def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    code = cli.main(args)
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err.endswith("spintrng: error: d: Is a directory\n")
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintrng.device import (
+    PULSE_WIDTH_NS,
     STATE_AP,
-    STATE_P,
     DeviceParams,
     Environment,
     SwitchDirection,
-    WritePulse,
-    calibrate_pulse,
-    calibrated_pulses,
+    calibrated_currents,
     sample_device,
     switching_exponent,
     switching_probability,
@@ -36,8 +34,6 @@ class TestResistances:
         dev = nominal_device()
         assert dev.r_p_eff_ohm == pytest.approx(5000.0)
         assert dev.r_ap_eff_ohm == pytest.approx(15000.0)
-        assert dev.resistance_of(STATE_P) == dev.r_p_eff_ohm
-        assert dev.resistance_of(STATE_AP) == dev.r_ap_eff_ohm
 
     def test_tmr_definition(self):
         dev = nominal_device()
@@ -55,161 +51,153 @@ class TestResistances:
             )
 
     def test_free_layer_scales_barrier_and_critical_current(self):
-        dev = sample_device(NOMINAL, seed=3)
-        scale = dev.t_fl_nm / 1.3
+        # barrier and Ic0 both scale by s = t_fl / 1.3, so s times the
+        # current gives s times the nominal device's exponent
+        nominal = nominal_device()
+        scale = sample_device(NOMINAL, seed=3).t_fl_nm / 1.3
+        thicker = dataclasses.replace(nominal, t_fl_nm=1.3 * scale)
         for direction in SwitchDirection:
-            assert dev.delta_300_for(direction) == pytest.approx(
-                NOMINAL.delta_300_for(direction) * scale
-            )
-            assert dev.ic0_for(direction) == pytest.approx(
-                NOMINAL.ic0_for(direction) * scale
-            )
+            for current in (0.0, 20.0, 30.0):
+                assert switching_exponent(
+                    thicker, direction, current * scale, ENV
+                ) == pytest.approx(scale * switching_exponent(nominal, direction, current, ENV))
 
 
 class TestSwitchingLaw:
     def test_barrier_asymmetry(self):
-        assert NOMINAL.delta_300_for(SwitchDirection.P_TO_AP) == pytest.approx(4.2)
-        assert NOMINAL.delta_300_for(SwitchDirection.AP_TO_P) == pytest.approx(2.8)
+        # at zero current the exponent is the polarity's whole barrier
+        dev = nominal_device()
+        assert switching_exponent(dev, SwitchDirection.P_TO_AP, 0.0, ENV) == pytest.approx(4.2)
+        assert switching_exponent(dev, SwitchDirection.AP_TO_P, 0.0, ENV) == pytest.approx(2.8)
 
     def test_direction_critical_currents(self):
-        assert NOMINAL.ic0_for(SwitchDirection.P_TO_AP) == 55.0
-        assert NOMINAL.ic0_for(SwitchDirection.AP_TO_P) == 40.0
+        # an effective current of Ic0 / 2 halves the barrier: from P the
+        # divider is 1, from AP it is 7000 / 17000
+        dev = nominal_device()
+        assert switching_exponent(dev, SwitchDirection.P_TO_AP, 55.0 / 2, ENV) == pytest.approx(
+            4.2 / 2
+        )
+        from_ap = 40.0 / 2 * 17000.0 / 7000.0
+        assert switching_exponent(dev, SwitchDirection.AP_TO_P, from_ap, ENV) == pytest.approx(
+            2.8 / 2
+        )
 
     def test_exponent_formula_with_load_divider(self):
         dev = nominal_device()
-        pulse = WritePulse(SwitchDirection.AP_TO_P, current_ua=30.0, width_ns=2.9)
         # switching from AP: the series load sees the high-R branch
         divider = (5000.0 + 2000.0) / (15000.0 + 2000.0)
         expected = 2.8 * (1.0 - 30.0 * divider / 40.0)
-        assert switching_exponent(dev, pulse, ENV) == pytest.approx(expected)
+        assert switching_exponent(dev, SwitchDirection.AP_TO_P, 30.0, ENV) == pytest.approx(
+            expected
+        )
+        # switching from P: the divider is the nominal one, 1
+        expected = 4.2 * (1.0 - 30.0 / 55.0)
+        assert switching_exponent(dev, SwitchDirection.P_TO_AP, 30.0, ENV) == pytest.approx(
+            expected
+        )
+        # the divider follows the device's own source-state resistance
+        high_ap = dataclasses.replace(dev, r_ap_eff_ohm=25000.0)
+        divider = (5000.0 + 2000.0) / (25000.0 + 2000.0)
+        expected = 2.8 * (1.0 - 30.0 * divider / 40.0)
+        assert switching_exponent(high_ap, SwitchDirection.AP_TO_P, 30.0, ENV) == pytest.approx(
+            expected
+        )
 
     def test_exponent_clamped_at_zero_for_overdrive(self):
         dev = nominal_device()
-        pulse = WritePulse(SwitchDirection.P_TO_AP, current_ua=500.0, width_ns=2.9)
-        assert switching_exponent(dev, pulse, ENV) == 0.0
+        assert switching_exponent(dev, SwitchDirection.P_TO_AP, 500.0, ENV) == 0.0
 
     def test_saturation_probability(self):
         # with the exponent clamped, tau = tau0 and P = 1 - exp(-w/tau0)
         dev = nominal_device()
-        pulse = WritePulse(SwitchDirection.P_TO_AP, current_ua=500.0, width_ns=2.9)
-        assert switching_probability(dev, pulse, ENV) == pytest.approx(
+        assert switching_probability(dev, SwitchDirection.P_TO_AP, 500.0, ENV) == pytest.approx(
             1.0 - math.exp(-2.9), abs=1e-12
         )
 
     def test_temperature_rescales_exponent(self):
         dev = nominal_device()
-        pulse = WritePulse(SwitchDirection.P_TO_AP, current_ua=40.0, width_ns=2.9)
-        base = switching_exponent(dev, pulse, ENV)
-        hot = switching_exponent(dev, pulse, Environment(temperature_k=330.0))
+        base = switching_exponent(dev, SwitchDirection.P_TO_AP, 40.0, ENV)
+        hot = switching_exponent(
+            dev, SwitchDirection.P_TO_AP, 40.0, Environment(temperature_k=330.0)
+        )
         assert hot == pytest.approx(base * 300.0 / 330.0, rel=1e-12)
 
     def test_supply_deviation_scales_effective_current(self):
         dev = nominal_device()
         bumped = switching_exponent(
-            dev,
-            WritePulse(SwitchDirection.P_TO_AP, 40.0, 2.9),
-            Environment(v_variation_rate=0.1),
+            dev, SwitchDirection.P_TO_AP, 40.0, Environment(v_variation_rate=0.1)
         )
-        equivalent = switching_exponent(
-            dev, WritePulse(SwitchDirection.P_TO_AP, 44.0, 2.9), ENV
-        )
+        equivalent = switching_exponent(dev, SwitchDirection.P_TO_AP, 44.0, ENV)
         assert bumped == pytest.approx(equivalent, rel=1e-12)
 
-    @given(
-        current=st.floats(1.0, 200.0),
-        width=st.floats(0.1, 10.0),
-        temp=st.floats(200.0, 400.0),
-    )
+    @given(current=st.floats(1.0, 200.0), temp=st.floats(200.0, 400.0))
     @settings(max_examples=60, deadline=None)
-    def test_probability_bounded_by_saturation(self, current, width, temp):
+    def test_probability_bounded_by_saturation(self, current, temp):
         dev = nominal_device()
         env = Environment(temperature_k=temp)
         for direction in SwitchDirection:
-            p = switching_probability(
-                dev, WritePulse(direction, current, width), env
-            )
-            assert 0.0 <= p <= 1.0 - math.exp(-width) + 1e-12
-
-    def test_longer_pulse_switches_more(self):
-        dev = nominal_device()
-        probs = [
-            switching_probability(
-                dev, WritePulse(SwitchDirection.P_TO_AP, 45.0, w), ENV
-            )
-            for w in (1.0, 2.0, 4.0, 8.0)
-        ]
-        assert probs == sorted(probs)
-        assert all(np.diff(probs) > 0)
+            p = switching_probability(dev, direction, current, env)
+            assert 0.0 <= p <= 1.0 - math.exp(-PULSE_WIDTH_NS) + 1e-12
 
 
 class TestCalibration:
-    @pytest.mark.parametrize("direction", list(SwitchDirection))
-    @pytest.mark.parametrize("target", [0.3, 0.5, 0.9])
-    def test_hits_target(self, direction, target):
-        dev = nominal_device()
-        pulse = calibrate_pulse(direction, target, 2.9, dev, ENV)
-        assert pulse.width_ns == 2.9
-        assert switching_probability(dev, pulse, ENV) == pytest.approx(
-            target, abs=1e-6
-        )
-
     def test_half_probability_operating_exponent(self):
         # P = 0.5 at width w pins the exponent at ln(w / (tau0 ln 2))
         dev = nominal_device()
-        pulse = calibrate_pulse(SwitchDirection.P_TO_AP, 0.5, 2.9, dev, ENV)
+        current = calibrated_currents(NOMINAL)[SwitchDirection.P_TO_AP]
         expected = math.log(2.9 / math.log(2.0))
-        assert switching_exponent(dev, pulse, ENV) == pytest.approx(
+        assert switching_exponent(dev, SwitchDirection.P_TO_AP, current, ENV) == pytest.approx(
             expected, abs=1e-5
         )
 
     def test_unreachable_target_rejected(self):
-        # saturation at width 5 is 1 - exp(-5) = 0.99326, below the ask
-        dev = nominal_device()
-        with pytest.raises(ValueError):
-            calibrate_pulse(SwitchDirection.P_TO_AP, 0.9999, 5.0, dev, ENV)
+        # saturation at tau0 = 5 ns is 1 - exp(-2.9 / 5) = 0.440, below 0.5
+        with pytest.raises(ValueError, match="unreachable"):
+            calibrated_currents(DeviceParams(tau0_ns=5.0))
 
-    def test_invalid_targets_rejected(self):
-        dev = nominal_device()
-        for bad in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                calibrate_pulse(SwitchDirection.P_TO_AP, bad, 2.9, dev, ENV)
+    def test_target_below_the_zero_current_probability_rejected(self):
+        # with no barrier, a write at zero current already switches with
+        # 1 - exp(-2.9) = 0.945, so no current lowers it to 0.5
+        with pytest.raises(ValueError, match="unreachable"):
+            calibrated_currents(DeviceParams(delta_300=1e-9))
 
     def test_calibrated_pulses_covers_both_directions(self):
         dev = nominal_device()
-        pulses = calibrated_pulses(NOMINAL)
+        currents = calibrated_currents(NOMINAL)
         # one immutable tuple, indexed by direction, shared by equal params
-        assert isinstance(pulses, tuple)
-        assert calibrated_pulses(DeviceParams()) is pulses
-        assert [pulse.direction for pulse in pulses] == list(SwitchDirection)
-        for pulse in pulses:
-            assert switching_probability(dev, pulse, ENV) == pytest.approx(
-                0.5, abs=1e-6
+        assert isinstance(currents, tuple)
+        assert calibrated_currents(DeviceParams()) is currents
+        assert currents == (47.48821258544922, 36.257751286029816)
+        for direction in SwitchDirection:
+            assert switching_probability(dev, direction, currents[direction], ENV) == (
+                pytest.approx(0.5, abs=1e-6)
             )
 
 
 class TestApplyWrite:
-    """A write pulse applied by the generator switches its cell with the
-    pulse's switching probability."""
+    """A write applied by the generator switches its cell with the
+    write's switching probability."""
 
     @staticmethod
-    def use_pulses(monkeypatch, current_ua, width_ns):
-        """Make every generator write with these pulses instead of the
-        calibrated ones."""
-        pulses = tuple(WritePulse(d, current_ua, width_ns) for d in SwitchDirection)
-        monkeypatch.setattr("spintrng.generator.calibrated_pulses", lambda params: pulses)
-        return pulses
+    def use_current(monkeypatch, current_ua):
+        """Make every generator write with this current in both
+        directions instead of the calibrated ones."""
+        currents = (current_ua,) * len(SwitchDirection)
+        monkeypatch.setattr("spintrng.generator.calibrated_currents", lambda params: currents)
 
     def test_certain_switch_flips_state(self, monkeypatch):
-        dev = nominal_device()
-        pulses = self.use_pulses(monkeypatch, 500.0, 1e9)
-        assert switching_probability(dev, pulses[SwitchDirection.P_TO_AP], ENV) == 1.0
+        # an overdriven write on a 1 fs tau0 switches with P = 1
+        params = DeviceParams(tau0_ns=1e-6)
+        self.use_current(monkeypatch, 500.0)
+        dev = sample_device(params, process_variation=False)
+        assert switching_probability(dev, SwitchDirection.P_TO_AP, 500.0, ENV) == 1.0
         # conv-p2ap resets to P, writes towards AP and emits the state
-        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=1)
+        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), params=params, seed=1)
         assert gen.generate(64).bits.tolist() == [STATE_AP] * 64
 
     def test_empirical_rate_matches_probability(self, monkeypatch):
-        pulses = self.use_pulses(monkeypatch, 50.0, 2.9)
-        p = switching_probability(nominal_device(), pulses[SwitchDirection.P_TO_AP], ENV)
+        self.use_current(monkeypatch, 50.0)
+        p = switching_probability(nominal_device(), SwitchDirection.P_TO_AP, 50.0, ENV)
         gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=7)
         n = 20000
         hits = int(gen.generate(n).bits.sum())
@@ -289,15 +277,3 @@ class TestValidation:
     def test_environment_defaults(self):
         assert ENV.temperature_k == 300.0
         assert ENV.v_variation_rate == 0.0
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"current_ua": 0.0, "width_ns": 2.9},
-            {"current_ua": -1.0, "width_ns": 2.9},
-            {"current_ua": 40.0, "width_ns": 0.0},
-        ],
-    )
-    def test_bad_pulse_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            WritePulse(direction=SwitchDirection.P_TO_AP, **kwargs)

@@ -9,11 +9,12 @@ import pytest
 from numpy.random import SeedSequence
 
 from spintrng.device import (
+    STATE_AP,
     STATE_P,
     DeviceParams,
     Environment,
     SwitchDirection,
-    calibrated_pulses,
+    calibrated_currents,
     sample_device,
     switching_probability,
 )
@@ -121,10 +122,11 @@ def reference_bits(config, entropy, n_bits):
 
     Each unit draws from its own default_rng, spawned from
     SeedSequence(entropy) in unit order, and every cycle applies one
-    write pulse to it: the pulse switches the cell when its draw u is
-    below the pulse's switching probability (or the override's p).  A
-    conventional cycle first resets the cell to the pulse's source
-    state; a feedback cycle writes the inverse of the state it reads.
+    write to it: the write switches the cell when its draw u is below
+    the write's switching probability (or the override's p).  A
+    conventional cycle first resets the cell to the state the write
+    leaves (AP for AP to P, P for P to AP); a feedback cycle writes the
+    inverse of the state it reads.
     Every cell starts at P.  The emitted value is the post-write state
     (XORed across adjacent cells), so the deterministic initial state
     never reaches the stream.
@@ -132,8 +134,11 @@ def reference_bits(config, entropy, n_bits):
     rngs = [np.random.default_rng(s) for s in SeedSequence(entropy).spawn(config.n_units)]
     if config.flip_prob_override is None:
         device = sample_device(DeviceParams(), process_variation=False)
-        pulses = calibrated_pulses(DeviceParams())
-        p = {d: switching_probability(device, pulses[d], Environment()) for d in SwitchDirection}
+        currents = calibrated_currents(DeviceParams())
+        p = {
+            d: switching_probability(device, d, currents[d], Environment())
+            for d in SwitchDirection
+        }
     else:
         p = dict(zip((SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P), config.flip_prob_override))
 
@@ -146,7 +151,8 @@ def reference_bits(config, entropy, n_bits):
                 if config.variant is Variant.CONV_AP_TO_P
                 else SwitchDirection.P_TO_AP
             )
-            bits.append(direction.source_state ^ int(rngs[0].random() < p[direction]))
+            source = STATE_AP if direction is SwitchDirection.AP_TO_P else STATE_P
+            bits.append(source ^ int(rngs[0].random() < p[direction]))
             continue
         for k, rng in enumerate(rngs):
             direction = SwitchDirection.P_TO_AP if states[k] == STATE_P else SwitchDirection.AP_TO_P
@@ -222,15 +228,15 @@ class TestChainState:
         np.testing.assert_array_equal(again, parts[0])
 
     def test_pulses_come_from_the_generator_params(self):
-        # devices drawn from other params still see the pulses calibrated
+        # devices drawn from other params still see the currents calibrated
         # on the nominal device of the generator's params
         device = sample_device(DeviceParams(ic0_p2ap_ua=60.0), process_variation=False)
         gen = BitGenerator(cfg(Variant.CONV_P_TO_AP), params=DeviceParams(), devices=[device])
-        pulses = calibrated_pulses(DeviceParams())
+        currents = calibrated_currents(DeviceParams())
         assert gen.realized_flip_probs() == [
-            (
-                switching_probability(device, pulses[SwitchDirection.P_TO_AP], Environment()),
-                switching_probability(device, pulses[SwitchDirection.AP_TO_P], Environment()),
+            tuple(
+                switching_probability(device, d, currents[d], Environment())
+                for d in (SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P)
             )
         ]
         assert gen.realized_flip_probs()[0][0] < 0.5

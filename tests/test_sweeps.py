@@ -7,11 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from spintrng import parallel
 from spintrng.device import (
+    PULSE_WIDTH_NS,
     DeviceParams,
     Environment,
     SwitchDirection,
-    calibrated_pulses,
+    calibrated_currents,
     sample_device,
     switching_exponent,
     switching_probability,
@@ -94,6 +96,8 @@ class TestDeterminism:
                 super().__init__(max_workers=max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        # the pool never has more workers than usable cores
+        monkeypatch.setattr(parallel, "_usable_cores", lambda: 2)
         spec = fast_spec(Axis.PROCESS, seed=4, n_samples=12, bits_per_point=12_000)
         serial = run_sweep(spec, jobs=1)
         assert pools == []
@@ -188,24 +192,25 @@ class TestModelAgreement:
         # calibration itself is exact only to 1e-6 per polarity, at 300 K.
         report = run_sweep(fast_spec(Axis.TEMPERATURE, seed=0))
         nominal = sample_device(report.spec.params, process_variation=False)
-        pulses = calibrated_pulses(report.spec.params)
-        p_to_ap = pulses[SwitchDirection.P_TO_AP]
-        ap_to_p = pulses[SwitchDirection.AP_TO_P]
+        currents = calibrated_currents(report.spec.params)
         tau0 = report.spec.params.tau0_ns
-        for pulse in (p_to_ap, ap_to_p):
-            assert switching_probability(nominal, pulse, Environment()) == (
-                pytest.approx(0.5, abs=1e-6)
-            )
+        for direction in SwitchDirection:
+            assert switching_probability(
+                nominal, direction, currents[direction], Environment()
+            ) == pytest.approx(0.5, abs=1e-6)
 
-        def exponent(p, pulse):
-            return math.log(pulse.width_ns / tau0) - math.log(-math.log1p(-p))
+        def exponent(p):
+            return math.log(PULSE_WIDTH_NS / tau0) - math.log(-math.log1p(-p))
 
         for row in report.rows:
-            for p, pulse in ((row.p1_model, p_to_ap), (row.p2_model, ap_to_p)):
-                x_300 = switching_exponent(nominal, pulse, Environment())
-                assert exponent(p, pulse) == pytest.approx(
+            for p, direction in (
+                (row.p1_model, SwitchDirection.P_TO_AP),
+                (row.p2_model, SwitchDirection.AP_TO_P),
+            ):
+                x_300 = switching_exponent(nominal, direction, currents[direction], Environment())
+                assert exponent(p) == pytest.approx(
                     300.0 / row.value * x_300, rel=1e-9
-                ), (row.variant, row.value, pulse.direction)
+                ), (row.variant, row.value, direction)
 
     def test_trng_entropy_dominates_at_every_point(self):
         report = run_sweep(fast_spec(Axis.VOLTAGE, bits_per_point=50_000, seed=4))
@@ -240,12 +245,12 @@ class TestProcessStudy:
 
 @pytest.mark.parametrize("axis", list(Axis))
 def test_calibration_runs_once_per_params(axis):
-    # every cell's generator shares the cached pulses of its params
-    calibrated_pulses.cache_clear()
+    # every cell's generator shares the cached currents of its params
+    calibrated_currents.cache_clear()
     run_sweep(fast_spec(axis, n_samples=20, seed=1))
-    assert calibrated_pulses.cache_info().misses == 1
+    assert calibrated_currents.cache_info().misses == 1
     run_sweep(fast_spec(axis, n_samples=20, seed=1, params=DeviceParams(tmr=1.5)))
-    assert calibrated_pulses.cache_info().misses == 2
+    assert calibrated_currents.cache_info().misses == 2
 
 
 
