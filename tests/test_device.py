@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintrng.device import (
+    CALIBRATION_TARGET,
     PULSE_WIDTH_NS,
     STATE_AP,
     DeviceParams,
@@ -141,6 +142,15 @@ class TestSwitchingLaw:
 
 
 class TestCalibration:
+    @pytest.mark.parametrize("direction", list(SwitchDirection))
+    @pytest.mark.parametrize("target", [CALIBRATION_TARGET])
+    def test_hits_target(self, direction, target):
+        dev = nominal_device()
+        current = calibrated_currents(NOMINAL)[direction]
+        assert switching_probability(dev, direction, current, ENV) == pytest.approx(
+            target, abs=1e-6
+        )
+
     def test_half_probability_operating_exponent(self):
         # P = 0.5 at width w pins the exponent at ln(w / (tau0 ln 2))
         dev = nominal_device()
