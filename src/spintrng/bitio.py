@@ -9,15 +9,18 @@ Two interchange formats:
   ignored on read.  This is the format external statistical tooling
   usually consumes.
 
-Every written stream gets a JSON sidecar at <path>.json carrying the
-format, bit count, variant, seed, and the simulated time/energy
-accounting, so a stream file round-trips without guessing.
+Every written stream gets a JSON sidecar at <path>.json: the
+StreamMetadata record, which is the generate call's
+generator.StreamInfo (bit count, variant, lanes, seed, simulated time
+and energy) plus the format, so a stream file round-trips without
+guessing.
 
 Every stream file is written by one writer, _write, which takes the
 bits as a sequence of 0/1 chunks and encodes each as it arrives:
-save_stream passes a BitStream already in memory as one chunk, and
-write_generated, which the CLI uses, passes BitGenerator.chunks, so
-memory stays flat however long the request.  The writer refuses an
+save_stream passes a BitStream already in memory as one chunk with its
+record, and write_generated, which the CLI uses, passes
+BitGenerator.chunks with BitGenerator.stream_info, so memory stays
+flat however long the request.  The writer refuses an
 output its disk cannot hold before writing anything, removes a partial
 file when anything fails, and writes the sidecar last.  A file holds
 the bits of one generate call for the whole request, byte for byte.
@@ -34,7 +37,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from spintrng.generator import BitGenerator, BitStream
+from spintrng.generator import BitGenerator, BitStream, StreamInfo
 
 FORMAT_PACKED = "packed"
 FORMAT_ASCII = "ascii"
@@ -53,16 +56,11 @@ _ASCII_CLASS[list(b"01")] = _BIT
 
 
 @dataclass(frozen=True)
-class StreamMetadata:
-    """Sidecar contents for one bitstream file."""
+class StreamMetadata(StreamInfo):
+    """Sidecar contents for one bitstream file: the record of the
+    generate call that made its bits, and the file's format."""
 
     format: str
-    n_bits: int
-    variant: str
-    lanes: int
-    seed: object
-    simulated_time_ns: float
-    energy_pj: float
 
 
 def metadata_path(path: str) -> str:
@@ -161,14 +159,15 @@ def read_metadata(path: str) -> StreamMetadata | None:
     return StreamMetadata(**payload)
 
 
-def _write(path: str, chunks: Iterable[np.ndarray], meta: StreamMetadata) -> StreamMetadata:
-    """Write the 0/1 chunks to path in meta.format, then the sidecar meta.
+def _write(path: str, chunks: Iterable[np.ndarray], info: StreamInfo, fmt: str) -> StreamMetadata:
+    """Write the 0/1 chunks to path in fmt, then the sidecar of info.
 
     An output that the path's disk cannot hold raises OSError (ENOSPC)
     before anything is written; any exception while the chunks are
     made or written removes the partial file and writes no sidecar.
     """
-    _check_format(meta.format)
+    _check_format(fmt)
+    meta = StreamMetadata(**asdict(info), format=fmt)
     need = _encoded_size(meta.n_bits, meta.format)
     free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
     if need > free:
@@ -187,16 +186,7 @@ def _write(path: str, chunks: Iterable[np.ndarray], meta: StreamMetadata) -> Str
 
 def save_stream(stream: BitStream, path: str, fmt: str = FORMAT_PACKED) -> StreamMetadata:
     """Write a generated stream plus its sidecar; returns the metadata."""
-    meta = StreamMetadata(
-        format=fmt,
-        n_bits=stream.n_bits,
-        variant=stream.variant,
-        lanes=stream.lanes,
-        seed=stream.seed,
-        simulated_time_ns=stream.simulated_time_ns,
-        energy_pj=stream.energy_pj,
-    )
-    return _write(path, [stream.bits], meta)
+    return _write(path, [stream.bits], stream.info, fmt)
 
 
 def write_generated(
@@ -208,14 +198,4 @@ def write_generated(
     gen.generate(n_bits) call; the simulated time and energy are that
     call's, not a sum over chunks.
     """
-    simulated_time_ns, energy_pj = gen.accounting(n_bits)
-    meta = StreamMetadata(
-        format=fmt,
-        n_bits=n_bits,
-        variant=gen.config.variant.value,
-        lanes=gen.config.bits_per_cycle,
-        seed=gen.seed_entropy,
-        simulated_time_ns=simulated_time_ns,
-        energy_pj=energy_pj,
-    )
-    return _write(path, gen.chunks(n_bits), meta)
+    return _write(path, gen.chunks(n_bits), gen.stream_info(n_bits), fmt)

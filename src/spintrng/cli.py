@@ -7,7 +7,10 @@ grids), sweep (voltage/temperature/process CSV tables), and bench
 (option-pricing backend comparison).
 
 Exit codes: 0 success, 1 usage or config error, an input that cannot
-be read or an output that cannot be written, 2 runtime failure.
+be read or an output that cannot be written, 2 runtime failure.  Every
+output is opened before the command's work runs, so an output that
+cannot be written costs no work, and a failure while the work runs
+leaves none of its outputs behind.
 The argparse parser is the one schema of the options: each option's
 default lives in its add_argument call.  A JSON config file (--config
 or the SPINTRNG_CONFIG environment variable) replaces those defaults
@@ -23,6 +26,7 @@ not from the option section).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -33,13 +37,7 @@ from numpy.random import SeedSequence
 from . import bitio
 from .device import DeviceParams, Environment, calibrated_currents
 from .entropy import binary_min_entropy, binary_shannon_entropy, entropy_report
-from .generator import (
-    BitGenerator,
-    GeneratorConfig,
-    Variant,
-    cost_report,
-    throughput_report,
-)
+from .generator import BitGenerator, GeneratorConfig, Variant
 from .markov import (
     FlipProbs,
     lag1_autocorrelation,
@@ -119,10 +117,11 @@ def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -
         values[action.dest] = value
 
 
-def _apply_config(command: str, config: dict, commands: dict) -> None:
+def _apply_config(command: str, config: dict, commands: dict) -> tuple[DeviceParams, OptionSpec]:
     """Check every config section, then make the running command's
     section its subparser's defaults, so explicit flags still win; keys
-    outside any section belong to `command`."""
+    outside any section belong to `command`.  Returns the device and
+    option sections as built and checked here."""
     sections: dict[str, dict] = {name: {} for name in commands}
     for key, value in config.items():
         if key in commands:
@@ -144,8 +143,9 @@ def _apply_config(command: str, config: dict, commands: dict) -> None:
         calibrated_currents(params)
     except ValueError as exc:
         raise UsageError(f"bad device config: {exc}") from exc
-    _config_section(config, "option", OptionSpec)
+    option = _config_section(config, "option", OptionSpec)
     commands[command].set_defaults(**sections[command])
+    return params, option
 
 
 def _config_section(config: dict, name: str, cls):
@@ -182,11 +182,31 @@ def _parse_number_list(text: str, cast, what: str) -> list:
     return values
 
 
-def _write_json(path: str, payload) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {path}")
+@contextlib.contextmanager
+def _open_outputs(*paths):
+    """Text files open for writing at paths (None for a path not
+    given), opened before a command's work so that an output which
+    cannot be written fails before the work runs.  If anything fails,
+    the opens included, every file opened here is removed."""
+    files = []
+    try:
+        for path in paths:
+            files.append(path and open(path, "w", encoding="utf-8"))
+        yield files
+        for fh in filter(None, files):
+            fh.close()
+    except BaseException:
+        for fh in filter(None, files):
+            with contextlib.suppress(OSError):
+                fh.close()
+            os.remove(fh.name)
+        raise
+
+
+def _write_json(fh, payload) -> None:
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
+    print(f"wrote {fh.name}")
 
 
 def _build(cls, kind: str, /, **kwargs):
@@ -199,7 +219,7 @@ def _build(cls, kind: str, /, **kwargs):
 # -- subcommands -------------------------------------------------------------
 
 
-def _cmd_generate(opts: dict, config: dict) -> None:
+def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if not opts["out"]:
         raise UsageError("generate requires --out PATH")
     variant = Variant(opts["variant"])
@@ -222,7 +242,6 @@ def _cmd_generate(opts: dict, config: dict) -> None:
         temperature_k=opts["temperature_k"],
         v_variation_rate=opts["v_rate"],
     )
-    params = _config_section(config, "device", DeviceParams)
     seed = _resolve_seed(opts["seed"])
     n_bits = opts["bits"]
     if n_bits < 1:
@@ -233,8 +252,6 @@ def _cmd_generate(opts: dict, config: dict) -> None:
         meta = bitio.write_generated(gen, n_bits, opts["out"], opts["format"])
     except OSError as exc:
         raise UsageError(f"cannot write {opts['out']}: {exc.strerror or exc}") from exc
-    rate = throughput_report(gen_config)
-    cost = cost_report(gen_config)
     print(f"wrote {opts['out']} ({meta.n_bits} bits, {opts['format']})")
     print(f"variant={meta.variant} lanes={meta.lanes} seed={seed}")
     print(
@@ -242,13 +259,13 @@ def _cmd_generate(opts: dict, config: dict) -> None:
         f"energy_pj={meta.energy_pj:.6g}"
     )
     print(
-        f"rate_mbps={rate.mbps_aggregate:.6g} "
-        f"energy_pj_per_bit={cost.energy_pj_per_bit:.6g} "
-        f"area_um2_per_bit={cost.area_um2_per_bit:.6g}"
+        f"rate_mbps={gen_config.mbps:.6g} "
+        f"energy_pj_per_bit={gen_config.energy_pj_per_bit:.6g} "
+        f"area_um2_per_bit={gen_config.area_um2_per_bit:.6g}"
     )
 
 
-def _cmd_test(opts: dict, config: dict) -> None:
+def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     from .nist import all_pass, any_ran, format_report, result_rows, run_nist_suite
 
     path = opts["in_path"]
@@ -261,26 +278,27 @@ def _cmd_test(opts: dict, config: dict) -> None:
     if bits.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
-    ent = entropy_report(bits)
-    try:
-        results = run_nist_suite(bits, n_groups=groups)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    with _open_outputs(opts["json_out"]) as (json_fh,):
+        ent = entropy_report(bits)
+        try:
+            results = run_nist_suite(bits, n_groups=groups)
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
 
-    print(
-        f"bits={ent.n_bits} p_one={ent.p_one:.6f} "
-        f"shannon={ent.shannon:.6f} min_entropy={ent.min_entropy:.6f}"
-    )
-    print(format_report(results))
-    overall = all_pass(results)
-    print(f"overall: {'pass' if overall else 'fail'}")
-    if opts["json_out"]:
-        payload = {
-            "entropy": dataclasses.asdict(ent),
-            "nist": result_rows(results),
-            "overall_pass": overall,
-        }
-        _write_json(opts["json_out"], payload)
+        print(
+            f"bits={ent.n_bits} p_one={ent.p_one:.6f} "
+            f"shannon={ent.shannon:.6f} min_entropy={ent.min_entropy:.6f}"
+        )
+        print(format_report(results))
+        overall = all_pass(results)
+        print(f"overall: {'pass' if overall else 'fail'}")
+        if json_fh:
+            payload = {
+                "entropy": dataclasses.asdict(ent),
+                "nist": result_rows(results),
+                "overall_pass": overall,
+            }
+            _write_json(json_fh, payload)
     if not any_ran(results):
         raise UsageError(
             f"no module ran on groups of {ent.n_bits // groups} bits; "
@@ -288,49 +306,49 @@ def _cmd_test(opts: dict, config: dict) -> None:
         )
 
 
-def _cmd_analyze(opts: dict, config: dict) -> None:
+def _cmd_analyze(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     p1_values = _parse_number_list(opts["p1"], float, "--p1")
     p2_values = _parse_number_list(opts["p2"], float, "--p2")
-    rows = []
-    for p1 in p1_values:
-        for p2 in p2_values:
-            fp = _build(FlipProbs, "flip probabilities", p1=p1, p2=p2)
-            try:
-                p_out_1 = steady_state(fp)
-            except ValueError as exc:
-                raise UsageError(str(exc)) from exc
-            xor_p_out_1 = xor_output_prob(p_out_1, p_out_1)
-            rows.append(
-                {
-                    "p1": p1,
-                    "p2": p2,
-                    "p_out_1": p_out_1,
-                    "xor_p_out_1": xor_p_out_1,
-                    "lag1_autocorr": lag1_autocorrelation(fp),
-                    "shannon": binary_shannon_entropy(p_out_1),
-                    "min_entropy": binary_min_entropy(p_out_1),
-                    "xor_shannon": binary_shannon_entropy(xor_p_out_1),
-                    "xor_min_entropy": binary_min_entropy(xor_p_out_1),
-                }
+    with _open_outputs(opts["json_out"]) as (json_fh,):
+        rows = []
+        for p1 in p1_values:
+            for p2 in p2_values:
+                fp = _build(FlipProbs, "flip probabilities", p1=p1, p2=p2)
+                try:
+                    p_out_1 = steady_state(fp)
+                except ValueError as exc:
+                    raise UsageError(str(exc)) from exc
+                xor_p_out_1 = xor_output_prob(p_out_1, p_out_1)
+                rows.append(
+                    {
+                        "p1": p1,
+                        "p2": p2,
+                        "p_out_1": p_out_1,
+                        "xor_p_out_1": xor_p_out_1,
+                        "lag1_autocorr": lag1_autocorrelation(fp),
+                        "shannon": binary_shannon_entropy(p_out_1),
+                        "min_entropy": binary_min_entropy(p_out_1),
+                        "xor_shannon": binary_shannon_entropy(xor_p_out_1),
+                        "xor_min_entropy": binary_min_entropy(xor_p_out_1),
+                    }
+                )
+        for row in rows:
+            print(
+                f"p1={row['p1']:.4f} p2={row['p2']:.4f} "
+                f"p_out_1={row['p_out_1']:.6f} xor_p_out_1={row['xor_p_out_1']:.6f} "
+                f"lag1_autocorr={row['lag1_autocorr']:+.6f} "
+                f"shannon={row['shannon']:.6f} min_entropy={row['min_entropy']:.6f} "
+                f"xor_shannon={row['xor_shannon']:.6f} "
+                f"xor_min_entropy={row['xor_min_entropy']:.6f}"
             )
-    for row in rows:
-        print(
-            f"p1={row['p1']:.4f} p2={row['p2']:.4f} "
-            f"p_out_1={row['p_out_1']:.6f} xor_p_out_1={row['xor_p_out_1']:.6f} "
-            f"lag1_autocorr={row['lag1_autocorr']:+.6f} "
-            f"shannon={row['shannon']:.6f} min_entropy={row['min_entropy']:.6f} "
-            f"xor_shannon={row['xor_shannon']:.6f} "
-            f"xor_min_entropy={row['xor_min_entropy']:.6f}"
-        )
-    if opts["json_out"]:
-        _write_json(opts["json_out"], rows)
+        if json_fh:
+            _write_json(json_fh, rows)
 
 
-def _cmd_sweep(opts: dict, config: dict) -> None:
+def _cmd_sweep(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if not opts["out"]:
         raise UsageError("sweep requires --out PATH")
     axis = Axis(opts["axis"])
-    params = _config_section(config, "device", DeviceParams)
     try:
         spec = spec_for_axis(
             axis,
@@ -341,45 +359,44 @@ def _cmd_sweep(opts: dict, config: dict) -> None:
         )
     except ValueError as exc:
         raise UsageError(f"bad sweep config: {exc}") from exc
-    report = run_sweep(spec, jobs=opts["jobs"])
-    with open(opts["out"], "w", encoding="utf-8") as fh:
+    with _open_outputs(opts["out"]) as (fh,):
+        report = run_sweep(spec, jobs=opts["jobs"])
         fh.write(report.to_csv())
     print(f"wrote {opts['out']} ({len(report.rows)} rows, axis={axis.value})")
 
 
-def _cmd_bench(opts: dict, config: dict) -> None:
+def _cmd_bench(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     paths = _parse_number_list(opts["paths"], int, "--paths")
     if any(n < 1 for n in paths):
         raise UsageError("--paths values must be >= 1")
-    option = _config_section(config, "option", OptionSpec)
-    report = speedup_report(
-        spec=option,
-        n_paths_grid=tuple(paths),
-        seed=opts["seed"],
-        jobs=opts["jobs"],
-    )
-    print(f"black_scholes_oracle={black_scholes_oracle(option):.4f}")
-    header = (
-        f"{'backend':<24}{'n_paths':>9}{'price':>10}{'stderr':>9}"
-        f"{'instructions':>14}{'runtime_s':>12}{'ratio':>8}"
-    )
-    print(header)
-    for r in report.rows:
-        print(
-            f"{r.backend:<24}{r.n_paths:>9}{r.price:>10.4f}{r.std_error:>9.4f}"
-            f"{r.instruction_count:>14.0f}{r.simulated_runtime_s:>12.6g}"
-            f"{r.ratio_vs_trng:>8.4f}"
+    with _open_outputs(opts["out"], opts["json_out"]) as (csv_fh, json_fh):
+        report = speedup_report(
+            spec=option,
+            n_paths_grid=tuple(paths),
+            seed=opts["seed"],
+            jobs=opts["jobs"],
         )
-    if opts["out"]:
-        with open(opts["out"], "w", encoding="utf-8") as fh:
-            fh.write(report.to_csv())
-        print(f"wrote {opts['out']}")
-    if opts["json_out"]:
-        rows = [
-            {column: getattr(r, name) for column, name, _ in BENCH_COLUMNS}
-            for r in report.rows
-        ]
-        _write_json(opts["json_out"], rows)
+        print(f"black_scholes_oracle={black_scholes_oracle(option):.4f}")
+        header = (
+            f"{'backend':<24}{'n_paths':>9}{'price':>10}{'stderr':>9}"
+            f"{'instructions':>14}{'runtime_s':>12}{'ratio':>8}"
+        )
+        print(header)
+        for r in report.rows:
+            print(
+                f"{r.backend:<24}{r.n_paths:>9}{r.price:>10.4f}{r.std_error:>9.4f}"
+                f"{r.instruction_count:>14.0f}{r.simulated_runtime_s:>12.6g}"
+                f"{r.ratio_vs_trng:>8.4f}"
+            )
+        if csv_fh:
+            csv_fh.write(report.to_csv())
+            print(f"wrote {csv_fh.name}")
+        if json_fh:
+            rows = [
+                {column: getattr(r, name) for column, name, _ in BENCH_COLUMNS}
+                for r in report.rows
+            ]
+            _write_json(json_fh, rows)
 
 
 _DISPATCH = {
@@ -482,10 +499,9 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; help/version exit 0.
         return 0 if exc.code in (0, None) else 1
     try:
-        config = _load_config(args.config)
-        _apply_config(args.command, config, commands)
+        params, option = _apply_config(args.command, _load_config(args.config), commands)
         opts = vars(parser.parse_args(argv))
-        _DISPATCH[args.command](opts, config)
+        _DISPATCH[args.command](opts, params, option)
     except UsageError as exc:
         print(f"spintrng: error: {exc}", file=sys.stderr)
         return 1

@@ -130,6 +130,8 @@ class Environment:
     v_variation_rate: float = 0.0
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.temperature_k):
+            raise ValueError(f"temperature_k must be finite, got {self.temperature_k}")
         if not self.temperature_k > 0.0:
             raise ValueError(f"temperature_k must be > 0, got {self.temperature_k}")
         if not -0.5 <= self.v_variation_rate <= 0.5:
@@ -235,7 +237,12 @@ def switching_probability(
     direction switches a device sitting in the direction's source
     state.  Defined for any device state; the caller decides
     applicability."""
-    tau = device.params.tau0_ns * math.exp(switching_exponent(device, direction, current_ua, env))
+    exponent = switching_exponent(device, direction, current_ua, env)
+    try:
+        tau = device.params.tau0_ns * math.exp(exponent)
+    except OverflowError:
+        # tau beyond every float: the law's limit is a write that never switches.
+        return 0.0
     return -math.expm1(-PULSE_WIDTH_NS / tau)
 
 

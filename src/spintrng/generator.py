@@ -28,9 +28,12 @@ consumer of long streams (the file writer, the sweep cells) takes its
 bits from it, so memory stays flat however long the request.
 
 Timing, energy and area are the paper's fixed design figures, held
-as module constants: a feedback cycle is precharge, read and the
-write pulse (3.3 ns, 303 Mb/s per lane); a conventional cycle adds a
-reset write of the same width.
+as module constants and read through the GeneratorConfig properties
+cycle_ns, mbps, energy_pj_per_bit and area_um2_per_bit: a feedback
+cycle is precharge, read and the write pulse (3.3 ns, 303 Mb/s per
+lane); a conventional cycle adds a reset write of the same width.
+What one generate call made is one record, StreamInfo, built by
+BitGenerator.stream_info alone; the bitstream sidecars extend it.
 """
 
 from __future__ import annotations
@@ -85,14 +88,6 @@ AREA_UM2_UNIT = 9.79
 CHUNK_BITS = 1 << 18
 
 
-def _cycle_ns(variant: Variant) -> float:
-    """Precharge, read and write; conventional designs add a reset write."""
-    base = T_PRE_NS + T_RD_NS + PULSE_WIDTH_NS
-    if variant.is_conventional:
-        base += PULSE_WIDTH_NS
-    return base
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Which TRNG design to simulate.
@@ -126,17 +121,52 @@ class GeneratorConfig:
     def bits_per_cycle(self) -> int:
         return self.lanes if self.variant is Variant.RHS_PARALLEL else 1
 
+    @property
+    def cycle_ns(self) -> float:
+        """Precharge, read and write; conventional designs add a reset write."""
+        base = T_PRE_NS + T_RD_NS + PULSE_WIDTH_NS
+        if self.variant.is_conventional:
+            base += PULSE_WIDTH_NS
+        return base
 
-@dataclass
-class BitStream:
-    """Generated bits plus accounting metadata.
+    @property
+    def mbps(self) -> float:
+        """Generation rate in Mb/s, summed over the lanes."""
+        return 1e3 / self.cycle_ns * self.bits_per_cycle
+
+    @property
+    def energy_pj_per_bit(self) -> float:
+        """The XOR designs amortize n + 1 cells over n lanes, so one lane
+        (rhs-trng) is the dual-cell reference and rhs-parallel's figure
+        decreases toward the per-unit asymptote.  Conventional designs
+        spend a reset write plus the random write on one cell each bit."""
+        if self.n_units > 1:
+            n = self.bits_per_cycle
+            return ENERGY_PJ_PER_BIT_UNIT * (n + 1) / n
+        if self.variant.is_conventional:
+            return 2.0 * ENERGY_PJ_PER_BIT_UNIT
+        return ENERGY_PJ_PER_BIT_UNIT
+
+    @property
+    def area_um2_per_bit(self) -> float:
+        """The XOR designs amortize n + 1 cells and n XOR gates over n
+        lanes; a single-cell design spends one unit."""
+        if self.n_units == 1:
+            return AREA_UM2_UNIT
+        n = self.bits_per_cycle
+        xor_area = AREA_UM2_CELL - 2.0 * AREA_UM2_UNIT
+        return ((n + 1) * AREA_UM2_UNIT + n * xor_area) / n
+
+
+@dataclass(frozen=True)
+class StreamInfo:
+    """What one generate call made.
 
     Warm-up is excluded: the deterministic initial read never appears
-    in bits, and time/energy cover the emitting cycles only, so the
+    in the bits, and time/energy cover the emitting cycles only, so the
     steady-state per-bit figures hold exactly.
     """
 
-    bits: np.ndarray
     n_bits: int
     variant: str
     lanes: int
@@ -145,18 +175,12 @@ class BitStream:
     energy_pj: float
 
 
-@dataclass(frozen=True)
-class ThroughputReport:
-    cycle_ns: float
-    mbps_per_lane: float
-    lanes: int
-    mbps_aggregate: float
+@dataclass
+class BitStream:
+    """Generated bits and the record of the call that made them."""
 
-
-@dataclass(frozen=True)
-class CostReport:
-    energy_pj_per_bit: float
-    area_um2_per_bit: float
+    bits: np.ndarray
+    info: StreamInfo
 
 
 class _Unit:
@@ -274,13 +298,17 @@ class BitGenerator:
         carried lanes."""
         return -(-max(n_bits - self._carried.size, 0) // self.config.bits_per_cycle)
 
-    def accounting(self, n_bits: int) -> tuple[float, float]:
-        """(simulated_time_ns, energy_pj) that a generate(n_bits) call
-        made now reports."""
+    def stream_info(self, n_bits: int) -> StreamInfo:
+        """The record of a generate(n_bits) call made now: its time
+        counts the cycles that call runs, after the carried lanes."""
         config = self.config
-        return (
-            self._n_cycles(n_bits) * _cycle_ns(config.variant),
-            n_bits * cost_report(config).energy_pj_per_bit,
+        return StreamInfo(
+            n_bits=n_bits,
+            variant=config.variant.value,
+            lanes=config.bits_per_cycle,
+            seed=self.seed_entropy,
+            simulated_time_ns=self._n_cycles(n_bits) * config.cycle_ns,
+            energy_pj=n_bits * config.energy_pj_per_bit,
         )
 
     def chunks(self, n_bits: int) -> Iterator[np.ndarray]:
@@ -300,10 +328,9 @@ class BitGenerator:
         the lanes an earlier call left unused.  simulated_time_ns
         counts the cycles this call runs.
         """
-        config = self.config
         if n_bits < 1:
             raise ValueError(f"n_bits must be >= 1, got {n_bits}")
-        simulated_time_ns, energy_pj = self.accounting(n_bits)
+        info = self.stream_info(n_bits)
         carried = self._carried
         n_cycles = self._n_cycles(n_bits)
         states = [self._unit_states(unit, n_cycles) for unit in self.units]
@@ -327,15 +354,7 @@ class BitGenerator:
             for unit, traj in zip(self.units, states):
                 unit.state = int(traj[-1])
 
-        return BitStream(
-            bits=bits,
-            n_bits=n_bits,
-            variant=config.variant.value,
-            lanes=config.bits_per_cycle,
-            seed=self.seed_entropy,
-            simulated_time_ns=simulated_time_ns,
-            energy_pj=energy_pj,
-        )
+        return BitStream(bits, info)
 
 
 def generate_bitstream(
@@ -347,37 +366,3 @@ def generate_bitstream(
 ) -> BitStream:
     """One-shot bitstream generation; deterministic for a given seed."""
     return BitGenerator(config, env=env, params=params, seed=seed).generate(n_bits)
-
-
-def throughput_report(config: GeneratorConfig) -> ThroughputReport:
-    """Per-lane and aggregate generation rate in Mb/s."""
-    cycle = _cycle_ns(config.variant)
-    per_lane = 1e3 / cycle
-    lanes = config.bits_per_cycle
-    return ThroughputReport(
-        cycle_ns=cycle,
-        mbps_per_lane=per_lane,
-        lanes=lanes,
-        mbps_aggregate=per_lane * lanes,
-    )
-
-
-def cost_report(config: GeneratorConfig) -> CostReport:
-    """Per-bit energy and area bookkeeping.
-
-    The XOR designs amortize n + 1 cells and n XOR gates over n lanes:
-    one lane (rhs-trng) is the dual-cell reference, and rhs-parallel's
-    per-bit figures decrease monotonically toward the per-unit
-    asymptotes.  Conventional designs spend a reset write plus the
-    random write on a single cell each bit.
-    """
-    if config.variant is Variant.RHS_SINGLE:
-        return CostReport(ENERGY_PJ_PER_BIT_UNIT, AREA_UM2_UNIT)
-    if config.n_units > 1:
-        n = config.bits_per_cycle
-        xor_area = AREA_UM2_CELL - 2.0 * AREA_UM2_UNIT
-        energy = ENERGY_PJ_PER_BIT_UNIT * (n + 1) / n
-        area = ((n + 1) * AREA_UM2_UNIT + n * xor_area) / n
-        return CostReport(energy, area)
-    # Conventional: two write operations (reset + random) per bit.
-    return CostReport(2.0 * ENERGY_PJ_PER_BIT_UNIT, AREA_UM2_UNIT)

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from spintrng import bitio, generator
-from spintrng.generator import BitGenerator, BitStream, GeneratorConfig, Variant, generate_bitstream
+from spintrng.generator import (
+    BitGenerator,
+    BitStream,
+    GeneratorConfig,
+    StreamInfo,
+    Variant,
+    generate_bitstream,
+)
 
 
 @pytest.fixture
@@ -24,14 +31,18 @@ def bits():
     return rng.integers(0, 2, size=1003, dtype=np.uint8)
 
 
+def sidecar(fmt: str, n_bits: int) -> bitio.StreamMetadata:
+    """A sidecar of fmt claiming n_bits rhs-trng bits."""
+    return bitio.StreamMetadata(n_bits, "rhs-trng", 1, 0, 0.0, 0.0, format=fmt)
+
+
 def write_fixture(path: str, bits, fmt: str, n_bits: int | None = None) -> None:
     """Write the 0/1 array bits to path through save_stream, with a
     sidecar that claims n_bits bits (all of them by default)."""
     bits = np.asarray(bits, dtype=np.uint8)
-    bitio.save_stream(BitStream(bits, bits.size, "rhs-trng", 1, 0, 0.0, 0.0), path, fmt)
+    bitio.save_stream(BitStream(bits, StreamInfo(bits.size, "rhs-trng", 1, 0, 0.0, 0.0)), path, fmt)
     if n_bits is not None:
-        meta = bitio.StreamMetadata(fmt, n_bits, "rhs-trng", 1, 0, 0.0, 0.0)
-        bitio.write_metadata(path, meta)
+        bitio.write_metadata(path, sidecar(fmt, n_bits))
 
 
 class TestPacked:
@@ -66,7 +77,7 @@ class TestPacked:
         path = str(tmp_path / "s.bin")
         raw = np.random.default_rng(4).integers(0, 256, size=n_bits // 8, dtype=np.uint8)
         (tmp_path / "s.bin").write_bytes(raw.tobytes())
-        bitio.write_metadata(path, bitio.StreamMetadata("packed", n_bits, "rhs-trng", 1, 0, 0.0, 0.0))
+        bitio.write_metadata(path, sidecar("packed", n_bits))
         tracemalloc.start()
         try:
             bits = bitio.read_bits(path)
@@ -110,7 +121,7 @@ class TestAscii:
         # without a sidecar only space, tab, CR and LF mark a file ascii
         path = tmp_path / "s.txt"
         path.write_bytes(b" 0\t1\r\n1\x0b0\x0c1\x1c0\x1d0\x1e1\x1f")
-        bitio.write_metadata(str(path), bitio.StreamMetadata("ascii", 8, "rhs-trng", 1, 0, 0.0, 0.0))
+        bitio.write_metadata(str(path), sidecar("ascii", 8))
         assert bitio.read_bits(str(path)).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
         (tmp_path / "s.txt.json").unlink()
         assert bitio.read_bits(str(path)).size == 8 * len(path.read_bytes())
@@ -119,7 +130,7 @@ class TestAscii:
     def test_non_bit_characters_rejected(self, tmp_path, text, bad):
         path = tmp_path / "s.txt"
         path.write_bytes(text)
-        bitio.write_metadata(str(path), bitio.StreamMetadata("ascii", 1, "rhs-trng", 1, 0, 0.0, 0.0))
+        bitio.write_metadata(str(path), sidecar("ascii", 1))
         with pytest.raises(ValueError, match="non-bit characters: " + re.escape(bad)):
             bitio.read_bits(str(path))
 
@@ -238,6 +249,22 @@ class TestWriteGenerated:
         meta = bitio.write_generated(gen, 10_000_000, str(tmp_path / "s.bin"))
         assert meta.simulated_time_ns == 33_000_000.0
         assert meta == bitio.read_metadata(str(tmp_path / "s.bin"))
+
+    def test_time_counts_the_cycles_after_the_carried_lanes(self, tmp_path):
+        # generate(5) runs 2 cycles and carries 1 lane, so a next call
+        # for 10 bits runs 3 cycles, not the 4 that 10 bits alone need
+        config = GeneratorConfig(variant=Variant.RHS_PARALLEL, lanes=3)
+        gen, twin = BitGenerator(config, seed=8), BitGenerator(config, seed=8)
+        gen.generate(5)
+        twin.generate(5)
+        stream = gen.generate(10)
+        assert stream.info.simulated_time_ns == 3 * 3.3
+        saved, written = str(tmp_path / "saved.bin"), str(tmp_path / "written.bin")
+        bitio.save_stream(stream, saved)
+        bitio.write_generated(twin, 10, written)
+        for suffix in ("", ".json"):
+            with open(saved + suffix, "rb") as a, open(written + suffix, "rb") as b:
+                assert a.read() == b.read()
 
     @pytest.mark.parametrize("fmt,size", [(bitio.FORMAT_PACKED, 626), (bitio.FORMAT_ASCII, 5_082)])
     def test_output_must_fit_on_its_disk(self, tmp_path, monkeypatch, fmt, size):

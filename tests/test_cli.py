@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spintrng import cli
+from spintrng import cli, nist
 from spintrng.generator import BitGenerator, GeneratorConfig
 from spintrng.sweeps import Axis, run_sweep, spec_for_axis
 
@@ -186,17 +186,30 @@ def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, m
         ["sweep", "--bits-per-point", "10000", "--out", "d"],
         ["bench", "--paths", "100", "--out", "d"],
         ["analyze", "--config", "d"],
+        ["bench", "--paths", "100", "--out", "b.csv", "--json", "d"],
+        ["test", "--in", "s.bin", "--json", "d"],
+        ["analyze", "--json", "d"],
     ],
-    ids=["test-in", "sweep-out", "bench-out", "config"],
+    ids=["test-in", "sweep-out", "bench-out", "config", "bench-json", "test-json", "analyze-json"],
 )
 def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args):
+    # Outputs are opened before the work, so the work never runs.
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "d").mkdir()
+    bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
+    (tmp_path / "s.bin").write_bytes(np.packbits(bits).tobytes())
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for module, name in [(cli, "run_sweep"), (cli, "speedup_report"), (cli, "steady_state"), (nist, "run_nist_suite")]:
+        monkeypatch.setattr(module, name, work)
     code = cli.main(args)
     _, err = capsys.readouterr()
     assert code == 1
     assert err.endswith("spintrng: error: d: Is a directory\n")
+    assert sorted(os.listdir(tmp_path)) == ["d", "s.bin"]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])
@@ -209,6 +222,32 @@ def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, jobs):
     assert code == 1
     assert f"argument --jobs: must be >= 1, got {jobs}" in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "module,name,args",
+    [
+        (cli, "run_sweep", ["sweep", "--out", "s.csv"]),
+        (cli, "speedup_report", ["bench", "--out", "b.csv", "--json", "b.json"]),
+        (nist, "run_nist_suite", ["test", "--in", "s.bin", "--json", "t.json"]),
+    ],
+    ids=["sweep", "bench", "test"],
+)
+def test_a_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch, module, name, args):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
+    (tmp_path / "s.bin").write_bytes(np.packbits(bits).tobytes())
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("simulated fault")
+
+    monkeypatch.setattr(module, name, fail)
+    code = cli.main(args)
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err == "spintrng: runtime error: simulated fault\n"
+    assert sorted(os.listdir(tmp_path)) == ["s.bin"]
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
@@ -238,6 +277,27 @@ def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkey
     assert code == 2
     assert err == "spintrng: runtime error: MemoryError\n"
     assert not (tmp_path / "s.bin").exists()
+
+
+def test_a_barrier_that_overflows_the_switching_law_still_runs(tmp_path, capsys, monkeypatch):
+    # At delta_300 = 1000 the write at zero current overflows exp(), yet
+    # the target 0.5 is reachable at a larger current.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    config = _write_config(tmp_path, {"device": {"delta_300": 1000}})
+    out = tmp_path / "s.bin"
+    assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", str(out), "--config", config]) == 0
+    assert out.stat().st_size == 125
+    code = cli.main(["generate", "--bits", "1000", "--temperature-k", "1e-300", "--out", str(out)])
+    assert code == 0
+
+
+def test_an_infinite_temperature_exits_one(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    code = cli.main(["generate", "--temperature-k", "inf", "--out", str(tmp_path / "s.bin")])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err == "spintrng: error: bad environment: temperature_k must be finite, got inf\n"
+    assert sorted(os.listdir(tmp_path)) == []
 
 
 def test_output_larger_than_the_free_disk_exits_one(tmp_path, capsys, monkeypatch):

@@ -115,6 +115,16 @@ class TestSwitchingLaw:
             1.0 - math.exp(-2.9), abs=1e-12
         )
 
+    def test_an_overflowing_law_never_switches(self):
+        # exp(1200 * (1 - 0)) overflows a float: tau is past every float
+        dev = sample_device(DeviceParams(delta_300=1000.0), process_variation=False)
+        assert switching_probability(dev, SwitchDirection.P_TO_AP, 0.0, ENV) == 0.0
+        # so the zero-current probe no longer stops calibration
+        currents = calibrated_currents(dev.params)
+        for direction in SwitchDirection:
+            p = switching_probability(dev, direction, currents[direction], ENV)
+            assert p == pytest.approx(0.5, abs=1e-6)
+
     def test_temperature_rescales_exponent(self):
         dev = nominal_device()
         base = switching_exponent(dev, SwitchDirection.P_TO_AP, 40.0, ENV)
@@ -278,6 +288,8 @@ class TestValidation:
             {"temperature_k": -10.0},
             {"v_variation_rate": 0.51},
             {"v_variation_rate": -0.51},
+            {"temperature_k": math.inf},
+            {"temperature_k": math.nan},
         ],
     )
     def test_bad_environment_rejected(self, kwargs):

@@ -23,9 +23,7 @@ from spintrng.generator import (
     GeneratorConfig,
     Variant,
     _chain_states,
-    cost_report,
     generate_bitstream,
-    throughput_report,
 )
 
 
@@ -104,10 +102,12 @@ class TestXorWiring:
         a = generate_bitstream(trng, n_bits=5000, seed=SeedSequence([9]))
         b = generate_bitstream(one_lane, n_bits=5000, seed=SeedSequence([9]))
         np.testing.assert_array_equal(a.bits, b.bits)
-        assert (a.lanes, a.simulated_time_ns, a.energy_pj) == (
-            b.lanes, b.simulated_time_ns, b.energy_pj
+        assert (a.info.lanes, a.info.simulated_time_ns, a.info.energy_pj) == (
+            b.info.lanes, b.info.simulated_time_ns, b.info.energy_pj
         )
-        assert cost_report(trng) == cost_report(one_lane)
+        assert (trng.energy_pj_per_bit, trng.area_um2_per_bit) == (
+            one_lane.energy_pj_per_bit, one_lane.area_um2_per_bit
+        )
 
     def test_unit_streams_are_independent(self):
         config = cfg(Variant.RHS_TRNG, flip_prob_override=(0.5, 0.5))
@@ -334,71 +334,69 @@ class TestDeterminism:
 class TestTimingAndCost:
     def test_default_cycle_times(self):
         # exact: the sidecar's simulated time is a multiple of these
-        assert throughput_report(cfg(Variant.RHS_TRNG)).cycle_ns == 3.3
-        assert throughput_report(cfg(Variant.RHS_SINGLE)).cycle_ns == 3.3
-        assert throughput_report(cfg(Variant.CONV_P_TO_AP)).cycle_ns == 6.199999999999999
+        assert cfg(Variant.RHS_TRNG).cycle_ns == 3.3
+        assert cfg(Variant.RHS_SINGLE).cycle_ns == 3.3
+        assert cfg(Variant.CONV_P_TO_AP).cycle_ns == 6.199999999999999
 
     def test_single_cell_rate(self):
-        rep = throughput_report(cfg(Variant.RHS_SINGLE))
-        assert rep.mbps_per_lane == pytest.approx(1000.0 / 3.3)
-        assert round(rep.mbps_per_lane) == 303
+        config = cfg(Variant.RHS_SINGLE)
+        assert config.mbps == pytest.approx(1000.0 / 3.3)
+        assert round(config.mbps) == 303
 
     def test_conventional_rate(self):
-        rep = throughput_report(cfg(Variant.CONV_AP_TO_P))
-        assert rep.mbps_per_lane == pytest.approx(1000.0 / 6.2)
+        config = cfg(Variant.CONV_AP_TO_P)
+        assert config.mbps == pytest.approx(1000.0 / 6.2)
 
     def test_parallel_aggregate_rate(self):
-        rep = throughput_report(cfg(Variant.RHS_PARALLEL, lanes=8))
-        assert rep.lanes == 8
-        assert rep.mbps_aggregate == pytest.approx(8 * 1000.0 / 3.3)
+        config = cfg(Variant.RHS_PARALLEL, lanes=8)
+        assert config.bits_per_cycle == 8
+        assert config.mbps == pytest.approx(8 * 1000.0 / 3.3)
 
     def test_simulated_time_accounting(self):
         stream = generate_bitstream(cfg(Variant.RHS_TRNG), n_bits=1_000_000, seed=0)
-        assert stream.simulated_time_ns == pytest.approx(3.3e6)
+        assert stream.info.simulated_time_ns == pytest.approx(3.3e6)
         stream = generate_bitstream(cfg(Variant.CONV_P_TO_AP), n_bits=1000, seed=0)
-        assert stream.simulated_time_ns == pytest.approx(6200.0)
+        assert stream.info.simulated_time_ns == pytest.approx(6200.0)
 
     def test_parallel_time_rounds_up_to_whole_cycles(self):
         config = cfg(Variant.RHS_PARALLEL, lanes=4, flip_prob_override=(0.5, 0.5))
         stream = generate_bitstream(config, n_bits=10, seed=0)
-        assert stream.simulated_time_ns == pytest.approx(3 * 3.3)
+        assert stream.info.simulated_time_ns == pytest.approx(3 * 3.3)
 
     def test_reference_cost_points(self):
-        trng = cost_report(cfg(Variant.RHS_TRNG))
+        trng = cfg(Variant.RHS_TRNG)
         assert (trng.energy_pj_per_bit, trng.area_um2_per_bit) == (5.3, 24.29)
-        single = cost_report(cfg(Variant.RHS_SINGLE))
+        single = cfg(Variant.RHS_SINGLE)
         assert (single.energy_pj_per_bit, single.area_um2_per_bit) == (2.65, 9.79)
-        conv = cost_report(cfg(Variant.CONV_P_TO_AP))
+        conv = cfg(Variant.CONV_P_TO_AP)
         assert conv.energy_pj_per_bit == pytest.approx(5.3)
         assert conv.area_um2_per_bit == pytest.approx(9.79)
 
     def test_parallel_amortization_formula(self):
         xor_area = 24.29 - 2 * 9.79
         for n in (1, 2, 8, 64, 1024):
-            rep = cost_report(cfg(Variant.RHS_PARALLEL, lanes=n))
-            assert rep.energy_pj_per_bit == pytest.approx(2.65 * (n + 1) / n)
-            assert rep.area_um2_per_bit == pytest.approx(
+            config = cfg(Variant.RHS_PARALLEL, lanes=n)
+            assert config.energy_pj_per_bit == pytest.approx(2.65 * (n + 1) / n)
+            assert config.area_um2_per_bit == pytest.approx(
                 ((n + 1) * 9.79 + n * xor_area) / n
             )
 
     def test_parallel_costs_decrease_toward_asymptotes(self):
         energies, areas = [], []
         for n in (1, 2, 4, 16, 256, 65536):
-            rep = cost_report(cfg(Variant.RHS_PARALLEL, lanes=n))
-            energies.append(rep.energy_pj_per_bit)
-            areas.append(rep.area_um2_per_bit)
+            config = cfg(Variant.RHS_PARALLEL, lanes=n)
+            energies.append(config.energy_pj_per_bit)
+            areas.append(config.area_um2_per_bit)
         assert energies == sorted(energies, reverse=True)
         assert areas == sorted(areas, reverse=True)
         assert energies[-1] == pytest.approx(2.65, rel=1e-4)
         assert areas[-1] == pytest.approx(14.5, rel=1e-3)
 
-    def test_energy_accounting_follows_cost_report(self):
+    def test_energy_accounting_follows_the_per_bit_energy(self):
         for variant in (Variant.RHS_TRNG, Variant.RHS_SINGLE, Variant.CONV_AP_TO_P):
             config = cfg(variant, flip_prob_override=(0.5, 0.5))
             stream = generate_bitstream(config, n_bits=1000, seed=0)
-            assert stream.energy_pj == pytest.approx(
-                1000 * cost_report(config).energy_pj_per_bit
-            )
+            assert stream.info.energy_pj == pytest.approx(1000 * config.energy_pj_per_bit)
 
 
 class TestStreamMetadata:
@@ -408,11 +406,11 @@ class TestStreamMetadata:
             n_bits=100,
             seed=77,
         )
-        assert stream.n_bits == 100
+        assert stream.info.n_bits == 100
         assert len(stream.bits) == 100
-        assert stream.variant == "rhs-parallel"
-        assert stream.lanes == 2
-        assert stream.seed == 77
+        assert stream.info.variant == "rhs-parallel"
+        assert stream.info.lanes == 2
+        assert stream.info.seed == 77
 
     def test_bits_are_binary_uint8(self):
         stream = generate_bitstream(cfg(Variant.RHS_TRNG), n_bits=1000, seed=0)
