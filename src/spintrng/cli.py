@@ -9,12 +9,15 @@ grids), sweep (voltage/temperature/process CSV tables), and bench
 Exit codes: 0 success, 1 usage or config error, an input that cannot
 be read or an output that cannot be written, 2 runtime failure.  Every
 output is opened before the command's work runs, so an output that
-cannot be written costs no work, and a failure while the work runs
-leaves none of its outputs behind.
+cannot be written, or that would overwrite the command's input, the
+input's sidecar or another of its outputs, costs no work, and a
+failure while the work runs leaves none of its outputs behind.
 The argparse parser is the one schema of the options: each option's
-default lives in its add_argument call.  A JSON config file (--config
-or the SPINTRNG_CONFIG environment variable) replaces those defaults
-for the command that runs, and explicit flags win over the file.
+default lives in its add_argument call, read from the library where
+the library declares it (SweepSpec's fields, DEFAULT_PATH_GRID).  A
+JSON config file (--config or the SPINTRNG_CONFIG environment
+variable) replaces those defaults for the command that runs, and
+explicit flags win over the file.
 Every section of the file is checked whichever command runs: a
 command section's keys must be that command's options and its values
 pass the same type and choice checks as the flags, and the device and
@@ -35,7 +38,7 @@ import sys
 from numpy.random import SeedSequence
 
 from . import bitio
-from .device import DeviceParams, Environment, calibrated_currents
+from .device import DeviceParams, Environment, calibrated_currents, flip_probs
 from .entropy import binary_min_entropy, binary_shannon_entropy, entropy_report
 from .generator import BitGenerator, GeneratorConfig, Variant
 from .markov import (
@@ -44,8 +47,14 @@ from .markov import (
     steady_state,
     xor_output_prob,
 )
-from .sweeps import Axis, run_sweep, spec_for_axis
-from .system import BENCH_COLUMNS, OptionSpec, black_scholes_oracle, speedup_report
+from .sweeps import Axis, SweepSpec, run_sweep, spec_for_axis
+from .system import (
+    BENCH_COLUMNS,
+    DEFAULT_PATH_GRID,
+    OptionSpec,
+    black_scholes_oracle,
+    speedup_report,
+)
 
 # .nist loads scipy, so only `test` imports it: the other commands
 # start without scipy.
@@ -80,11 +89,25 @@ def _load_config(flag_path: str | None) -> dict:
     return {_normalize_key(k): v for k, v in raw.items()}
 
 
-def _positive_int(text) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _ranged(cast, lo, hi=None):
+    """An option type: the text through cast, then checked to lie in
+    [lo, hi], or to be >= lo when hi is None.  It takes cast's name, so
+    text that cast rejects still reads as, say, "invalid int value"."""
+
+    def check(text):
+        value = cast(text)
+        if not (lo <= value and (hi is None or value <= hi)):
+            bound = f"be >= {lo}" if hi is None else f"lie in [{lo}, {hi}]"
+            raise argparse.ArgumentTypeError(f"must {bound}, got {value}")
+        return value
+
+    check.__name__ = cast.__name__
+    return check
+
+
+_positive_int = _ranged(int, 1)
+_seed = _ranged(int, 0)
+_probability = _ranged(float, 0, 1)
 
 
 def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -> None:
@@ -102,7 +125,7 @@ def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -
         try:
             if isinstance(value, bool) or not isinstance(value, (str, int, float)):
                 raise ValueError(f"expected a JSON string or number, got {value!r}")
-            if isinstance(value, float) and action.type not in (None, float):
+            if isinstance(value, float) and getattr(action.type, "__name__", None) == "int":
                 if not value.is_integer():
                     raise ValueError(f"{value!r} is not an integer")
                 value = int(value)
@@ -183,11 +206,20 @@ def _parse_number_list(text: str, cast, what: str) -> list:
 
 
 @contextlib.contextmanager
-def _open_outputs(*paths):
+def _open_outputs(*paths, inputs=None):
     """Text files open for writing at paths (None for a path not
     given), opened before a command's work so that an output which
-    cannot be written fails before the work runs.  If anything fails,
-    the opens included, every file opened here is removed."""
+    cannot be written fails before the work runs.  An output that
+    would overwrite one of inputs (a dict of path to what it is) or
+    another output is a usage error, raised before any file is opened.
+    If anything fails, the opens included, every file opened here is
+    removed."""
+    taken = {os.path.realpath(path): what for path, what in (inputs or {}).items()}
+    for path in filter(None, paths):
+        real = os.path.realpath(path)
+        if real in taken:
+            raise UsageError(f"output {path} would overwrite {taken[real]}")
+        taken[real] = "another output"
     files = []
     try:
         for path in paths:
@@ -223,19 +255,11 @@ def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if not opts["out"]:
         raise UsageError("generate requires --out PATH")
     variant = Variant(opts["variant"])
-    if (opts["force_p1"] is None) != (opts["force_p2"] is None):
+    forced = (opts["force_p1"], opts["force_p2"])
+    if (forced[0] is None) != (forced[1] is None):
         raise UsageError("--force-p1 and --force-p2 must be given together")
-    override = None
-    if opts["force_p1"] is not None:
-        override = (opts["force_p1"], opts["force_p2"])
     lanes = opts["lanes"] if variant is Variant.RHS_PARALLEL else 1
-    gen_config = _build(
-        GeneratorConfig,
-        "generator config",
-        variant=variant,
-        lanes=lanes,
-        flip_prob_override=override,
-    )
+    gen_config = _build(GeneratorConfig, "generator config", variant=variant, lanes=lanes)
     env = _build(
         Environment,
         "environment",
@@ -247,7 +271,8 @@ def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if n_bits < 1:
         raise UsageError(f"--bits must be >= 1, got {n_bits}")
 
-    gen = BitGenerator(gen_config, env=env, params=params, seed=seed)
+    probs = forced if forced[0] is not None else flip_probs(params, env)
+    gen = BitGenerator(gen_config, seed=seed, probs=[probs] * gen_config.n_units)
     try:
         meta = bitio.write_generated(gen, n_bits, opts["out"], opts["format"])
     except OSError as exc:
@@ -278,7 +303,8 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if bits.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
-    with _open_outputs(opts["json_out"]) as (json_fh,):
+    inputs = {path: "the input", bitio.metadata_path(path): "the input's sidecar"}
+    with _open_outputs(opts["json_out"], inputs=inputs) as (json_fh,):
         ent = entropy_report(bits)
         try:
             results = run_nist_suite(bits, n_groups=groups)
@@ -430,7 +456,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     g.add_argument("--variant", choices=[v.value for v in Variant], default=Variant.RHS_TRNG.value)
     g.add_argument("--bits", type=int, default=1_000_000, help="number of output bits")
     g.add_argument("--lanes", type=int, default=8, help="output lanes (rhs-parallel only)")
-    g.add_argument("--seed", type=int)
+    g.add_argument("--seed", type=_seed)
     g.add_argument("--out", help="bitstream path; sidecar written to PATH.json")
     g.add_argument(
         "--format", choices=[bitio.FORMAT_PACKED, bitio.FORMAT_ASCII], default=bitio.FORMAT_PACKED
@@ -441,13 +467,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     g.add_argument(
         "--force-p1",
-        type=float,
+        type=_probability,
         dest="force_p1",
         help="bypass device physics: per-cycle P-to-AP flip probability",
     )
     g.add_argument(
         "--force-p2",
-        type=float,
+        type=_probability,
         dest="force_p2",
         help="bypass device physics: per-cycle AP-to-P flip probability",
     )
@@ -469,20 +495,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     s = sub.add_parser("sweep", help="environmental/process sweep to CSV")
     s.add_argument("--axis", choices=[ax.value for ax in Axis], default=Axis.VOLTAGE.value)
-    s.add_argument("--bits-per-point", type=int, default=1_000_000, dest="bits_per_point")
     s.add_argument(
-        "--samples", type=int, default=200, help="device samples (process axis only)"
+        "--bits-per-point", type=int, default=SweepSpec.bits_per_point, dest="bits_per_point"
     )
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument(
+        "--samples",
+        type=int,
+        default=SweepSpec.n_samples,
+        help="device samples (process axis only)",
+    )
+    s.add_argument("--seed", type=_seed, default=SweepSpec.seed)
     s.add_argument("--out", help="CSV output path")
     s.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
     add_config(s)
 
     b = sub.add_parser("bench", help="option-pricing backend comparison")
     b.add_argument(
-        "--paths", default="100,1000,10000,100000,1000000", help="comma-separated path counts"
+        "--paths",
+        default=",".join(map(str, DEFAULT_PATH_GRID)),
+        help="comma-separated path counts",
     )
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=_seed, default=0)
     b.add_argument("--out", help="CSV output path")
     b.add_argument("--json", dest="json_out", help="also write rows as JSON")
     b.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")

@@ -26,7 +26,9 @@ CALIBRATION_TARGET.  The currents are then held fixed while voltage,
 temperature and process vary.  Process variation samples the
 free-layer thickness, the tunnel barrier thickness and the TMR ratio
 from Gaussians, each propagated to the switching parameters through
-first-order physical dependencies.
+first-order physical dependencies.  flip_probs gives what the
+generator takes of all this: a device's (p1, p2), the switching
+probabilities of its P to AP and AP to P writes in an environment.
 """
 
 from __future__ import annotations
@@ -292,4 +294,19 @@ def calibrated_currents(params: DeviceParams) -> tuple[float, ...]:
     return tuple(
         _calibrate(nominal, direction, _CALIBRATION_CURRENT_SPAN * ic0[direction])
         for direction in SwitchDirection
+    )
+
+
+def flip_probs(
+    params: DeviceParams, env: Environment, device: DeviceInstance | None = None
+) -> tuple[float, float]:
+    """(p1, p2) of device, the nominal device of params when None, under
+    calibrated_currents(params) in env: the switching probabilities of
+    the P to AP and the AP to P write."""
+    if device is None:
+        device = sample_device(params, process_variation=False)
+    currents = calibrated_currents(params)
+    return tuple(
+        switching_probability(device, d, currents[d], env)
+        for d in (SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P)
     )

@@ -14,18 +14,21 @@ Two families are modeled:
   cell; rhs-parallel(n) chains n + 1 cells into n XOR output lanes,
   and rhs-trng is its one-lane case, the XOR of two independent cells.
 
+A unit's one physical input is its (p1, p2), the probabilities that a
+write switches a cell in P and one in AP (device.flip_probs), so
+voltage, temperature and process reach the bits only through them.
 Every unit consumes exactly one uniform draw from its own substream
 per cycle, in cycle order, and BitGenerator.generate turns a block of
 those draws into bits in one vectorized pass.  The generator keeps
 each cell's chain state, starting at P, so a further generate call
-continues the same chains.  A request that rhs-parallel's
-lane count does not divide still runs whole cycles; the generator
-keeps the unused lanes of the last cycle and emits them first on the
-next call, so any split of a request into calls yields the bits of one
-call.  BitGenerator.chunks relies on this: it is the one place that
-splits a request into generate calls of CHUNK_BITS bits, and every
-consumer of long streams (the file writer, the sweep cells) takes its
-bits from it, so memory stays flat however long the request.
+continues the same chains.  A request that rhs-parallel's lane count
+does not divide still runs whole cycles; the generator keeps the
+unused lanes of the last cycle and emits them first on the next call,
+so any split of a request into calls yields the bits of one call.
+BitGenerator.chunks relies on this: it is the one place that splits a
+request into generate calls of CHUNK_BITS bits, and every consumer of
+long streams (the file writer, the sweep cells) takes its bits from
+it, so memory stays flat however long the request.
 
 Timing, energy and area are the paper's fixed design figures, held
 as module constants and read through the GeneratorConfig properties
@@ -44,17 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from spintrng.device import (
-    PULSE_WIDTH_NS,
-    STATE_P,
-    DeviceInstance,
-    DeviceParams,
-    Environment,
-    SwitchDirection,
-    calibrated_currents,
-    sample_device,
-    switching_probability,
-)
+from spintrng.device import PULSE_WIDTH_NS, STATE_P, DeviceParams, Environment, flip_probs
 
 
 class Variant(str, Enum):
@@ -93,23 +86,15 @@ class GeneratorConfig:
     """Which TRNG design to simulate.
 
     lanes is only meaningful for rhs-parallel (number of output
-    lanes; lanes + 1 cells are instantiated).  flip_prob_override
-    bypasses the device physics and forces the per-cycle flip
-    probabilities (p1, p2) of every unit; it exists for oracle
-    comparisons and analysis.
+    lanes; lanes + 1 cells are instantiated).
     """
 
     variant: Variant = Variant.RHS_TRNG
     lanes: int = 1
-    flip_prob_override: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.lanes < 1:
             raise ValueError(f"lanes must be >= 1, got {self.lanes}")
-        if self.flip_prob_override is not None:
-            p1, p2 = self.flip_prob_override
-            if not (0.0 <= p1 <= 1.0 and 0.0 <= p2 <= 1.0):
-                raise ValueError("flip_prob_override values must lie in [0, 1]")
 
     @property
     def n_units(self) -> int:
@@ -183,32 +168,6 @@ class BitStream:
     info: StreamInfo
 
 
-class _Unit:
-    """One MTJ cell: its own uniform substream, its chain state, which
-    starts at P, and its flip probabilities under the write currents
-    (indexed by SwitchDirection) or the override."""
-
-    __slots__ = ("state", "rng", "p1", "p2")
-
-    def __init__(
-        self,
-        device: DeviceInstance,
-        rng: np.random.Generator,
-        currents: tuple[float, ...] | None,
-        env: Environment,
-        override: tuple[float, float] | None,
-    ) -> None:
-        self.state = STATE_P
-        self.rng = rng
-        if override is not None:
-            self.p1, self.p2 = float(override[0]), float(override[1])
-        else:
-            self.p1, self.p2 = (
-                switching_probability(device, d, currents[d], env)
-                for d in (SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P)
-            )
-
-
 def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
     """States X_1..X_n of the two-state flip chain driven by uniforms u.
 
@@ -238,60 +197,49 @@ def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
 class BitGenerator:
     """Stateful driver for one configured TRNG instance.
 
-    The write currents are calibrated_currents(params): calibrated on the
-    nominal device of the generator's params at reference conditions,
-    whatever devices the units are given, and then held fixed.  The
-    run environment and the unit devices shift the realized flip
-    probabilities, which is the disturbance mechanism the sweeps
-    measure.
+    probs holds each unit's (p1, p2), one pair per unit in unit order,
+    each in [0, 1].  None means the nominal DeviceParams() device at
+    Environment() in every unit.  Each unit draws from its own
+    substream, spawned from seed in unit order, and its chain starts
+    at P.
     """
 
     def __init__(
         self,
         config: GeneratorConfig,
-        env: Environment | None = None,
-        params: DeviceParams | None = None,
         seed=None,
-        devices: list[DeviceInstance] | None = None,
+        probs: list[tuple[float, float]] | None = None,
     ) -> None:
         self.config = config
-        self.env = env if env is not None else Environment()
-        self.params = params if params is not None else DeviceParams()
+        if probs is None:
+            probs = [flip_probs(DeviceParams(), Environment())] * config.n_units
+        self._probs = [(float(p1), float(p2)) for p1, p2 in probs]
+        if len(self._probs) != config.n_units:
+            raise ValueError(f"{config.variant.value} needs {config.n_units} (p1, p2) pairs")
+        if not all(0.0 <= p <= 1.0 for pair in self._probs for p in pair):
+            raise ValueError("flip probabilities must lie in [0, 1]")
 
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.seed_entropy = root.entropy
-        children = root.spawn(config.n_units)
-
-        if devices is None:
-            devices = [
-                sample_device(self.params, process_variation=False)
-                for _ in range(config.n_units)
-            ]
-        elif len(devices) != config.n_units:
-            raise ValueError(
-                f"{config.variant.value} needs {config.n_units} devices, got {len(devices)}"
-            )
-
-        currents = calibrated_currents(self.params) if config.flip_prob_override is None else None
-
-        self.units = [
-            _Unit(dev, np.random.default_rng(ss), currents, self.env, config.flip_prob_override)
-            for dev, ss in zip(devices, children)
-        ]
+        self._rngs = [np.random.default_rng(ss) for ss in root.spawn(config.n_units)]
+        # Each cell's chain state after the last cycle run.
+        self._states = [STATE_P] * config.n_units
         # rhs-parallel lanes of the last cycle that no call has emitted yet.
         self._carried = np.empty(0, dtype=np.uint8)
 
     def realized_flip_probs(self) -> list[tuple[float, float]]:
-        """Per-unit (p1, p2) actually in effect for this run."""
-        return [(unit.p1, unit.p2) for unit in self.units]
+        """Per-unit (p1, p2) in effect for this run."""
+        return list(self._probs)
 
-    def _unit_states(self, unit: _Unit, n_cycles: int) -> np.ndarray:
-        u = unit.rng.random(n_cycles)
-        if self.config.variant.is_conventional:
-            if self.config.variant is Variant.CONV_P_TO_AP:
-                return (u < unit.p1).astype(np.uint8)
-            return (u >= unit.p2).astype(np.uint8)
-        return _chain_states(u, unit.p1, unit.p2, unit.state)
+    def _unit_states(self, k: int, n_cycles: int) -> np.ndarray:
+        """Unit k's states over the next n_cycles cycles."""
+        u = self._rngs[k].random(n_cycles)
+        p1, p2 = self._probs[k]
+        if self.config.variant is Variant.CONV_P_TO_AP:
+            return (u < p1).astype(np.uint8)
+        if self.config.variant is Variant.CONV_AP_TO_P:
+            return (u >= p2).astype(np.uint8)
+        return _chain_states(u, p1, p2, self._states[k])
 
     def _n_cycles(self, n_bits: int) -> int:
         """Cycles a generate(n_bits) call made now runs, after the
@@ -333,7 +281,7 @@ class BitGenerator:
         info = self.stream_info(n_bits)
         carried = self._carried
         n_cycles = self._n_cycles(n_bits)
-        states = [self._unit_states(unit, n_cycles) for unit in self.units]
+        states = [self._unit_states(k, n_cycles) for k in range(self.config.n_units)]
 
         if len(states) == 1:
             bits = states[0]
@@ -351,18 +299,16 @@ class BitGenerator:
 
         # Carry each cell's state into the next generate call.
         if n_cycles:
-            for unit, traj in zip(self.units, states):
-                unit.state = int(traj[-1])
+            self._states = [int(traj[-1]) for traj in states]
 
         return BitStream(bits, info)
 
 
 def generate_bitstream(
     config: GeneratorConfig,
-    env: Environment | None = None,
     n_bits: int = 1,
     seed=None,
-    params: DeviceParams | None = None,
+    probs: list[tuple[float, float]] | None = None,
 ) -> BitStream:
     """One-shot bitstream generation; deterministic for a given seed."""
-    return BitGenerator(config, env=env, params=params, seed=seed).generate(n_bits)
+    return BitGenerator(config, seed=seed, probs=probs).generate(n_bits)

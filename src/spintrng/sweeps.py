@@ -1,14 +1,17 @@
 """Voltage, temperature, and process-variation experiment harness.
 
-run_sweep is the one entry point.  Every sweep is a list of cells, one
-variant of SWEEP_VARIANTS on one environment and set of devices, each
-run by _cell through BitGenerator with the write currents calibrated at
-reference conditions.  The voltage and temperature sweeps run nominal
-devices at every point of VOLTAGE_POINTS or TEMPERATURE_POINTS; the
-process study runs sampled device sets at reference conditions.  They
-differ only in their cell lists and in how they aggregate each cell's
-count of ones and first-unit flip probabilities, which the rows log so
-a sweep can be explained without re-simulation.
+run_sweep is the one entry point and the one runner for all three
+axes.  A sweep is a list of points, each a row value and its device
+sets of two cells: one set of nominal devices at every point of
+VOLTAGE_POINTS or TEMPERATURE_POINTS, and for the process study one
+point at reference conditions holding n_samples sampled sets.  Each
+set is held as its cells' flip probabilities in the point's
+environment, computed once in this process by device.flip_probs with
+the write currents calibrated at reference conditions.  _cell runs one
+variant of SWEEP_VARIANTS on one set through BitGenerator and returns
+its count of ones.  A row pools its point's counts and logs the mean
+flip probabilities of the sets' first cells, so a sweep can be
+explained without re-simulation.
 
 Seeding is fully keyed: every cell seeds its own generator, which
 spawns one substream per unit, and a variant's key is its index in
@@ -26,7 +29,7 @@ from enum import Enum
 import numpy as np
 from numpy.random import SeedSequence
 
-from spintrng.device import DeviceParams, Environment, sample_device
+from spintrng.device import DeviceParams, Environment, flip_probs, sample_device
 from spintrng.entropy import binary_min_entropy, binary_shannon_entropy
 from spintrng.generator import BitGenerator, GeneratorConfig, Variant
 from spintrng.parallel import ordered_map
@@ -48,14 +51,17 @@ SWEEP_VARIANTS = (
 
 # Key-space tags keeping device draws and the per-axis bit streams disjoint.
 _TAG_DEVICE = 100
-_TAG_PROCESS = 200
-_TAG_VOLTAGE = 300
-_TAG_TEMPERATURE = 400
+_TAGS = {Axis.PROCESS: 200, Axis.VOLTAGE: 300, Axis.TEMPERATURE: 400}
 
 
 # Sweep grids: supply deviation fraction, and temperature in kelvin.
 VOLTAGE_POINTS = (-0.1, -0.08, -0.06, -0.04, -0.02, 0.0, 0.02, 0.04, 0.06, 0.08, 0.1)
 TEMPERATURE_POINTS = (280.15, 285.15, 290.15, 295.15, 300.15, 305.15, 310.15, 315.15, 320.15)
+# The Environment field each grid sets.
+_GRIDS = {
+    Axis.VOLTAGE: ("v_variation_rate", VOLTAGE_POINTS),
+    Axis.TEMPERATURE: ("temperature_k", TEMPERATURE_POINTS),
+}
 
 
 @dataclass(frozen=True)
@@ -88,9 +94,8 @@ class SweepRow:
 
     variant is the Variant member itself; the CSV holds its value
     string.  p1_model and p2_model are the flip probabilities of the
-    generator's first unit at the point, as realized_flip_probs()
-    reports them (population means of the first cell in the process
-    study).
+    point's first cell, as device.flip_probs gives them (their mean
+    over the sampled sets in the process study).
     """
 
     variant: Variant
@@ -126,111 +131,82 @@ class SweepReport:
         return out.getvalue()
 
 
-def _row(
-    spec: SweepSpec, variant: Variant, value: float, p_one: float, p1: float, p2: float
-) -> SweepRow:
-    return SweepRow(
-        variant=variant,
-        axis=spec.axis.value,
-        value=value,
-        p_one=p_one,
-        shannon=binary_shannon_entropy(p_one),
-        min_entropy=binary_min_entropy(p_one),
-        p1_model=p1,
-        p2_model=p2,
-    )
+def _points(spec: SweepSpec) -> list[tuple[float, list[list[tuple[float, float]]]]]:
+    """The sweep's points: each a row value and its device sets, every
+    set the (p1, p2) of its two cells, computed here once.
 
-
-def _cell(task) -> tuple[int, float, float]:
-    """One sweep cell: the count of ones in n_bits of variant's output,
-    and the (p1, p2) of its first unit.  devices of None means nominal
-    devices.  The ones are counted chunk by chunk as the generator makes
-    them, so a cell's memory does not grow with n_bits."""
-    variant, env, params, key, devices, n_bits = task
-    config = GeneratorConfig(variant=variant)
-    gen = BitGenerator(config, env=env, params=params, seed=SeedSequence(key), devices=devices)
-    ones = sum(int(np.count_nonzero(bits)) for bits in gen.chunks(n_bits))
-    return (ones, *gen.realized_flip_probs()[0])
-
-
-def _run_env_sweep(spec: SweepSpec, jobs: int) -> SweepReport:
-    """Entropy of each variant at every point of the axis's grid."""
-    if spec.axis is Axis.VOLTAGE:
-        tag, points, setting = _TAG_VOLTAGE, VOLTAGE_POINTS, "v_variation_rate"
-    else:
-        tag, points, setting = _TAG_TEMPERATURE, TEMPERATURE_POINTS, "temperature_k"
-    tasks = [
-        (variant, Environment(**{setting: value}), spec.params, [spec.seed, tag + vi, i], None,
-         spec.bits_per_point)
-        for vi, variant in enumerate(SWEEP_VARIANTS)
-        for i, value in enumerate(points)
-    ]
-    rows = [
-        _row(spec, variant, getattr(env, setting), ones / spec.bits_per_point, p1, p2)
-        for (variant, env, *_), (ones, p1, p2) in zip(tasks, ordered_map(_cell, tasks, jobs))
-    ]
-    rows.sort(key=lambda r: (r.variant, r.value))
-    return SweepReport(spec=spec, rows=tuple(rows))
-
-
-def _run_process_study(spec: SweepSpec, jobs: int) -> SweepReport:
-    """Aggregate entropy per variant over a population of device sets.
-
-    The device sets are sampled here, and each (device set, variant)
-    pair is one task.  Device i's two cells are drawn from keys (seed, 100, i, unit); the
-    generator for variant v is seeded with (seed, 200 + v, i), v being
-    the variant's index in SWEEP_VARIANTS, and starts those cells in P,
-    as sampled.  All variants therefore see the same device
-    population, which makes the cross-variant entropy ordering a paired
-    comparison.  The reported row value column holds n_samples.
+    A voltage or temperature point holds one set of nominal devices in
+    its environment.  The process study is one point at Environment()
+    holding n_samples sampled sets; cell u of set i is drawn from key
+    (seed, 100, i, u), so every variant sees the same device population
+    and the cross-variant entropy ordering is a paired comparison.  Its
+    row value is n_samples.
     """
-    per_dev = spec.bits_per_point // spec.n_samples
-    tasks = []
+    params = spec.params
+    if spec.axis is not Axis.PROCESS:
+        setting, grid = _GRIDS[spec.axis]
+        envs = [Environment(**{setting: value}) for value in grid]
+        return [(value, [[flip_probs(params, env)] * 2]) for value, env in zip(grid, envs)]
+    env = Environment()
+    sets = []
     for i in range(spec.n_samples):
-        devices = [
-            sample_device(spec.params, True, SeedSequence([spec.seed, _TAG_DEVICE, i, unit]))
-            for unit in range(2)
-        ]
-        for vi, variant in enumerate(SWEEP_VARIANTS):
-            n_units = GeneratorConfig(variant=variant).n_units
-            key = [spec.seed, _TAG_PROCESS + vi, i]
-            tasks.append((variant, Environment(), spec.params, key, devices[:n_units], per_dev))
+        keys = (SeedSequence([spec.seed, _TAG_DEVICE, i, u]) for u in range(2))
+        sets.append([flip_probs(params, env, sample_device(params, True, key)) for key in keys])
+    return [(float(spec.n_samples), sets)]
 
-    # Summed in device order, so the floats do not depend on jobs.  Every
-    # variant's first unit is the device set's first cell, so one (p1, p2)
-    # per device set.
-    ones = [0] * len(SWEEP_VARIANTS)
-    p1_sum = 0.0
-    p2_sum = 0.0
-    for k, (count, p1, p2) in enumerate(ordered_map(_cell, tasks, jobs)):
-        vi = k % len(SWEEP_VARIANTS)
-        ones[vi] += count
-        if vi == 0:
-            p1_sum += p1
-            p2_sum += p2
 
-    total = spec.n_samples * per_dev
-    rows = [
-        _row(
-            spec,
-            variant,
-            float(spec.n_samples),
-            ones[vi] / total,
-            p1_sum / spec.n_samples,
-            p2_sum / spec.n_samples,
-        )
-        for vi, variant in enumerate(SWEEP_VARIANTS)
-    ]
-    return SweepReport(spec=spec, rows=tuple(rows))
+def _cell(task) -> int:
+    """One sweep cell: the count of ones in n_bits of variant's output,
+    its units at the flip probabilities probs.  The ones are counted
+    chunk by chunk as the generator makes them, so a cell's memory does
+    not grow with n_bits."""
+    variant, probs, key, n_bits = task
+    gen = BitGenerator(GeneratorConfig(variant=variant), seed=SeedSequence(key), probs=probs)
+    return sum(int(np.count_nonzero(bits)) for bits in gen.chunks(n_bits))
 
 
 def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
-    """Every variant of SWEEP_VARIANTS along spec.axis: at each point of
-    VOLTAGE_POINTS or TEMPERATURE_POINTS, or over the process study's
-    device population."""
-    if spec.axis is Axis.PROCESS:
-        return _run_process_study(spec, jobs)
-    return _run_env_sweep(spec, jobs)
+    """Every variant of SWEEP_VARIANTS at every point of spec.axis.
+
+    Each point splits bits_per_point evenly over its device sets, and
+    each (variant, device set) pair is one _cell task.  A variant's
+    k-th cell, counting over points and then sets, is seeded with key
+    (seed, tag + v, k), v being the variant's index in SWEEP_VARIANTS.
+    A row pools its point's counts, and its p1_model and p2_model are
+    the mean (p1, p2) of the sets' first cells.
+    """
+    tag = _TAGS[spec.axis]
+    points = _points(spec)
+    cells = [(probs, spec.bits_per_point // len(sets)) for _, sets in points for probs in sets]
+    tasks = []
+    for vi, variant in enumerate(SWEEP_VARIANTS):
+        n_units = GeneratorConfig(variant=variant).n_units
+        tasks += [
+            (variant, probs[:n_units], [spec.seed, tag + vi, k], n_bits)
+            for k, (probs, n_bits) in enumerate(cells)
+        ]
+    counts = iter(ordered_map(_cell, tasks, jobs))
+
+    rows = []
+    for variant in SWEEP_VARIANTS:
+        for value, sets in points:
+            n_bits = len(sets) * (spec.bits_per_point // len(sets))
+            p_one = sum(next(counts) for _ in sets) / n_bits
+            rows.append(
+                SweepRow(
+                    variant=variant,
+                    axis=spec.axis.value,
+                    value=value,
+                    p_one=p_one,
+                    shannon=binary_shannon_entropy(p_one),
+                    min_entropy=binary_min_entropy(p_one),
+                    p1_model=sum(probs[0][0] for probs in sets) / len(sets),
+                    p2_model=sum(probs[0][1] for probs in sets) / len(sets),
+                )
+            )
+    if spec.axis is not Axis.PROCESS:
+        rows.sort(key=lambda r: (r.variant, r.value))
+    return SweepReport(spec=spec, rows=tuple(rows))
 
 
 def spec_for_axis(axis: Axis, **overrides) -> SweepSpec:

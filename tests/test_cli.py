@@ -436,6 +436,95 @@ def test_generate_command_output_is_pinned(tmp_path, capsys, monkeypatch, varian
     assert [hashlib.sha256(b).hexdigest() for b in got] == list(_PINNED_GENERATE[variant, fmt])
 
 
+# sha256 of stdout, sidecar and file of an rhs-parallel run with forced
+# flip probabilities, recorded while the override was a GeneratorConfig
+# field: 600,001 bits over 3 lanes span three chunks.
+_PINNED_FORCED = (
+    "72d7be25120ff8c9da283da47228752956ede2c495471fdf8ed9aa13ea37d1b9",
+    "ae3de44b673c97933d22fcb280cd3ce55fd4daae4e90796089fa90b27bf06b54",
+    "2d69e1bff56690d229cdf63a26355a2970a5d5e64bec2bc855b6757abf4e3ebc",
+)
+
+
+def test_generate_with_forced_flip_probabilities_is_pinned(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "--variant", "rhs-parallel", "--lanes", "3", "--force-p1", "0.37"]
+    argv += ["--force-p2", "0.61", "--bits", "600001", "--seed", "5", "--out", "s.out"]
+    assert cli.main(argv) == 0
+    out, _ = capsys.readouterr()
+    got = [out.encode(), (tmp_path / "s.out.json").read_bytes(), (tmp_path / "s.out").read_bytes()]
+    assert tuple(hashlib.sha256(b).hexdigest() for b in got) == _PINNED_FORCED
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
+def test_a_flip_probability_outside_zero_one_exits_one(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["generate", "--force-p1", value, "--force-p2", "0.5", "--out", "s.bin"])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert f"argument --force-p1: must lie in [0, 1], got {float(value)}" in err
+    config = _write_config(tmp_path, {"generate": {"force_p1": 0.4, "force_p2": float(value)}})
+    code = cli.main(["generate", "--out", "s.bin", "--config", config])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert f"bad generate config value force_p2: must lie in [0, 1], got {float(value)}" in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["generate", "--out", "s.bin"], ["sweep", "--out", "s.csv"], ["bench", "--paths", "100"]],
+    ids=["generate", "sweep", "bench"],
+)
+def test_a_negative_seed_exits_one(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main([*command, "--seed", "-1"])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert "argument --seed: must be >= 0, got -1" in err
+    config = _write_config(tmp_path, {command[0]: {"seed": -1}})
+    code = cli.main([*command, "--config", config])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert f"bad {command[0]} config value seed: must be >= 0, got -1" in err
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["test", "--in", "s.bin", "--json", "s.bin.json"], "output s.bin.json would overwrite the input's sidecar"),
+        (["test", "--in", "s.bin", "--json", "s.bin"], "output s.bin would overwrite the input"),
+        (["test", "--in", "s.bin", "--json", "./s.bin"], "output ./s.bin would overwrite the input"),
+        (["bench", "--paths", "100", "--out", "a", "--json", "a"], "output a would overwrite another output"),
+    ],
+    ids=["test-sidecar", "test-input", "test-input-dot", "bench-out-json"],
+)
+def test_an_output_that_names_an_input_or_another_output_exits_one(
+    tmp_path, capsys, monkeypatch, args, message
+):
+    # Checked before the work runs, and before any output is opened.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", "s.bin"]) == 0
+    capsys.readouterr()
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    monkeypatch.setattr(cli, "speedup_report", work)
+    monkeypatch.setattr(nist, "run_nist_suite", work)
+    code = cli.main(args)
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"spintrng: error: {message}\n"
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
 def test_generate_analyze_and_sweep_never_load_scipy(tmp_path):
     # A fresh interpreter: this test process has scipy loaded already.
     script = """

@@ -16,6 +16,7 @@ from spintrng.device import (
     Environment,
     SwitchDirection,
     calibrated_currents,
+    flip_probs,
     sample_device,
     switching_exponent,
     switching_probability,
@@ -194,16 +195,34 @@ class TestCalibration:
             )
 
 
+class TestFlipProbs:
+    def test_currents_come_from_params(self):
+        # a device drawn from other params still sees the currents
+        # calibrated on the nominal device of the params given
+        device = sample_device(DeviceParams(ic0_p2ap_ua=60.0), process_variation=False)
+        currents = calibrated_currents(NOMINAL)
+        assert flip_probs(NOMINAL, ENV, device) == tuple(
+            switching_probability(device, d, currents[d], ENV)
+            for d in (SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P)
+        )
+        assert flip_probs(NOMINAL, ENV, device)[0] < 0.5
+
+    def test_no_device_means_the_nominal_device(self):
+        env = Environment(temperature_k=320.0, v_variation_rate=0.04)
+        assert flip_probs(NOMINAL, env) == flip_probs(NOMINAL, env, nominal_device())
+        assert flip_probs(NOMINAL, ENV) == pytest.approx((0.5, 0.5), abs=1e-6)
+
+
 class TestApplyWrite:
     """A write applied by the generator switches its cell with the
     write's switching probability."""
 
     @staticmethod
     def use_current(monkeypatch, current_ua):
-        """Make every generator write with this current in both
-        directions instead of the calibrated ones."""
+        """Make every write, as flip_probs sees it, use this current in
+        both directions instead of the calibrated ones."""
         currents = (current_ua,) * len(SwitchDirection)
-        monkeypatch.setattr("spintrng.generator.calibrated_currents", lambda params: currents)
+        monkeypatch.setattr("spintrng.device.calibrated_currents", lambda params: currents)
 
     def test_certain_switch_flips_state(self, monkeypatch):
         # an overdriven write on a 1 fs tau0 switches with P = 1
@@ -212,7 +231,8 @@ class TestApplyWrite:
         dev = sample_device(params, process_variation=False)
         assert switching_probability(dev, SwitchDirection.P_TO_AP, 500.0, ENV) == 1.0
         # conv-p2ap resets to P, writes towards AP and emits the state
-        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), params=params, seed=1)
+        probs = [flip_probs(params, ENV)]
+        gen = BitGenerator(GeneratorConfig(Variant.CONV_P_TO_AP), seed=1, probs=probs)
         assert gen.generate(64).bits.tolist() == [STATE_AP] * 64
 
     def test_empirical_rate_matches_probability(self, monkeypatch):

@@ -16,6 +16,7 @@ from spintrng.device import (
     SwitchDirection,
     calibrated_currents,
     sample_device,
+    flip_probs,
     switching_probability,
 )
 from spintrng.generator import (
@@ -31,65 +32,69 @@ def cfg(variant, **kwargs):
     return GeneratorConfig(variant=variant, **kwargs)
 
 
+def forced(config, pair):
+    """pair = (p1, p2) in every unit of config, or None for the
+    generator's default."""
+    return None if pair is None else [pair] * config.n_units
+
+
+def forced_bits(variant, pair, n_bits, seed, lanes=1):
+    config = cfg(variant, lanes=lanes)
+    return generate_bitstream(config, n_bits=n_bits, seed=seed, probs=forced(config, pair)).bits
+
+
 class TestCycleSemantics:
     def test_certain_flips_alternate_single_unit(self):
         # p1 = p2 = 1 toggles the state every cycle; first write leaves AP
-        config = cfg(Variant.RHS_SINGLE, flip_prob_override=(1.0, 1.0))
-        bits = generate_bitstream(config, n_bits=10, seed=0).bits
+        bits = forced_bits(Variant.RHS_SINGLE, (1.0, 1.0), 10, 0)
         assert bits.tolist() == [1, 0, 1, 0, 1, 0, 1, 0, 1, 0]
 
     def test_synchronized_alternators_cancel_under_xor(self):
-        config = cfg(Variant.RHS_TRNG, flip_prob_override=(1.0, 1.0))
-        bits = generate_bitstream(config, n_bits=64, seed=0).bits
+        bits = forced_bits(Variant.RHS_TRNG, (1.0, 1.0), 64, 0)
         assert not bits.any()
 
     def test_frozen_chain_never_leaves_written_state(self):
         # p1 = 1, p2 = 0: one switch into AP, then stuck
-        config = cfg(Variant.RHS_SINGLE, flip_prob_override=(1.0, 0.0))
-        bits = generate_bitstream(config, n_bits=20, seed=3).bits
+        bits = forced_bits(Variant.RHS_SINGLE, (1.0, 0.0), 20, 3)
         assert bits.tolist() == [1] * 20
 
     def test_conventional_certain_write(self):
-        config = cfg(Variant.CONV_P_TO_AP, flip_prob_override=(1.0, 1.0))
-        assert generate_bitstream(config, n_bits=16, seed=0).bits.tolist() == [1] * 16
-        config = cfg(Variant.CONV_AP_TO_P, flip_prob_override=(1.0, 1.0))
-        assert generate_bitstream(config, n_bits=16, seed=0).bits.tolist() == [0] * 16
+        assert forced_bits(Variant.CONV_P_TO_AP, (1.0, 1.0), 16, 0).tolist() == [1] * 16
+        assert forced_bits(Variant.CONV_AP_TO_P, (1.0, 1.0), 16, 0).tolist() == [0] * 16
 
     def test_conventional_bits_are_iid_with_write_probability(self):
-        config = cfg(Variant.CONV_P_TO_AP, flip_prob_override=(0.3, 0.5))
-        bits = generate_bitstream(config, n_bits=200_000, seed=5).bits
+        bits = forced_bits(Variant.CONV_P_TO_AP, (0.3, 0.5), 200_000, 5)
         assert bits.mean() == pytest.approx(0.3, abs=0.004)
         # independence: lag-1 product expectation factorizes
         corr = np.corrcoef(bits[:-1], bits[1:])[0, 1]
         assert abs(corr) < 0.01
 
     def test_single_unit_matches_chain_steady_state(self):
-        config = cfg(Variant.RHS_SINGLE, flip_prob_override=(0.3, 0.5))
-        bits = generate_bitstream(config, n_bits=400_000, seed=9).bits
+        bits = forced_bits(Variant.RHS_SINGLE, (0.3, 0.5), 400_000, 9)
         assert bits.mean() == pytest.approx(0.3 / 0.8, abs=0.004)
 
 
-def unit_trajectories(config, seed, n_cycles):
+def unit_trajectories(config, pair, seed, n_cycles):
     """Each unit's states over the first n_cycles cycles that a
-    generator built with this config and seed runs."""
-    gen = BitGenerator(config, seed=seed)
-    return [gen._unit_states(unit, n_cycles) for unit in gen.units]
+    generator built with this config, flip probabilities and seed runs."""
+    gen = BitGenerator(config, seed=seed, probs=forced(config, pair))
+    return [gen._unit_states(k, n_cycles) for k in range(config.n_units)]
 
 
 class TestXorWiring:
     def test_trng_is_xor_of_unit_trajectories(self):
-        config = cfg(Variant.RHS_TRNG, flip_prob_override=(0.4, 0.6))
-        stream = BitGenerator(config, seed=21).generate(5000)
-        states = unit_trajectories(config, 21, 5000)
+        config = cfg(Variant.RHS_TRNG)
+        stream = BitGenerator(config, seed=21, probs=forced(config, (0.4, 0.6))).generate(5000)
+        states = unit_trajectories(config, (0.4, 0.6), 21, 5000)
         assert len(states) == 2
         np.testing.assert_array_equal(stream.bits, states[0] ^ states[1])
 
     def test_parallel_adjacent_xor_row_major(self):
         lanes = 3
-        config = cfg(Variant.RHS_PARALLEL, lanes=lanes, flip_prob_override=(0.4, 0.6))
+        config = cfg(Variant.RHS_PARALLEL, lanes=lanes)
         n_bits = 3 * lanes * 7
-        stream = BitGenerator(config, seed=4).generate(n_bits)
-        states = unit_trajectories(config, 4, n_bits // lanes)
+        stream = BitGenerator(config, seed=4, probs=forced(config, (0.4, 0.6))).generate(n_bits)
+        states = unit_trajectories(config, (0.4, 0.6), 4, n_bits // lanes)
         assert len(states) == lanes + 1
         stacked = np.stack(states, axis=1)
         expected = (stacked[:, :-1] ^ stacked[:, 1:]).reshape(-1)
@@ -97,10 +102,12 @@ class TestXorWiring:
 
     @pytest.mark.parametrize("override", [None, (0.4, 0.6)], ids=["physics", "override"])
     def test_trng_is_the_one_lane_parallel_chain(self, override):
-        trng = cfg(Variant.RHS_TRNG, flip_prob_override=override)
-        one_lane = cfg(Variant.RHS_PARALLEL, lanes=1, flip_prob_override=override)
-        a = generate_bitstream(trng, n_bits=5000, seed=SeedSequence([9]))
-        b = generate_bitstream(one_lane, n_bits=5000, seed=SeedSequence([9]))
+        trng = cfg(Variant.RHS_TRNG)
+        one_lane = cfg(Variant.RHS_PARALLEL, lanes=1)
+        a = generate_bitstream(trng, n_bits=5000, seed=SeedSequence([9]), probs=forced(trng, override))
+        b = generate_bitstream(
+            one_lane, n_bits=5000, seed=SeedSequence([9]), probs=forced(one_lane, override)
+        )
         np.testing.assert_array_equal(a.bits, b.bits)
         assert (a.info.lanes, a.info.simulated_time_ns, a.info.energy_pj) == (
             b.info.lanes, b.info.simulated_time_ns, b.info.energy_pj
@@ -110,15 +117,14 @@ class TestXorWiring:
         )
 
     def test_unit_streams_are_independent(self):
-        config = cfg(Variant.RHS_TRNG, flip_prob_override=(0.5, 0.5))
-        states = unit_trajectories(config, 33, 200_000)
+        states = unit_trajectories(cfg(Variant.RHS_TRNG), (0.5, 0.5), 33, 200_000)
         corr = np.corrcoef(states[0], states[1])[0, 1]
         assert abs(corr) < 0.01
 
 
-def reference_bits(config, entropy, n_bits):
+def reference_bits(config, entropy, n_bits, override=None):
     """Cycle-by-cycle reference for BitGenerator.generate at nominal
-    devices and conditions.
+    devices and conditions, or with every unit at override = (p1, p2).
 
     Each unit draws from its own default_rng, spawned from
     SeedSequence(entropy) in unit order, and every cycle applies one
@@ -132,7 +138,7 @@ def reference_bits(config, entropy, n_bits):
     never reaches the stream.
     """
     rngs = [np.random.default_rng(s) for s in SeedSequence(entropy).spawn(config.n_units)]
-    if config.flip_prob_override is None:
+    if override is None:
         device = sample_device(DeviceParams(), process_variation=False)
         currents = calibrated_currents(DeviceParams())
         p = {
@@ -140,7 +146,7 @@ def reference_bits(config, entropy, n_bits):
             for d in SwitchDirection
         }
     else:
-        p = dict(zip((SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P), config.flip_prob_override))
+        p = dict(zip((SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P), override))
 
     states = [STATE_P] * config.n_units
     bits = []
@@ -192,10 +198,11 @@ class TestFastSlowEquivalence:
         ],
     )
     def test_step_and_generate_agree(self, variant, lanes, override):
-        config = cfg(variant, lanes=lanes, flip_prob_override=override)
+        config = cfg(variant, lanes=lanes)
         n_bits = 257
-        fast = BitGenerator(config, seed=SeedSequence([17])).generate(n_bits).bits
-        np.testing.assert_array_equal(fast, reference_bits(config, [17], n_bits))
+        gen = BitGenerator(config, seed=SeedSequence([17]), probs=forced(config, override))
+        fast = gen.generate(n_bits).bits
+        np.testing.assert_array_equal(fast, reference_bits(config, [17], n_bits, override))
 
     def test_physics_path_step_and_generate_agree(self):
         config = cfg(Variant.RHS_TRNG)
@@ -218,38 +225,27 @@ class TestChainState:
     def test_generate_leaves_its_devices_unchanged(self):
         # (1, 1) flips every cycle, so the bits show the chain's phase:
         # it carries over between calls and restarts at P in a new
-        # generator on the same device
-        config = cfg(Variant.RHS_SINGLE, flip_prob_override=(1.0, 1.0))
-        device = sample_device(DeviceParams(), process_variation=False)
-        gen = BitGenerator(config, seed=SeedSequence([4]), devices=[device])
+        # generator on the same flip probabilities
+        config = cfg(Variant.RHS_SINGLE)
+        probs = [(1.0, 1.0)]
+        gen = BitGenerator(config, seed=SeedSequence([4]), probs=probs)
         parts = [gen.generate(n).bits for n in (5, 7)]
         np.testing.assert_array_equal(np.concatenate(parts), np.arange(1, 13) % 2)
-        again = BitGenerator(config, seed=SeedSequence([4]), devices=[device]).generate(5).bits
+        assert probs == [(1.0, 1.0)]
+        again = BitGenerator(config, seed=SeedSequence([4]), probs=probs).generate(5).bits
         np.testing.assert_array_equal(again, parts[0])
-
-    def test_pulses_come_from_the_generator_params(self):
-        # devices drawn from other params still see the currents calibrated
-        # on the nominal device of the generator's params
-        device = sample_device(DeviceParams(ic0_p2ap_ua=60.0), process_variation=False)
-        gen = BitGenerator(cfg(Variant.CONV_P_TO_AP), params=DeviceParams(), devices=[device])
-        currents = calibrated_currents(DeviceParams())
-        assert gen.realized_flip_probs() == [
-            tuple(
-                switching_probability(device, d, currents[d], Environment())
-                for d in (SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P)
-            )
-        ]
-        assert gen.realized_flip_probs()[0][0] < 0.5
 
     def test_physics_generate_leaves_its_devices_unchanged(self):
         config = cfg(Variant.RHS_TRNG)
         devices = [sample_device(DeviceParams(), True, SeedSequence([9, k])) for k in range(2)]
         before = [replace(dev) for dev in devices]
-        gen = BitGenerator(config, seed=SeedSequence([9]), devices=devices)
+        probs = [flip_probs(DeviceParams(), Environment(), dev) for dev in devices]
+        gen = BitGenerator(config, seed=SeedSequence([9]), probs=probs)
         first = gen.generate(300).bits
         assert devices == before
+        assert gen.realized_flip_probs() == probs
         # the same devices start a second generator where the first started
-        again = BitGenerator(config, seed=SeedSequence([9]), devices=devices).generate(300).bits
+        again = BitGenerator(config, seed=SeedSequence([9]), probs=probs).generate(300).bits
         np.testing.assert_array_equal(first, again)
 
 
@@ -276,8 +272,7 @@ _PINNED_SHA256 = {
 )
 def test_generate_output_is_pinned(variant, override):
     lanes = 3 if variant is Variant.RHS_PARALLEL else 1
-    config = cfg(variant, lanes=lanes, flip_prob_override=override)
-    bits = generate_bitstream(config, n_bits=100_000, seed=2024).bits
+    bits = forced_bits(variant, override, 100_000, 2024, lanes=lanes)
     assert hashlib.sha256(bits.tobytes()).hexdigest() == _PINNED_SHA256[(variant, override)]
 
 
@@ -306,16 +301,8 @@ class TestDeterminism:
 
     def test_prefix_stability(self):
         # a longer request extends, never rewrites, the shorter one
-        short = generate_bitstream(
-            cfg(Variant.RHS_SINGLE, flip_prob_override=(0.4, 0.6)),
-            n_bits=500,
-            seed=SeedSequence([5]),
-        ).bits
-        long = generate_bitstream(
-            cfg(Variant.RHS_SINGLE, flip_prob_override=(0.4, 0.6)),
-            n_bits=1500,
-            seed=SeedSequence([5]),
-        ).bits
+        short = forced_bits(Variant.RHS_SINGLE, (0.4, 0.6), 500, SeedSequence([5]))
+        long = forced_bits(Variant.RHS_SINGLE, (0.4, 0.6), 1500, SeedSequence([5]))
         np.testing.assert_array_equal(short, long[:500])
 
     @pytest.mark.parametrize(
@@ -359,8 +346,8 @@ class TestTimingAndCost:
         assert stream.info.simulated_time_ns == pytest.approx(6200.0)
 
     def test_parallel_time_rounds_up_to_whole_cycles(self):
-        config = cfg(Variant.RHS_PARALLEL, lanes=4, flip_prob_override=(0.5, 0.5))
-        stream = generate_bitstream(config, n_bits=10, seed=0)
+        config = cfg(Variant.RHS_PARALLEL, lanes=4)
+        stream = generate_bitstream(config, n_bits=10, seed=0, probs=forced(config, (0.5, 0.5)))
         assert stream.info.simulated_time_ns == pytest.approx(3 * 3.3)
 
     def test_reference_cost_points(self):
@@ -394,18 +381,15 @@ class TestTimingAndCost:
 
     def test_energy_accounting_follows_the_per_bit_energy(self):
         for variant in (Variant.RHS_TRNG, Variant.RHS_SINGLE, Variant.CONV_AP_TO_P):
-            config = cfg(variant, flip_prob_override=(0.5, 0.5))
-            stream = generate_bitstream(config, n_bits=1000, seed=0)
+            config = cfg(variant)
+            stream = generate_bitstream(config, n_bits=1000, seed=0, probs=forced(config, (0.5, 0.5)))
             assert stream.info.energy_pj == pytest.approx(1000 * config.energy_pj_per_bit)
 
 
 class TestStreamMetadata:
     def test_fields(self):
-        stream = generate_bitstream(
-            cfg(Variant.RHS_PARALLEL, lanes=2, flip_prob_override=(0.5, 0.5)),
-            n_bits=100,
-            seed=77,
-        )
+        config = cfg(Variant.RHS_PARALLEL, lanes=2)
+        stream = generate_bitstream(config, n_bits=100, seed=77, probs=forced(config, (0.5, 0.5)))
         assert stream.info.n_bits == 100
         assert len(stream.bits) == 100
         assert stream.info.variant == "rhs-parallel"
@@ -424,8 +408,13 @@ class TestValidation:
             GeneratorConfig(variant=Variant.RHS_PARALLEL, lanes=0)
 
     def test_bad_override(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(variant=Variant.RHS_TRNG, flip_prob_override=(1.2, 0.5))
+        config = cfg(Variant.RHS_TRNG)
+        for pair in ((1.2, 0.5), (0.5, -0.1), (float("nan"), 0.5)):
+            with pytest.raises(ValueError, match=r"must lie in \[0, 1\]"):
+                BitGenerator(config, probs=forced(config, pair))
+        # one (p1, p2) per unit
+        with pytest.raises(ValueError, match=r"rhs-trng needs 2 \(p1, p2\) pairs"):
+            BitGenerator(config, probs=[(0.5, 0.5)])
 
     def test_bad_bit_count(self):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from spintrng.device import (
     Environment,
     SwitchDirection,
     calibrated_currents,
+    flip_probs,
     sample_device,
     switching_exponent,
     switching_probability,
@@ -257,17 +258,18 @@ def test_calibration_runs_once_per_params(axis):
 def test_cell_counts_in_flat_memory():
     # Held at once, 4*10^6 rhs-trng bits traced 49.6 MB; chunk by chunk
     # a cell holds one chunk's uniforms, states and bits.
-    task = (Variant.RHS_TRNG, Environment(), DeviceParams(), [7, 1], None, 4_000_000)
+    probs = [flip_probs(DeviceParams(), Environment())] * 2
+    task = (Variant.RHS_TRNG, probs, [7, 1], 4_000_000)
     tracemalloc.start()
     try:
-        ones, p1, p2 = _cell(task)
+        ones = _cell(task)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
     gen = BitGenerator(GeneratorConfig(variant=Variant.RHS_TRNG), seed=np.random.SeedSequence([7, 1]))
     assert ones == int(np.count_nonzero(gen.generate(4_000_000).bits))
-    assert (p1, p2) == gen.realized_flip_probs()[0]
+    assert gen.realized_flip_probs() == probs
 
 class TestValidation:
     def test_minimum_bits_enforced(self):
