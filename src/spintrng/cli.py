@@ -10,8 +10,9 @@ Exit codes: 0 success, 1 usage or config error, an input that cannot
 be read or an output that cannot be written, 2 runtime failure.  Every
 output is opened before the command's work runs, so an output that
 cannot be written, or that would overwrite the command's input, the
-input's sidecar or another of its outputs, costs no work, and a
-failure while the work runs leaves none of its outputs behind.
+input's sidecar, the config file or another of its outputs, costs no
+work, and a failure while the work runs leaves none of its outputs
+behind.
 The argparse parser is the one schema of the options: each option's
 default lives in its add_argument call, read from the library where
 the library declares it (SweepSpec's fields, DEFAULT_PATH_GRID).  A
@@ -75,8 +76,7 @@ def _normalize_key(key: str) -> str:
     return key.replace("-", "_")
 
 
-def _load_config(flag_path: str | None) -> dict:
-    path = flag_path or os.environ.get(CONFIG_ENV_VAR)
+def _load_config(path: str | None) -> dict:
     if not path:
         return {}
     try:
@@ -205,21 +205,34 @@ def _parse_number_list(text: str, cast, what: str) -> list:
     return values
 
 
-@contextlib.contextmanager
-def _open_outputs(*paths, inputs=None):
-    """Text files open for writing at paths (None for a path not
-    given), opened before a command's work so that an output which
-    cannot be written fails before the work runs.  An output that
-    would overwrite one of inputs (a dict of path to what it is) or
-    another output is a usage error, raised before any file is opened.
-    If anything fails, the opens included, every file opened here is
-    removed."""
-    taken = {os.path.realpath(path): what for path, what in (inputs or {}).items()}
+def _config_input(opts: dict) -> dict:
+    """The config file the command read, if any, as an input that no
+    output may overwrite."""
+    return {opts["config"]: "the config"} if opts["config"] else {}
+
+
+def _refuse_overwrites(paths, inputs: dict) -> None:
+    """A usage error if one of paths (None for a path not given) would
+    overwrite one of inputs (a dict of path to what it is) or another
+    of paths."""
+    taken = {os.path.realpath(path): what for path, what in inputs.items()}
     for path in filter(None, paths):
         real = os.path.realpath(path)
         if real in taken:
             raise UsageError(f"output {path} would overwrite {taken[real]}")
         taken[real] = "another output"
+
+
+@contextlib.contextmanager
+def _open_outputs(*paths, inputs: dict):
+    """Text files open for writing at paths (None for a path not
+    given), opened before a command's work so that an output which
+    cannot be written fails before the work runs.  An output that
+    would overwrite one of inputs or another output is a usage error
+    (_refuse_overwrites), raised before any file is opened.  If
+    anything fails, the opens included, every file opened here is
+    removed."""
+    _refuse_overwrites(paths, inputs)
     files = []
     try:
         for path in paths:
@@ -254,6 +267,7 @@ def _build(cls, kind: str, /, **kwargs):
 def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if not opts["out"]:
         raise UsageError("generate requires --out PATH")
+    _refuse_overwrites((opts["out"], bitio.metadata_path(opts["out"])), _config_input(opts))
     variant = Variant(opts["variant"])
     forced = (opts["force_p1"], opts["force_p2"])
     if (forced[0] is None) != (forced[1] is None):
@@ -303,7 +317,11 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if bits.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
-    inputs = {path: "the input", bitio.metadata_path(path): "the input's sidecar"}
+    inputs = {
+        path: "the input",
+        bitio.metadata_path(path): "the input's sidecar",
+        **_config_input(opts),
+    }
     with _open_outputs(opts["json_out"], inputs=inputs) as (json_fh,):
         ent = entropy_report(bits)
         try:
@@ -335,7 +353,7 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
 def _cmd_analyze(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     p1_values = _parse_number_list(opts["p1"], float, "--p1")
     p2_values = _parse_number_list(opts["p2"], float, "--p2")
-    with _open_outputs(opts["json_out"]) as (json_fh,):
+    with _open_outputs(opts["json_out"], inputs=_config_input(opts)) as (json_fh,):
         rows = []
         for p1 in p1_values:
             for p2 in p2_values:
@@ -385,7 +403,7 @@ def _cmd_sweep(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
         )
     except ValueError as exc:
         raise UsageError(f"bad sweep config: {exc}") from exc
-    with _open_outputs(opts["out"]) as (fh,):
+    with _open_outputs(opts["out"], inputs=_config_input(opts)) as (fh,):
         report = run_sweep(spec, jobs=opts["jobs"])
         fh.write(report.to_csv())
     print(f"wrote {opts['out']} ({len(report.rows)} rows, axis={axis.value})")
@@ -395,7 +413,8 @@ def _cmd_bench(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     paths = _parse_number_list(opts["paths"], int, "--paths")
     if any(n < 1 for n in paths):
         raise UsageError("--paths values must be >= 1")
-    with _open_outputs(opts["out"], opts["json_out"]) as (csv_fh, json_fh):
+    inputs = _config_input(opts)
+    with _open_outputs(opts["out"], opts["json_out"], inputs=inputs) as (csv_fh, json_fh):
         report = speedup_report(
             spec=option,
             n_paths_grid=tuple(paths),
@@ -532,8 +551,10 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors; help/version exit 0.
         return 0 if exc.code in (0, None) else 1
     try:
-        params, option = _apply_config(args.command, _load_config(args.config), commands)
+        config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
+        params, option = _apply_config(args.command, _load_config(config_path), commands)
         opts = vars(parser.parse_args(argv))
+        opts["config"] = config_path
         _DISPATCH[args.command](opts, params, option)
     except UsageError as exc:
         print(f"spintrng: error: {exc}", file=sys.stderr)

@@ -19,9 +19,11 @@ write switches a cell in P and one in AP (device.flip_probs), so
 voltage, temperature and process reach the bits only through them.
 Every unit consumes exactly one uniform draw from its own substream
 per cycle, in cycle order, and BitGenerator.generate turns a block of
-those draws into bits in one vectorized pass.  The generator keeps
-each cell's chain state, starting at P, so a further generate call
-continues the same chains.  A request that rhs-parallel's lane count
+those draws into bits without a per-cycle loop: a conventional cell's
+bit is one comparison, and a feedback cell's chain runs through
+_chain_states, which scans 64 cycles per uint64 word.  The generator
+keeps each cell's chain state, starting at P, so a further generate
+call continues the same chains.  A request that rhs-parallel's lane count
 does not divide still runs whole cycles; the generator keeps the
 unused lanes of the last cycle and emits them first on the next call,
 so any split of a request into calls yields the bits of one call.
@@ -76,8 +78,10 @@ AREA_UM2_UNIT = 9.79
 # Bits per generate call in BitGenerator.chunks.  A multiple of 64, so
 # every chunk but the last ends on a byte and on an ascii line, and the
 # chunks' file encodings join into the encoding of the whole request.
-# At 2^18 bits a chunk's uniforms and chain states stay in cache; 2^20
-# was slower.
+# With the word-parallel chain kernel, sweep cells ran 7.0-7.6 ns per
+# bit at every size from 2^16 to 2^20 (2-core x86_64, at the nominal
+# point and at -10% supply), so 2^18 stays: a chunk's uniforms, at
+# most 2 MB, are the one buffer a generator keeps between calls.
 CHUNK_BITS = 1 << 18
 
 
@@ -172,26 +176,56 @@ def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
     """States X_1..X_n of the two-state flip chain driven by uniforms u.
 
     Bit-identical with the sequential recursion
-    X_t = X_{t-1} XOR (u_t < flip_prob(X_{t-1})), starting from X_0 = x0,
-    in two prefix-XOR scans over bool arrays.  A draw where the two
-    state-conditional comparisons disagree forces the next state to
-    u_t < p1 whatever the state was (a restart); any other draw toggles
-    the state when both comparisons are set.  So with parity the running
-    XOR of the toggles, a restart at t fixes s_t = X_t XOR parity_t, and
-    each state is the latest restart's s (x0 before the first) XOR
-    parity.  The second scan forward-fills s from its changes.
+    X_t = X_{t-1} XOR (u_t < flip_prob(X_{t-1})), starting from X_0 = x0.
+    With a_t = u_t < p1 and b_t = u_t < p2, a draw where both are set
+    toggles the state, a draw where neither is keeps it, and a draw
+    where they differ is a restart: it sets X_t = a_t whatever the state
+    was.  So with parity_t the running XOR of the toggles, X_t XOR
+    parity_t is constant between restarts: x0 before the first, and
+    a_t XOR parity_t from a restart at t on.  Each state is that filled
+    value XOR parity.
+
+    Both scans run on whole uint64 words, cycle t at bit t % 64 of word
+    t // 64: a and b are packed little-endian, and the last word is
+    padded with draws that neither toggle nor restart.  Parity is a
+    prefix XOR, in-word by six doubling shifts and across words by
+    XORing in the parity of every earlier word.  The fill is one carry
+    chain.  Read propagate = ~restart | value and value as two integers
+    over all the words: at bit t of propagate + value + x0, a restart to
+    1 sets the carry, a restart to 0 clears it, and any other draw
+    passes it on, so the carry out of bit t is the filled value at t.
+    That is value at a restart and the inverse of the sum bit elsewhere.
     """
-    a = u < p1
-    b = u < p2
-    forced = a != b
-    parity = np.bitwise_xor.accumulate(np.logical_and(a, b, out=b), out=b)
-    restarts = a[forced] ^ parity[forced]
-    change = np.zeros_like(a)
-    change[forced] = restarts ^ np.concatenate(([bool(x0)], restarts[:-1]))
-    states = np.bitwise_xor.accumulate(change, out=change)
+    n = u.size
+    if n == 0:
+        return np.empty(0, dtype=np.uint8)
+    n_words = -(-n // 64)
+    below = np.zeros(64 * n_words, dtype=bool)
+    np.less(u, p1, out=below[:n])
+    a = np.packbits(below, bitorder="little").view("<u8")
+    np.less(u, p2, out=below[:n])
+    b = np.packbits(below, bitorder="little").view("<u8")
+    del below
+    restart = a ^ b
+    parity = np.bitwise_and(a, b, out=b)
+    tmp = np.empty_like(parity)
+    for shift in (1, 2, 4, 8, 16, 32):
+        parity ^= np.left_shift(parity, shift, out=tmp)
+    # Bit 63 is each word's own parity; an odd count of them before a
+    # word inverts all of it.
+    top = parity >> 63
+    earlier = np.bitwise_xor.accumulate(top, out=tmp)
+    earlier ^= top
+    parity ^= np.negative(earlier, out=earlier)
+    value = np.bitwise_and(np.bitwise_xor(a, parity, out=a), restart, out=a)
+    propagate = np.bitwise_or(np.invert(restart, out=tmp), value, out=tmp)
+    total = int.from_bytes(propagate, "little") + int.from_bytes(value, "little") + int(x0)
+    sum_bytes = total.to_bytes(8 * n_words + 1, "little")
+    carry_sum = np.frombuffer(sum_bytes, dtype="<u8", count=n_words)
+    states = np.invert(np.bitwise_or(restart, carry_sum, out=restart), out=restart)
+    states |= value
     states ^= parity
-    states ^= bool(x0)
-    return states.view(np.uint8)
+    return np.unpackbits(states.view(np.uint8), count=n, bitorder="little")
 
 
 class BitGenerator:
@@ -226,6 +260,9 @@ class BitGenerator:
         self._states = [STATE_P] * config.n_units
         # rhs-parallel lanes of the last cycle that no call has emitted yet.
         self._carried = np.empty(0, dtype=np.uint8)
+        # Every unit's uniforms for one call, drawn in turn into one
+        # buffer that later calls reuse.
+        self._uniforms = np.empty(0)
 
     def realized_flip_probs(self) -> list[tuple[float, float]]:
         """Per-unit (p1, p2) in effect for this run."""
@@ -233,7 +270,9 @@ class BitGenerator:
 
     def _unit_states(self, k: int, n_cycles: int) -> np.ndarray:
         """Unit k's states over the next n_cycles cycles."""
-        u = self._rngs[k].random(n_cycles)
+        if self._uniforms.size < n_cycles:
+            self._uniforms = np.empty(n_cycles)
+        u = self._rngs[k].random(out=self._uniforms[:n_cycles])
         p1, p2 = self._probs[k]
         if self.config.variant is Variant.CONV_P_TO_AP:
             return (u < p1).astype(np.uint8)

@@ -84,6 +84,8 @@ class SweepSpec:
             raise ValueError("bits_per_point must be >= 10000")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.axis is Axis.PROCESS and self.bits_per_point < self.n_samples:
             raise ValueError("bits_per_point must be >= n_samples")
 

@@ -652,3 +652,42 @@ def test_json_commands_output_is_pinned(tmp_path, capsys, monkeypatch):
         out, _ = capsys.readouterr()
         assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha, argv[0]
         assert hashlib.sha256((tmp_path / json_path).read_bytes()).hexdigest() == json_sha, argv[0]
+
+
+@pytest.mark.parametrize(
+    "args,output",
+    [
+        (["generate", "--bits", "1000", "--out", "c"], "c.json"),
+        (["generate", "--bits", "1000", "--out", "c.json"], "c.json"),
+        (["sweep", "--bits-per-point", "10000", "--out", "c.json"], "c.json"),
+        (["bench", "--paths", "100", "--json", "./c.json"], "./c.json"),
+        (["analyze", "--json", "c.json"], "c.json"),
+        (["test", "--in", "s.bin", "--json", "c.json"], "c.json"),
+    ],
+    ids=["generate-sidecar", "generate-out", "sweep", "bench", "analyze", "test"],
+)
+@pytest.mark.parametrize("via_env", [False, True], ids=["flag", "env"])
+def test_an_output_that_names_the_config_exits_one(
+    tmp_path, capsys, monkeypatch, args, output, via_env
+):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
+    (tmp_path / "s.bin").write_bytes(np.packbits(bits).tobytes())
+    (tmp_path / "c.json").write_text("{}")
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    for module, name in [(cli, "run_sweep"), (cli, "speedup_report"), (cli, "steady_state"), (nist, "run_nist_suite")]:
+        monkeypatch.setattr(module, name, work)
+    if via_env:
+        monkeypatch.setenv(cli.CONFIG_ENV_VAR, "c.json")
+    else:
+        args = [*args, "--config", "c.json"]
+    code = cli.main(args)
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert err == f"spintrng: error: output {output} would overwrite the config\n"
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before

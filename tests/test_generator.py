@@ -210,7 +210,42 @@ class TestFastSlowEquivalence:
         np.testing.assert_array_equal(fast, reference_bits(config, [8], 123))
 
 
+def sequential_states(u, p1, p2, x0):
+    """X_t = X_{t-1} ^ (u_t < (p1 if X_{t-1} == 0 else p2)), one cycle
+    at a time from X_0 = x0."""
+    states = []
+    x = x0
+    for draw in u.tolist():
+        x ^= draw < (p2 if x else p1)
+        states.append(x)
+    return np.array(states, dtype=np.uint8)
+
+
+def word_boundary_uniforms(n, p1, p2, rng):
+    """n draws that restart (fall between p1 and p2) only at bit 0 of
+    every tenth word of 64 cycles and at bit 63 of the word three after
+    it, so the six words between carry state across every boundary;
+    every other draw toggles or keeps the state at random."""
+    lo, hi = min(p1, p2), max(p1, p2)
+    below = lo * rng.random(n)
+    above = np.minimum(hi + (1.0 - hi) * rng.random(n), np.nextafter(1.0, 0.0))
+    u = np.where(rng.random(n) < 0.5, below, above)
+    word, bit = np.divmod(np.arange(n), 64)
+    u[((word % 10 == 0) & (bit == 0)) | ((word % 10 == 3) & (bit == 63))] = (lo + hi) / 2
+    return u
+
+
 class TestChainState:
+    @pytest.mark.parametrize("x0", [0, 1])
+    @pytest.mark.parametrize("p1,p2", [*_ORACLE_OVERRIDES, (0.3, 0.3)], ids=lambda p: f"{p:g}")
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 5000, (1 << 18) + 1])
+    def test_chain_kernel_matches_the_recursion(self, n, p1, p2, x0):
+        rng = np.random.default_rng(n)
+        for u in (rng.random(n), word_boundary_uniforms(n, p1, p2, rng)):
+            states = _chain_states(u, p1, p2, x0)
+            assert states.dtype == np.uint8
+            np.testing.assert_array_equal(states, sequential_states(u, p1, p2, x0))
+
     @pytest.mark.parametrize("p1,p2", [(0.5000005371, 0.4999990962), (0.37, 0.61), (1.0, 0.0)])
     def test_chain_kernel_allocates_few_bytes_per_cycle(self, p1, p2):
         u = np.random.default_rng(3).random(1_000_000)

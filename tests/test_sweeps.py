@@ -276,6 +276,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             SweepSpec(axis=Axis.VOLTAGE, bits_per_point=5000)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            spec_for_axis(Axis.VOLTAGE, seed=-1, bits_per_point=10_000)
+
     def test_process_study_needs_a_bit_per_device(self):
         with pytest.raises(ValueError, match="bits_per_point must be >= n_samples"):
             SweepSpec(axis=Axis.PROCESS, n_samples=20_000, bits_per_point=10_000)
