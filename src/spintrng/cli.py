@@ -2,8 +2,9 @@
 
 Subcommands: generate (simulate a design and write a bitstream),
 test (statistical battery plus entropy estimates for a bitstream
-file), analyze (closed-form chain predictions for flip-probability
-grids), sweep (voltage/temperature/process CSV tables), and bench
+file), analyze (markov.design_model's predictions for one feedback
+cell and for two equal cells XORed, over a grid of (p1, p2) in
+[0, 1]), sweep (voltage/temperature/process CSV tables), and bench
 (option-pricing backend comparison).
 
 Exit codes: 0 success, 1 usage or config error, an input that cannot
@@ -42,12 +43,7 @@ from . import bitio
 from .device import DeviceParams, Environment, calibrated_currents, flip_probs
 from .entropy import binary_min_entropy, binary_shannon_entropy, entropy_report
 from .generator import BitGenerator, GeneratorConfig, Variant
-from .markov import (
-    FlipProbs,
-    lag1_autocorrelation,
-    steady_state,
-    xor_output_prob,
-)
+from .markov import design_model
 from .sweeps import Axis, SweepSpec, run_sweep, spec_for_axis
 from .system import (
     BENCH_COLUMNS,
@@ -198,7 +194,7 @@ def _resolve_seed(value) -> int:
 def _parse_number_list(text: str, cast, what: str) -> list:
     try:
         values = [cast(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise UsageError(f"bad {what} list {text!r}: {exc}") from exc
     if not values:
         raise UsageError(f"empty {what} list")
@@ -351,25 +347,25 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
 
 
 def _cmd_analyze(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
-    p1_values = _parse_number_list(opts["p1"], float, "--p1")
-    p2_values = _parse_number_list(opts["p2"], float, "--p2")
+    p1_values = _parse_number_list(opts["p1"], _probability, "--p1")
+    p2_values = _parse_number_list(opts["p2"], _probability, "--p2")
+    single, trng = GeneratorConfig(Variant.RHS_SINGLE), GeneratorConfig(Variant.RHS_TRNG)
     with _open_outputs(opts["json_out"], inputs=_config_input(opts)) as (json_fh,):
         rows = []
         for p1 in p1_values:
             for p2 in p2_values:
-                fp = _build(FlipProbs, "flip probabilities", p1=p1, p2=p2)
                 try:
-                    p_out_1 = steady_state(fp)
+                    [(p_out_1, lag1)] = design_model(single, [(p1, p2)])
+                    [(xor_p_out_1, _)] = design_model(trng, [(p1, p2)] * 2)
                 except ValueError as exc:
                     raise UsageError(str(exc)) from exc
-                xor_p_out_1 = xor_output_prob(p_out_1, p_out_1)
                 rows.append(
                     {
                         "p1": p1,
                         "p2": p2,
                         "p_out_1": p_out_1,
                         "xor_p_out_1": xor_p_out_1,
-                        "lag1_autocorr": lag1_autocorrelation(fp),
+                        "lag1_autocorr": lag1,
                         "shannon": binary_shannon_entropy(p_out_1),
                         "min_entropy": binary_min_entropy(p_out_1),
                         "xor_shannon": binary_shannon_entropy(xor_p_out_1),

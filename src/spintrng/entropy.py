@@ -25,7 +25,8 @@ def binary_min_entropy(p: float) -> float:
     """Min-entropy of a Bernoulli(p) bit: -log2 of the likelier symbol."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    return -math.log2(max(p, 1.0 - p))
+    # 0.0 minus, not unary minus: a certain bit gives +0.0, not -0.0.
+    return 0.0 - math.log2(max(p, 1.0 - p))
 
 
 @dataclass(frozen=True)

@@ -110,6 +110,20 @@ class GeneratorConfig:
     def bits_per_cycle(self) -> int:
         return self.lanes if self.variant is Variant.RHS_PARALLEL else 1
 
+    def unit_probs(self, probs=None) -> list[tuple[float, float]]:
+        """probs as one float (p1, p2) per unit, each in [0, 1]; None
+        means the nominal DeviceParams() device at Environment() in
+        every unit.  The one check of what BitGenerator and
+        markov.design_model take."""
+        if probs is None:
+            probs = [flip_probs(DeviceParams(), Environment())] * self.n_units
+        probs = [(float(p1), float(p2)) for p1, p2 in probs]
+        if len(probs) != self.n_units:
+            raise ValueError(f"{self.variant.value} needs {self.n_units} (p1, p2) pairs")
+        if not all(0.0 <= p <= 1.0 for pair in probs for p in pair):
+            raise ValueError("flip probabilities must lie in [0, 1]")
+        return probs
+
     @property
     def cycle_ns(self) -> float:
         """Precharge, read and write; conventional designs add a reset write."""
@@ -231,9 +245,9 @@ def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
 class BitGenerator:
     """Stateful driver for one configured TRNG instance.
 
-    probs holds each unit's (p1, p2), one pair per unit in unit order,
-    each in [0, 1].  None means the nominal DeviceParams() device at
-    Environment() in every unit.  Each unit draws from its own
+    probs holds each unit's (p1, p2) in unit order, as
+    GeneratorConfig.unit_probs checks them; None means the nominal
+    device in every unit.  Each unit draws from its own
     substream, spawned from seed in unit order, and its chain starts
     at P.
     """
@@ -245,13 +259,7 @@ class BitGenerator:
         probs: list[tuple[float, float]] | None = None,
     ) -> None:
         self.config = config
-        if probs is None:
-            probs = [flip_probs(DeviceParams(), Environment())] * config.n_units
-        self._probs = [(float(p1), float(p2)) for p1, p2 in probs]
-        if len(self._probs) != config.n_units:
-            raise ValueError(f"{config.variant.value} needs {config.n_units} (p1, p2) pairs")
-        if not all(0.0 <= p <= 1.0 for pair in self._probs for p in pair):
-            raise ValueError("flip probabilities must lie in [0, 1]")
+        self._probs = config.unit_probs(probs)
 
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.seed_entropy = root.entropy

@@ -1,64 +1,56 @@
-"""Closed-form analysis of the feedback TRNG state machine.
+"""Closed-form model of what each TRNG design emits.
 
-The read-invert-write cell is a two-state Markov chain over {P, AP}
-with per-cycle flip probabilities p1 (P to AP) and p2 (AP to P).
-These functions give its stationary output distribution, the effect of
-XOR-combining two independent cells and the chain's autocorrelation.
-They are the ground truth the simulator is verified against.
+A read-invert-write cell is a two-state Markov chain over {P, AP}
+with per-cycle flip probabilities p1 (P to AP) and p2 (AP to P), and
+its bit is 1 in AP.  design_model(config, probs) takes a design and
+its units' (p1, p2), the list BitGenerator takes, and returns one
+(p_one, lag1) per output lane: the stationary probability of a 1 and
+the lane's lag-1 correlation over cycles.
+
+* conv-p2ap draws a fresh bit each cycle: (p1, 0); conv-ap2p likewise
+  emits (1 - p2, 0).
+* rhs-single emits its chain's state: (m, rho) with m = p1 / (p1 + p2)
+  and rho = 1 - p1 - p2, the chain's second eigenvalue.  With
+  p1 = p2 = 0 the chain is absorbing and has no unique stationary
+  distribution, so that case is rejected, in every feedback design.
+* XOR lane k (rhs-trng's one lane, each rhs-parallel lane) is cells k
+  and k + 1 XORed.  In the +-1 encoding s = 1 - 2 * bit a cell has
+  mean e = 1 - 2m and lag-1 moment E = e^2 + (1 - e^2) rho, and the
+  cells are independent, so by the piling-up lemma the lane has mean
+  e_a e_b, which is p_one = m_a (1 - m_b) + m_b (1 - m_a), and
+  lag1 = (E_a E_b - e_a^2 e_b^2) / (1 - e_a^2 e_b^2).  A lane whose
+  cells are both constant is constant; its lag1 is 0.
+
+This is the oracle the simulator is verified against, and the one
+that per-device figures, detection lengths and entropy rates (ROADMAP
+items 6, 7, 14 and 15) build on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from spintrng.generator import GeneratorConfig, Variant
 
 
-@dataclass(frozen=True)
-class FlipProbs:
-    """Per-cycle switching probabilities of one cell.
-
-    p1: probability of a P to AP flip.
-    p2: probability of an AP to P flip.
-    """
-
-    p1: float
-    p2: float
-
-    def __post_init__(self) -> None:
-        for name, value in (("p1", self.p1), ("p2", self.p2)):
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-
-
-def steady_state(fp: FlipProbs) -> float:
-    """Stationary probability of AP, which is the probability of an
-    output 1: p1 / (p1 + p2).
-
-    With both flip probabilities zero the chain is absorbing and has
-    no unique stationary distribution, so that case is rejected.
-    """
-    total = fp.p1 + fp.p2
-    if total == 0.0:
-        raise ValueError("p1 = p2 = 0 gives an absorbing chain with no unique steady state")
-    return fp.p1 / total
-
-
-def xor_output_prob(p_a: float, p_b: float) -> float:
-    """Probability that the XOR of two independent bits is 1."""
-    for name, value in (("p_a", p_a), ("p_b", p_b)):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return p_a * (1.0 - p_b) + p_b * (1.0 - p_a)
-
-
-def lag1_autocorrelation(fp: FlipProbs) -> float:
-    """Autocorrelation of the state sequence at lag 1.
-
-    Equals the second eigenvalue of the transition matrix,
-    1 - p1 - p2; lag-k correlation is this value to the k-th power.
-    The XOR of two independent identical cells has lag-1
-    autocorrelation equal to the square of this value.
-    """
-    if fp.p1 + fp.p2 == 0.0:
-        raise ValueError("lag-1 autocorrelation undefined for the absorbing chain")
-    return 1.0 - fp.p1 - fp.p2
-
+def design_model(config: GeneratorConfig, probs=None) -> list[tuple[float, float]]:
+    """One (p_one, lag1) per output lane of config's design, its units
+    at probs as GeneratorConfig.unit_probs takes them."""
+    probs = config.unit_probs(probs)
+    if config.variant is Variant.CONV_P_TO_AP:
+        return [(probs[0][0], 0.0)]
+    if config.variant is Variant.CONV_AP_TO_P:
+        return [(1.0 - probs[0][1], 0.0)]
+    cells = []
+    for p1, p2 in probs:
+        if p1 + p2 == 0.0:
+            raise ValueError("p1 = p2 = 0 gives an absorbing chain with no unique steady state")
+        cells.append((p1 / (p1 + p2), 1.0 - p1 - p2))
+    if config.variant is Variant.RHS_SINGLE:
+        return cells
+    lanes = []
+    for (m_a, rho_a), (m_b, rho_b) in zip(cells, cells[1:]):
+        e2_a, e2_b = (1.0 - 2.0 * m_a) ** 2, (1.0 - 2.0 * m_b) ** 2
+        moment = (e2_a + (1.0 - e2_a) * rho_a) * (e2_b + (1.0 - e2_b) * rho_b)
+        spread = 1.0 - e2_a * e2_b
+        lag1 = (moment - e2_a * e2_b) / spread if spread else 0.0
+        lanes.append((m_a * (1.0 - m_b) + m_b * (1.0 - m_a), lag1))
+    return lanes

@@ -89,6 +89,40 @@ def test_flags_beat_config_beats_defaults(tmp_path, capsys, monkeypatch):
     assert _analyze_p1(capsys, ["--p1", "0.2"]) == "p1=0.2000"
 
 
+def test_analyze_prints_positive_zero_min_entropy(capsys, monkeypatch):
+    # p1 = 0.5, p2 = 0 drives the cell to AP for good: a constant lane
+    # is no error, and its min-entropy prints without a minus sign.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    assert cli.main(["analyze", "--p1", "0.5", "--p2", "0"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == (
+        "p1=0.5000 p2=0.0000 p_out_1=1.000000 xor_p_out_1=0.000000 "
+        "lag1_autocorr=+0.500000 shannon=0.000000 min_entropy=0.000000 "
+        "xor_shannon=0.000000 xor_min_entropy=0.000000\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--p1", "1.5"], "bad --p1 list '1.5': must lie in [0, 1], got 1.5"),
+        (["--p1", "nan"], "bad --p1 list 'nan': must lie in [0, 1], got nan"),
+        (["--p2", "0.5,-1"], "bad --p2 list '0.5,-1': must lie in [0, 1], got -1.0"),
+        (["--p1", "0", "--p2", "0"], "p1 = p2 = 0 gives an absorbing chain"),
+    ],
+    ids=["above-one", "nan", "negative", "absorbing"],
+)
+def test_analyze_bad_probabilities_exit_one(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["analyze", *args, "--json", "a.json"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"spintrng: error: {message}")
+    assert os.listdir(tmp_path) == []
+
+
 def test_flags_beat_config_for_typed_options(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     config = _write_config(tmp_path, {"generate": {"bits": 1e3, "seed": 1}})
@@ -203,7 +237,7 @@ def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args):
     def work(*args, **kwargs):
         raise AssertionError("the work ran")
 
-    for module, name in [(cli, "run_sweep"), (cli, "speedup_report"), (cli, "steady_state"), (nist, "run_nist_suite")]:
+    for module, name in [(cli, "run_sweep"), (cli, "speedup_report"), (cli, "design_model"), (nist, "run_nist_suite")]:
         monkeypatch.setattr(module, name, work)
     code = cli.main(args)
     _, err = capsys.readouterr()
@@ -680,7 +714,7 @@ def test_an_output_that_names_the_config_exits_one(
     def work(*args, **kwargs):
         raise AssertionError("the work ran")
 
-    for module, name in [(cli, "run_sweep"), (cli, "speedup_report"), (cli, "steady_state"), (nist, "run_nist_suite")]:
+    for module, name in [(cli, "run_sweep"), (cli, "speedup_report"), (cli, "design_model"), (nist, "run_nist_suite")]:
         monkeypatch.setattr(module, name, work)
     if via_env:
         monkeypatch.setenv(cli.CONFIG_ENV_VAR, "c.json")

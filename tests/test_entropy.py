@@ -46,6 +46,10 @@ class TestBinaryMinEntropy:
         assert binary_min_entropy(1.0) == 0.0
         assert binary_min_entropy(0.0) == 0.0
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, 1e-20])
+    def test_certain_bit_is_positive_zero(self, p):
+        assert math.copysign(1.0, binary_min_entropy(p)) == 1.0
+
     @given(p=st.floats(0.0, 1.0, allow_nan=False))
     @settings(max_examples=200, deadline=None)
     def test_never_exceeds_shannon(self, p):
