@@ -21,9 +21,11 @@ save_stream passes a BitStream already in memory as one chunk with its
 record, and write_generated, which the CLI uses, passes
 BitGenerator.chunks with BitGenerator.stream_info, so memory stays
 flat however long the request.  The writer refuses an
-output its disk cannot hold before writing anything, removes a partial
-file when anything fails, and writes the sidecar last.  A file holds
-the bits of one generate call for the whole request, byte for byte.
+output its disk cannot hold before writing anything, opens the file
+and its sidecar before the first chunk is made, so an output that
+cannot be written costs no work, and removes both when anything
+fails.  A file holds the bits of one generate call for the whole
+request, byte for byte.
 """
 
 from __future__ import annotations
@@ -130,10 +132,14 @@ def read_bits(path: str) -> np.ndarray:
     return bits
 
 
+def _dump_metadata(meta: StreamMetadata, fh) -> None:
+    json.dump(asdict(meta), fh, indent=2, sort_keys=True)
+    fh.write("\n")
+
+
 def write_metadata(path: str, meta: StreamMetadata) -> None:
     with open(metadata_path(path), "w", encoding="utf-8") as fh:
-        json.dump(asdict(meta), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        _dump_metadata(meta, fh)
 
 
 def read_metadata(path: str) -> StreamMetadata | None:
@@ -160,11 +166,12 @@ def read_metadata(path: str) -> StreamMetadata | None:
 
 
 def _write(path: str, chunks: Iterable[np.ndarray], info: StreamInfo, fmt: str) -> StreamMetadata:
-    """Write the 0/1 chunks to path in fmt, then the sidecar of info.
+    """Write the 0/1 chunks to path in fmt, and the sidecar of info.
 
     An output that the path's disk cannot hold raises OSError (ENOSPC)
-    before anything is written; any exception while the chunks are
-    made or written removes the partial file and writes no sidecar.
+    before anything is written.  The file and the sidecar are opened
+    before the first chunk is made; any exception from then on, the
+    opens included, removes every file opened here.
     """
     _check_format(fmt)
     meta = StreamMetadata(**asdict(info), format=fmt)
@@ -172,15 +179,19 @@ def _write(path: str, chunks: Iterable[np.ndarray], info: StreamInfo, fmt: str) 
     free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
     if need > free:
         raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free")
-    fh = open(path, "wb")
+    opened = []
     try:
-        with fh:
-            for bits in chunks:
-                fh.write(_encode(bits, meta.format))
+        with open(path, "wb") as fh:
+            opened.append(path)
+            with open(metadata_path(path), "w", encoding="utf-8") as side:
+                opened.append(side.name)
+                for bits in chunks:
+                    fh.write(_encode(bits, meta.format))
+                _dump_metadata(meta, side)
     except BaseException:
-        os.remove(path)
+        for name in opened:
+            os.remove(name)
         raise
-    write_metadata(path, meta)
     return meta
 
 

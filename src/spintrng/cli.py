@@ -286,7 +286,8 @@ def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     try:
         meta = bitio.write_generated(gen, n_bits, opts["out"], opts["format"])
     except OSError as exc:
-        raise UsageError(f"cannot write {opts['out']}: {exc.strerror or exc}") from exc
+        failed = exc.filename or opts["out"]
+        raise UsageError(f"cannot write {failed}: {exc.strerror or exc}") from exc
     print(f"wrote {opts['out']} ({meta.n_bits} bits, {opts['format']})")
     print(f"variant={meta.variant} lanes={meta.lanes} seed={seed}")
     print(

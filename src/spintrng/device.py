@@ -8,7 +8,12 @@ thermally activated switching-time law:
     tau  = tau0 * exp(delta(T) * (1 - I_eff / Ic0_dir)),  tau >= tau0
     P_sw = 1 - exp(-PULSE_WIDTH_NS / tau)
 
-switching_exponent is the one place that reads the law:
+A device is its geometry: a DeviceInstance holds the free-layer
+thickness t_fl, the tunnel barrier thickness t_tb and the TMR ratio it
+was sampled with.  DeviceParams holds every constant of the law, the
+nominal geometry included, and each function of the law takes params
+and a device, None meaning the nominal device.  switching_exponent is
+the one place that reads the law:
 
 * delta(T) is the polarity's barrier, delta_300 * (1 + delta_asym) for
   P to AP and delta_300 * (1 - delta_asym) for AP to P, scaled by
@@ -17,18 +22,20 @@ switching_exponent is the one place that reads the law:
   volume;
 * I_eff is the write current times the supply shift (1 + v) and the
   divider (R_P + R_load) / (R_source + R_load), where R_source is the
-  resistance of the state the write leaves.
+  resistance of the state the write leaves: from P it is
+  R_P * exp((t_tb - t_tb_nominal) / tb_decay), as tunneling resistance
+  grows exponentially with barrier thickness, and from AP that times
+  (1 + tmr).
 
 The design has one operating point: every write lasts PULSE_WIDTH_NS,
 and calibrated_currents sets each polarity's current once, on the
 nominal device at Environment(), to switch with probability
 CALIBRATION_TARGET.  The currents are then held fixed while voltage,
-temperature and process vary.  Process variation samples the
-free-layer thickness, the tunnel barrier thickness and the TMR ratio
-from Gaussians, each propagated to the switching parameters through
-first-order physical dependencies.  flip_probs gives what the
+temperature and process vary; sample_device draws a device's geometry
+from Gaussians around the nominals.  flip_probs gives what the
 generator takes of all this: a device's (p1, p2), the switching
 probabilities of its P to AP and AP to P writes in an environment.
+Every polarity pair, the currents too, is ordered P to AP first.
 """
 
 from __future__ import annotations
@@ -57,8 +64,8 @@ _CALIBRATION_CURRENT_SPAN = 100.0  # upper bisection bound, multiples of Ic0
 class SwitchDirection(IntEnum):
     """Write polarity, named by the transition it drives."""
 
-    AP_TO_P = 0
-    P_TO_AP = 1
+    P_TO_AP = 0
+    AP_TO_P = 1
 
 
 @dataclass(frozen=True)
@@ -94,28 +101,15 @@ class DeviceParams:
             if not math.isfinite(value):
                 raise ValueError(f"{f.name} must be finite, got {value}")
         positive = (
-            ("t_fl_nm", self.t_fl_nm),
-            ("t_tb_nm", self.t_tb_nm),
-            ("tmr", self.tmr),
-            ("r_p_ohm", self.r_p_ohm),
-            ("delta_300", self.delta_300),
-            ("ic0_ap2p_ua", self.ic0_ap2p_ua),
-            ("ic0_p2ap_ua", self.ic0_p2ap_ua),
-            ("tau0_ns", self.tau0_ns),
-            ("tb_decay_nm", self.tb_decay_nm),
+            "t_fl_nm", "t_tb_nm", "tmr", "r_p_ohm", "delta_300",
+            "ic0_ap2p_ua", "ic0_p2ap_ua", "tau0_ns", "tb_decay_nm"
         )
-        for name, value in positive:
-            if not value > 0.0:
-                raise ValueError(f"{name} must be > 0, got {value}")
-        if self.r_load_ohm < 0.0:
-            raise ValueError(f"r_load_ohm must be >= 0, got {self.r_load_ohm}")
-        for name, value in (
-            ("sigma_t_fl", self.sigma_t_fl),
-            ("sigma_t_tb", self.sigma_t_tb),
-            ("sigma_tmr", self.sigma_tmr),
-        ):
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+        for name in positive:
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("r_load_ohm", "sigma_t_fl", "sigma_t_tb", "sigma_tmr"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not -1.0 < self.delta_asym < 1.0:
             raise ValueError(f"delta_asym must lie in (-1, 1), got {self.delta_asym}")
 
@@ -144,17 +138,14 @@ class Environment:
 
 @dataclass(frozen=True)
 class DeviceInstance:
-    """One sampled device: realized geometry plus derived resistances.
+    """One sampled device: its realized geometry.
 
     It holds no magnetic state: the generator keeps each cell's state.
     """
 
-    params: DeviceParams
     t_fl_nm: float
     t_tb_nm: float
     tmr: float
-    r_p_eff_ohm: float
-    r_ap_eff_ohm: float
 
 
 def _sample_positive(rng: np.random.Generator, mean: float, sigma: float, name: str) -> float:
@@ -170,60 +161,48 @@ def _sample_positive(rng: np.random.Generator, mean: float, sigma: float, name: 
     )
 
 
-def _build_instance(params: DeviceParams, t_fl: float, t_tb: float, tmr: float) -> DeviceInstance:
-    # Tunneling resistance grows exponentially with barrier thickness.
-    r_p_eff = params.r_p_ohm * math.exp((t_tb - params.t_tb_nm) / params.tb_decay_nm)
-    r_ap_eff = r_p_eff * (1.0 + tmr)
+def sample_device(params: DeviceParams, seed=None) -> DeviceInstance:
+    """Draw one device.
+
+    t_fl, t_tb, and tmr are drawn independently from Gaussians centered
+    on their nominals; a zero sigma gives the nominal value, and draws
+    that land at or below zero are rejected and retried a bounded
+    number of times.  Deterministic for a given seed.
+    """
+    rng = np.random.default_rng(seed)
     return DeviceInstance(
-        params=params,
-        t_fl_nm=t_fl,
-        t_tb_nm=t_tb,
-        tmr=tmr,
-        r_p_eff_ohm=r_p_eff,
-        r_ap_eff_ohm=r_ap_eff,
+        t_fl_nm=_sample_positive(rng, params.t_fl_nm, params.sigma_t_fl, "t_fl_nm"),
+        t_tb_nm=_sample_positive(rng, params.t_tb_nm, params.sigma_t_tb, "t_tb_nm"),
+        tmr=_sample_positive(rng, params.tmr, params.sigma_tmr, "tmr"),
     )
 
 
-def sample_device(
-    params: DeviceParams,
-    process_variation: bool = True,
-    seed=None,
-) -> DeviceInstance:
-    """Draw one device.
-
-    With process_variation off (or all sigmas zero) the sampled values
-    equal the nominals.  Otherwise t_fl, t_tb, and tmr are drawn
-    independently from Gaussians centered on their nominals; draws that
-    land at or below zero are rejected and retried a bounded number of
-    times.  Deterministic for a given seed.
-    """
-    if not process_variation:
-        return _build_instance(params, params.t_fl_nm, params.t_tb_nm, params.tmr)
-    rng = np.random.default_rng(seed)
-    t_fl = _sample_positive(rng, params.t_fl_nm, params.sigma_t_fl, "t_fl_nm")
-    t_tb = _sample_positive(rng, params.t_tb_nm, params.sigma_t_tb, "t_tb_nm")
-    tmr = _sample_positive(rng, params.tmr, params.sigma_tmr, "tmr")
-    return _build_instance(params, t_fl, t_tb, tmr)
-
-
 def switching_exponent(
-    device: DeviceInstance, direction: SwitchDirection, current_ua: float, env: Environment
+    params: DeviceParams,
+    direction: SwitchDirection,
+    current_ua: float,
+    env: Environment,
+    device: DeviceInstance | None = None,
 ) -> float:
     """Activation exponent ln(tau/tau0) of a write of current_ua in
-    direction, floored at zero.
+    direction on device, the nominal device of params when None,
+    floored at zero.
 
     The floor implements the tau >= tau0 clamp for overdrive currents
     at or above the critical current.
     """
-    params = device.params
+    # params carries the nominal geometry under the device's field names.
+    geometry = params if device is None else device
+    # Tunneling resistance grows exponentially with barrier thickness.
+    r_from = params.r_p_ohm * math.exp((geometry.t_tb_nm - params.t_tb_nm) / params.tb_decay_nm)
     if direction is SwitchDirection.P_TO_AP:
         delta_300 = params.delta_300 * (1.0 + params.delta_asym)
-        ic0, r_from = params.ic0_p2ap_ua, device.r_p_eff_ohm
+        ic0 = params.ic0_p2ap_ua
     else:
         delta_300 = params.delta_300 * (1.0 - params.delta_asym)
-        ic0, r_from = params.ic0_ap2p_ua, device.r_ap_eff_ohm
+        ic0, r_from = params.ic0_ap2p_ua, r_from * (1.0 + geometry.tmr)
     # Barrier and critical current scale with free-layer volume.
-    scale = device.t_fl_nm / params.t_fl_nm
+    scale = geometry.t_fl_nm / params.t_fl_nm
     delta_t = delta_300 * scale * (300.0 / env.temperature_k)
     r_load = params.r_load_ohm
     divider = (params.r_p_ohm + r_load) / (r_from + r_load)
@@ -233,31 +212,35 @@ def switching_exponent(
 
 
 def switching_probability(
-    device: DeviceInstance, direction: SwitchDirection, current_ua: float, env: Environment
+    params: DeviceParams,
+    direction: SwitchDirection,
+    current_ua: float,
+    env: Environment,
+    device: DeviceInstance | None = None,
 ) -> float:
     """Probability that a PULSE_WIDTH_NS write of current_ua in
-    direction switches a device sitting in the direction's source
-    state.  Defined for any device state; the caller decides
-    applicability."""
-    exponent = switching_exponent(device, direction, current_ua, env)
+    direction switches device (the nominal device of params when None)
+    sitting in the direction's source state.  Defined for any device
+    state; the caller decides applicability."""
+    exponent = switching_exponent(params, direction, current_ua, env, device)
     try:
-        tau = device.params.tau0_ns * math.exp(exponent)
+        tau = params.tau0_ns * math.exp(exponent)
     except OverflowError:
         # tau beyond every float: the law's limit is a write that never switches.
         return 0.0
     return -math.expm1(-PULSE_WIDTH_NS / tau)
 
 
-def _calibrate(device: DeviceInstance, direction: SwitchDirection, hi: float) -> float:
-    """Bisect the write current in [0, hi] until the switching
-    probability at Environment() hits CALIBRATION_TARGET to within
-    1e-6, so two polarities can differ by up to about 2e-6.  Raises
-    ValueError if the target is unreachable: above the saturation
-    1 - exp(-PULSE_WIDTH_NS / tau0), or below what a write at zero
-    current already switches."""
+def _calibrate(params: DeviceParams, direction: SwitchDirection, hi: float) -> float:
+    """Bisect the write current in [0, hi] until the nominal device's
+    switching probability at Environment() hits CALIBRATION_TARGET to
+    within 1e-6, so two polarities can differ by up to about 2e-6.
+    Raises ValueError if the target is unreachable: above the
+    saturation 1 - exp(-PULSE_WIDTH_NS / tau0), or below what a write
+    at zero current already switches."""
 
     def probe(current: float) -> float:
-        return switching_probability(device, direction, current, Environment())
+        return switching_probability(params, direction, current, Environment())
 
     target = CALIBRATION_TARGET
     lo = 0.0
@@ -289,10 +272,9 @@ def calibrated_currents(params: DeviceParams) -> tuple[float, ...]:
     PULSE_WIDTH_NS, searching up to _CALIBRATION_CURRENT_SPAN times its
     critical current.  Cached, so generators of equal params share one
     immutable tuple."""
-    nominal = sample_device(params, process_variation=False)
-    ic0 = (params.ic0_ap2p_ua, params.ic0_p2ap_ua)  # indexed by SwitchDirection
+    ic0 = (params.ic0_p2ap_ua, params.ic0_ap2p_ua)  # indexed by SwitchDirection
     return tuple(
-        _calibrate(nominal, direction, _CALIBRATION_CURRENT_SPAN * ic0[direction])
+        _calibrate(params, direction, _CALIBRATION_CURRENT_SPAN * ic0[direction])
         for direction in SwitchDirection
     )
 
@@ -303,10 +285,7 @@ def flip_probs(
     """(p1, p2) of device, the nominal device of params when None, under
     calibrated_currents(params) in env: the switching probabilities of
     the P to AP and the AP to P write."""
-    if device is None:
-        device = sample_device(params, process_variation=False)
     currents = calibrated_currents(params)
     return tuple(
-        switching_probability(device, d, currents[d], env)
-        for d in (SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P)
+        switching_probability(params, d, currents[d], env, device) for d in SwitchDirection
     )

@@ -13,6 +13,7 @@ the lane's lag-1 correlation over cycles.
   and rho = 1 - p1 - p2, the chain's second eigenvalue.  With
   p1 = p2 = 0 the chain is absorbing and has no unique stationary
   distribution, so that case is rejected, in every feedback design.
+  A cell absorbed in one state (m = 0 or 1) is constant; its lag1 is 0.
 * XOR lane k (rhs-trng's one lane, each rhs-parallel lane) is cells k
   and k + 1 XORed.  In the +-1 encoding s = 1 - 2 * bit a cell has
   mean e = 1 - 2m and lag-1 moment E = e^2 + (1 - e^2) rho, and the
@@ -45,7 +46,7 @@ def design_model(config: GeneratorConfig, probs=None) -> list[tuple[float, float
             raise ValueError("p1 = p2 = 0 gives an absorbing chain with no unique steady state")
         cells.append((p1 / (p1 + p2), 1.0 - p1 - p2))
     if config.variant is Variant.RHS_SINGLE:
-        return cells
+        return [(m, rho if 0.0 < m < 1.0 else 0.0) for m, rho in cells]
     lanes = []
     for (m_a, rho_a), (m_b, rho_b) in zip(cells, cells[1:]):
         e2_a, e2_b = (1.0 - 2.0 * m_a) ** 2, (1.0 - 2.0 * m_b) ** 2

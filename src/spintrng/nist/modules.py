@@ -329,22 +329,23 @@ def non_overlapping_templates(bits, m: int = 9, n_blocks: int = 8) -> list[float
     return [float(p) for p in gammaincc(n_blocks / 2.0, chi2 / 2.0)]
 
 
-# Class probabilities for the overlapping-template statistic at
-# m = 9, block length 1032 (lambda = 2).
+# The overlapping-template statistic's one setting: the all-ones
+# template of length _OVERLAP_M in blocks of _OVERLAP_BLOCK_LEN bits
+# (lambda = 2), and the class probabilities tabulated for it.
+_OVERLAP_M = 9
+_OVERLAP_BLOCK_LEN = 1032
 _OVERLAP_PI = (0.364091, 0.185659, 0.139381, 0.100571, 0.070432, 0.139865)
 
 
-def overlapping_template(bits, m: int = 9, block_len: int = 1032) -> list[float]:
-    """Overlapping occurrences of the all-ones length-m template."""
+def overlapping_template(bits) -> list[float]:
+    """Overlapping occurrences of the all-ones length-_OVERLAP_M template."""
     arr = _as_bits(bits)
-    n_blocks = arr.size // block_len
+    n_blocks = arr.size // _OVERLAP_BLOCK_LEN
     if n_blocks < 1:
-        raise ValueError(f"need at least {block_len} bits, got {arr.size}")
-    if m != 9 or block_len != 1032:
-        raise ValueError("class probabilities are tabulated for m=9, block_len=1032")
+        raise ValueError(f"need at least {_OVERLAP_BLOCK_LEN} bits, got {arr.size}")
     k = len(_OVERLAP_PI) - 1
-    blocks = arr[: n_blocks * block_len].reshape(n_blocks, block_len)
-    hits = np.count_nonzero(_window_codes(blocks, m) == 2**m - 1, axis=1)
+    blocks = arr[: n_blocks * _OVERLAP_BLOCK_LEN].reshape(n_blocks, _OVERLAP_BLOCK_LEN)
+    hits = np.count_nonzero(_window_codes(blocks, _OVERLAP_M) == 2**_OVERLAP_M - 1, axis=1)
     counts = np.bincount(np.minimum(hits, k), minlength=k + 1)
     expected = n_blocks * np.asarray(_OVERLAP_PI)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))

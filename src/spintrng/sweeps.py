@@ -153,7 +153,7 @@ def _points(spec: SweepSpec) -> list[tuple[float, list[list[tuple[float, float]]
     sets = []
     for i in range(spec.n_samples):
         keys = (SeedSequence([spec.seed, _TAG_DEVICE, i, u]) for u in range(2))
-        sets.append([flip_probs(params, env, sample_device(params, True, key)) for key in keys])
+        sets.append([flip_probs(params, env, sample_device(params, key)) for key in keys])
     return [(float(spec.n_samples), sets)]
 
 

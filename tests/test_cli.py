@@ -91,13 +91,14 @@ def test_flags_beat_config_beats_defaults(tmp_path, capsys, monkeypatch):
 
 def test_analyze_prints_positive_zero_min_entropy(capsys, monkeypatch):
     # p1 = 0.5, p2 = 0 drives the cell to AP for good: a constant lane
-    # is no error, and its min-entropy prints without a minus sign.
+    # is no error, its lag-1 correlation is 0, and its min-entropy
+    # prints without a minus sign.
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     assert cli.main(["analyze", "--p1", "0.5", "--p2", "0"]) == 0
     out, _ = capsys.readouterr()
     assert out == (
         "p1=0.5000 p2=0.0000 p_out_1=1.000000 xor_p_out_1=0.000000 "
-        "lag1_autocorr=+0.500000 shannon=0.000000 min_entropy=0.000000 "
+        "lag1_autocorr=+0.000000 shannon=0.000000 min_entropy=0.000000 "
         "xor_shannon=0.000000 xor_min_entropy=0.000000\n"
     )
 
@@ -214,36 +215,52 @@ def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, m
 
 
 @pytest.mark.parametrize(
-    "args",
+    "args,directory",
     [
-        ["test", "--in", "d"],
-        ["sweep", "--bits-per-point", "10000", "--out", "d"],
-        ["bench", "--paths", "100", "--out", "d"],
-        ["analyze", "--config", "d"],
-        ["bench", "--paths", "100", "--out", "b.csv", "--json", "d"],
-        ["test", "--in", "s.bin", "--json", "d"],
-        ["analyze", "--json", "d"],
+        (["test", "--in", "d"], "d"),
+        (["sweep", "--bits-per-point", "10000", "--out", "d"], "d"),
+        (["bench", "--paths", "100", "--out", "d"], "d"),
+        (["analyze", "--config", "d"], "d"),
+        (["bench", "--paths", "100", "--out", "b.csv", "--json", "d"], "d"),
+        (["test", "--in", "s.bin", "--json", "d"], "d"),
+        (["analyze", "--json", "d"], "d"),
+        (["generate", "--bits", "1000", "--seed", "1", "--out", "g.bin"], "g.bin.json"),
     ],
-    ids=["test-in", "sweep-out", "bench-out", "config", "bench-json", "test-json", "analyze-json"],
+    ids=[
+        "test-in",
+        "sweep-out",
+        "bench-out",
+        "config",
+        "bench-json",
+        "test-json",
+        "analyze-json",
+        "generate-sidecar",
+    ],
 )
-def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args):
+def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args, directory):
     # Outputs are opened before the work, so the work never runs.
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
-    (tmp_path / "d").mkdir()
+    (tmp_path / directory).mkdir()
     bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
     (tmp_path / "s.bin").write_bytes(np.packbits(bits).tobytes())
 
     def work(*args, **kwargs):
         raise AssertionError("the work ran")
 
+    def chunks(*args, **kwargs):
+        # lazy, as BitGenerator.chunks is: the work runs at the first chunk
+        yield work()
+
     for module, name in [(cli, "run_sweep"), (cli, "speedup_report"), (cli, "design_model"), (nist, "run_nist_suite")]:
         monkeypatch.setattr(module, name, work)
+    monkeypatch.setattr(BitGenerator, "chunks", chunks)
     code = cli.main(args)
     _, err = capsys.readouterr()
     assert code == 1
-    assert err.endswith("spintrng: error: d: Is a directory\n")
-    assert sorted(os.listdir(tmp_path)) == ["d", "s.bin"]
+    prefix = "cannot write " if args[0] == "generate" else ""
+    assert err.endswith(f"spintrng: error: {prefix}{directory}: Is a directory\n")
+    assert sorted(os.listdir(tmp_path)) == sorted([directory, "s.bin"])
 
 
 @pytest.mark.parametrize("jobs", ["0", "-3"])

@@ -139,14 +139,13 @@ def reference_bits(config, entropy, n_bits, override=None):
     """
     rngs = [np.random.default_rng(s) for s in SeedSequence(entropy).spawn(config.n_units)]
     if override is None:
-        device = sample_device(DeviceParams(), process_variation=False)
         currents = calibrated_currents(DeviceParams())
         p = {
-            d: switching_probability(device, d, currents[d], Environment())
+            d: switching_probability(DeviceParams(), d, currents[d], Environment())
             for d in SwitchDirection
         }
     else:
-        p = dict(zip((SwitchDirection.P_TO_AP, SwitchDirection.AP_TO_P), override))
+        p = dict(zip(SwitchDirection, override))
 
     states = [STATE_P] * config.n_units
     bits = []
@@ -272,7 +271,7 @@ class TestChainState:
 
     def test_physics_generate_leaves_its_devices_unchanged(self):
         config = cfg(Variant.RHS_TRNG)
-        devices = [sample_device(DeviceParams(), True, SeedSequence([9, k])) for k in range(2)]
+        devices = [sample_device(DeviceParams(), SeedSequence([9, k])) for k in range(2)]
         before = [replace(dev) for dev in devices]
         probs = [flip_probs(DeviceParams(), Environment(), dev) for dev in devices]
         gen = BitGenerator(config, seed=SeedSequence([9]), probs=probs)

@@ -119,7 +119,10 @@ class TestAutocorrelation:
     def test_equals_one_minus_flip_sum(self, p1, p2):
         if p1 + p2 == 0.0:
             return
-        assert chain(p1, p2)[1] == pytest.approx(1.0 - p1 - p2, abs=1e-12)
+        # a chain absorbed in one state (m = 0 or 1) is constant: lag1 0
+        m = p1 / (p1 + p2)
+        expected = 1.0 - p1 - p2 if 0.0 < m < 1.0 else 0.0
+        assert chain(p1, p2)[1] == pytest.approx(expected, abs=1e-12)
 
     def test_absorbing_chain_rejected(self):
         with pytest.raises(ValueError):
@@ -140,6 +143,11 @@ class TestAutocorrelation:
 
     def test_constant_lane_has_zero_lag1(self):
         assert design_model(TRNG, [(0.5, 0.0)] * 2) == [(0.0, 0.0)]
+
+    @pytest.mark.parametrize("probs,p_one", [((0.5, 0.0), 1.0), ((0.0, 0.5), 0.0)])
+    def test_constant_cell_has_zero_lag1(self, probs, p_one):
+        # absorbed in AP or in P, as a constant XOR lane is
+        assert design_model(SINGLE, [probs]) == [(p_one, 0.0)]
 
 
 class TestLanes:
@@ -256,7 +264,7 @@ class TestModelMatchesSimulation:
         shortcut_z = []
         for i in range(10):
             keys = (SeedSequence([0, 100, i, u]) for u in range(2))
-            cells = [flip_probs(params, env, sample_device(params, True, key)) for key in keys]
+            cells = [flip_probs(params, env, sample_device(params, key)) for key in keys]
             gen = BitGenerator(TRNG, seed=SeedSequence([5, i]), probs=cells)
             bits = gen.generate(2_000_000).bits
             [model] = design_model(TRNG, cells)

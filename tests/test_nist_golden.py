@@ -109,7 +109,3 @@ class TestModuleBehavior:
     def test_longest_run_rejects_short_input(self):
         with pytest.raises(ValueError):
             M.longest_run(np.ones(64, dtype=np.uint8))
-
-    def test_overlapping_template_fixed_parameters(self):
-        with pytest.raises(ValueError):
-            M.overlapping_template(np.ones(10**6, dtype=np.uint8), m=8)

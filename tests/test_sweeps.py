@@ -15,7 +15,6 @@ from spintrng.device import (
     SwitchDirection,
     calibrated_currents,
     flip_probs,
-    sample_device,
     switching_exponent,
     switching_probability,
 )
@@ -192,12 +191,12 @@ class TestModelAgreement:
         # exponent ln(tau/tau0) is its 300 K value times 300/T.  The
         # calibration itself is exact only to 1e-6 per polarity, at 300 K.
         report = run_sweep(fast_spec(Axis.TEMPERATURE, seed=0))
-        nominal = sample_device(report.spec.params, process_variation=False)
-        currents = calibrated_currents(report.spec.params)
-        tau0 = report.spec.params.tau0_ns
+        params = report.spec.params
+        currents = calibrated_currents(params)
+        tau0 = params.tau0_ns
         for direction in SwitchDirection:
             assert switching_probability(
-                nominal, direction, currents[direction], Environment()
+                params, direction, currents[direction], Environment()
             ) == pytest.approx(0.5, abs=1e-6)
 
         def exponent(p):
@@ -208,7 +207,7 @@ class TestModelAgreement:
                 (row.p1_model, SwitchDirection.P_TO_AP),
                 (row.p2_model, SwitchDirection.AP_TO_P),
             ):
-                x_300 = switching_exponent(nominal, direction, currents[direction], Environment())
+                x_300 = switching_exponent(params, direction, currents[direction], Environment())
                 assert exponent(p) == pytest.approx(
                     300.0 / row.value * x_300, rel=1e-9
                 ), (row.variant, row.value, direction)
