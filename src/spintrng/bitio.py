@@ -15,21 +15,25 @@ generator.StreamInfo (bit count, variant, lanes, seed, simulated time
 and energy) plus the format, so a stream file round-trips without
 guessing.
 
+Every file spintrng writes, a stream, its sidecar or a CLI report, is
+made in one transaction, created, which opens a command's outputs
+before its work, so an output that cannot be written costs no work,
+and removes them all when anything fails.  put is the one write; a
+failed write or close raises an OSError that names the path.
+
 Every stream file is written by one writer, _write, which takes the
 bits as a sequence of 0/1 chunks and encodes each as it arrives:
 save_stream passes a BitStream already in memory as one chunk with its
 record, and write_generated, which the CLI uses, passes
 BitGenerator.chunks with BitGenerator.stream_info, so memory stays
-flat however long the request.  The writer refuses an
-output its disk cannot hold before writing anything, opens the file
-and its sidecar before the first chunk is made, so an output that
-cannot be written costs no work, and removes both when anything
-fails.  A file holds the bits of one generate call for the whole
-request, byte for byte.
+flat however long the request.  The writer refuses an output its disk
+cannot hold before writing anything.  A file holds the bits of one
+generate call for the whole request, byte for byte.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import os
@@ -132,16 +136,6 @@ def read_bits(path: str) -> np.ndarray:
     return bits
 
 
-def _dump_metadata(meta: StreamMetadata, fh) -> None:
-    json.dump(asdict(meta), fh, indent=2, sort_keys=True)
-    fh.write("\n")
-
-
-def write_metadata(path: str, meta: StreamMetadata) -> None:
-    with open(metadata_path(path), "w", encoding="utf-8") as fh:
-        _dump_metadata(meta, fh)
-
-
 def read_metadata(path: str) -> StreamMetadata | None:
     """Sidecar for path, or None when absent."""
     side = metadata_path(path)
@@ -165,33 +159,54 @@ def read_metadata(path: str) -> StreamMetadata | None:
     return StreamMetadata(**payload)
 
 
+@contextlib.contextmanager
+def created(*paths):
+    """Binary files open for writing at paths (None for a path not
+    given), opened before the work that fills them.  Closes them on
+    success, naming the path of a close that fails; if anything fails,
+    the opens included, removes every file opened here."""
+    files = []
+    try:
+        for path in paths:
+            files.append(path and open(path, "wb"))
+        yield files
+        for fh in filter(None, files):
+            try:
+                fh.close()
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, fh.name) from exc
+    except BaseException:
+        for fh in filter(None, files):
+            with contextlib.suppress(OSError):
+                fh.close()
+            os.remove(fh.name)
+        raise
+
+
+def put(fh, data) -> None:
+    """Write the bytes data to fh, naming fh's path if that fails."""
+    try:
+        fh.write(data)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, fh.name) from exc
+
+
 def _write(path: str, chunks: Iterable[np.ndarray], info: StreamInfo, fmt: str) -> StreamMetadata:
     """Write the 0/1 chunks to path in fmt, and the sidecar of info.
 
     An output that the path's disk cannot hold raises OSError (ENOSPC)
-    before anything is written.  The file and the sidecar are opened
-    before the first chunk is made; any exception from then on, the
-    opens included, removes every file opened here.
-    """
+    before anything is written; the file and the sidecar are created
+    before the first chunk is made."""
     _check_format(fmt)
     meta = StreamMetadata(**asdict(info), format=fmt)
     need = _encoded_size(meta.n_bits, meta.format)
     free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
     if need > free:
-        raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free")
-    opened = []
-    try:
-        with open(path, "wb") as fh:
-            opened.append(path)
-            with open(metadata_path(path), "w", encoding="utf-8") as side:
-                opened.append(side.name)
-                for bits in chunks:
-                    fh.write(_encode(bits, meta.format))
-                _dump_metadata(meta, side)
-    except BaseException:
-        for name in opened:
-            os.remove(name)
-        raise
+        raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free", path)
+    with created(path, metadata_path(path)) as (fh, side):
+        for bits in chunks:
+            put(fh, _encode(bits, meta.format))
+        put(side, (json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n").encode())
     return meta
 
 

@@ -7,13 +7,14 @@ cell and for two equal cells XORed, over a grid of (p1, p2) in
 [0, 1]), sweep (voltage/temperature/process CSV tables), and bench
 (option-pricing backend comparison).
 
-Exit codes: 0 success, 1 usage or config error, an input that cannot
-be read or an output that cannot be written, 2 runtime failure.  Every
-output is opened before the command's work runs, so an output that
-cannot be written, or that would overwrite the command's input, the
-input's sidecar, the config file or another of its outputs, costs no
-work, and a failure while the work runs leaves none of its outputs
-behind.
+Exit codes: 0 success, 1 usage or config error, 2 runtime failure.
+Every path that cannot be read or written also ends in exit 1, with
+"spintrng: error: PATH: reason".  Every output, the stream and its
+sidecar included, is made by bitio.created before the command's work
+runs, so an output that cannot be written, or that would overwrite
+the command's input, the input's sidecar, the config file or another
+of its outputs, costs no work, and a failure while the work runs
+leaves none of its outputs behind.
 The argparse parser is the one schema of the options: each option's
 default lives in its add_argument call, read from the library where
 the library declares it (SweepSpec's fields, DEFAULT_PATH_GRID).  A
@@ -31,7 +32,6 @@ not from the option section).
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import json
 import os
@@ -219,35 +219,21 @@ def _refuse_overwrites(paths, inputs: dict) -> None:
         taken[real] = "another output"
 
 
-@contextlib.contextmanager
 def _open_outputs(*paths, inputs: dict):
-    """Text files open for writing at paths (None for a path not
-    given), opened before a command's work so that an output which
-    cannot be written fails before the work runs.  An output that
-    would overwrite one of inputs or another output is a usage error
-    (_refuse_overwrites), raised before any file is opened.  If
-    anything fails, the opens included, every file opened here is
-    removed."""
+    """bitio.created for paths (None for a path not given), once
+    _refuse_overwrites has passed them."""
     _refuse_overwrites(paths, inputs)
-    files = []
-    try:
-        for path in paths:
-            files.append(path and open(path, "w", encoding="utf-8"))
-        yield files
-        for fh in filter(None, files):
-            fh.close()
-    except BaseException:
-        for fh in filter(None, files):
-            with contextlib.suppress(OSError):
-                fh.close()
-            os.remove(fh.name)
-        raise
+    return bitio.created(*paths)
 
 
 def _write_json(fh, payload) -> None:
-    json.dump(payload, fh, indent=2)
-    fh.write("\n")
-    print(f"wrote {fh.name}")
+    bitio.put(fh, (json.dumps(payload, indent=2) + "\n").encode())
+
+
+def _print_written(*paths) -> None:
+    """Report the outputs given, once bitio.created has closed them."""
+    for path in filter(None, paths):
+        print(f"wrote {path}")
 
 
 def _build(cls, kind: str, /, **kwargs):
@@ -277,17 +263,9 @@ def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
         v_variation_rate=opts["v_rate"],
     )
     seed = _resolve_seed(opts["seed"])
-    n_bits = opts["bits"]
-    if n_bits < 1:
-        raise UsageError(f"--bits must be >= 1, got {n_bits}")
-
     probs = forced if forced[0] is not None else flip_probs(params, env)
     gen = BitGenerator(gen_config, seed=seed, probs=[probs] * gen_config.n_units)
-    try:
-        meta = bitio.write_generated(gen, n_bits, opts["out"], opts["format"])
-    except OSError as exc:
-        failed = exc.filename or opts["out"]
-        raise UsageError(f"cannot write {failed}: {exc.strerror or exc}") from exc
+    meta = bitio.write_generated(gen, opts["bits"], opts["out"], opts["format"])
     print(f"wrote {opts['out']} ({meta.n_bits} bits, {opts['format']})")
     print(f"variant={meta.variant} lanes={meta.lanes} seed={seed}")
     print(
@@ -340,6 +318,7 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
                 "overall_pass": overall,
             }
             _write_json(json_fh, payload)
+    _print_written(opts["json_out"])
     if not any_ran(results):
         raise UsageError(
             f"no module ran on groups of {ent.n_bits // groups} bits; "
@@ -384,6 +363,7 @@ def _cmd_analyze(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
             )
         if json_fh:
             _write_json(json_fh, rows)
+    _print_written(opts["json_out"])
 
 
 def _cmd_sweep(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
@@ -402,7 +382,7 @@ def _cmd_sweep(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
         raise UsageError(f"bad sweep config: {exc}") from exc
     with _open_outputs(opts["out"], inputs=_config_input(opts)) as (fh,):
         report = run_sweep(spec, jobs=opts["jobs"])
-        fh.write(report.to_csv())
+        bitio.put(fh, report.to_csv().encode())
     print(f"wrote {opts['out']} ({len(report.rows)} rows, axis={axis.value})")
 
 
@@ -431,14 +411,14 @@ def _cmd_bench(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
                 f"{r.ratio_vs_trng:>8.4f}"
             )
         if csv_fh:
-            csv_fh.write(report.to_csv())
-            print(f"wrote {csv_fh.name}")
+            bitio.put(csv_fh, report.to_csv().encode())
         if json_fh:
             rows = [
                 {column: getattr(r, name) for column, name, _ in BENCH_COLUMNS}
                 for r in report.rows
             ]
             _write_json(json_fh, rows)
+    _print_written(opts["out"], opts["json_out"])
 
 
 _DISPATCH = {
@@ -470,8 +450,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     g = sub.add_parser("generate", help="simulate a design and write a bitstream")
     g.add_argument("--variant", choices=[v.value for v in Variant], default=Variant.RHS_TRNG.value)
-    g.add_argument("--bits", type=int, default=1_000_000, help="number of output bits")
-    g.add_argument("--lanes", type=int, default=8, help="output lanes (rhs-parallel only)")
+    g.add_argument("--bits", type=_positive_int, default=1_000_000, help="number of output bits")
+    g.add_argument(
+        "--lanes", type=_positive_int, default=8, help="output lanes (rhs-parallel only)"
+    )
     g.add_argument("--seed", type=_seed)
     g.add_argument("--out", help="bitstream path; sidecar written to PATH.json")
     g.add_argument(
@@ -498,7 +480,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     t = sub.add_parser("test", help="statistical battery for a bitstream file")
     t.add_argument("--in", dest="in_path", help="bitstream file to test")
     t.add_argument(
-        "--groups", type=int, default=10, help="equal-size substreams (default %(default)s)"
+        "--groups",
+        type=_positive_int,
+        default=10,
+        help="equal-size substreams (default %(default)s)",
     )
     t.add_argument("--json", dest="json_out", help="also write the report as JSON")
     add_config(t)
@@ -557,9 +542,9 @@ def main(argv=None) -> int:
         print(f"spintrng: error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
-        # A failed open names its path, and every path here is the
-        # user's: an input that cannot be read or an output that cannot
-        # be written.
+        # A failed open names its path, as do bitio's failed writes and
+        # closes, and every path here is the user's: an input that
+        # cannot be read or an output that cannot be written.
         if exc.filename is None:
             return _runtime_error(exc)
         print(f"spintrng: error: {exc.filename}: {exc.strerror}", file=sys.stderr)

@@ -1,6 +1,5 @@
-"""Shared fixtures: reference bit material, golden p-values, the
-one-sequence linear complexity, and the acceptance-criteria summary
-printed at the end of the run."""
+"""Shared fixtures: reference bit material, golden p-values and the
+one-sequence linear complexity."""
 
 from __future__ import annotations
 
@@ -86,27 +85,3 @@ def golden_input(selector: str, pi100: np.ndarray, e100k: np.ndarray) -> np.ndar
         return e100k
     return bits_from_string(selector)
 
-
-# -- acceptance summary ------------------------------------------------------
-
-_ACCEPTANCE_LINES: list[str] = []
-
-
-@pytest.fixture
-def acceptance():
-    """Recorder for one pass/fail line per acceptance criterion."""
-
-    def record(criterion: str, ok: bool, detail: str) -> None:
-        line = f"criterion {criterion}: {'PASS' if ok else 'FAIL'} - {detail}"
-        _ACCEPTANCE_LINES.append(line)
-        print(line)
-
-    return record
-
-
-def pytest_terminal_summary(terminalreporter) -> None:
-    if not _ACCEPTANCE_LINES:
-        return
-    terminalreporter.section("acceptance criteria")
-    for line in _ACCEPTANCE_LINES:
-        terminalreporter.write_line(line)

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -36,13 +37,18 @@ def sidecar(fmt: str, n_bits: int) -> bitio.StreamMetadata:
     return bitio.StreamMetadata(n_bits, "rhs-trng", 1, 0, 0.0, 0.0, format=fmt)
 
 
+def write_sidecar(path: str, meta: bitio.StreamMetadata) -> None:
+    """Write meta as path's sidecar, whatever path holds."""
+    Path(bitio.metadata_path(path)).write_text(json.dumps(asdict(meta)))
+
+
 def write_fixture(path: str, bits, fmt: str, n_bits: int | None = None) -> None:
     """Write the 0/1 array bits to path through save_stream, with a
     sidecar that claims n_bits bits (all of them by default)."""
     bits = np.asarray(bits, dtype=np.uint8)
     bitio.save_stream(BitStream(bits, StreamInfo(bits.size, "rhs-trng", 1, 0, 0.0, 0.0)), path, fmt)
     if n_bits is not None:
-        bitio.write_metadata(path, sidecar(fmt, n_bits))
+        write_sidecar(path, sidecar(fmt, n_bits))
 
 
 class TestPacked:
@@ -77,7 +83,7 @@ class TestPacked:
         path = str(tmp_path / "s.bin")
         raw = np.random.default_rng(4).integers(0, 256, size=n_bits // 8, dtype=np.uint8)
         (tmp_path / "s.bin").write_bytes(raw.tobytes())
-        bitio.write_metadata(path, sidecar("packed", n_bits))
+        write_sidecar(path, sidecar("packed", n_bits))
         tracemalloc.start()
         try:
             bits = bitio.read_bits(path)
@@ -121,7 +127,7 @@ class TestAscii:
         # without a sidecar only space, tab, CR and LF mark a file ascii
         path = tmp_path / "s.txt"
         path.write_bytes(b" 0\t1\r\n1\x0b0\x0c1\x1c0\x1d0\x1e1\x1f")
-        bitio.write_metadata(str(path), sidecar("ascii", 8))
+        write_sidecar(str(path), sidecar("ascii", 8))
         assert bitio.read_bits(str(path)).tolist() == [0, 1, 1, 0, 1, 0, 0, 1]
         (tmp_path / "s.txt.json").unlink()
         assert bitio.read_bits(str(path)).size == 8 * len(path.read_bytes())
@@ -130,7 +136,7 @@ class TestAscii:
     def test_non_bit_characters_rejected(self, tmp_path, text, bad):
         path = tmp_path / "s.txt"
         path.write_bytes(text)
-        bitio.write_metadata(str(path), sidecar("ascii", 1))
+        write_sidecar(str(path), sidecar("ascii", 1))
         with pytest.raises(ValueError, match="non-bit characters: " + re.escape(bad)):
             bitio.read_bits(str(path))
 
@@ -163,7 +169,7 @@ class TestMetadata:
             simulated_time_ns=211.2,
             energy_pj=339.2,
         )
-        bitio.write_metadata(path, meta)
+        write_sidecar(path, meta)
         assert bitio.read_metadata(path) == meta
 
     def test_sidecar_path_convention(self):

@@ -258,20 +258,41 @@ def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args, d
     code = cli.main(args)
     _, err = capsys.readouterr()
     assert code == 1
-    prefix = "cannot write " if args[0] == "generate" else ""
-    assert err.endswith(f"spintrng: error: {prefix}{directory}: Is a directory\n")
+    assert err.endswith(f"spintrng: error: {directory}: Is a directory\n")
     assert sorted(os.listdir(tmp_path)) == sorted([directory, "s.bin"])
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-@pytest.mark.parametrize("command", [["sweep", "--out", "x.csv"], ["bench", "--paths", "100"]])
-def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, jobs):
+@pytest.mark.parametrize("count", ["0", "-3"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        (["sweep", "--out", "x.csv"], "--jobs", "flag"),
+        (["bench", "--paths", "100"], "--jobs", "flag"),
+        (["generate", "--out", "x.csv"], "--bits", "flag"),
+        (["generate", "--out", "x.csv"], "--bits", "config"),
+        (["generate", "--out", "x.csv"], "--lanes", "flag"),
+        (["generate", "--out", "x.csv"], "--lanes", "config"),
+        (["test", "--in", "x.csv"], "--groups", "flag"),
+        (["test", "--in", "x.csv"], "--groups", "config"),
+    ],
+)
+def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, count):
+    # Every count option, --lanes of rhs-trng included, whether given
+    # as a flag or in a config section.
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
-    code = cli.main([*command, "--jobs", jobs])
+    args, flag, source = command
+    if source == "flag":
+        code = cli.main([*args, flag, count])
+        message = f"argument {flag}: must be >= 1, got {count}"
+    else:
+        key = flag.removeprefix("--")
+        config = _write_config(tmp_path, {args[0]: {key: int(count)}})
+        code = cli.main([*args, "--config", config])
+        message = f"bad {args[0]} config value {key}: must be >= 1, got {count}"
     _, err = capsys.readouterr()
     assert code == 1
-    assert f"argument --jobs: must be >= 1, got {jobs}" in err
+    assert message in err
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -360,7 +381,7 @@ def test_output_larger_than_the_free_disk_exits_one(tmp_path, capsys, monkeypatc
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err == "spintrng: error: cannot write s.bin: needs 1250000000000 bytes, its disk has 1000 free\n"
+    assert err == "spintrng: error: s.bin: needs 1250000000000 bytes, its disk has 1000 free\n"
     assert sorted(os.listdir(tmp_path)) == []
 
 
@@ -372,21 +393,36 @@ def _cli_env() -> dict:
     return env
 
 
-def test_failed_write_removes_the_partial_file_and_exits_one(tmp_path):
-    # The file size limit makes a real write fail partway, with EFBIG.
-    script = """
+@pytest.mark.parametrize(
+    "args,path",
+    [
+        (["generate", "--bits", "2000000", "--seed", "1", "--out", "s.bin"], "s.bin"),
+        (["analyze", "--json", "a.json"], "a.json"),
+        (["sweep", "--axis", "voltage", "--bits-per-point", "10000", "--out", "v.csv"], "v.csv"),
+        (["bench", "--paths", "100", "--out", "b.csv"], "b.csv"),
+        (["bench", "--paths", "100", "--json", "b.json"], "b.json"),
+        (["test", "--in", "in.bin", "--json", "t.json"], "t.json"),
+    ],
+    ids=["generate", "analyze-json", "sweep-out", "bench-out", "bench-json", "test-json"],
+)
+def test_failed_write_removes_the_partial_file_and_exits_one(tmp_path, args, path):
+    # The file size limit makes a real write fail partway, with EFBIG:
+    # the stream fails in bitio.put, the small outputs when they close.
+    bits = np.random.default_rng(2).integers(0, 2, size=100_000, dtype=np.uint8)
+    (tmp_path / "in.bin").write_bytes(np.packbits(bits).tobytes())
+    script = f"""
 import resource, sys
 from spintrng import cli
-resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, 100_000))
-sys.exit(cli.main(["generate", "--bits", "2000000", "--seed", "1", "--out", "s.bin"]))
+resource.setrlimit(resource.RLIMIT_FSIZE, (200, 200))
+sys.exit(cli.main({args!r}))
 """
     run = subprocess.run(
         [sys.executable, "-c", script], cwd=tmp_path, env=_cli_env(), capture_output=True, text=True
     )
     assert run.returncode == 1, run.stderr
-    assert run.stdout == ""
-    assert run.stderr == "spintrng: error: cannot write s.bin: File too large\n"
-    assert sorted(os.listdir(tmp_path)) == []
+    assert "wrote" not in run.stdout
+    assert run.stderr == f"spintrng: error: {path}: File too large\n"
+    assert sorted(os.listdir(tmp_path)) == ["in.bin"]
 
 
 # Starts the CLI with the given arguments and prints its exit code and
