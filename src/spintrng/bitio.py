@@ -194,16 +194,17 @@ def put(fh, data) -> None:
 def _write(path: str, chunks: Iterable[np.ndarray], info: StreamInfo, fmt: str) -> StreamMetadata:
     """Write the 0/1 chunks to path in fmt, and the sidecar of info.
 
-    An output that the path's disk cannot hold raises OSError (ENOSPC)
-    before anything is written; the file and the sidecar are created
-    before the first chunk is made."""
+    The file and the sidecar are created before the first chunk is
+    made, so a path that cannot be opened is named as given.  An output
+    that the path's disk cannot hold then raises OSError (ENOSPC), and
+    both files are removed, before anything is written."""
     _check_format(fmt)
     meta = StreamMetadata(**asdict(info), format=fmt)
     need = _encoded_size(meta.n_bits, meta.format)
-    free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
-    if need > free:
-        raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free", path)
     with created(path, metadata_path(path)) as (fh, side):
+        free = shutil.disk_usage(os.path.dirname(os.path.abspath(path))).free
+        if need > free:
+            raise OSError(errno.ENOSPC, f"needs {need} bytes, its disk has {free} free", path)
         for bits in chunks:
             put(fh, _encode(bits, meta.format))
         put(side, (json.dumps(asdict(meta), indent=2, sort_keys=True) + "\n").encode())

@@ -385,6 +385,17 @@ def test_output_larger_than_the_free_disk_exits_one(tmp_path, capsys, monkeypatc
     assert sorted(os.listdir(tmp_path)) == []
 
 
+def test_a_missing_output_directory_is_named_as_given(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["generate", "--bits", "100", "--out", "nodir/s.bin"])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == "spintrng: error: nodir/s.bin: No such file or directory\n"
+    assert sorted(os.listdir(tmp_path)) == []
+
+
 def _cli_env() -> dict:
     """Environment for a fresh interpreter that imports this spintrng."""
     src = str(Path(cli.__file__).parents[1])

@@ -22,12 +22,26 @@ class ListSource:
     """A fixed list of bits, taken front to back."""
 
     def __init__(self, bits):
-        self.bits = list(bits)
+        self.bits = np.array(bits, dtype=np.uint8)
 
     def take(self, n_bits):
-        assert n_bits <= len(self.bits)
+        assert n_bits <= self.bits.size
         out, self.bits = self.bits[:n_bits], self.bits[n_bits:]
-        return np.array(out, dtype=np.uint8)
+        return out
+
+
+def _row_by_row(bits, count):
+    """count integers assembled one row at a time: each row of 52 bits
+    packed alone, padded to 8 bytes, read big-endian and shifted right
+    by 12."""
+    rows = np.zeros((count, 8), dtype=np.uint8)
+    rows[:, :7] = np.packbits(np.reshape(bits, (count, 52)), axis=1)
+    return rows.view(">u8").ravel() >> 12
+
+
+def _row_by_row_normals(bits, count):
+    u = (_row_by_row(bits, 2 * count) / 2.0**52).reshape(count, 2)
+    return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
 
 
 class TestInstructionSemantics:
@@ -47,6 +61,44 @@ class TestInstructionSemantics:
         u0, u1 = np.float64((2**52 - 1) / 2**52), np.float64(0.25)
         expected = np.sqrt(-2.0 * np.log1p(-u0)) * np.cos(2.0 * np.pi * u1)
         assert _box_muller_array(source, 1).tolist() == [expected]
+
+
+class TestRecordAssembly:
+    """The 13-byte-record assembly against the row-by-row oracle."""
+
+    COUNTS = (0, 1, 2, 3, 13, 1000, (1 << 16) + 1)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_integers_equal_the_row_by_row_oracle(self, count):
+        bits = FairBitSource(count).take(count * 52)
+        expected = _row_by_row(bits, count)
+        for source in (FairBitSource(count), ListSource(bits)):
+            np.testing.assert_array_equal(_uint_array(source, count), expected)
+
+    @pytest.mark.parametrize("count", COUNTS)
+    def test_normals_equal_the_row_by_row_oracle_bit_for_bit(self, count):
+        bits = FairBitSource(count).take(count * 104)
+        expected = _row_by_row_normals(bits, count).tobytes()
+        for source in (FairBitSource(count), ListSource(bits)):
+            assert _box_muller_array(source, count).tobytes() == expected
+
+    def test_calls_split_across_takes_equal_the_oracle(self):
+        # three bits taken first leave the fair source mid-word, so each
+        # later take joins buffered bits to fresh ones
+        counts = (1, 13, 2, 1000, 3)
+        bits = FairBitSource(7).take(3 + 156 * sum(counts))[3:]
+        fair = FairBitSource(7)
+        fair.take(3)
+        for source in (fair, ListSource(bits)):
+            at = 0
+            for count in counts:
+                ints = _uint_array(source, count)
+                np.testing.assert_array_equal(ints, _row_by_row(bits[at : at + 52 * count], count))
+                at += 52 * count
+                z = _box_muller_array(source, count)
+                expected = _row_by_row_normals(bits[at : at + 104 * count], count)
+                assert z.tobytes() == expected.tobytes()
+                at += 104 * count
 
 
 class TestBitSources:
@@ -142,6 +194,13 @@ class TestCostModel:
             OptionSpec(n_paths=1000), BackendKind.SOFTWARE_STDLIB, FairBitSource([5, 1, 1])
         )
         assert report.rows[4] == cell
+
+    def test_default_grid_is_pinned(self):
+        # every price and stderr of the default grid, 10^6 paths included,
+        # to the last bit
+        rows = speedup_report(seed=2312).rows
+        digest = hashlib.sha256(repr([(r.price, r.std_error) for r in rows]).encode()).hexdigest()
+        assert digest == "7d315bffa5d22f4ceb5a9699008b31f8b889e6b1bfa23feab2ae4c7a8f239bbe"
 
     def test_report_is_pinned(self):
         csv = speedup_report(n_paths_grid=(100, 1000), seed=5).to_csv()
