@@ -254,8 +254,7 @@ def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     forced = (opts["force_p1"], opts["force_p2"])
     if (forced[0] is None) != (forced[1] is None):
         raise UsageError("--force-p1 and --force-p2 must be given together")
-    lanes = opts["lanes"] if variant is Variant.RHS_PARALLEL else 1
-    gen_config = _build(GeneratorConfig, "generator config", variant=variant, lanes=lanes)
+    gen_config = _build(GeneratorConfig, "generator config", variant=variant, lanes=opts["lanes"])
     env = _build(
         Environment,
         "environment",

@@ -11,6 +11,12 @@ tests; the worked-example values in the test suite pin the exact
 conventions (one-sided vs two-sided statistics, inclusive thresholds,
 wraparound pattern counting, and so on).
 
+Three helpers hold what the modules share: _blocks is the one split
+into whole m-bit blocks, chi2_tail the one chi-square upper tail, and
+chi2_fit the one Pearson fit of class counts (the suite's composite
+p-value is one too).  The rank test's 2-dof tail is chi2_tail's
+gammaincc like every other, not exp(-x), which differs by rounding.
+
 The block-structured modules run as whole-array kernels rather than
 per-block or per-bit Python loops; each gives the same integers as the
 textbook loop, so the p-values are unchanged:
@@ -62,6 +68,27 @@ def _as_bits(bits) -> np.ndarray:
     return arr
 
 
+def _blocks(arr: np.ndarray, m: int) -> np.ndarray:
+    """The whole m-bit blocks of arr as a (blocks, m) view."""
+    n_blocks = arr.size // m
+    if n_blocks < 1:
+        raise ValueError(f"need at least {m} bits, got {arr.size}")
+    return arr[: n_blocks * m].reshape(n_blocks, m)
+
+
+def chi2_tail(chi2, dof):
+    """Chi-square upper tail at dof degrees of freedom, elementwise."""
+    return gammaincc(dof / 2.0, chi2 / 2.0)
+
+
+def chi2_fit(counts, expected) -> float:
+    """Tail of Pearson's chi-square of class counts against expected
+    counts (an array, or one for every class), at classes - 1 dof."""
+    counts = np.asarray(counts)
+    chi2 = float(np.sum((counts - expected) ** 2 / expected))
+    return float(chi2_tail(chi2, counts.size - 1))
+
+
 def _window_codes(arr: np.ndarray, m: int) -> np.ndarray:
     """Integer code of every length-m window along the last axis
     (MSB = earliest bit), in the smallest unsigned dtype that holds it."""
@@ -94,14 +121,10 @@ def frequency(bits) -> list[float]:
 
 def block_frequency(bits, m: int = 128) -> list[float]:
     """Per-block balance, chi-square over n//m blocks."""
-    arr = _as_bits(bits)
-    n_blocks = arr.size // m
-    if n_blocks < 1:
-        raise ValueError(f"need at least {m} bits, got {arr.size}")
-    blocks = arr[: n_blocks * m].reshape(n_blocks, m)
+    blocks = _blocks(_as_bits(bits), m)
     pi = blocks.mean(axis=1)
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
-    return [float(gammaincc(n_blocks / 2.0, chi2 / 2.0))]
+    return [float(chi2_tail(chi2, blocks.shape[0]))]
 
 
 def _cusum_p_value(z: int, n: int) -> float:
@@ -195,16 +218,12 @@ def longest_run(bits) -> list[float]:
     if table is None:
         raise ValueError(f"need at least 128 bits, got {n}")
     m, classes, pi = table
-    n_blocks = n // m
-    blocks = arr[: n_blocks * m].reshape(n_blocks, m)
-    longest = _longest_one_runs(blocks)
+    longest = _longest_one_runs(_blocks(arr, m))
     lo = classes[0]
     hi = classes[-1]
     clamped = np.clip(longest, lo, hi)
     counts = np.bincount(clamped - lo, minlength=hi - lo + 1)
-    expected = n_blocks * np.asarray(pi)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return [float(gammaincc(len(classes) / 2.0 - 0.5, chi2 / 2.0))]
+    return [chi2_fit(counts, longest.size * np.asarray(pi))]
 
 
 def _gf2_ranks(rows, n_cols: int) -> np.ndarray:
@@ -238,24 +257,14 @@ def _rank_probability(r: int, m: int, q: int) -> float:
 def rank(bits) -> list[float]:
     """Ranks of disjoint 32x32 binary matrices over GF(2)."""
     m = q = 32
-    arr = _as_bits(bits)
-    n_mats = arr.size // (m * q)
-    if n_mats < 1:
-        raise ValueError(f"need at least {m * q} bits, got {arr.size}")
-    mats = arr[: n_mats * m * q].reshape(n_mats, m, q)
+    mats = _blocks(_as_bits(bits), m * q).reshape(-1, m, q)
     ranks = _gf2_ranks(_window_codes(mats, q)[..., 0], q)
-    full = int(np.count_nonzero(ranks == m))
-    minus1 = int(np.count_nonzero(ranks == m - 1))
-    rest = n_mats - full - minus1
+    # Classes: full rank, one short of it, and the rest.
+    counts = np.bincount(np.minimum(m - ranks, 2), minlength=3)
     p_full = _rank_probability(m, m, q)
     p_minus1 = _rank_probability(m - 1, m, q)
-    p_rest = 1.0 - p_full - p_minus1
-    chi2 = (
-        (full - n_mats * p_full) ** 2 / (n_mats * p_full)
-        + (minus1 - n_mats * p_minus1) ** 2 / (n_mats * p_minus1)
-        + (rest - n_mats * p_rest) ** 2 / (n_mats * p_rest)
-    )
-    return [float(math.exp(-chi2 / 2.0))]
+    probs = np.array([p_full, p_minus1, 1.0 - p_full - p_minus1])
+    return [chi2_fit(counts, ranks.size * probs)]
 
 
 # Half-width of the band around the spectral threshold in which an rfft
@@ -320,13 +329,13 @@ def non_overlapping_templates(bits, m: int = 9, n_blocks: int = 8) -> list[float
         raise ValueError(f"blocks of {block_len} bits are too short for m={m}")
     mean = (block_len - m + 1) / 2.0**m
     var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
-    codes = _window_codes(arr[: n_blocks * block_len].reshape(n_blocks, block_len), m)
+    codes = _window_codes(_blocks(arr, block_len)[:n_blocks], m)
     templates = template_codes(m)
     chi2 = np.zeros(templates.size)
     for block in codes:
         w = np.bincount(block, minlength=2**m)[templates]
         chi2 += (w - mean) ** 2 / var
-    return [float(p) for p in gammaincc(n_blocks / 2.0, chi2 / 2.0)]
+    return [float(p) for p in chi2_tail(chi2, n_blocks)]
 
 
 # The overlapping-template statistic's one setting: the all-ones
@@ -339,17 +348,11 @@ _OVERLAP_PI = (0.364091, 0.185659, 0.139381, 0.100571, 0.070432, 0.139865)
 
 def overlapping_template(bits) -> list[float]:
     """Overlapping occurrences of the all-ones length-_OVERLAP_M template."""
-    arr = _as_bits(bits)
-    n_blocks = arr.size // _OVERLAP_BLOCK_LEN
-    if n_blocks < 1:
-        raise ValueError(f"need at least {_OVERLAP_BLOCK_LEN} bits, got {arr.size}")
+    blocks = _blocks(_as_bits(bits), _OVERLAP_BLOCK_LEN)
     k = len(_OVERLAP_PI) - 1
-    blocks = arr[: n_blocks * _OVERLAP_BLOCK_LEN].reshape(n_blocks, _OVERLAP_BLOCK_LEN)
     hits = np.count_nonzero(_window_codes(blocks, _OVERLAP_M) == 2**_OVERLAP_M - 1, axis=1)
     counts = np.bincount(np.minimum(hits, k), minlength=k + 1)
-    expected = n_blocks * np.asarray(_OVERLAP_PI)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return [float(gammaincc(k / 2.0, chi2 / 2.0))]
+    return [chi2_fit(counts, hits.size * np.asarray(_OVERLAP_PI))]
 
 
 def _phi(counts: np.ndarray, n: int) -> float:
@@ -366,7 +369,7 @@ def approximate_entropy(bits, m: int = 10) -> list[float]:
     phi_m = _phi(_drop_last_bit(counts), arr.size) if m > 0 else 0.0
     apen = phi_m - _phi(counts, arr.size)
     chi2 = 2.0 * arr.size * (math.log(2.0) - apen)
-    return [float(gammaincc(2.0 ** (m - 1), chi2 / 2.0))]
+    return [float(chi2_tail(chi2, 2**m))]
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
@@ -387,10 +390,7 @@ def serial(bits, m: int = 13) -> list[float]:
     psi_m2 = _psi_sq(_drop_last_bit(counts_m1), arr.size) if m > 2 else 0.0
     d1 = psi_m - psi_m1
     d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    return [
-        float(gammaincc(2.0 ** (m - 2), d1 / 2.0)),
-        float(gammaincc(2.0 ** (m - 3), d2 / 2.0)),
-    ]
+    return [float(chi2_tail(d1, 2 ** (m - 1))), float(chi2_tail(d2, 2 ** (m - 2)))]
 
 
 def _shift_up(words: np.ndarray) -> None:
@@ -445,17 +445,11 @@ _LC_PI = (0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
 
 def linear_complexity(bits, block_len: int = 500) -> list[float]:
     """Per-block linear complexity against the theoretical law."""
-    arr = _as_bits(bits)
     m = block_len
-    n_blocks = arr.size // m
-    if n_blocks < 1:
-        raise ValueError(f"need at least {m} bits, got {arr.size}")
+    lengths = _linear_complexities(_blocks(_as_bits(bits), m))
     sign = -1.0 if m % 2 else 1.0
     mean = m / 2.0 + (9.0 - sign) / 36.0 - (m / 3.0 + 2.0 / 9.0) / 2.0**m
-    lengths = _linear_complexities(arr[: n_blocks * m].reshape(n_blocks, m))
     t = sign * (lengths - mean) + 2.0 / 9.0
     classes = np.where(t <= -2.5, 0, np.where(t > 2.5, 6, np.floor(t + 2.5) + 1))
     counts = np.bincount(classes.astype(np.int64), minlength=7)
-    expected = n_blocks * np.asarray(_LC_PI)
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return [float(gammaincc(3.0, chi2 / 2.0))]
+    return [chi2_fit(counts, lengths.size * np.asarray(_LC_PI))]

@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
 
 from spintrng.nist import modules as mod
 
@@ -74,10 +73,7 @@ def composite_p_value(p_values) -> float:
     p = np.asarray(p_values, dtype=np.float64)
     if p.size == 0:
         raise ValueError("no p-values")
-    counts = np.histogram(p, bins=10, range=(0.0, 1.0))[0]
-    expected = p.size / 10.0
-    chi2 = float(np.sum((counts - expected) ** 2 / expected))
-    return float(gammaincc(4.5, chi2 / 2.0))
+    return mod.chi2_fit(np.histogram(p, bins=10, range=(0.0, 1.0))[0], p.size / 10.0)
 
 
 def pass_rate_threshold(m: int) -> float:

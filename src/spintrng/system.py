@@ -139,46 +139,34 @@ _PAIR_BYTES = 2 * _MANTISSA_BITS // 8
 _LOW_BITS = np.uint64((1 << _MANTISSA_BITS) - 1)
 
 
-def _uint_pairs(source, count: int) -> np.ndarray:
-    """count 52-bit unsigned integers, each assembled from 52 source
-    bits most significant first, as a (2, ceil(count / 2)) array whose
-    column k holds integers 2k and 2k + 1; for an odd count the last
-    column's second entry is 0.
+def _uint_pairs(source, n_pairs: int) -> np.ndarray:
+    """2 * n_pairs 52-bit unsigned integers, each assembled from 52
+    source bits most significant first, as a (2, n_pairs) array whose
+    column k holds integers 2k and 2k + 1.
 
-    The count * 52 bits of one take are packed into one byte string of
-    13-byte records.  Record k holds integers 2k and 2k + 1 back to back:
-    integer 2k is the big-endian 8 bytes at offset 0 of the record
+    The n_pairs * 104 bits of one take are packed into one byte string
+    of 13-byte records.  Record k holds integers 2k and 2k + 1 back to
+    back: integer 2k is the big-endian 8 bytes at offset 0 of the record
     shifted right by 12, and integer 2k + 1 the big-endian 8 bytes at
-    offset 5 masked to their low 52 bits.  An odd count's last record
-    is padded with zero bytes.
+    offset 5 masked to their low 52 bits.
     """
-    n = -(-count // 2)
-    packed = np.packbits(source.take(count * _MANTISSA_BITS))
-    short = n * _PAIR_BYTES - packed.size
-    if short:
-        packed = np.concatenate([packed, np.zeros(short, dtype=np.uint8)])
-    records = packed.reshape(n, _PAIR_BYTES)
-    out = np.empty((2, n), dtype=np.uint64)
+    packed = np.packbits(source.take(n_pairs * 2 * _MANTISSA_BITS))
+    records = packed.reshape(n_pairs, _PAIR_BYTES)
+    out = np.empty((2, n_pairs), dtype=np.uint64)
     np.right_shift(records[:, :8].view(">u8")[:, 0], 64 - _MANTISSA_BITS, out=out[0])
     np.bitwise_and(records[:, _PAIR_BYTES - 8 :].view(">u8")[:, 0], _LOW_BITS, out=out[1])
     return out
-
-
-def _uint_array(source, count: int) -> np.ndarray:
-    """count 52-bit unsigned integers, each assembled from 52 source
-    bits most significant first."""
-    return _uint_pairs(source, count).T.ravel()[:count]
 
 
 def _box_muller_array(source, count: int) -> np.ndarray:
     """count standard normals, each from two uniforms in [0, 1) of 52
     source bits each.
 
-    Normal k takes integers 2k and 2k + 1 of one _uint_pairs call, so a
-    batch of count normals is one take of 104 * count bits: 13 * count
-    whole PCG64 words for FairBitSource, which then buffers nothing.
+    Normal k takes pair k of one _uint_pairs call, so a batch of count
+    normals is one take of 104 * count bits: 13 * count whole PCG64
+    words for FairBitSource, which then buffers nothing.
     """
-    u = _uint_pairs(source, 2 * count) / 2.0**_MANTISSA_BITS
+    u = _uint_pairs(source, count) / 2.0**_MANTISSA_BITS
     return np.sqrt(-2.0 * np.log1p(-u[0])) * np.cos(2.0 * np.pi * u[1])
 
 

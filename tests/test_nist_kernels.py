@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.special import erfc, gammaincc
+from scipy.stats import chisquare
 
 from conftest import linear_complexity_of
 from spintrng.nist import MODULE_NAMES, run_nist_suite
@@ -266,6 +267,59 @@ class TestLongestRuns:
         expected = len(longest) * np.asarray(pi)
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert M.longest_run(bits) == [float(gammaincc(len(classes) / 2.0 - 0.5, chi2 / 2.0))]
+
+
+def class_tables():
+    """Every class-probability table the battery fits counts to."""
+    p_full = M._rank_probability(32, 32, 32)
+    p_minus1 = M._rank_probability(31, 32, 32)
+    tables = {f"longest_run_{t[1]}": t[3] for t in M._LONGEST_RUN_TABLES}
+    tables["overlapping_template"] = M._OVERLAP_PI
+    tables["linear_complexity"] = M._LC_PI
+    tables["rank"] = (p_full, p_minus1, 1.0 - p_full - p_minus1)
+    return tables
+
+
+class TestSharedStatistics:
+    @pytest.mark.parametrize("name", sorted(class_tables()))
+    def test_fit_equals_scipy_chisquare(self, name):
+        pi = np.asarray(class_tables()[name])
+        rng = np.random.default_rng(len(name))
+        for n in (50, 1000, 100_000):
+            counts = rng.multinomial(n, pi / pi.sum())
+            # The overlapping-template table sums to 0.999999, so its
+            # expected counts fall short of n: skip scipy's sum check.
+            want = chisquare(counts, n * pi, sum_check=False).pvalue
+            assert abs(M.chi2_fit(counts, n * pi) - want) <= 1e-12, n
+
+    @pytest.mark.parametrize("n", [10, 148, 1480])
+    def test_composite_fit_of_ten_uniform_bins(self, n):
+        # composite_p_value passes one expected count for every bin
+        counts = np.random.default_rng(n).multinomial(n, [0.1] * 10)
+        want = chisquare(counts, np.full(10, n / 10.0)).pvalue
+        assert abs(M.chi2_fit(counts, n / 10.0) - want) <= 1e-12
+
+    def test_two_dof_tail_is_exponential(self):
+        x = np.linspace(0.0, 60.0, 241)
+        assert np.max(np.abs(M.chi2_tail(x, 2) - np.exp(-x / 2.0))) <= 1e-15
+
+    @pytest.mark.parametrize(
+        "module, block_len",
+        [
+            (M.block_frequency, 128),
+            (M.rank, 1024),
+            (M.overlapping_template, 1032),
+            (M.linear_complexity, 500),
+        ],
+    )
+    def test_one_bit_short_of_a_block(self, module, block_len):
+        with pytest.raises(ValueError) as exc:
+            module(np.ones(block_len - 1, dtype=np.uint8))
+        assert str(exc.value) == f"need at least {block_len} bits, got {block_len - 1}"
+
+    def test_blocks_drop_the_partial_tail(self):
+        arr = np.arange(11, dtype=np.uint8)
+        np.testing.assert_array_equal(M._blocks(arr, 4), arr[:8].reshape(2, 4))
 
 
 class TestPinnedSubPValues:

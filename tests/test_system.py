@@ -11,7 +11,7 @@ from spintrng.system import (
     FairBitSource,
     OptionSpec,
     _box_muller_array,
-    _uint_array,
+    _uint_pairs,
     black_scholes_oracle,
     price_option_mc,
     speedup_report,
@@ -39,6 +39,11 @@ def _row_by_row(bits, count):
     return rows.view(">u8").ravel() >> 12
 
 
+def _uints(source, n_pairs):
+    """The 2 * n_pairs integers of one _uint_pairs call, in take order."""
+    return _uint_pairs(source, n_pairs).T.ravel()
+
+
 def _row_by_row_normals(bits, count):
     u = (_row_by_row(bits, 2 * count) / 2.0**52).reshape(count, 2)
     return np.sqrt(-2.0 * np.log1p(-u[:, 0])) * np.cos(2.0 * np.pi * u[:, 1])
@@ -46,13 +51,13 @@ def _row_by_row_normals(bits, count):
 
 class TestInstructionSemantics:
     def test_integers_read_most_significant_bit_first(self):
-        source = ListSource([1] + [0] * 51 + [0] * 51 + [1] + [1] * 52)
-        assert _uint_array(source, 3).tolist() == [1 << 51, 1, (1 << 52) - 1]
+        source = ListSource([1] + [0] * 51 + [0] * 51 + [1] + [1] * 52 + [1] * 51 + [0])
+        assert _uints(source, 2).tolist() == [1 << 51, 1, (1 << 52) - 1, (1 << 52) - 2]
 
     def test_integers_equal_their_bits_as_binary_numerals(self):
         bits = FairBitSource(3).take(1000 * 52).reshape(1000, 52)
         expected = [int("".join(map(str, row)), 2) for row in bits]
-        assert _uint_array(ListSource(bits.ravel()), 1000).tolist() == expected
+        assert _uints(ListSource(bits.ravel()), 500).tolist() == expected
 
     def test_uniforms_are_exact_binary_fractions(self):
         # the normal's two uniforms are (2^52 - 1) / 2^52 and 1/4 exactly;
@@ -64,16 +69,17 @@ class TestInstructionSemantics:
 
 
 class TestRecordAssembly:
-    """The 13-byte-record assembly against the row-by-row oracle."""
+    """The 13-byte-record assembly against the row-by-row oracle, at
+    counts of pairs of integers and of normals."""
 
     COUNTS = (0, 1, 2, 3, 13, 1000, (1 << 16) + 1)
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_integers_equal_the_row_by_row_oracle(self, count):
-        bits = FairBitSource(count).take(count * 52)
-        expected = _row_by_row(bits, count)
+        bits = FairBitSource(count).take(count * 104)
+        expected = _row_by_row(bits, 2 * count)
         for source in (FairBitSource(count), ListSource(bits)):
-            np.testing.assert_array_equal(_uint_array(source, count), expected)
+            np.testing.assert_array_equal(_uints(source, count), expected)
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_normals_equal_the_row_by_row_oracle_bit_for_bit(self, count):
@@ -86,15 +92,15 @@ class TestRecordAssembly:
         # three bits taken first leave the fair source mid-word, so each
         # later take joins buffered bits to fresh ones
         counts = (1, 13, 2, 1000, 3)
-        bits = FairBitSource(7).take(3 + 156 * sum(counts))[3:]
+        bits = FairBitSource(7).take(3 + 208 * sum(counts))[3:]
         fair = FairBitSource(7)
         fair.take(3)
         for source in (fair, ListSource(bits)):
             at = 0
             for count in counts:
-                ints = _uint_array(source, count)
-                np.testing.assert_array_equal(ints, _row_by_row(bits[at : at + 52 * count], count))
-                at += 52 * count
+                ints = _uints(source, count)
+                np.testing.assert_array_equal(ints, _row_by_row(bits[at : at + 104 * count], 2 * count))
+                at += 104 * count
                 z = _box_muller_array(source, count)
                 expected = _row_by_row_normals(bits[at : at + 104 * count], count)
                 assert z.tobytes() == expected.tobytes()
