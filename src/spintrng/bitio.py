@@ -29,6 +29,11 @@ BitGenerator.chunks with BitGenerator.stream_info, so memory stays
 flat however long the request.  The writer refuses an output its disk
 cannot hold before writing anything.  A file holds the bits of one
 generate call for the whole request, byte for byte.
+
+Reading mirrors writing: BitFile yields a file's bits as equal groups,
+the battery's fixed-length sequences, and reads a packed file with a
+sidecar one group's byte range at a time, so memory stays flat however
+long the file.  read_bits is its one group, the whole stream.
 """
 
 from __future__ import annotations
@@ -100,15 +105,14 @@ def _encode(bits: np.ndarray, fmt: str) -> np.ndarray:
     return out
 
 
-def read_bits(path: str) -> np.ndarray:
-    """Read a bitstream written by save_stream or write_generated.
+def _read_whole(path: str, meta: StreamMetadata | None) -> np.ndarray:
+    """Every bit of the file at path, whose sidecar is meta (or None).
 
     The sidecar, when present, gives the format and the bit count that
     trims packed padding.  Without one the content is sniffed: a file
     made only of 0, 1, space, tab, CR and LF bytes is read as ascii,
     anything else as packed, all 8 bits of every byte.
     """
-    meta = read_metadata(path)
     with open(path, "rb") as fh:
         data = np.frombuffer(fh.read(), dtype=np.uint8)
     fmt = meta.format if meta is not None else None
@@ -128,11 +132,67 @@ def read_bits(path: str) -> np.ndarray:
         bits = np.unpackbits(data, bitorder="little")
 
     if meta is not None:
-        if meta.n_bits > bits.size:
-            raise ValueError(
-                f"file holds {bits.size} bits but metadata claims {meta.n_bits}"
-            )
+        _check_claim(bits.size, meta)
         bits = bits[: meta.n_bits]
+    return bits
+
+
+def _check_claim(held: int, meta: StreamMetadata) -> None:
+    if meta.n_bits > held:
+        raise ValueError(f"file holds {held} bits but metadata claims {meta.n_bits}")
+
+
+class BitFile:
+    """A bitstream file, read one group at a time.
+
+    size is the file's bit count.  groups(n) yields its bits as n equal
+    groups in stream order, each a 0/1 uint8 array, and counts their
+    ones in ones.  A packed file with a sidecar is read lazily: each
+    group is the byte range that holds its bits, read and unpacked only
+    when its turn comes, so one group's bits are in memory at a time,
+    however long the file.  Any other file, ascii or without a
+    sidecar, is read whole when opened (see _read_whole).
+    """
+
+    def __init__(self, path: str) -> None:
+        self.path = path
+        self.ones = 0
+        meta = read_metadata(path)
+        if meta is not None and meta.format == FORMAT_PACKED:
+            with open(path, "rb") as fh:
+                _check_claim(8 * os.fstat(fh.fileno()).st_size, meta)
+            self._bits, self.size = None, meta.n_bits
+        else:
+            self._bits = _read_whole(path, meta)
+            self.size = self._bits.size
+
+    def groups(self, n_groups: int):
+        if self.size % n_groups:
+            raise ValueError(f"{self.size} bits do not divide into {n_groups} groups")
+        for group in self._groups(n_groups, self.size // n_groups):
+            self.ones += int(np.count_nonzero(group))
+            yield group
+
+    def _groups(self, n_groups: int, group_bits: int):
+        if self._bits is not None:
+            yield from self._bits.reshape(n_groups, group_bits)
+            return
+        with open(self.path, "rb") as fh:
+            for g in range(n_groups):
+                start = g * group_bits
+                lead = start % 8
+                n_bytes = -(-(lead + group_bits) // 8)
+                fh.seek(start // 8)
+                data = np.frombuffer(fh.read(n_bytes), dtype=np.uint8)
+                if data.size < n_bytes:
+                    raise ValueError(f"{self.path} shrank while it was read")
+                yield np.unpackbits(data, count=lead + group_bits, bitorder="little")[lead:]
+
+
+def read_bits(path: str) -> np.ndarray:
+    """Every bit of a bitstream written by save_stream or
+    write_generated, as one 0/1 uint8 array: BitFile's one group."""
+    [bits] = BitFile(path).groups(1)
     return bits
 
 
@@ -142,7 +202,10 @@ def read_metadata(path: str) -> StreamMetadata | None:
     if not os.path.exists(side):
         return None
     with open(side, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+        try:
+            payload = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"metadata is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ValueError("metadata must be a JSON object")
     known = {f for f in StreamMetadata.__dataclass_fields__}

@@ -41,7 +41,7 @@ from numpy.random import SeedSequence
 
 from . import bitio
 from .device import DeviceParams, Environment, calibrated_currents, flip_probs
-from .entropy import binary_min_entropy, binary_shannon_entropy, entropy_report
+from .entropy import binary_min_entropy, binary_shannon_entropy, counts_report
 from .generator import BitGenerator, GeneratorConfig, Variant
 from .markov import design_model
 from .sweeps import Axis, SweepSpec, run_sweep, spec_for_axis
@@ -285,10 +285,10 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if not path:
         raise UsageError("test requires --in PATH")
     try:
-        bits = bitio.read_bits(path)
+        stream = bitio.BitFile(path)
     except ValueError as exc:
         raise UsageError(f"bad input file {path}: {exc}") from exc
-    if bits.size == 0:
+    if stream.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
     inputs = {
@@ -297,11 +297,11 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
         **_config_input(opts),
     }
     with _open_outputs(opts["json_out"], inputs=inputs) as (json_fh,):
-        ent = entropy_report(bits)
         try:
-            results = run_nist_suite(bits, n_groups=groups)
+            results = run_nist_suite(stream, n_groups=groups)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        ent = counts_report(stream.ones, stream.size)
 
         print(
             f"bits={ent.n_bits} p_one={ent.p_one:.6f} "
@@ -391,13 +391,17 @@ def _cmd_bench(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
         raise UsageError("--paths values must be >= 1")
     inputs = _config_input(opts)
     with _open_outputs(opts["out"], opts["json_out"], inputs=inputs) as (csv_fh, json_fh):
-        report = speedup_report(
-            spec=option,
-            n_paths_grid=tuple(paths),
-            seed=opts["seed"],
-            jobs=opts["jobs"],
-        )
-        print(f"black_scholes_oracle={black_scholes_oracle(option):.4f}")
+        try:
+            report = speedup_report(
+                spec=option,
+                n_paths_grid=tuple(paths),
+                seed=opts["seed"],
+                jobs=opts["jobs"],
+            )
+            oracle = black_scholes_oracle(option)
+        except (ValueError, OverflowError) as exc:
+            raise UsageError(f"bad option config: {exc}") from exc
+        print(f"black_scholes_oracle={oracle:.4f}")
         header = (
             f"{'backend':<24}{'n_paths':>9}{'price':>10}{'stderr':>9}"
             f"{'instructions':>14}{'runtime_s':>12}{'ratio':>8}"

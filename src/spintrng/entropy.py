@@ -39,11 +39,16 @@ class EntropyReport:
 
 def entropy_report(bits) -> EntropyReport:
     arr = np.asarray(bits, dtype=np.uint8).ravel()
-    if arr.size < 1:
+    return counts_report(int(np.count_nonzero(arr)), arr.size)
+
+
+def counts_report(n_ones: int, n_bits: int) -> EntropyReport:
+    """The report of n_bits bits of which n_ones are ones."""
+    if n_bits < 1:
         raise ValueError("need at least one bit")
-    p = float(np.count_nonzero(arr)) / arr.size
+    p = float(n_ones) / n_bits
     return EntropyReport(
-        n_bits=arr.size,
+        n_bits=n_bits,
         p_one=p,
         shannon=binary_shannon_entropy(p),
         min_entropy=binary_min_entropy(p),

@@ -145,9 +145,12 @@ def cumulative_sums(bits) -> list[float]:
     """Maximum partial-sum excursion, forward and reverse."""
     arr = _as_bits(bits)
     n = arr.size
-    steps = arr.view(np.int8) * np.int8(2)
-    steps -= 1
-    s = np.cumsum(steps, dtype=np.int64)
+    # The steps +-1 and their partial sums in one int64 array: a cumsum
+    # from int8 to int64 would first cast a second whole-group copy.
+    s = arr.astype(np.int64)
+    s *= 2
+    s -= 1
+    np.cumsum(s, out=s)
     s_n = int(s[-1])
     # The reverse partial sums are s_n - s_i for i = 0..n-1, with s_0 = 0.
     head_max = int(s[:-1].max(initial=0))

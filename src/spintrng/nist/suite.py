@@ -1,7 +1,10 @@
 """Battery driver: groups, composite p-values, verdicts, reports.
 
-The input stream is split into equal groups (default 10).  Every
-module runs once per group; sub-p-values are pooled per module (the
+The input stream is split into equal groups (default 10), the
+fixed-length sequences of SP 800-22 section 4.2.  Every module runs
+once per group, group-major: a group goes through every module before
+the next group is read, so a bitio.BitFile is read one group at a time.
+Sub-p-values are pooled per module in group order (the
 template test contributes one per template per group, the
 cumulative-sums and serial tests two per group).  A module's verdict
 combines two thresholds:
@@ -83,53 +86,60 @@ def pass_rate_threshold(m: int) -> float:
 
 
 def run_nist_suite(bits, n_groups: int = 10) -> list[TestResult]:
-    """Run every battery module over the grouped stream."""
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
+    """Run every battery module over the grouped stream.
+
+    bits is a 0/1 array, or a bitio.BitFile, whose groups are read one
+    at a time.  The run is group-major: each group goes through every
+    module long enough for it before the next group is read, and each
+    module's sub-p-values are pooled in group order.
+    """
+    from_file = hasattr(bits, "groups")
+    if not from_file:
+        bits = np.asarray(bits, dtype=np.uint8).ravel()
     if n_groups < 1:
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
-    if arr.size == 0 or arr.size % n_groups:
+    if bits.size == 0 or bits.size % n_groups:
         raise ValueError(
-            f"stream of {arr.size} bits does not divide into {n_groups} groups"
+            f"stream of {bits.size} bits does not divide into {n_groups} groups"
         )
-    group_len = arr.size // n_groups
-    groups = arr.reshape(n_groups, group_len)
+    group_len = bits.size // n_groups
+    groups = bits.groups(n_groups) if from_file else bits.reshape(n_groups, group_len)
+    ran = [(name, fn) for name, fn, min_bits in _MODULES if group_len >= min_bits]
+    pooled: dict[str, list[float]] = {name: [] for name, _ in ran}
+    for group in groups:
+        for name, fn in ran:
+            pooled[name].extend(fn(group))
+    return [_result(name, pooled.get(name)) for name in MODULE_NAMES]
 
-    results = []
-    for name, fn, min_bits in _MODULES:
-        if group_len < min_bits:
-            results.append(
-                TestResult(
-                    module_name=name,
-                    p_value=None,
-                    group_p_values=(),
-                    pass_count=0,
-                    group_count=0,
-                    verdict="skipped",
-                )
-            )
-            continue
-        pooled: list[float] = []
-        for g in range(n_groups):
-            pooled.extend(fn(groups[g]))
-        composite = composite_p_value(pooled)
-        pass_count = sum(1 for p in pooled if p >= GROUP_ALPHA)
-        rate = pass_count / len(pooled)
-        verdict = (
-            "pass"
-            if composite > COMPOSITE_ALPHA and rate >= pass_rate_threshold(len(pooled))
-            else "fail"
+
+def _result(name: str, pooled: list[float] | None) -> TestResult:
+    """A module's verdict on its pooled sub-p-values; None for a module
+    that was skipped."""
+    if pooled is None:
+        return TestResult(
+            module_name=name,
+            p_value=None,
+            group_p_values=(),
+            pass_count=0,
+            group_count=0,
+            verdict="skipped",
         )
-        results.append(
-            TestResult(
-                module_name=name,
-                p_value=composite,
-                group_p_values=tuple(pooled),
-                pass_count=pass_count,
-                group_count=len(pooled),
-                verdict=verdict,
-            )
-        )
-    return results
+    composite = composite_p_value(pooled)
+    pass_count = sum(1 for p in pooled if p >= GROUP_ALPHA)
+    rate = pass_count / len(pooled)
+    verdict = (
+        "pass"
+        if composite > COMPOSITE_ALPHA and rate >= pass_rate_threshold(len(pooled))
+        else "fail"
+    )
+    return TestResult(
+        module_name=name,
+        p_value=composite,
+        group_p_values=tuple(pooled),
+        pass_count=pass_count,
+        group_count=len(pooled),
+        verdict=verdict,
+    )
 
 
 def any_ran(results) -> bool:

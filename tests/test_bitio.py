@@ -157,6 +157,92 @@ class TestAscii:
         assert peak <= 32 * 2**20
 
 
+class TestGroups:
+    """BitFile's groups against the rows of the whole read."""
+
+    # Without a sidecar a packed file holds whole bytes, so its streams
+    # are a whole number of bytes; the group lengths need not be.
+    SHAPES = {
+        (bitio.FORMAT_PACKED, True): [(3, 1001), (1, 3003), (5, 13), (2, 4096)],
+        (bitio.FORMAT_PACKED, False): [(8, 1001), (1, 3008), (7, 8), (3, 1000)],
+        (bitio.FORMAT_ASCII, True): [(3, 1001), (1, 3003), (5, 13)],
+        (bitio.FORMAT_ASCII, False): [(3, 1001), (1, 3003), (5, 13)],
+    }
+
+    @pytest.mark.parametrize(
+        "fmt, with_sidecar, n_groups, group_bits",
+        [(*kind, *shape) for kind, shapes in SHAPES.items() for shape in shapes],
+    )
+    def test_groups_are_the_rows_of_the_whole_read(self, tmp_path, fmt, with_sidecar, n_groups, group_bits):
+        n_bits = n_groups * group_bits
+        path = str(tmp_path / "s.dat")
+        bits = np.random.default_rng(n_bits).integers(0, 2, size=n_bits, dtype=np.uint8)
+        write_fixture(path, bits, fmt)
+        if not with_sidecar:
+            os.remove(bitio.metadata_path(path))
+        stream = bitio.BitFile(path)
+        assert stream.size == n_bits
+        rows = bitio.read_bits(path).reshape(n_groups, -1)
+        groups = list(stream.groups(n_groups))
+        assert len(groups) == n_groups
+        for group, row in zip(groups, rows):
+            assert group.dtype == np.uint8
+            np.testing.assert_array_equal(group, row)
+        np.testing.assert_array_equal(rows.ravel(), bits)
+        assert stream.ones == int(bits.sum())
+
+    def test_trailing_bits_past_the_claim_are_not_read(self, tmp_path):
+        # 12 claimed bits of two 0xff bytes: the 4 bits past the claim
+        # are padding, in no group
+        path = tmp_path / "s.bin"
+        path.write_bytes(b"\xff\xff")
+        write_sidecar(str(path), sidecar("packed", 12))
+        stream = bitio.BitFile(str(path))
+        assert [g.tolist() for g in stream.groups(3)] == [[1] * 4] * 3
+        assert stream.ones == 12
+
+    def test_groups_must_divide_the_stream(self, tmp_path, bits):
+        path = str(tmp_path / "s.bin")
+        write_fixture(path, bits, bitio.FORMAT_PACKED)
+        with pytest.raises(ValueError, match="1003 bits do not divide into 10 groups"):
+            next(bitio.BitFile(path).groups(10))
+
+    def test_overclaiming_sidecar_is_refused_when_opened(self, tmp_path, bits):
+        path = str(tmp_path / "s.bin")
+        write_fixture(path, bits, bitio.FORMAT_PACKED, len(bits) + 100)
+        with pytest.raises(ValueError, match="file holds 1008 bits but metadata claims 1103"):
+            bitio.BitFile(path)
+
+    def test_a_file_that_shrinks_while_it_is_read_is_refused(self, tmp_path):
+        # groups of 12.5 kB, more than the reader's buffer holds
+        path = tmp_path / "s.bin"
+        write_fixture(str(path), np.ones(200_000, dtype=np.uint8), bitio.FORMAT_PACKED)
+        groups = bitio.BitFile(str(path)).groups(2)
+        next(groups)
+        path.write_bytes(path.read_bytes()[:13_000])
+        with pytest.raises(ValueError, match="shrank while it was read"):
+            next(groups)
+
+    def test_a_packed_file_is_read_one_group_at_a_time(self, tmp_path):
+        # 10^7 bits in 100 groups: each group is 12.5 kB read and 100 kB
+        # of bits; the whole read would hold 11.25 MB
+        n_bits = 10_000_000
+        path = str(tmp_path / "s.bin")
+        raw = np.random.default_rng(4).integers(0, 256, size=n_bits // 8, dtype=np.uint8)
+        (tmp_path / "s.bin").write_bytes(raw.tobytes())
+        write_sidecar(path, sidecar("packed", n_bits))
+        tracemalloc.start()
+        try:
+            stream = bitio.BitFile(path)
+            n_read = sum(group.size for group in stream.groups(100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert n_read == n_bits
+        assert stream.ones == int(np.unpackbits(raw).sum())
+        assert peak <= 2**20
+
+
 class TestMetadata:
     def test_sidecar_round_trip(self, tmp_path):
         path = str(tmp_path / "s.bin")
@@ -193,6 +279,12 @@ class TestMetadata:
         (tmp_path / "s.bin.json").write_text(json.dumps(payload))
         with pytest.raises(ValueError, match="unknown"):
             bitio.read_metadata(path)
+
+    @pytest.mark.parametrize("raw", [b"{n_bits: 8}", b"\xff"])
+    def test_sidecar_that_is_not_json_is_named(self, tmp_path, raw):
+        (tmp_path / "s.bin.json").write_bytes(raw)
+        with pytest.raises(ValueError, match="^metadata is not valid JSON: "):
+            bitio.read_metadata(str(tmp_path / "s.bin"))
 
 
 class TestSaveStream:

@@ -322,6 +322,28 @@ def test_a_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch, module, na
     assert sorted(os.listdir(tmp_path)) == ["s.bin"]
 
 
+@pytest.mark.parametrize(
+    "option,message",
+    [
+        ({"s0": 1e300, "strike": 1e300}, "the payoffs overflow a float64"),
+        ({"volatility": 0, "s0": 1e308, "rate": 1}, "the payoffs overflow a float64"),
+        ({"rate": -1e300}, "math range error"),
+    ],
+)
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_a_bench_that_overflows_exits_one(tmp_path, capsys, monkeypatch, option, message, jobs):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    config = _write_config(tmp_path, {"option": option})
+    args = ["bench", "--paths", "100,1000", "--jobs", jobs, "--out", "b.csv", "--json", "b.json"]
+    code = cli.main([*args, "--config", config])
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
+    assert err == f"spintrng: error: bad option config: {message}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+
+
 def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
 
@@ -704,13 +726,15 @@ _SIDECAR = {
         ({**_SIDECAR, "format": "base64"}, "unknown bitstream format 'base64'"),
         ({}, "missing metadata keys: ['energy_pj', 'format', 'lanes', 'n_bits'"),
         ([], "metadata must be a JSON object"),
+        # text, written as it is
+        ("{n_bits: 1000}", "metadata is not valid JSON: Expecting property name"),
     ],
 )
 def test_bad_sidecar_exits_one(tmp_path, capsys, sidecar, message):
     path = tmp_path / "s.bin"
     bits = np.random.default_rng(1).integers(0, 2, size=1000, dtype=np.uint8)
     path.write_bytes(np.packbits(bits, bitorder="little").tobytes())
-    (tmp_path / "s.bin.json").write_text(json.dumps(sidecar))
+    (tmp_path / "s.bin.json").write_text(sidecar if isinstance(sidecar, str) else json.dumps(sidecar))
     code = cli.main(["test", "--in", str(path), "--groups", "1"])
     out, err = capsys.readouterr()
     assert code == 1

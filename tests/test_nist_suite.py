@@ -19,6 +19,8 @@ from spintrng.nist import (
     run_nist_suite,
 )
 from conftest import linear_complexity_of
+from spintrng.bitio import BitFile, save_stream
+from spintrng.generator import BitStream, StreamInfo
 from spintrng.nist import modules as M
 from spintrng.nist.suite import pass_rate_threshold
 
@@ -273,6 +275,18 @@ class TestSuiteDriver:
         bits = rng.integers(0, 2, size=1_000_000, dtype=np.uint8)
         by_name = {r.module_name: r for r in run_nist_suite(bits, n_groups=10)}
         assert by_name["non_overlapping_template"].group_count == 148 * 10
+
+    def test_a_file_read_group_by_group_gives_the_same_results(self, tmp_path):
+        # 10^6 bits in 10 groups: every module runs, and every pooled
+        # sub-p-value comes out in the same order
+        bits = np.random.default_rng(5).integers(0, 2, size=1_000_000, dtype=np.uint8)
+        path = str(tmp_path / "s.bin")
+        save_stream(BitStream(bits, StreamInfo(bits.size, "rhs-trng", 1, 0, 0.0, 0.0)), path)
+        stream = BitFile(path)
+        from_file = run_nist_suite(stream, n_groups=10)
+        assert from_file == run_nist_suite(bits, n_groups=10)
+        assert all(r.verdict != "skipped" for r in from_file)
+        assert stream.ones == int(bits.sum())
 
     def test_report_formats(self):
         rng = np.random.default_rng(14)

@@ -72,7 +72,8 @@ class TestRecordAssembly:
     """The 13-byte-record assembly against the row-by-row oracle, at
     counts of pairs of integers and of normals."""
 
-    COUNTS = (0, 1, 2, 3, 13, 1000, (1 << 16) + 1)
+    # around the edges of _box_muller_array's 2^13-pair blocks as well
+    COUNTS = (0, 1, 2, 3, 13, 1000, (1 << 13) - 1, 1 << 13, (1 << 13) + 1, 3 * (1 << 13) + 5, (1 << 16) + 1)
 
     @pytest.mark.parametrize("count", COUNTS)
     def test_integers_equal_the_row_by_row_oracle(self, count):
@@ -87,6 +88,17 @@ class TestRecordAssembly:
         expected = _row_by_row_normals(bits, count).tobytes()
         for source in (FairBitSource(count), ListSource(bits)):
             assert _box_muller_array(source, count).tobytes() == expected
+
+    def test_normals_take_their_bits_one_block_at_a_time(self):
+        takes = []
+
+        class Recording(FairBitSource):
+            def take(self, n_bits):
+                takes.append(n_bits)
+                return super().take(n_bits)
+
+        _box_muller_array(Recording(1), 3 * (1 << 13) + 5)
+        assert takes == [104 << 13] * 3 + [104 * 5]
 
     def test_calls_split_across_takes_equal_the_oracle(self):
         # three bits taken first leave the fair source mid-word, so each
