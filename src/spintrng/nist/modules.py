@@ -34,8 +34,12 @@ textbook loop, so the p-values are unchanged:
   polynomials held as (words, blocks) uint64 arrays, and GF(2) rank
   eliminates all 32x32 matrices in lockstep, one column per step.
 * The spectral test counts moduli from rfft, which holds the same bins
-  as fft of the real sequence.  Its moduli differ from fft's only by
-  rounding, far below SPECTRAL_GUARD; a group with a modulus within
+  as fft of the real sequence.  A length divisible by 4 takes one
+  radix-4 decimation-in-time step: the rffts of the four quarter-length
+  sequences x[j::4] are combined by a butterfly 2^14 bins at a time, so
+  no transform of the whole group is held at once; any other length
+  takes one rfft of the whole group.  The moduli differ from fft's only
+  by rounding, far below SPECTRAL_GUARD; a group with a modulus within
   SPECTRAL_GUARD of the threshold is recounted from fft, so the count
   below the threshold is always fft's.
 * The cumulative-sums test builds the partial sums s_1..s_n once.  The
@@ -270,10 +274,64 @@ def rank(bits) -> list[float]:
     return [chi2_fit(counts, ranks.size * probs)]
 
 
-# Half-width of the band around the spectral threshold in which an rfft
-# modulus sends its group to fft.  rfft's moduli differ from fft's by at
-# most 2.3e-12 at 10^6 bits, against a threshold near 1,700.
+# Half-width of the band around the spectral threshold in which a
+# computed modulus sends its group to fft.  The rfft and butterfly
+# moduli differ from fft's by at most a few 1e-12 at 10^6 bits, against
+# a threshold near 1,700.
 SPECTRAL_GUARD = 1e-6
+
+# Bins per chunk of the radix-4 butterfly, and entries in its twiddle table.
+_SPECTRAL_CHUNK = 1 << 14
+
+
+def _plus_minus_one(bits: np.ndarray) -> np.ndarray:
+    x = bits.astype(np.float64)
+    x *= 2.0
+    x -= 1.0
+    return x
+
+
+def _spectral_moduli(arr: np.ndarray):
+    """Yield (bins, moduli) pairs that give |DFT| of the +-1 sequence at
+    each bin 0..n/2-1 once; bins is a slice and moduli ascend with it.
+
+    A length n = 4M takes Y_j = rfft(x[j::4]) for j = 0..3.  With
+    W = exp(-2 pi i / n) and t_j = W^(jm) Y_j[m] for m = 0..M/2, the
+    butterfly gives X[m] = t0 + t1 + t2 + t3, X[m+M] = t0 - i t1 - t2
+    + i t3, and, from the conjugate symmetry of real input, |X[M-m]| =
+    |t0 + i t1 - t2 - i t3| and |X[2M-m]| = |t0 - t1 + t2 - t3|; the
+    last two skip m = 0 and m = M/2, which the first two already give.
+    Any other length takes one rfft.
+    """
+    n = arr.size
+    if n % 4:
+        yield slice(0, n // 2), np.abs(np.fft.rfft(_plus_minus_one(arr))[: n // 2])
+        return
+    quarter = n // 4
+    ys = [np.fft.rfft(_plus_minus_one(arr[j::4])) for j in range(4)]
+    n_fwd = quarter // 2 + 1  # m = 0..M/2 give X[m] and X[m+M]
+    n_rev = (quarter + 1) // 2  # m = 1..n_rev-1 give X[M-m] and X[2M-m]
+    base = np.exp(np.arange(_SPECTRAL_CHUNK) * (-2j * np.pi / n))
+    for a in range(0, n_fwd, _SPECTRAL_CHUNK):
+        b = min(a + _SPECTRAL_CHUNK, n_fwd)
+        w1 = base[: b - a] * np.exp(-2j * np.pi * a / n)  # W^m
+        w2 = w1 * w1
+        w3 = w1 * w2
+        t0 = ys[0][a:b]
+        t1 = w1 * ys[1][a:b]
+        t2 = w2 * ys[2][a:b]
+        t3 = w3 * ys[3][a:b]
+        even_sum, even_diff = t0 + t2, t0 - t2
+        odd_sum, odd_diff = t1 + t3, 1j * (t1 - t3)
+        yield slice(a, b), np.abs(even_sum + odd_sum)
+        yield slice(a + quarter, b + quarter), np.abs(even_diff - odd_diff)
+        lo, hi = max(a, 1), min(b, n_rev)
+        if lo < hi:
+            # m from hi - 1 down to lo, so that the bins M-m and 2M-m ascend
+            rev = slice(hi - a - 1, lo - a - 1 if lo > a else None, -1)
+            first, stop = quarter + 1 - hi, quarter + 1 - lo
+            yield slice(first, stop), np.abs(even_diff[rev] + odd_diff[rev])
+            yield slice(first + quarter, stop + quarter), np.abs(even_sum[rev] - odd_sum[rev])
 
 
 def spectral(bits) -> list[float]:
@@ -282,14 +340,13 @@ def spectral(bits) -> list[float]:
     n = arr.size
     if n < 2:
         raise ValueError("need at least 2 bits")
-    x = arr.astype(np.float64)
-    x *= 2.0
-    x -= 1.0
     threshold = math.sqrt(n * math.log(1.0 / 0.05))
-    mods = np.abs(np.fft.rfft(x)[: n // 2])
-    n1 = int(np.count_nonzero(mods < threshold - SPECTRAL_GUARD))
-    if n1 != np.count_nonzero(mods < threshold + SPECTRAL_GUARD):
-        mods = np.abs(np.fft.fft(x)[: n // 2])
+    n1 = n1_wide = 0
+    for _, mods in _spectral_moduli(arr):
+        n1 += int(np.count_nonzero(mods < threshold - SPECTRAL_GUARD))
+        n1_wide += int(np.count_nonzero(mods < threshold + SPECTRAL_GUARD))
+    if n1 != n1_wide:
+        mods = np.abs(np.fft.fft(_plus_minus_one(arr))[: n // 2])
         n1 = int(np.count_nonzero(mods < threshold))
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)

@@ -193,6 +193,15 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _variance(spec: OptionSpec) -> float:
+    """volatility**2, with a message that names its overflow (Python's
+    float pow raises OverflowError with errno's tuple for one)."""
+    try:
+        return spec.volatility**2
+    except OverflowError:
+        raise ValueError("volatility**2 overflows a float64") from None
+
+
 def black_scholes_oracle(spec: OptionSpec) -> float:
     """Closed-form European call value."""
     discount = math.exp(-spec.rate * spec.maturity_years)
@@ -201,7 +210,7 @@ def black_scholes_oracle(spec: OptionSpec) -> float:
     sig_sqrt_t = spec.volatility * math.sqrt(spec.maturity_years)
     d1 = (
         math.log(spec.s0 / spec.strike)
-        + (spec.rate + 0.5 * spec.volatility**2) * spec.maturity_years
+        + (spec.rate + 0.5 * _variance(spec)) * spec.maturity_years
     ) / sig_sqrt_t
     d2 = d1 - sig_sqrt_t
     return spec.s0 * _norm_cdf(d1) - spec.strike * discount * _norm_cdf(d2)
@@ -256,10 +265,11 @@ def price_option_mc(spec: OptionSpec, backend: BackendKind, source) -> BenchRow:
     Terminal-value sampling: S_T = s0 exp((r - sigma^2/2) T + sigma
     sqrt(T) Z), one normal per path built from two uniform draws of
     source's bits (any object with FairBitSource's take).  Raises
-    ValueError when the payoffs, their sums or the price are not finite.
+    ValueError when volatility**2 overflows, or when the payoffs, their
+    sums or the price are not finite.
     """
     discount = math.exp(-spec.rate * spec.maturity_years)
-    drift = (spec.rate - 0.5 * spec.volatility**2) * spec.maturity_years
+    drift = (spec.rate - 0.5 * _variance(spec)) * spec.maturity_years
     vol_term = spec.volatility * math.sqrt(spec.maturity_years)
 
     n = spec.n_paths

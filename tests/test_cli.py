@@ -328,6 +328,7 @@ def test_a_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch, module, na
         ({"s0": 1e300, "strike": 1e300}, "the payoffs overflow a float64"),
         ({"volatility": 0, "s0": 1e308, "rate": 1}, "the payoffs overflow a float64"),
         ({"rate": -1e300}, "math range error"),
+        ({"volatility": 1e300}, "volatility**2 overflows a float64"),
     ],
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])

@@ -4,6 +4,7 @@ pooled sub-p-values of every module pinned for one seeded stream."""
 import itertools
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -183,7 +184,13 @@ class TestSpectral:
     SMALL = [
         np.array(b, dtype=np.uint8) for n in (2, 3, 4) for b in itertools.product((0, 1), repeat=n)
     ]
-    GROUPS = SMALL + random_groups(41, [5, 1001, 1024, 4095, 10_000, 65_537, 100_000, 1_000_000])
+    # Lengths divisible by 4 take the radix-4 butterfly; 10_004 and
+    # 1_000_004 give it an odd quarter length.
+    GROUPS = (
+        SMALL
+        + random_groups(41, [5, 1001, 1024, 4095, 10_000, 65_537, 100_000, 1_000_000])
+        + random_groups(42, [4, 8, 12, 10_004, 1_000_004])
+    )
 
     @staticmethod
     def counting_fft(monkeypatch) -> list:
@@ -203,7 +210,14 @@ class TestSpectral:
             x = bits.astype(np.float64) * 2.0 - 1.0
             full = np.abs(np.fft.fft(x)[: n // 2])
             half = np.abs(np.fft.rfft(x)[: n // 2])
-            assert np.max(np.abs(full - half), initial=0.0) < M.SPECTRAL_GUARD * 1e-3, n
+            # the moduli spectral counts, in bin order; a missing bin stays nan
+            counted = np.full(n // 2, np.nan)
+            chunks = list(M._spectral_moduli(bits))
+            for bins, mods in chunks:
+                counted[bins] = mods
+            assert sum(mods.size for _, mods in chunks) == n // 2, n
+            for mods in (half, counted):
+                assert np.max(np.abs(full - mods), initial=0.0) < M.SPECTRAL_GUARD * 1e-3, n
 
     def test_rfft_path_equals_fft_path(self, monkeypatch):
         want = [reference_spectral(bits) for bits in self.GROUPS]
@@ -218,6 +232,16 @@ class TestSpectral:
         calls = self.counting_fft(monkeypatch)
         assert [M.spectral(bits) for bits in self.GROUPS] == want
         assert len(calls) == len(self.GROUPS)
+
+    def test_one_call_allocates_under_14_mb(self):
+        (bits,) = random_groups(45, [1_000_000])
+        tracemalloc.start()
+        try:
+            M.spectral(bits)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20, peak
 
 
 class TestCumulativeSums:

@@ -165,6 +165,13 @@ class TestPricing:
         spec = OptionSpec(volatility=0.0)
         assert black_scholes_oracle(spec) == pytest.approx(100.0 - 100.0 * np.exp(-0.05))
 
+    def test_an_overflowing_volatility_is_named(self):
+        spec = OptionSpec(volatility=1e300)
+        with pytest.raises(ValueError, match=r"volatility\*\*2 overflows"):
+            black_scholes_oracle(spec)
+        with pytest.raises(ValueError, match=r"volatility\*\*2 overflows"):
+            price_option_mc(spec, BackendKind.TRNG_INSTRUCTION, FairBitSource(1))
+
     def test_monte_carlo_price_within_four_standard_errors(self):
         spec = OptionSpec(n_paths=100_000)
         entry = price_option_mc(spec, BackendKind.TRNG_INSTRUCTION, FairBitSource(2024))
