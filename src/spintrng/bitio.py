@@ -31,9 +31,10 @@ cannot hold before writing anything.  A file holds the bits of one
 generate call for the whole request, byte for byte.
 
 Reading mirrors writing: BitFile yields a file's bits as equal groups,
-the battery's fixed-length sequences, and reads a packed file with a
-sidecar one group's byte range at a time, so memory stays flat however
-long the file.  read_bits is its one group, the whole stream.
+the battery's fixed-length sequences, and reads every file, packed or
+ascii, with a sidecar or without, front to back one group's bytes at a
+time, so memory stays flat however long the file.  read_bits is its
+one group, the whole stream.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ FORMAT_ASCII = "ascii"
 _FORMATS = (FORMAT_PACKED, FORMAT_ASCII)
 
 _ASCII_LINE_BITS = 64
+_SCAN_BYTES = 64 * 1024  # per step of _sniff's scan
 
 # Byte classes of an ascii file: the bit characters, the whitespace a
 # file without a sidecar may hold, the rest of str.split's ASCII
@@ -105,88 +107,83 @@ def _encode(bits: np.ndarray, fmt: str) -> np.ndarray:
     return out
 
 
-def _read_whole(path: str, meta: StreamMetadata | None) -> np.ndarray:
-    """Every bit of the file at path, whose sidecar is meta (or None).
-
-    The sidecar, when present, gives the format and the bit count that
-    trims packed padding.  Without one the content is sniffed: a file
-    made only of 0, 1, space, tab, CR and LF bytes is read as ascii,
-    anything else as packed, all 8 bits of every byte.
-    """
+def _sniff(path: str, meta: StreamMetadata | None) -> tuple[str, int]:
+    """The format of the file at path, whose sidecar is meta (or None),
+    and the bits it holds.  Unless meta says packed, the file is scanned
+    in _SCAN_BYTES steps: without a sidecar, one of only 0, 1, space,
+    tab, CR and LF bytes is ascii, any other packed, 8 bits a byte; an
+    ascii file may hold no byte that is neither a bit nor whitespace."""
     with open(path, "rb") as fh:
-        data = np.frombuffer(fh.read(), dtype=np.uint8)
-    fmt = meta.format if meta is not None else None
-    if fmt != FORMAT_PACKED:
-        classes = _ASCII_CLASS[data]
-        top = classes.max(initial=_BIT)
-        if fmt is None:
-            fmt = FORMAT_ASCII if data.size and top <= _SNIFF_SPACE else FORMAT_PACKED
-    if fmt == FORMAT_ASCII:
-        if top == _BAD:
-            bad = [chr(c) for c in np.unique(data[classes == _BAD])]
-            raise ValueError(f"ascii bitstream contains non-bit characters: {bad}")
-        # The bit mask overwrites classes, so the text is held twice at most.
-        bits = data[np.equal(classes, _BIT, out=classes.view(bool))]
-        bits -= ord("0")
-    else:
-        bits = np.unpackbits(data, bitorder="little")
-
-    if meta is not None:
-        _check_claim(bits.size, meta)
-        bits = bits[: meta.n_bits]
-    return bits
-
-
-def _check_claim(held: int, meta: StreamMetadata) -> None:
-    if meta.n_bits > held:
-        raise ValueError(f"file holds {held} bits but metadata claims {meta.n_bits}")
+        packed = FORMAT_PACKED, 8 * os.fstat(fh.fileno()).st_size
+        if meta is not None and meta.format == FORMAT_PACKED:
+            return packed
+        n_bits, bad = 0, set()
+        while chunk := fh.read(_SCAN_BYTES):
+            data = np.frombuffer(chunk, dtype=np.uint8)
+            classes = _ASCII_CLASS[data]
+            if meta is None and classes.max() > _SNIFF_SPACE:
+                return packed
+            n_bits += int(np.count_nonzero(classes == _BIT))
+            bad.update(data[classes == _BAD].tolist())
+    if bad:
+        chars = [chr(c) for c in sorted(bad)]
+        raise ValueError(f"ascii bitstream contains non-bit characters: {chars}")
+    return FORMAT_ASCII, n_bits
 
 
 class BitFile:
     """A bitstream file, read one group at a time.
 
-    size is the file's bit count.  groups(n) yields its bits as n equal
-    groups in stream order, each a 0/1 uint8 array, and counts their
-    ones in ones.  A packed file with a sidecar is read lazily: each
-    group is the byte range that holds its bits, read and unpacked only
-    when its turn comes, so one group's bits are in memory at a time,
-    however long the file.  Any other file, ascii or without a
-    sidecar, is read whole when opened (see _read_whole).
+    size is the file's bit count, its sidecar's claim when it has one,
+    and format its format, from the sidecar or sniffed.  groups(n)
+    yields the bits as n equal groups in stream order, each a 0/1 uint8
+    array, and counts their ones in ones.  Every file is read front to
+    back in steps of one group's bytes, each decoded as it comes, so
+    one group's bits are held at a time; a group that one step covers
+    is a view of that step's bits.
     """
 
     def __init__(self, path: str) -> None:
         self.path = path
         self.ones = 0
         meta = read_metadata(path)
-        if meta is not None and meta.format == FORMAT_PACKED:
-            with open(path, "rb") as fh:
-                _check_claim(8 * os.fstat(fh.fileno()).st_size, meta)
-            self._bits, self.size = None, meta.n_bits
-        else:
-            self._bits = _read_whole(path, meta)
-            self.size = self._bits.size
+        self.format, self.size = _sniff(path, meta)
+        if meta is not None:
+            if meta.n_bits > self.size:
+                raise ValueError(f"file holds {self.size} bits but metadata claims {meta.n_bits}")
+            self.size = meta.n_bits
 
     def groups(self, n_groups: int):
         if self.size % n_groups:
             raise ValueError(f"{self.size} bits do not divide into {n_groups} groups")
-        for group in self._groups(n_groups, self.size // n_groups):
-            self.ones += int(np.count_nonzero(group))
-            yield group
-
-    def _groups(self, n_groups: int, group_bits: int):
-        if self._bits is not None:
-            yield from self._bits.reshape(n_groups, group_bits)
-            return
+        group_bits = self.size // n_groups
         with open(self.path, "rb") as fh:
-            for g in range(n_groups):
-                start = g * group_bits
-                lead = start % 8
-                n_bytes = -(-(lead + group_bits) // 8)
-                fh.seek(start // 8)
-                data = np.frombuffer(fh.read(n_bytes), dtype=np.uint8)
-                if data.size < n_bytes:
-                    raise ValueError(f"{self.path} shrank while it was read")
-                yield np.unpackbits(data, count=lead + group_bits, bitorder="little")[lead:]
+            bits = np.empty(0, dtype=np.uint8)  # read, in no group yet
+            for _ in range(n_groups):
+                if not bits.size and group_bits:
+                    bits = self._step(fh, group_bits)
+                group, bits = bits[:group_bits], bits[group_bits:]
+                held = group.size
+                if held < group_bits:
+                    group = np.concatenate([group, np.empty(group_bits - held, np.uint8)])
+                while held < group_bits:
+                    bits = self._step(fh, group_bits)
+                    take = bits[: group_bits - held]
+                    group[held : held + take.size] = take
+                    held, bits = held + take.size, bits[take.size :]
+                self.ones += int(np.count_nonzero(group))
+                yield group
+
+    def _step(self, fh, group_bits: int) -> np.ndarray:
+        """The bits of fh's next step, one group's bytes."""
+        data = np.frombuffer(fh.read(-(-group_bits // 8)), dtype=np.uint8)
+        if not data.size:
+            raise ValueError(f"{self.path} shrank while it was read")
+        if self.format == FORMAT_PACKED:
+            return np.unpackbits(data, bitorder="little")
+        bits = data[_ASCII_CLASS[data] == _BIT]
+        bits -= ord("0")
+        return bits
 
 
 def read_bits(path: str) -> np.ndarray:

@@ -112,13 +112,12 @@ class SweepRow:
 
 @dataclass(frozen=True)
 class SweepReport:
-    """A sweep's rows and the spec that produced them.
+    """A sweep's rows.
 
     Voltage and temperature rows are ordered by variant value, then by
     axis value; process-study rows follow SWEEP_VARIANTS.
     """
 
-    spec: SweepSpec
     rows: tuple[SweepRow, ...]
 
     def to_csv(self) -> str:
@@ -208,7 +207,7 @@ def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepReport:
             )
     if spec.axis is not Axis.PROCESS:
         rows.sort(key=lambda r: (r.variant, r.value))
-    return SweepReport(spec=spec, rows=tuple(rows))
+    return SweepReport(rows=tuple(rows))
 
 
 def spec_for_axis(axis: Axis, **overrides) -> SweepSpec:

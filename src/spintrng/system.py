@@ -265,12 +265,15 @@ def price_option_mc(spec: OptionSpec, backend: BackendKind, source) -> BenchRow:
     Terminal-value sampling: S_T = s0 exp((r - sigma^2/2) T + sigma
     sqrt(T) Z), one normal per path built from two uniform draws of
     source's bits (any object with FairBitSource's take).  Raises
-    ValueError when volatility**2 overflows, or when the payoffs, their
-    sums or the price are not finite.
+    ValueError when volatility**2, the drift or the volatility term
+    overflows, or when the payoffs, their sums or the price are not
+    finite.
     """
     discount = math.exp(-spec.rate * spec.maturity_years)
     drift = (spec.rate - 0.5 * _variance(spec)) * spec.maturity_years
     vol_term = spec.volatility * math.sqrt(spec.maturity_years)
+    if not (math.isfinite(drift) and math.isfinite(vol_term)):
+        raise ValueError("the drift or the volatility term overflows a float64")
 
     n = spec.n_paths
     if spec.volatility == 0.0:

@@ -201,6 +201,20 @@ class TestGroups:
         assert [g.tolist() for g in stream.groups(3)] == [[1] * 4] * 3
         assert stream.ones == 12
 
+    def test_steps_that_hold_no_bits_are_skipped(self, tmp_path):
+        # groups of 16 bits are read in 2-byte steps, most of them blank
+        path = tmp_path / "s.txt"
+        bits = np.random.default_rng(5).integers(0, 2, size=64, dtype=np.uint8)
+        path.write_bytes(b"".join(b"\n\n\n\n\n%d" % bit for bit in bits))
+        stream = bitio.BitFile(str(path))
+        assert stream.size == 64
+        np.testing.assert_array_equal(np.stack(list(stream.groups(4))), bits.reshape(4, 16))
+
+    def test_an_empty_file_gives_empty_groups(self, tmp_path):
+        path = tmp_path / "s.bin"
+        path.write_bytes(b"")
+        assert [group.size for group in bitio.BitFile(str(path)).groups(2)] == [0, 0]
+
     def test_groups_must_divide_the_stream(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
         write_fixture(path, bits, bitio.FORMAT_PACKED)
@@ -223,14 +237,18 @@ class TestGroups:
         with pytest.raises(ValueError, match="shrank while it was read"):
             next(groups)
 
-    def test_a_packed_file_is_read_one_group_at_a_time(self, tmp_path):
-        # 10^7 bits in 100 groups: each group is 12.5 kB read and 100 kB
-        # of bits; the whole read would hold 11.25 MB
+    @pytest.mark.parametrize("with_sidecar", [True, False], ids=["sidecar", "no-sidecar"])
+    @pytest.mark.parametrize("fmt", [bitio.FORMAT_PACKED, bitio.FORMAT_ASCII])
+    def test_a_file_is_read_one_group_at_a_time(self, tmp_path, fmt, with_sidecar):
+        # 10^7 bits in 100 groups: each group is 100 kB of bits, read in
+        # 12.5 kB steps; the whole read would hold 11.25 MB packed and
+        # 29 MB ascii
         n_bits = 10_000_000
-        path = str(tmp_path / "s.bin")
-        raw = np.random.default_rng(4).integers(0, 256, size=n_bits // 8, dtype=np.uint8)
-        (tmp_path / "s.bin").write_bytes(raw.tobytes())
-        write_sidecar(path, sidecar("packed", n_bits))
+        path = str(tmp_path / "s.dat")
+        bits = np.random.default_rng(4).integers(0, 2, size=n_bits, dtype=np.uint8)
+        write_fixture(path, bits, fmt)
+        if not with_sidecar:
+            os.remove(bitio.metadata_path(path))
         tracemalloc.start()
         try:
             stream = bitio.BitFile(path)
@@ -239,7 +257,7 @@ class TestGroups:
         finally:
             tracemalloc.stop()
         assert n_read == n_bits
-        assert stream.ones == int(np.unpackbits(raw).sum())
+        assert stream.ones == int(bits.sum())
         assert peak <= 2**20
 
 

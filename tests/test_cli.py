@@ -17,6 +17,7 @@ import pytest
 from spintrng import cli, nist
 from spintrng.generator import BitGenerator, GeneratorConfig
 from spintrng.sweeps import Axis, run_sweep, spec_for_axis
+from spintrng.system import speedup_report
 
 
 def test_stream_too_short_for_every_module_is_a_usage_error(tmp_path, capsys):
@@ -66,6 +67,14 @@ def test_sweep_writes_the_report_csv_whatever_the_jobs(axis, tmp_path, monkeypat
         assert out.read_text(encoding="utf-8") == expected
 
 
+def test_bench_writes_the_report_csv(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    out = tmp_path / "b.csv"
+    assert cli.main(["bench", "--paths", "100,200", "--seed", "3", "--out", str(out)]) == 0
+    expected = speedup_report(n_paths_grid=(100, 200), seed=3).to_csv()
+    assert out.read_text(encoding="utf-8") == expected
+
+
 def _write_config(tmp_path, payload) -> str:
     path = tmp_path / "config.json"
     path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
@@ -110,8 +119,9 @@ def test_analyze_prints_positive_zero_min_entropy(capsys, monkeypatch):
         (["--p1", "nan"], "bad --p1 list 'nan': must lie in [0, 1], got nan"),
         (["--p2", "0.5,-1"], "bad --p2 list '0.5,-1': must lie in [0, 1], got -1.0"),
         (["--p1", "0", "--p2", "0"], "p1 = p2 = 0 gives an absorbing chain"),
+        (["--p1", ","], "empty --p1 list"),
     ],
-    ids=["above-one", "nan", "negative", "absorbing"],
+    ids=["above-one", "nan", "negative", "absorbing", "empty"],
 )
 def test_analyze_bad_probabilities_exit_one(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
@@ -203,6 +213,8 @@ def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
             {"device": {"delta_300": 1e-9}},
             "bad device config: target probability 0.5 unreachable",
         ),
+        (["analyze"], {"analyze": [1]}, "config section 'analyze' must be a JSON object"),
+        (["analyze"], {"device": 3}, "config section 'device' must be a JSON object"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):
@@ -329,6 +341,10 @@ def test_a_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch, module, na
         ({"volatility": 0, "s0": 1e308, "rate": 1}, "the payoffs overflow a float64"),
         ({"rate": -1e300}, "math range error"),
         ({"volatility": 1e300}, "volatility**2 overflows a float64"),
+        (
+            {"volatility": 1e150, "maturity_years": 1e10},
+            "the drift or the volatility term overflows a float64",
+        ),
     ],
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])
@@ -642,6 +658,32 @@ def test_an_output_that_names_an_input_or_another_output_exits_one(
     code = cli.main(args)
     _, err = capsys.readouterr()
     assert code == 1
+    assert err == f"spintrng: error: {message}\n"
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["generate", "--bits", "100"], "generate requires --out PATH"),
+        (["generate", "--out", "g.bin", "--force-p1", "0.4"], "--force-p1 and --force-p2 must be given together"),
+        (["test"], "test requires --in PATH"),
+        (["test", "--in", "s.bin", "--groups", "3"], "stream of 1000 bits does not divide into 3 groups"),
+        (["sweep"], "sweep requires --out PATH"),
+        (["bench", "--paths", "0", "--out", "b.csv"], "--paths values must be >= 1"),
+    ],
+    ids=["generate-out", "force-p2", "test-in", "test-groups", "sweep-out", "bench-paths"],
+)
+def test_a_missing_or_bad_argument_exits_one(tmp_path, capsys, monkeypatch, args, message):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", "s.bin"]) == 0
+    capsys.readouterr()
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    code = cli.main(args)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert out == ""
     assert err == f"spintrng: error: {message}\n"
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 

@@ -190,8 +190,9 @@ class TestModelAgreement:
         # thermal rescaling moves them in lockstep: each polarity's
         # exponent ln(tau/tau0) is its 300 K value times 300/T.  The
         # calibration itself is exact only to 1e-6 per polarity, at 300 K.
-        report = run_sweep(fast_spec(Axis.TEMPERATURE, seed=0))
-        params = report.spec.params
+        spec = fast_spec(Axis.TEMPERATURE, seed=0)
+        report = run_sweep(spec)
+        params = spec.params
         currents = calibrated_currents(params)
         tau0 = params.tau0_ns
         for direction in SwitchDirection:
