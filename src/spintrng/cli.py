@@ -201,16 +201,12 @@ def _parse_number_list(text: str, cast, what: str) -> list:
     return values
 
 
-def _config_input(opts: dict) -> dict:
-    """The config file the command read, if any, as an input that no
-    output may overwrite."""
-    return {opts["config"]: "the config"} if opts["config"] else {}
-
-
-def _refuse_overwrites(paths, inputs: dict) -> None:
+def _refuse_overwrites(opts: dict, paths, inputs: dict = {}) -> None:
     """A usage error if one of paths (None for a path not given) would
-    overwrite one of inputs (a dict of path to what it is) or another
-    of paths."""
+    overwrite one of inputs (a dict of path to what it is), the config
+    file the command read, or another of paths."""
+    if opts["config"]:
+        inputs = {**inputs, opts["config"]: "the config"}
     taken = {os.path.realpath(path): what for path, what in inputs.items()}
     for path in filter(None, paths):
         real = os.path.realpath(path)
@@ -219,10 +215,10 @@ def _refuse_overwrites(paths, inputs: dict) -> None:
         taken[real] = "another output"
 
 
-def _open_outputs(*paths, inputs: dict):
+def _open_outputs(opts: dict, *paths, inputs: dict = {}):
     """bitio.created for paths (None for a path not given), once
     _refuse_overwrites has passed them."""
-    _refuse_overwrites(paths, inputs)
+    _refuse_overwrites(opts, paths, inputs)
     return bitio.created(*paths)
 
 
@@ -249,7 +245,7 @@ def _build(cls, kind: str, /, **kwargs):
 def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if not opts["out"]:
         raise UsageError("generate requires --out PATH")
-    _refuse_overwrites((opts["out"], bitio.metadata_path(opts["out"])), _config_input(opts))
+    _refuse_overwrites(opts, (opts["out"], bitio.metadata_path(opts["out"])))
     variant = Variant(opts["variant"])
     forced = (opts["force_p1"], opts["force_p2"])
     if (forced[0] is None) != (forced[1] is None):
@@ -291,12 +287,8 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if stream.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
-    inputs = {
-        path: "the input",
-        bitio.metadata_path(path): "the input's sidecar",
-        **_config_input(opts),
-    }
-    with _open_outputs(opts["json_out"], inputs=inputs) as (json_fh,):
+    inputs = {path: "the input", bitio.metadata_path(path): "the input's sidecar"}
+    with _open_outputs(opts, opts["json_out"], inputs=inputs) as (json_fh,):
         try:
             results = run_nist_suite(stream, n_groups=groups)
         except ValueError as exc:
@@ -329,7 +321,7 @@ def _cmd_analyze(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     p1_values = _parse_number_list(opts["p1"], _probability, "--p1")
     p2_values = _parse_number_list(opts["p2"], _probability, "--p2")
     single, trng = GeneratorConfig(Variant.RHS_SINGLE), GeneratorConfig(Variant.RHS_TRNG)
-    with _open_outputs(opts["json_out"], inputs=_config_input(opts)) as (json_fh,):
+    with _open_outputs(opts, opts["json_out"]) as (json_fh,):
         rows = []
         for p1 in p1_values:
             for p2 in p2_values:
@@ -379,7 +371,7 @@ def _cmd_sweep(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
         )
     except ValueError as exc:
         raise UsageError(f"bad sweep config: {exc}") from exc
-    with _open_outputs(opts["out"], inputs=_config_input(opts)) as (fh,):
+    with _open_outputs(opts, opts["out"]) as (fh,):
         report = run_sweep(spec, jobs=opts["jobs"])
         bitio.put(fh, report.to_csv().encode())
     print(f"wrote {opts['out']} ({len(report.rows)} rows, axis={axis.value})")
@@ -389,8 +381,7 @@ def _cmd_bench(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     paths = _parse_number_list(opts["paths"], int, "--paths")
     if any(n < 1 for n in paths):
         raise UsageError("--paths values must be >= 1")
-    inputs = _config_input(opts)
-    with _open_outputs(opts["out"], opts["json_out"], inputs=inputs) as (csv_fh, json_fh):
+    with _open_outputs(opts, opts["out"], opts["json_out"]) as (csv_fh, json_fh):
         try:
             report = speedup_report(
                 spec=option,

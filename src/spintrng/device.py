@@ -55,7 +55,6 @@ STATE_AP = 1
 PULSE_WIDTH_NS = 2.9
 CALIBRATION_TARGET = 0.5
 
-_MAX_RESAMPLE = 100
 _CALIBRATION_TOL = 1e-6
 _CALIBRATION_MAX_ITER = 200
 _CALIBRATION_CURRENT_SPAN = 100.0  # upper bisection bound, multiples of Ic0
@@ -148,17 +147,14 @@ class DeviceInstance:
     tmr: float
 
 
-def _sample_positive(rng: np.random.Generator, mean: float, sigma: float, name: str) -> float:
+def _sample_positive(rng: np.random.Generator, mean: float, sigma: float) -> float:
+    """A draw from N(mean, sigma) redrawn until positive.  DeviceParams
+    holds mean > 0, so each draw is positive with probability above 1/2."""
     if sigma == 0.0:
         return mean
-    for _ in range(_MAX_RESAMPLE):
-        value = rng.normal(mean, sigma)
-        if value > 0.0:
-            return value
-    raise ValueError(
-        f"could not draw a positive {name} in {_MAX_RESAMPLE} tries "
-        f"(mean={mean}, sigma={sigma})"
-    )
+    while (value := rng.normal(mean, sigma)) <= 0.0:
+        pass
+    return value
 
 
 def sample_device(params: DeviceParams, seed=None) -> DeviceInstance:
@@ -166,14 +162,14 @@ def sample_device(params: DeviceParams, seed=None) -> DeviceInstance:
 
     t_fl, t_tb, and tmr are drawn independently from Gaussians centered
     on their nominals; a zero sigma gives the nominal value, and draws
-    that land at or below zero are rejected and retried a bounded
-    number of times.  Deterministic for a given seed.
+    that land at or below zero are rejected and redrawn.  Deterministic
+    for a given seed.
     """
     rng = np.random.default_rng(seed)
     return DeviceInstance(
-        t_fl_nm=_sample_positive(rng, params.t_fl_nm, params.sigma_t_fl, "t_fl_nm"),
-        t_tb_nm=_sample_positive(rng, params.t_tb_nm, params.sigma_t_tb, "t_tb_nm"),
-        tmr=_sample_positive(rng, params.tmr, params.sigma_tmr, "tmr"),
+        t_fl_nm=_sample_positive(rng, params.t_fl_nm, params.sigma_t_fl),
+        t_tb_nm=_sample_positive(rng, params.t_tb_nm, params.sigma_t_tb),
+        tmr=_sample_positive(rng, params.tmr, params.sigma_tmr),
     )
 
 

@@ -3,8 +3,8 @@
 Each function takes a 0/1 uint8 array and returns a list of p-values
 (most yield one; the cumulative-sums and serial tests yield two, the
 non-overlapping template test yields one per template).  Functions
-enforce only hard feasibility preconditions; the suite layer applies
-the recommended minimum lengths and skips modules that do not apply.
+enforce only hard feasibility preconditions; the spintrng.nist driver
+applies the recommended minimum lengths and skips modules that do not apply.
 
 The implementations follow the standard public formulations of these
 tests; the worked-example values in the test suite pin the exact
@@ -13,7 +13,7 @@ wraparound pattern counting, and so on).
 
 Three helpers hold what the modules share: _blocks is the one split
 into whole m-bit blocks, chi2_tail the one chi-square upper tail, and
-chi2_fit the one Pearson fit of class counts (the suite's composite
+chi2_fit the one Pearson fit of class counts (the driver's composite
 p-value is one too).  The rank test's 2-dof tail is chi2_tail's
 gammaincc like every other, not exp(-x), which differs by rounding.
 

@@ -1,6 +1,7 @@
 """Bitstream file formats and metadata sidecars."""
 
 import errno
+import io
 import json
 import os
 import re
@@ -420,6 +421,27 @@ sys.exit(3)
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
         run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True)
         assert run.returncode == 0, run.stderr
+        assert sorted(os.listdir(tmp_path)) == []
+
+    @pytest.mark.parametrize("failing", ["write", "close"])
+    def test_a_failed_write_or_close_names_the_path(self, tmp_path, monkeypatch, failing):
+        class FullDisk(io.FileIO):
+            def write(self, data):
+                if failing == "write":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(data)
+
+            def close(self):
+                super().close()
+                if failing == "close":
+                    raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(bitio, "open", FullDisk, raising=False)
+        path = str(tmp_path / "s.bin")
+        with pytest.raises(OSError) as exc:
+            with bitio.created(path) as (fh,):
+                bitio.put(fh, b"bits")
+        assert (exc.value.errno, exc.value.filename) == (errno.ENOSPC, path)
         assert sorted(os.listdir(tmp_path)) == []
 
 

@@ -2,6 +2,7 @@
 battery cannot judge, `sweep`, the --json outputs, exit codes, and the
 commands that start without scipy."""
 
+import errno
 import hashlib
 import json
 import os
@@ -215,6 +216,13 @@ def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
         ),
         (["analyze"], {"analyze": [1]}, "config section 'analyze' must be a JSON object"),
         (["analyze"], {"device": 3}, "config section 'device' must be a JSON object"),
+        (
+            ["bench", "--paths", "100"],
+            {"option": {"s0": 0}},
+            "bad option config: s0, strike, and maturity_years must be > 0",
+        ),
+        (["bench", "--paths", "100"], {"option": {"volatility": -0.2}}, "bad option config: volatility must be >= 0"),
+        (["analyze"], {"device": {"delta_300": 1e12}}, "bad device config: calibration did not converge"),
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):
@@ -387,6 +395,20 @@ def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkey
     _, err = capsys.readouterr()
     assert code == 2
     assert err == "spintrng: runtime error: MemoryError\n"
+    assert not (tmp_path / "s.bin").exists()
+
+
+def test_an_os_error_without_a_path_exits_two(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+
+    def fail(*args, **kwargs):
+        raise OSError(errno.EIO, "Input/output error")
+
+    monkeypatch.setattr(cli.BitGenerator, "generate", fail)
+    code = cli.main(["generate", "--bits", "100", "--out", str(tmp_path / "s.bin")])
+    _, err = capsys.readouterr()
+    assert code == 2
+    assert err == "spintrng: runtime error: [Errno 5] Input/output error\n"
     assert not (tmp_path / "s.bin").exists()
 
 
@@ -671,8 +693,9 @@ def test_an_output_that_names_an_input_or_another_output_exits_one(
         (["test", "--in", "s.bin", "--groups", "3"], "stream of 1000 bits does not divide into 3 groups"),
         (["sweep"], "sweep requires --out PATH"),
         (["bench", "--paths", "0", "--out", "b.csv"], "--paths values must be >= 1"),
+        (["sweep", "--samples", "0", "--out", "x.csv"], "bad sweep config: n_samples must be >= 1"),
     ],
-    ids=["generate-out", "force-p2", "test-in", "test-groups", "sweep-out", "bench-paths"],
+    ids=["generate-out", "force-p2", "test-in", "test-groups", "sweep-out", "bench-paths", "sweep-samples"],
 )
 def test_a_missing_or_bad_argument_exits_one(tmp_path, capsys, monkeypatch, args, message):
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)

@@ -11,6 +11,7 @@ from spintrng.entropy import (
     EntropyReport,
     binary_min_entropy,
     binary_shannon_entropy,
+    counts_report,
     entropy_report,
 )
 
@@ -78,3 +79,20 @@ class TestEmpirical:
 
     def test_accepts_plain_lists(self):
         assert entropy_report([0, 1, 0, 1]).shannon == 1.0
+
+
+@pytest.mark.parametrize(
+    "fn, args, message",
+    [
+        (binary_shannon_entropy, (-0.1,), "p must lie in [0, 1], got -0.1"),
+        (binary_shannon_entropy, (1.5,), "p must lie in [0, 1], got 1.5"),
+        (binary_min_entropy, (-0.1,), "p must lie in [0, 1], got -0.1"),
+        (binary_min_entropy, (1.5,), "p must lie in [0, 1], got 1.5"),
+        (counts_report, (0, 0), "need at least one bit"),
+    ],
+    ids=["shannon-below", "shannon-above", "min-below", "min-above", "no-bits"],
+)
+def test_bad_arguments_are_rejected(fn, args, message):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    assert str(exc.value) == message

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -340,6 +341,39 @@ class TestSharedStatistics:
         with pytest.raises(ValueError) as exc:
             module(np.ones(block_len - 1, dtype=np.uint8))
         assert str(exc.value) == f"need at least {block_len} bits, got {block_len - 1}"
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (partial(M._as_bits, []), "empty bit sequence"),
+            (partial(M._as_bits, [0, 2]), "bit values must be 0 or 1"),
+            (partial(M.runs, [1]), "need at least 2 bits"),
+            (partial(M.spectral, [1]), "need at least 2 bits"),
+            (partial(M.template_codes, 1), "template length must be >= 2, got 1"),
+            (
+                partial(M.non_overlapping_templates, np.ones(72, dtype=np.uint8)),
+                "blocks of 9 bits are too short for m=9",
+            ),
+            (partial(M.approximate_entropy, np.ones(10, dtype=np.uint8)), "need more than 10 bits, got 10"),
+            (partial(M.serial, np.ones(12, dtype=np.uint8)), "need at least 13 bits, got 12"),
+            (partial(M.serial, np.ones(100, dtype=np.uint8), m=1), "m must be >= 2, got 1"),
+        ],
+        ids=[
+            "empty",
+            "not-a-bit",
+            "runs-one-bit",
+            "spectral-one-bit",
+            "template-length",
+            "template-blocks",
+            "apen-short",
+            "serial-short",
+            "serial-m",
+        ],
+    )
+    def test_an_infeasible_input_is_rejected(self, call, message):
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message
 
     def test_blocks_drop_the_partial_tail(self):
         arr = np.arange(11, dtype=np.uint8)

@@ -15,6 +15,7 @@ from spintrng.nist import (
     all_pass,
     composite_p_value,
     format_report,
+    pass_rate_threshold,
     result_rows,
     run_nist_suite,
 )
@@ -22,7 +23,6 @@ from conftest import linear_complexity_of
 from spintrng.bitio import BitFile, save_stream
 from spintrng.generator import BitStream, StreamInfo
 from spintrng.nist import modules as M
-from spintrng.nist.suite import pass_rate_threshold
 
 
 class TestBerlekampMassey:
@@ -196,6 +196,19 @@ class TestSuiteDriver:
     def test_group_divisibility_enforced(self):
         with pytest.raises(ValueError):
             run_nist_suite(np.zeros(1001, dtype=np.uint8), n_groups=10)
+
+    @pytest.mark.parametrize(
+        "n_bits, n_groups, message",
+        [
+            (1000, 0, "n_groups must be >= 1, got 0"),
+            (0, 10, "stream of 0 bits does not divide into 10 groups"),
+        ],
+        ids=["no-groups", "no-bits"],
+    )
+    def test_a_stream_that_cannot_be_grouped_is_rejected(self, n_bits, n_groups, message):
+        with pytest.raises(ValueError) as exc:
+            run_nist_suite(np.zeros(n_bits, dtype=np.uint8), n_groups=n_groups)
+        assert str(exc.value) == message
 
     def test_short_groups_are_skipped_not_failed(self):
         rng = np.random.default_rng(14)

@@ -2,6 +2,7 @@
 
 import hashlib
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -155,6 +156,22 @@ class TestBitSources:
         np.testing.assert_array_equal(
             source.take(3), FairBitSource(11).take(104 << 16)[-1003:-1000]
         )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (partial(OptionSpec, s0=0.0), "s0, strike, and maturity_years must be > 0"),
+        (partial(OptionSpec, volatility=-0.2), "volatility must be >= 0"),
+        (partial(OptionSpec, n_paths=0), "n_paths must be >= 1"),
+        (partial(FairBitSource(1).take, -1), "n_bits must be >= 0"),
+    ],
+    ids=["s0", "volatility", "n-paths", "take"],
+)
+def test_bad_arguments_are_rejected(call, message):
+    with pytest.raises(ValueError) as exc:
+        call()
+    assert str(exc.value) == message
 
 
 class TestPricing:
