@@ -33,8 +33,11 @@ generate call for the whole request, byte for byte.
 Reading mirrors writing: BitFile yields a file's bits as equal groups,
 the battery's fixed-length sequences, and reads every file, packed or
 ascii, with a sidecar or without, front to back one group's bytes at a
-time, so memory stays flat however long the file.  read_bits is its
-one group, the whole stream.
+time, so memory stays flat however long the file.  An ascii file is
+read twice, first whole by _sniff: one pass cannot replace that scan,
+because the bit count and the non-bit-character error must both come
+before the first group.  read_bits is BitFile's one group, the whole
+stream.
 """
 
 from __future__ import annotations
@@ -140,7 +143,11 @@ class BitFile:
     array, and counts their ones in ones.  Every file is read front to
     back in steps of one group's bytes, each decoded as it comes, so
     one group's bits are held at a time; a group that one step covers
-    is a view of that step's bits.
+    is a view of that step's bits.  Unless the sidecar says packed, the
+    constructor first scans the file (_sniff) for its format, bit count
+    and non-bit characters: an ascii file is read whole there and again
+    by groups, a sidecar-less packed file only up to its first byte that
+    is neither a bit nor whitespace.
     """
 
     def __init__(self, path: str) -> None:

@@ -42,9 +42,9 @@ from numpy.random import SeedSequence
 from . import bitio
 from .device import DeviceParams, Environment, calibrated_currents, flip_probs
 from .entropy import binary_min_entropy, binary_shannon_entropy, counts_report
-from .generator import BitGenerator, GeneratorConfig, Variant
+from .generator import CHUNK_BITS, BitGenerator, GeneratorConfig, Variant
 from .markov import design_model
-from .sweeps import Axis, SweepSpec, run_sweep, spec_for_axis
+from .sweeps import Axis, SweepSpec, run_sweep
 from .system import (
     BENCH_COLUMNS,
     DEFAULT_PATH_GRID,
@@ -104,6 +104,9 @@ def _ranged(cast, lo, hi=None):
 _positive_int = _ranged(int, 1)
 _seed = _ranged(int, 0)
 _probability = _ranged(float, 0, 1)
+# Every lane's cell is built before any work, and one cycle's lanes
+# must fit the one-chunk working set that BitGenerator.chunks keeps.
+_lanes = _ranged(int, 1, CHUNK_BITS)
 
 
 def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -> None:
@@ -180,15 +183,7 @@ def _config_section(config: dict, name: str, cls):
     unknown = set(values) - known
     if unknown:
         raise UsageError(f"unknown {name} config keys: {', '.join(sorted(unknown))}")
-    try:
-        return cls(**values)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"bad {name} config: {exc}") from exc
-
-
-def _resolve_seed(value) -> int:
-    """Explicit seed, or fresh OS entropy echoed to the outputs."""
-    return value if value is not None else int(SeedSequence().entropy)
+    return _build(cls, f"{name} config", **values)
 
 
 def _parse_number_list(text: str, cast, what: str) -> list:
@@ -233,9 +228,12 @@ def _print_written(*paths) -> None:
 
 
 def _build(cls, kind: str, /, **kwargs):
+    """cls(**kwargs), the one place a library constructor's rejection of
+    the user's values becomes the usage error "bad KIND: reason"; JSON
+    values of a wrong type or size raise TypeError or OverflowError."""
     try:
         return cls(**kwargs)
-    except ValueError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad {kind}: {exc}") from exc
 
 
@@ -250,14 +248,15 @@ def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     forced = (opts["force_p1"], opts["force_p2"])
     if (forced[0] is None) != (forced[1] is None):
         raise UsageError("--force-p1 and --force-p2 must be given together")
-    gen_config = _build(GeneratorConfig, "generator config", variant=variant, lanes=opts["lanes"])
+    gen_config = GeneratorConfig(variant, lanes=opts["lanes"])
     env = _build(
         Environment,
         "environment",
         temperature_k=opts["temperature_k"],
         v_variation_rate=opts["v_rate"],
     )
-    seed = _resolve_seed(opts["seed"])
+    # No --seed means fresh OS entropy, echoed to the outputs.
+    seed = opts["seed"] if opts["seed"] is not None else int(SeedSequence().entropy)
     probs = forced if forced[0] is not None else flip_probs(params, env)
     gen = BitGenerator(gen_config, seed=seed, probs=[probs] * gen_config.n_units)
     meta = bitio.write_generated(gen, opts["bits"], opts["out"], opts["format"])
@@ -280,10 +279,7 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     path = opts["in_path"]
     if not path:
         raise UsageError("test requires --in PATH")
-    try:
-        stream = bitio.BitFile(path)
-    except ValueError as exc:
-        raise UsageError(f"bad input file {path}: {exc}") from exc
+    stream = _build(bitio.BitFile, f"input file {path}", path=path)
     if stream.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
@@ -361,16 +357,15 @@ def _cmd_sweep(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if not opts["out"]:
         raise UsageError("sweep requires --out PATH")
     axis = Axis(opts["axis"])
-    try:
-        spec = spec_for_axis(
-            axis,
-            bits_per_point=opts["bits_per_point"],
-            n_samples=opts["samples"],
-            seed=opts["seed"],
-            params=params,
-        )
-    except ValueError as exc:
-        raise UsageError(f"bad sweep config: {exc}") from exc
+    spec = _build(
+        SweepSpec,
+        "sweep config",
+        axis=axis,
+        bits_per_point=opts["bits_per_point"],
+        n_samples=opts["samples"],
+        seed=opts["seed"],
+        params=params,
+    )
     with _open_outputs(opts, opts["out"]) as (fh,):
         report = run_sweep(spec, jobs=opts["jobs"])
         bitio.put(fh, report.to_csv().encode())
@@ -436,18 +431,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--config",
-            help=f"JSON config file (or set {CONFIG_ENV_VAR}); flags override it",
-        )
-
     g = sub.add_parser("generate", help="simulate a design and write a bitstream")
     g.add_argument("--variant", choices=[v.value for v in Variant], default=Variant.RHS_TRNG.value)
     g.add_argument("--bits", type=_positive_int, default=1_000_000, help="number of output bits")
-    g.add_argument(
-        "--lanes", type=_positive_int, default=8, help="output lanes (rhs-parallel only)"
-    )
+    g.add_argument("--lanes", type=_lanes, default=8, help="output lanes (rhs-parallel only)")
     g.add_argument("--seed", type=_seed)
     g.add_argument("--out", help="bitstream path; sidecar written to PATH.json")
     g.add_argument(
@@ -469,7 +456,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         dest="force_p2",
         help="bypass device physics: per-cycle AP-to-P flip probability",
     )
-    add_config(g)
 
     t = sub.add_parser("test", help="statistical battery for a bitstream file")
     t.add_argument("--in", dest="in_path", help="bitstream file to test")
@@ -480,13 +466,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="equal-size substreams (default %(default)s)",
     )
     t.add_argument("--json", dest="json_out", help="also write the report as JSON")
-    add_config(t)
 
     a = sub.add_parser("analyze", help="closed-form chain predictions")
     a.add_argument("--p1", default="0.5", help="comma-separated P-to-AP flip probabilities")
     a.add_argument("--p2", default="0.5", help="comma-separated AP-to-P flip probabilities")
     a.add_argument("--json", dest="json_out", help="also write rows as JSON")
-    add_config(a)
 
     s = sub.add_parser("sweep", help="environmental/process sweep to CSV")
     s.add_argument("--axis", choices=[ax.value for ax in Axis], default=Axis.VOLTAGE.value)
@@ -502,7 +486,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     s.add_argument("--seed", type=_seed, default=SweepSpec.seed)
     s.add_argument("--out", help="CSV output path")
     s.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
-    add_config(s)
 
     b = sub.add_parser("bench", help="option-pricing backend comparison")
     b.add_argument(
@@ -514,8 +497,12 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     b.add_argument("--out", help="CSV output path")
     b.add_argument("--json", dest="json_out", help="also write rows as JSON")
     b.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
-    add_config(b)
 
+    for p in sub.choices.values():
+        p.add_argument(
+            "--config",
+            help=f"JSON config file (or set {CONFIG_ENV_VAR}); flags override it",
+        )
     return parser, sub.choices
 
 

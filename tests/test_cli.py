@@ -298,22 +298,47 @@ def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args, d
 )
 def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, count):
     # Every count option, --lanes of rhs-trng included, whether given
-    # as a flag or in a config section.
+    # as a flag or in a config section.  --lanes also has an upper bound.
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     args, flag, source = command
+    bound = "lie in [1, 262144]" if flag == "--lanes" else "be >= 1"
     if source == "flag":
         code = cli.main([*args, flag, count])
-        message = f"argument {flag}: must be >= 1, got {count}"
+        message = f"argument {flag}: must {bound}, got {count}"
     else:
         key = flag.removeprefix("--")
         config = _write_config(tmp_path, {args[0]: {key: int(count)}})
         code = cli.main([*args, "--config", config])
-        message = f"bad {args[0]} config value {key}: must be >= 1, got {count}"
+        message = f"bad {args[0]} config value {key}: must {bound}, got {count}"
     _, err = capsys.readouterr()
     assert code == 1
     assert message in err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "source,message",
+    [
+        ("flag", "argument --lanes: must lie in [1, 262144], got 262145"),
+        ("config", "bad generate config value lanes: must lie in [1, 262144], got 262145"),
+    ],
+)
+def test_lanes_beyond_one_chunk_exit_one(tmp_path, capsys, monkeypatch, source, message):
+    # One lane more than generator.CHUNK_BITS, refused by the parser
+    # before any of its cells is built.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    args = ["generate", "--variant", "rhs-parallel", "--bits", "1000", "--out", "x.bin"]
+    if source == "flag":
+        code = cli.main([*args, "--lanes", "262145"])
+    else:
+        config = _write_config(tmp_path, {"generate": {"lanes": 262145}})
+        code = cli.main([*args, "--config", config])
+    _, err = capsys.readouterr()
+    assert code == 1
+    assert message in err
+    assert not list(tmp_path.glob("x.bin*"))
 
 
 @pytest.mark.parametrize(

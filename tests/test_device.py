@@ -290,6 +290,19 @@ class TestSampling:
         assert (a.t_fl_nm, a.t_tb_nm, a.tmr) == (b.t_fl_nm, b.t_tb_nm, b.tmr)
         assert (a.t_fl_nm, a.t_tb_nm, a.tmr) != (c.t_fl_nm, c.t_tb_nm, c.tmr)
 
+    def test_non_positive_draws_are_redrawn(self):
+        # with sigma_t_fl = 2.0 the first t_fl draw of some seeds is <= 0
+        params = DeviceParams(sigma_t_fl=2.0)
+        seeds = range(20)
+        first = [np.random.default_rng(seed).normal(params.t_fl_nm, 2.0) for seed in seeds]
+        assert any(value <= 0.0 for value in first)
+        for seed, value in zip(seeds, first):
+            dev = sample_device(params, seed=seed)
+            assert min(dev.t_fl_nm, dev.t_tb_nm, dev.tmr) > 0.0
+            assert sample_device(params, seed=seed) == dev
+            if value > 0.0:
+                assert dev.t_fl_nm == value
+
     def test_population_statistics(self):
         rng = np.random.default_rng(0)
         devs = [sample_device(NOMINAL, seed=rng) for _ in range(4000)]

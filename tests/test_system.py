@@ -195,6 +195,14 @@ class TestPricing:
         assert entry.std_error > 0.0
         assert abs(entry.price - black_scholes_oracle(spec)) < 4.0 * entry.std_error
 
+    def test_one_path_has_no_standard_error(self):
+        # nonzero volatility, but one payoff gives no sample variance
+        entry = price_option_mc(
+            OptionSpec(n_paths=1), BackendKind.TRNG_INSTRUCTION, FairBitSource(0)
+        )
+        assert entry.price == pytest.approx(24.0524, abs=1e-4)
+        assert entry.std_error == 0.0
+
     def test_many_block_price_is_pinned(self):
         # 100,000 paths of 104 bits take 159 blocks of 2^16 bits over two chunks;
         # the figures were recorded with the per-block integers(0, 2) source
