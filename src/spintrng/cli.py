@@ -42,7 +42,7 @@ from numpy.random import SeedSequence
 from . import bitio
 from .device import DeviceParams, Environment, calibrated_currents, flip_probs
 from .entropy import binary_min_entropy, binary_shannon_entropy, counts_report
-from .generator import CHUNK_BITS, BitGenerator, GeneratorConfig, Variant
+from .generator import MAX_LANES, BitGenerator, GeneratorConfig, Variant
 from .markov import design_model
 from .sweeps import Axis, SweepSpec, run_sweep
 from .system import (
@@ -104,9 +104,7 @@ def _ranged(cast, lo, hi=None):
 _positive_int = _ranged(int, 1)
 _seed = _ranged(int, 0)
 _probability = _ranged(float, 0, 1)
-# Every lane's cell is built before any work, and one cycle's lanes
-# must fit the one-chunk working set that BitGenerator.chunks keeps.
-_lanes = _ranged(int, 1, CHUNK_BITS)
+_lanes = _ranged(int, 1, MAX_LANES)
 
 
 def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -> None:

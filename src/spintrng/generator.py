@@ -84,6 +84,14 @@ AREA_UM2_UNIT = 9.79
 # most 2 MB, are the one buffer a generator keeps between calls.
 CHUNK_BITS = 1 << 18
 
+# Most output lanes the CLI accepts for rhs-parallel, well inside one
+# chunk.  Every cell owns a numpy Generator, built before any work, so
+# the lane count alone sets the cost of a small request: `generate
+# --bits 1000` took 0.16 s and 36 MB peak RSS at one lane, 0.58 s and
+# 40 MB at 2^12 lanes, 1.13 s and 54 MB at 2^14 and 16.8 s and 345 MB
+# at 2^18 (2-core x86_64).
+MAX_LANES = 1 << 12
+
 
 @dataclass(frozen=True)
 class GeneratorConfig:

@@ -30,28 +30,35 @@ textbook loop, so the p-values are unchanged:
   a suffix), so two hits of one template can never overlap and the
   greedy "jump m after a hit" count is the plain hit count.  One
   bincount of each block's window codes gives every template's count.
-* Berlekamp-Massey runs over all blocks in lockstep on bit-packed
-  polynomials held as (words, blocks) uint64 arrays, and GF(2) rank
-  eliminates all 32x32 matrices in lockstep, one column per step.
-* The spectral test counts moduli from rfft, which holds the same bins
-  as fft of the real sequence.  A length divisible by 4 takes one
-  radix-4 decimation-in-time step: the rffts of the four quarter-length
-  sequences x[j::4] are combined by a butterfly 2^14 bins at a time, so
-  no transform of the whole group is held at once; any other length
-  takes one rfft of the whole group.  The moduli differ from fft's only
-  by rounding, far below SPECTRAL_GUARD; a group with a modulus within
+* Berlekamp-Massey runs over all blocks in lockstep, bit-sliced: the
+  blocks are packed 64 to a uint64 word, one word row per polynomial
+  coefficient, so one XOR steps 64 blocks.  GF(2) rank eliminates all
+  32x32 matrices in lockstep, one column per step.
+* The spectral test counts moduli by radix-R decimation in frequency
+  (Gentleman and Sande, 1966), with R the largest power of two that
+  divides n, at most 16.  The bins k = r mod R form class r, the
+  (n/R)-point DFT of a folded and twiddled sequence; one class is
+  built and transformed at a time, so n/16 complex values are held
+  rather than a whole-group transform, and real input makes class
+  R - r the mirror of class r.  The moduli differ from fft's only by
+  rounding, far below SPECTRAL_GUARD; a group with a modulus within
   SPECTRAL_GUARD of the threshold is recounted from fft, so the count
   below the threshold is always fft's.
-* The cumulative-sums test builds the partial sums s_1..s_n once.  The
-  reverse sequence's partial sums are s_n - s_i for i = 0..n-1 (s_0 =
-  0), so its largest excursion is the larger of s_n - min(s_0..s_n-1)
-  and max(s_0..s_n-1) - s_n: the same integer the reversed cumsum gives.
+* The cumulative-sums test builds the partial sums s_1..s_n one slice
+  at a time, carrying the sum across.  The reverse sequence's partial
+  sums are s_n - s_i for i = 0..n-1 (s_0 = 0), so its largest
+  excursion is the larger of s_n - min(s_0..s_n) and max(s_0..s_n) -
+  s_n: the same integer the reversed cumsum gives.
 * The longest-run test lays its blocks end to end with a zero after
   each one, so no run crosses a block.  The positions where a bit
   differs from the one before alternate between run starts and
   one-past-ends, their differences are the run lengths, and a
   reduceat over each block's runs gives the same maximum as the
   per-block loop (0 for a block without ones).
+
+The serial and approximate-entropy window codes are counted, the
+partial sums taken and the longest runs found one slice of _SLICE bits
+at a time, so those temporaries do not grow with the group.
 """
 
 from __future__ import annotations
@@ -93,6 +100,11 @@ def chi2_fit(counts, expected) -> float:
     return float(chi2_tail(chi2, counts.size - 1))
 
 
+# Bits per slice where a module scans its group in slices: their
+# temporaries take up to 8 bytes per bit.
+_SLICE = 1 << 16
+
+
 def _window_codes(arr: np.ndarray, m: int) -> np.ndarray:
     """Integer code of every length-m window along the last axis
     (MSB = earliest bit), in the smallest unsigned dtype that holds it."""
@@ -107,7 +119,11 @@ def _window_codes(arr: np.ndarray, m: int) -> np.ndarray:
 def _wrapped_counts(arr: np.ndarray, m: int) -> np.ndarray:
     """Counts of the n length-m windows of arr read cyclically."""
     ext = np.concatenate([arr, arr[: m - 1]])
-    return np.bincount(_window_codes(ext, m), minlength=2**m)
+    counts = np.zeros(2**m, dtype=np.int64)
+    for a in range(0, arr.size, _SLICE):
+        codes = _window_codes(ext[a : a + _SLICE + m - 1], m)
+        counts += np.bincount(codes, minlength=2**m)
+    return counts
 
 
 def _drop_last_bit(counts: np.ndarray) -> np.ndarray:
@@ -149,18 +165,22 @@ def cumulative_sums(bits) -> list[float]:
     """Maximum partial-sum excursion, forward and reverse."""
     arr = _as_bits(bits)
     n = arr.size
-    # The steps +-1 and their partial sums in one int64 array: a cumsum
-    # from int8 to int64 would first cast a second whole-group copy.
-    s = arr.astype(np.int64)
-    s *= 2
-    s -= 1
-    np.cumsum(s, out=s)
-    s_n = int(s[-1])
-    # The reverse partial sums are s_n - s_i for i = 0..n-1, with s_0 = 0.
-    head_max = int(s[:-1].max(initial=0))
-    head_min = int(s[:-1].min(initial=0))
-    forward = max(head_max, s_n, -head_min, -s_n)
-    backward = max(s_n - head_min, head_max - s_n)
+    # The largest, smallest and last of the partial sums s_1..s_n, one
+    # slice at a time with the sum so far carried in.
+    s_n = high = low = 0
+    for a in range(0, n, _SLICE):
+        s = arr[a : a + _SLICE].astype(np.int64)
+        s *= 2
+        s -= 1
+        np.cumsum(s, out=s)
+        s += s_n
+        high = max(high, int(s.max()))
+        low = min(low, int(s.min()))
+        s_n = int(s[-1])
+    # The reverse partial sums are s_n - s_i for i = 0..n-1, with s_0 =
+    # 0; i = n adds a zero, which changes no maximum.
+    forward = max(high, -low)
+    backward = max(s_n - low, high - s_n)
     return [_cusum_p_value(forward, n), _cusum_p_value(backward, n)]
 
 
@@ -225,7 +245,11 @@ def longest_run(bits) -> list[float]:
     if table is None:
         raise ValueError(f"need at least 128 bits, got {n}")
     m, classes, pi = table
-    longest = _longest_one_runs(_blocks(arr, m))
+    blocks = _blocks(arr, m)
+    rows = max(1, _SLICE // m)
+    longest = np.concatenate(
+        [_longest_one_runs(blocks[a : a + rows]) for a in range(0, blocks.shape[0], rows)]
+    )
     lo = classes[0]
     hi = classes[-1]
     clamped = np.clip(longest, lo, hi)
@@ -275,13 +299,15 @@ def rank(bits) -> list[float]:
 
 
 # Half-width of the band around the spectral threshold in which a
-# computed modulus sends its group to fft.  The rfft and butterfly
+# computed modulus sends its group to fft.  The decimation-in-frequency
 # moduli differ from fft's by at most a few 1e-12 at 10^6 bits, against
 # a threshold near 1,700.
 SPECTRAL_GUARD = 1e-6
 
-# Bins per chunk of the radix-4 butterfly, and entries in its twiddle table.
-_SPECTRAL_CHUNK = 1 << 14
+# Largest radix of the decimation in frequency, and columns of the
+# (radix, n / radix) group read per step while one class is built.
+_SPECTRAL_RADIX = 16
+_SPECTRAL_CHUNK = 1 << 12
 
 
 def _plus_minus_one(bits: np.ndarray) -> np.ndarray:
@@ -293,45 +319,45 @@ def _plus_minus_one(bits: np.ndarray) -> np.ndarray:
 
 def _spectral_moduli(arr: np.ndarray):
     """Yield (bins, moduli) pairs that give |DFT| of the +-1 sequence at
-    each bin 0..n/2-1 once; bins is a slice and moduli ascend with it.
+    each bin 0..n/2-1 once; bins is a slice stepped by the radix.
 
-    A length n = 4M takes Y_j = rfft(x[j::4]) for j = 0..3.  With
-    W = exp(-2 pi i / n) and t_j = W^(jm) Y_j[m] for m = 0..M/2, the
-    butterfly gives X[m] = t0 + t1 + t2 + t3, X[m+M] = t0 - i t1 - t2
-    + i t3, and, from the conjugate symmetry of real input, |X[M-m]| =
-    |t0 + i t1 - t2 - i t3| and |X[2M-m]| = |t0 - t1 + t2 - t3|; the
-    last two skip m = 0 and m = M/2, which the first two already give.
-    Any other length takes one rfft.
+    Radix-R decimation in frequency: R is the largest power of two that
+    divides n, at most _SPECTRAL_RADIX, and S = n / R.  With W =
+    exp(-2 pi i / n), the bins Rm + r of class r are the S-point DFT of
+    z_r[j] = W^(jr) sum_q x[j + qS] W^(qSr), built and transformed one
+    class at a time, so at most S complex values are held.  Real input
+    gives |X[n - k]| = |X[k]|, so class R - r is class r reversed and
+    only classes 0..R/2 are transformed.  Class 0 is real and takes an
+    rfft; R = 1 is one rfft of the whole group.
     """
     n = arr.size
-    if n % 4:
-        yield slice(0, n // 2), np.abs(np.fft.rfft(_plus_minus_one(arr))[: n // 2])
-        return
-    quarter = n // 4
-    ys = [np.fft.rfft(_plus_minus_one(arr[j::4])) for j in range(4)]
-    n_fwd = quarter // 2 + 1  # m = 0..M/2 give X[m] and X[m+M]
-    n_rev = (quarter + 1) // 2  # m = 1..n_rev-1 give X[M-m] and X[2M-m]
-    base = np.exp(np.arange(_SPECTRAL_CHUNK) * (-2j * np.pi / n))
-    for a in range(0, n_fwd, _SPECTRAL_CHUNK):
-        b = min(a + _SPECTRAL_CHUNK, n_fwd)
-        w1 = base[: b - a] * np.exp(-2j * np.pi * a / n)  # W^m
-        w2 = w1 * w1
-        w3 = w1 * w2
-        t0 = ys[0][a:b]
-        t1 = w1 * ys[1][a:b]
-        t2 = w2 * ys[2][a:b]
-        t3 = w3 * ys[3][a:b]
-        even_sum, even_diff = t0 + t2, t0 - t2
-        odd_sum, odd_diff = t1 + t3, 1j * (t1 - t3)
-        yield slice(a, b), np.abs(even_sum + odd_sum)
-        yield slice(a + quarter, b + quarter), np.abs(even_diff - odd_diff)
-        lo, hi = max(a, 1), min(b, n_rev)
-        if lo < hi:
-            # m from hi - 1 down to lo, so that the bins M-m and 2M-m ascend
-            rev = slice(hi - a - 1, lo - a - 1 if lo > a else None, -1)
-            first, stop = quarter + 1 - hi, quarter + 1 - lo
-            yield slice(first, stop), np.abs(even_diff[rev] + odd_diff[rev])
-            yield slice(first + quarter, stop + quarter), np.abs(even_sum[rev] - odd_sum[rev])
+    half = n // 2
+    radix = min(n & -n, _SPECTRAL_RADIX)
+    span = n // radix
+    rows = arr.reshape(radix, span)  # rows[q, j] = x[j + qS]
+    for r in range(radix // 2 + 1):
+        # columns cos and sin of the angles -2 pi qr / R, and W^(jr) for
+        # the first chunk's j
+        angles = np.arange(radix) * (-2.0 * np.pi * r / radix)
+        weights = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        twiddle = np.exp(np.arange(_SPECTRAL_CHUNK) * (-2j * np.pi * r / n))
+        z = np.empty(span, dtype=np.float64 if r == 0 else np.complex128)
+        for a in range(0, span, _SPECTRAL_CHUNK):
+            b = min(a + _SPECTRAL_CHUNK, span)
+            x = _plus_minus_one(rows[:, a:b])
+            if r == 0:
+                z[a:b] = x.sum(axis=0)
+                continue
+            z.view(np.float64).reshape(span, 2)[a:b] = x.T @ weights
+            z[a:b] *= twiddle[: b - a] * np.exp(-2j * np.pi * r * a / n)
+        if r == 0:
+            mods = np.abs(np.fft.rfft(z))
+        else:
+            mods = np.abs(np.fft.fft(z, out=z))
+        yield slice(r, half, radix), mods[: len(range(r, half, radix))]
+        if r < radix - r < radix:
+            mirror = range(radix - r, half, radix)
+            yield slice(radix - r, half, radix), mods[::-1][: len(mirror)]
 
 
 def spectral(bits) -> list[float]:
@@ -453,49 +479,49 @@ def serial(bits, m: int = 13) -> list[float]:
     return [float(chi2_tail(d1, 2 ** (m - 1))), float(chi2_tail(d2, 2 ** (m - 2)))]
 
 
-def _shift_up(words: np.ndarray) -> None:
-    """Multiply bit-packed polynomials by x in place (word 0 lowest)."""
-    carry = words[:-1] >> 63
-    words <<= 1
-    words[1:] |= carry
-
-
 def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
     """Berlekamp-Massey LFSR length of every row of a (blocks, n) array.
 
-    All rows step through bit i together.  Polynomials are bit-packed
-    into (words, blocks) uint64 arrays, bit j of the words meaning x^j:
-    c is the connection polynomial, hist holds s[i - j] at bit j, and
-    shifted holds b * x^(i - last_fail), the term a discrepancy adds to
-    c.  Between updates of b it gains one power of x per step, the same
-    shift for every row; an update sets last_fail = i and b = the old c,
-    so shifted becomes the old c and the next step's shift makes it
-    c * x.  No polynomial that is used exceeds degree i + 1 at step i
-    (deg c <= L <= i + 1), so n // 64 + 1 words hold them and step i
-    touches only the words up to degree i + 1.
+    Bit-sliced: word w of row j of a polynomial array holds bit j (the
+    coefficient of x^j) of blocks 64w to 64w + 63, and all blocks step
+    through bit i together.  c holds the connection polynomials and seq
+    the bits, last bit first, so s[i - j] for j = 0.. is a run of rows.
+    The term a discrepancy adds to c is b * x^(i - last_fail): between
+    updates of b it gains one power of x per step, the same for every
+    block, so update keeps it at a base row that moves down one row per
+    step (row n - i + j holds x^j at step i) and nothing is shifted;
+    no row below the base is ever written, so those rows stay zero.
+    An update sets last_fail = i and b = the old c, so the term becomes
+    the old c, which the next step reads as c * x.  c and every term a
+    discrepancy adds have degree at most L, so each step touches only
+    the rows up to the largest L over the blocks.
     """
     n_blocks, n = blocks.shape
-    n_words = n // 64 + 1
-    c = np.zeros((n_words, n_blocks), dtype=np.uint64)
-    c[0] = 1
-    shifted = c.copy()
-    hist = np.zeros_like(c)
+    n_words = -(-n_blocks // 64)
+    n_bytes = -(-n_blocks // 8)
+    packed = np.zeros((n, n_words * 8), dtype=np.uint8)
+    packed[:, :n_bytes] = np.packbits(blocks.T[::-1], axis=1, bitorder="little")
+    seq = packed.view(np.uint64)
+    c = np.zeros((n + 1, n_words), dtype=np.uint64)
+    c[0] = ~np.uint64(0)
+    update = np.zeros((n + 2, n_words), dtype=np.uint64)
+    update[n + 1] = ~np.uint64(0)  # b * x^(i - last_fail) = x at i = 0
+    grow_bytes = np.zeros(n_words * 8, dtype=np.uint8)
     length = np.zeros(n_blocks, dtype=np.int64)
-    bit_columns = np.ascontiguousarray(blocks.T)
+    top = 0  # the largest L
     for i in range(n):
-        w = min(n_words, (i + 1) // 64 + 1)
-        _shift_up(hist[:w])
-        hist[0] |= bit_columns[i]
-        _shift_up(shifted[:w])
-        overlap = np.bitwise_xor.reduce(c[:w] & hist[:w], axis=0)
-        fails = (np.bitwise_count(overlap) & 1).astype(bool)
+        fail_words = np.bitwise_xor.reduce(c[: top + 1] & seq[n - 1 - i : n - i + top], axis=0)
+        fails = np.unpackbits(fail_words.view(np.uint8), count=n_blocks, bitorder="little")
         twice = 2 * length
         grows = fails & (twice <= i)
-        # c ^= shifted where a discrepancy fails; where L grows, the new
-        # shifted is the old c, which is the new c ^ shifted.
-        c[:w] ^= shifted[:w] & -fails.astype(np.uint64)
-        shifted[:w] ^= c[:w] & -grows.astype(np.uint64)
         length += grows * (i + 1 - twice)
+        top = int(length.max())
+        grow_bytes[:n_bytes] = np.packbits(grows, bitorder="little")
+        # c ^= term where a discrepancy fails; where L grows, the new
+        # term is the old c, which is the new c ^ term.
+        term = update[n - i : n - i + top + 1]
+        c[: top + 1] ^= term & fail_words
+        term ^= c[: top + 1] & grow_bytes.view(np.uint64)
     return length
 
 

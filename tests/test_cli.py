@@ -302,7 +302,7 @@ def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, count)
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     args, flag, source = command
-    bound = "lie in [1, 262144]" if flag == "--lanes" else "be >= 1"
+    bound = "lie in [1, 4096]" if flag == "--lanes" else "be >= 1"
     if source == "flag":
         code = cli.main([*args, flag, count])
         message = f"argument {flag}: must {bound}, got {count}"
@@ -320,20 +320,21 @@ def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, count)
 @pytest.mark.parametrize(
     "source,message",
     [
-        ("flag", "argument --lanes: must lie in [1, 262144], got 262145"),
-        ("config", "bad generate config value lanes: must lie in [1, 262144], got 262145"),
+        ("flag", "argument --lanes: must lie in [1, 4096], got 4097"),
+        ("config", "bad generate config value lanes: must lie in [1, 4096], got 4097"),
     ],
+    ids=["flag", "config"],
 )
-def test_lanes_beyond_one_chunk_exit_one(tmp_path, capsys, monkeypatch, source, message):
-    # One lane more than generator.CHUNK_BITS, refused by the parser
+def test_lanes_above_the_bound_exit_one(tmp_path, capsys, monkeypatch, source, message):
+    # One lane more than generator.MAX_LANES, refused by the parser
     # before any of its cells is built.
     monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     args = ["generate", "--variant", "rhs-parallel", "--bits", "1000", "--out", "x.bin"]
     if source == "flag":
-        code = cli.main([*args, "--lanes", "262145"])
+        code = cli.main([*args, "--lanes", "4097"])
     else:
-        config = _write_config(tmp_path, {"generate": {"lanes": 262145}})
+        config = _write_config(tmp_path, {"generate": {"lanes": 4097}})
         code = cli.main([*args, "--config", config])
     _, err = capsys.readouterr()
     assert code == 1

@@ -14,7 +14,7 @@ from scipy.special import erfc, gammaincc
 from scipy.stats import chisquare
 
 from conftest import linear_complexity_of
-from spintrng.nist import MODULE_NAMES, run_nist_suite
+from spintrng.nist import _MODULES, MODULE_NAMES, run_nist_suite
 from spintrng.nist import modules as M
 
 POOLED_REFERENCE = Path(__file__).parent / "data" / "nist_pooled_pcg64.json"
@@ -93,10 +93,15 @@ class TestLockstepBerlekampMassey:
     @pytest.mark.parametrize("n", [1, 63, 64, 65, 128, 500])
     @pytest.mark.parametrize("p_one", [0.05, 0.5, 0.95])
     def test_lengths_match_scalar_reference(self, n, p_one):
+        # Blocks are packed 64 to a word: block counts that fill one
+        # word partly, nearly or exactly, spill into a second, or span
+        # many; the last block is constant, in the last word's top bits.
         rng = np.random.default_rng(1000 * n + int(100 * p_one))
-        blocks = biased_blocks(rng, 24, n, p_one)
-        got = M._linear_complexities(blocks)
-        assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks]
+        for n_blocks in (1, 24, 63, 64, 65, 2001):
+            blocks = biased_blocks(rng, n_blocks, n, p_one)
+            blocks[-1] = blocks[-1, 0]
+            got = M._linear_complexities(blocks)
+            assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks], n_blocks
 
     @pytest.mark.parametrize("n", [1, 64, 500])
     def test_constant_blocks(self, n):
@@ -185,25 +190,37 @@ class TestSpectral:
     SMALL = [
         np.array(b, dtype=np.uint8) for n in (2, 3, 4) for b in itertools.product((0, 1), repeat=n)
     ]
-    # Lengths divisible by 4 take the radix-4 butterfly; 10_004 and
-    # 1_000_004 give it an odd quarter length.
+    # The radix is the largest power of two dividing n, capped at 16:
+    # lengths 16k (k odd and even), 8 * odd, 4 * odd, 2 * odd and odd
+    # pick every radix from 16 down to 1.
     GROUPS = (
         SMALL
         + random_groups(41, [5, 1001, 1024, 4095, 10_000, 65_537, 100_000, 1_000_000])
         + random_groups(42, [4, 8, 12, 10_004, 1_000_004])
+        + random_groups(46, [6, 24, 48, 1000, 1002, 10_002, 100_008, 1_000_008])
     )
 
     @staticmethod
-    def counting_fft(monkeypatch) -> list:
-        calls = []
+    def spectral_with_recounts(monkeypatch, groups) -> tuple[list, int]:
+        """spectral on every group, and how many groups it recounted.
+
+        A recount is an np.fft.fft call on the whole group; the classes
+        of the decimation in frequency are shorter."""
+        lengths = []
         fft = np.fft.fft
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return fft(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            lengths.append(len(a))
+            return fft(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.fft, "fft", counted)
-        return calls
+        results, recounts = [], 0
+        with monkeypatch.context() as patch:
+            patch.setattr(np.fft, "fft", counted)
+            for bits in groups:
+                lengths.clear()
+                results.append(M.spectral(bits))
+                recounts += lengths.count(bits.size)
+        return results, recounts
 
     def test_rfft_moduli_match_fft_far_inside_the_guard(self):
         for bits in self.GROUPS:
@@ -222,27 +239,25 @@ class TestSpectral:
 
     def test_rfft_path_equals_fft_path(self, monkeypatch):
         want = [reference_spectral(bits) for bits in self.GROUPS]
-        calls = self.counting_fft(monkeypatch)
-        assert [M.spectral(bits) for bits in self.GROUPS] == want
-        assert calls == []
+        assert self.spectral_with_recounts(monkeypatch, self.GROUPS) == (want, 0)
 
     def test_forced_fallback_equals_fft_path(self, monkeypatch):
         # a band wider than any modulus puts every group in the fallback
         want = [reference_spectral(bits) for bits in self.GROUPS]
         monkeypatch.setattr(M, "SPECTRAL_GUARD", 1e9)
-        calls = self.counting_fft(monkeypatch)
-        assert [M.spectral(bits) for bits in self.GROUPS] == want
-        assert len(calls) == len(self.GROUPS)
+        assert self.spectral_with_recounts(monkeypatch, self.GROUPS) == (want, len(self.GROUPS))
 
-    def test_one_call_allocates_under_14_mb(self):
-        (bits,) = random_groups(45, [1_000_000])
-        tracemalloc.start()
-        try:
-            M.spectral(bits)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 14 * 2**20, peak
+    @pytest.mark.parametrize("n", [1000, 100_008, 1_000_000])
+    def test_a_modulus_in_the_band_sends_the_group_to_fft(self, monkeypatch, n):
+        # the band reaches the modulus nearest the threshold at twice
+        # its distance, and misses it at half
+        (bits,) = random_groups(47, [n])
+        mods = np.abs(np.fft.fft(bits * 2.0 - 1.0)[: n // 2])
+        gap = float(np.min(np.abs(mods - math.sqrt(n * math.log(1.0 / 0.05)))))
+        want = [reference_spectral(bits)]
+        for guard, recounts in ((gap / 2, 0), (gap * 2, 1)):
+            monkeypatch.setattr(M, "SPECTRAL_GUARD", guard)
+            assert self.spectral_with_recounts(monkeypatch, [bits]) == (want, recounts), guard
 
 
 class TestCumulativeSums:
@@ -292,6 +307,22 @@ class TestLongestRuns:
         expected = len(longest) * np.asarray(pi)
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert M.longest_run(bits) == [float(gammaincc(len(classes) / 2.0 - 0.5, chi2 / 2.0))]
+
+
+@pytest.mark.parametrize("module", [fn for _, fn, _ in _MODULES], ids=MODULE_NAMES)
+def test_one_group_allocates_under_4_mib(module):
+    # A module's temporaries on a 10^6-bit group, beyond the group
+    # itself: slices and one class at a time keep each far below the
+    # 8 MB of one float64 per bit.
+    (bits,) = random_groups(45, [1_000_000])
+    module(bits)  # caches fill first
+    tracemalloc.start()
+    try:
+        module(bits)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, peak
 
 
 def class_tables():
