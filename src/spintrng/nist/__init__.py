@@ -106,7 +106,7 @@ def run_nist_suite(bits, n_groups: int = 10) -> list[TestResult]:
     """
     from_file = hasattr(bits, "groups")
     if not from_file:
-        bits = np.asarray(bits, dtype=np.uint8).ravel()
+        bits = mod.bit_array(bits)
     if n_groups < 1:
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
     if bits.size == 0 or bits.size % n_groups:

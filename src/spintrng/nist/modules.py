@@ -21,7 +21,9 @@ The block-structured modules run as whole-array kernels rather than
 per-block or per-bit Python loops; each gives the same integers as the
 textbook loop, so the p-values are unchanged:
 
-* Window codes are built by m shift-or passes over the bits.  The
+* Window codes are read from the packed bits: word k is bytes k..k+7
+  read big endian, and the window at bit 8k + s is word k shifted and
+  masked, one shift and one mask for each residue s mod 8.  The
   serial and approximate-entropy tests count codes once at their
   largest m on the wraparound-extended sequence: dropping a code's last
   bit gives the (m-1)-window starting at the same position, so each
@@ -33,20 +35,25 @@ textbook loop, so the p-values are unchanged:
 * Berlekamp-Massey runs over all blocks in lockstep, bit-sliced: the
   blocks are packed 64 to a uint64 word, one word row per polynomial
   coefficient, so one XOR steps 64 blocks.  GF(2) rank eliminates all
-  32x32 matrices in lockstep, one column per step.
+  32x32 matrices in lockstep, one column per step, on rows that are
+  the packed bits viewed as big-endian uint32.
 * The spectral test counts moduli by radix-R decimation in frequency
   (Gentleman and Sande, 1966), with R the largest power of two that
-  divides n, at most 16.  The bins k = r mod R form class r, the
+  divides n, at most 32.  The bins k = r mod R form class r, the
   (n/R)-point DFT of a folded and twiddled sequence; one class is
-  built and transformed at a time, so n/16 complex values are held
+  built and transformed at a time, so n/32 complex values are held
   rather than a whole-group transform, and real input makes class
-  R - r the mirror of class r.  The moduli differ from fft's only by
-  rounding, far below SPECTRAL_GUARD; a group with a modulus within
-  SPECTRAL_GUARD of the threshold is recounted from fft, so the count
-  below the threshold is always fft's.
-* The cumulative-sums test builds the partial sums s_1..s_n one slice
-  at a time, carrying the sum across.  The reverse sequence's partial
-  sums are s_n - s_i for i = 0..n-1 (s_0 = 0), so its largest
+  R - r the mirror of class r.  A class is folded from byte tables:
+  each column's bits in a run of 8 rows form a byte, and a 256-entry
+  table per class and run holds that byte's weighted sum.  The moduli
+  differ from fft's only by rounding, far below SPECTRAL_GUARD; a
+  group with a modulus within SPECTRAL_GUARD of the threshold is
+  recounted from fft, so the count below the threshold is always fft's.
+* The cumulative-sums test walks the packed bytes: per-byte tables of
+  the step total and the highest and lowest partial sum within the
+  byte give the extremes from a cumsum of n/8 byte totals, and the
+  last n mod 8 bits are walked one at a time.  The reverse sequence's
+  partial sums are s_n - s_i for i = 0..n-1 (s_0 = 0), so its largest
   excursion is the larger of s_n - min(s_0..s_n) and max(s_0..s_n) -
   s_n: the same integer the reversed cumsum gives.
 * The longest-run test lays its blocks end to end with a zero after
@@ -56,8 +63,9 @@ textbook loop, so the p-values are unchanged:
   reduceat over each block's runs gives the same maximum as the
   per-block loop (0 for a block without ones).
 
-The serial and approximate-entropy window codes are counted, the
-partial sums taken and the longest runs found one slice of _SLICE bits
+The window codes of the serial, approximate-entropy and both template
+tests, the partial sums, the runs test's transitions and the longest
+runs are all taken one slice of _SLICE bits (or of the blocks in it)
 at a time, so those temporaries do not grow with the group.
 """
 
@@ -70,8 +78,19 @@ import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
 
+def bit_array(bits) -> np.ndarray:
+    """bits as a flat uint8 array.  Input of another dtype must hold only
+    0 and 1 in that dtype, so that no other value is cast to a bit."""
+    arr = np.asarray(bits)
+    if arr.dtype != np.uint8:
+        if not np.all((arr == 0) | (arr == 1)):
+            raise ValueError("bit values must be 0 or 1")
+        arr = arr.astype(np.uint8)
+    return arr.ravel()
+
+
 def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8).ravel()
+    arr = bit_array(bits)
     if arr.size == 0:
         raise ValueError("empty bit sequence")
     if arr.max() > 1:
@@ -105,25 +124,56 @@ def chi2_fit(counts, expected) -> float:
 _SLICE = 1 << 16
 
 
+# The longest window _window_codes reads: a window starting at bit s of
+# a byte spans s + m <= 64 bits of the 8 bytes from that one.
+_MAX_WINDOW = 57
+
+
 def _window_codes(arr: np.ndarray, m: int) -> np.ndarray:
     """Integer code of every length-m window along the last axis
-    (MSB = earliest bit), in the smallest unsigned dtype that holds it."""
+    (MSB = earliest bit), in the smallest unsigned dtype that holds it.
+
+    The bits are packed to bytes and word k is bytes k..k+7 read big
+    endian, so the window starting at bit 8k + s is word k shifted right
+    by 64 - s - m and masked to m bits: one shift and one mask for each
+    residue s mod 8.
+    """
+    if not 1 <= m <= _MAX_WINDOW:
+        raise ValueError(f"window length must be 1..{_MAX_WINDOW}, got {m}")
+    lead = arr.shape[:-1]
     n_win = arr.shape[-1] - m + 1
-    codes = arr[..., :n_win].astype(np.min_scalar_type((1 << m) - 1))
-    for k in range(1, m):
-        codes <<= 1
-        codes |= arr[..., k : k + n_win]
+    n_words = -(-n_win // 8)
+    packed = np.zeros(lead + (8 * -(-n_words // 8) + 8,), dtype=np.uint8)
+    packed[..., : -(-arr.shape[-1] // 8)] = np.packbits(arr, axis=-1)
+    # words k = o mod 8 are one big-endian view of the bytes from o on
+    words = np.empty(lead + (n_words,), dtype=np.uint64)
+    for o in range(8):
+        count = len(range(o, n_words, 8))
+        words[..., o::8] = packed[..., o : o + 8 * count].view(">u8")
+    codes = np.empty(lead + (n_win,), dtype=np.min_scalar_type((1 << m) - 1))
+    shifted = np.empty_like(words)
+    for s in range(8):
+        out = codes[..., s::8]
+        part = shifted[..., : out.shape[-1]]
+        np.right_shift(words[..., : out.shape[-1]], np.uint64(64 - s - m), out=part)
+        np.bitwise_and(part, np.uint64((1 << m) - 1), out=out, casting="unsafe")
     return codes
 
 
-def _wrapped_counts(arr: np.ndarray, m: int) -> np.ndarray:
-    """Counts of the n length-m windows of arr read cyclically."""
-    ext = np.concatenate([arr, arr[: m - 1]])
+def _window_counts(arr: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the length-m window codes of a 1-D arr, one slice of
+    _SLICE windows at a time."""
     counts = np.zeros(2**m, dtype=np.int64)
-    for a in range(0, arr.size, _SLICE):
-        codes = _window_codes(ext[a : a + _SLICE + m - 1], m)
-        counts += np.bincount(codes, minlength=2**m)
+    for a in range(0, arr.size - m + 1, _SLICE):
+        counts += np.bincount(_window_codes(arr[a : a + _SLICE + m - 1], m), minlength=2**m)
     return counts
+
+
+def _wrapped_counts(arr: np.ndarray, m: int) -> np.ndarray:
+    """Counts of the n length-m windows of arr read cyclically: the
+    windows inside arr, and the m - 1 that wrap from its end to its start."""
+    wrap = np.concatenate([arr[arr.size - m + 1 :], arr[: m - 1]])
+    return _window_counts(arr, m) + _window_counts(wrap, m)
 
 
 def _drop_last_bit(counts: np.ndarray) -> np.ndarray:
@@ -161,22 +211,39 @@ def _cusum_p_value(z: int, n: int) -> float:
     return min(max(total, 0.0), 1.0)
 
 
+def _byte_walks():
+    """For every byte, MSB first: the sum of its 8 steps of +-1, and the
+    highest and lowest of its 8 partial sums less that total, so that
+    added to the sum after the byte they give the extremes within it."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    walks = np.cumsum(bits.astype(np.int64) * 2 - 1, axis=1)
+    total = walks[:, -1]
+    return total, walks.max(axis=1) - total, walks.min(axis=1) - total
+
+
+_BYTE_STEP, _BYTE_HIGH, _BYTE_LOW = _byte_walks()
+
+
 def cumulative_sums(bits) -> list[float]:
     """Maximum partial-sum excursion, forward and reverse."""
     arr = _as_bits(bits)
     n = arr.size
-    # The largest, smallest and last of the partial sums s_1..s_n, one
-    # slice at a time with the sum so far carried in.
+    # The largest, smallest and last of the partial sums s_1..s_n: the
+    # whole bytes one slice at a time from the byte tables, with the sum
+    # so far carried in, then the last n mod 8 bits one at a time.
     s_n = high = low = 0
-    for a in range(0, n, _SLICE):
-        s = arr[a : a + _SLICE].astype(np.int64)
-        s *= 2
-        s -= 1
-        np.cumsum(s, out=s)
-        s += s_n
-        high = max(high, int(s.max()))
-        low = min(low, int(s.min()))
-        s_n = int(s[-1])
+    whole = n - n % 8
+    for a in range(0, whole, _SLICE):
+        codes = np.packbits(arr[a : min(a + _SLICE, whole)])
+        after = np.cumsum(_BYTE_STEP[codes])
+        after += s_n
+        high = max(high, int((after + _BYTE_HIGH[codes]).max()))
+        low = min(low, int((after + _BYTE_LOW[codes]).min()))
+        s_n = int(after[-1])
+    for bit in arr[whole:].tolist():
+        s_n += 2 * bit - 1
+        high = max(high, s_n)
+        low = min(low, s_n)
     # The reverse partial sums are s_n - s_i for i = 0..n-1, with s_0 =
     # 0; i = n adds a zero, which changes no maximum.
     forward = max(high, -low)
@@ -190,11 +257,17 @@ def runs(bits) -> list[float]:
     n = arr.size
     if n < 2:
         raise ValueError("need at least 2 bits")
-    pi = float(arr.mean())
-    # Prerequisite monobit screen: a grossly biased sequence fails outright.
-    if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
+    ones = int(np.count_nonzero(arr))
+    pi = ones / n
+    # Prerequisite monobit screen: a grossly biased sequence fails
+    # outright.  Below 16 bits it cannot fire on a constant sequence,
+    # whose pi (1 - pi) of 0 would leave no statistic.
+    if ones in (0, n) or abs(pi - 0.5) >= 2.0 / math.sqrt(n):
         return [0.0]
-    v = 1 + int(np.count_nonzero(arr[1:] != arr[:-1]))
+    v = 1
+    for a in range(0, n - 1, _SLICE):
+        piece = arr[a : a + _SLICE + 1]
+        v += int(np.count_nonzero(piece[1:] != piece[:-1]))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
     return [float(erfc(num / den))]
@@ -258,20 +331,21 @@ def longest_run(bits) -> list[float]:
 
 
 def _gf2_ranks(rows, n_cols: int) -> np.ndarray:
-    """GF(2) rank of every matrix in a (matrices, rows) array of row ints.
+    """GF(2) rank of every matrix in a (matrices, rows) array of row ints
+    of n_cols <= 32 bits.
 
     Elimination in lockstep, one column per step: in every matrix the
     first row with that bit set is the pivot, and it is added to every
     row with the bit set, itself included.  The pivot row so becomes
     zero, as if removed, and the column is cleared from all other rows.
     """
-    rows = np.array(rows, dtype=np.uint64)
+    rows = np.array(rows, dtype=np.uint32)
     idx = np.arange(rows.shape[0])
     ranks = np.zeros(rows.shape[0], dtype=np.int64)
     for col in range(n_cols - 1, -1, -1):
-        has_bit = (rows & np.uint64(1 << col)) != 0
+        has_bit = (rows & np.uint32(1 << col)) != 0
         pivot_row = rows[idx, has_bit.argmax(axis=1)]
-        rows ^= np.where(has_bit, pivot_row[:, None], np.uint64(0))
+        rows ^= np.where(has_bit, pivot_row[:, None], np.uint32(0))
         ranks += has_bit.any(axis=1)
     return ranks
 
@@ -288,8 +362,10 @@ def _rank_probability(r: int, m: int, q: int) -> float:
 def rank(bits) -> list[float]:
     """Ranks of disjoint 32x32 binary matrices over GF(2)."""
     m = q = 32
-    mats = _blocks(_as_bits(bits), m * q).reshape(-1, m, q)
-    ranks = _gf2_ranks(_window_codes(mats, q)[..., 0], q)
+    # row i of each matrix is bits 32i..32i+31 of its block, first bit
+    # the MSB: one big-endian uint32 of the packed block
+    rows = np.packbits(_blocks(_as_bits(bits), m * q), axis=1).view(">u4")
+    ranks = _gf2_ranks(rows, q)
     # Classes: full rank, one short of it, and the rest.
     counts = np.bincount(np.minimum(m - ranks, 2), minlength=3)
     p_full = _rank_probability(m, m, q)
@@ -306,15 +382,8 @@ SPECTRAL_GUARD = 1e-6
 
 # Largest radix of the decimation in frequency, and columns of the
 # (radix, n / radix) group read per step while one class is built.
-_SPECTRAL_RADIX = 16
+_SPECTRAL_RADIX = 32
 _SPECTRAL_CHUNK = 1 << 12
-
-
-def _plus_minus_one(bits: np.ndarray) -> np.ndarray:
-    x = bits.astype(np.float64)
-    x *= 2.0
-    x -= 1.0
-    return x
 
 
 def _spectral_moduli(arr: np.ndarray):
@@ -329,27 +398,44 @@ def _spectral_moduli(arr: np.ndarray):
     gives |X[n - k]| = |X[k]|, so class R - r is class r reversed and
     only classes 0..R/2 are transformed.  Class 0 is real and takes an
     rfft; R = 1 is one rfft of the whole group.
+
+    The sum over q is read from byte tables: the bits x[j + qS] of each
+    run of w = min(R, 8) rows q = wg..wg + w - 1 form the code of
+    column j in row group g, built once per group, and class r's table
+    for g holds sum_t (2 b_t - 1) W^((wg + t)Sr) for every code b.
     """
     n = arr.size
     half = n // 2
     radix = min(n & -n, _SPECTRAL_RADIX)
     span = n // radix
-    rows = arr.reshape(radix, span)  # rows[q, j] = x[j + qS]
+    width = min(radix, 8)
+    # codes[g, j] = bits x[j + qS] for q = width g.. (the first the MSB)
+    rows = arr.reshape(radix // width, width, span)
+    codes = np.zeros((radix // width, span), dtype=np.uint8)
+    for t in range(width):
+        codes <<= 1
+        codes |= rows[:, t]
+    # signs[b, t] = 2 b_t - 1 for bit t of code b, MSB first
+    signs = (np.arange(2**width)[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    signs = signs * 2.0 - 1.0
     for r in range(radix // 2 + 1):
-        # columns cos and sin of the angles -2 pi qr / R, and W^(jr) for
-        # the first chunk's j
-        angles = np.arange(radix) * (-2.0 * np.pi * r / radix)
-        weights = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        # tables[g, b] = sum_t (2 b_t - 1) W^((width g + t)Sr), and W^(jr)
+        # for the first chunk's j
+        turns = (np.arange(radix) * r % radix).reshape(-1, width)
+        tables = np.exp(turns * (-2j * np.pi / radix)) @ signs.T
+        if r == 0:
+            tables = tables.real
         twiddle = np.exp(np.arange(_SPECTRAL_CHUNK) * (-2j * np.pi * r / n))
-        z = np.empty(span, dtype=np.float64 if r == 0 else np.complex128)
+        z = np.empty(span, dtype=tables.dtype)
         for a in range(0, span, _SPECTRAL_CHUNK):
             b = min(a + _SPECTRAL_CHUNK, span)
-            x = _plus_minus_one(rows[:, a:b])
-            if r == 0:
-                z[a:b] = x.sum(axis=0)
-                continue
-            z.view(np.float64).reshape(span, 2)[a:b] = x.T @ weights
-            z[a:b] *= twiddle[: b - a] * np.exp(-2j * np.pi * r * a / n)
+            # a code never exceeds its table, so take skips the bounds check
+            part = tables[0].take(codes[0, a:b], mode="clip")
+            for table, code in zip(tables[1:], codes[1:, a:b]):
+                part += table.take(code, mode="clip")
+            if r:
+                part *= twiddle[: b - a] * np.exp(-2j * np.pi * r * a / n)
+            z[a:b] = part
         if r == 0:
             mods = np.abs(np.fft.rfft(z))
         else:
@@ -372,7 +458,7 @@ def spectral(bits) -> list[float]:
         n1 += int(np.count_nonzero(mods < threshold - SPECTRAL_GUARD))
         n1_wide += int(np.count_nonzero(mods < threshold + SPECTRAL_GUARD))
     if n1 != n1_wide:
-        mods = np.abs(np.fft.fft(_plus_minus_one(arr))[: n // 2])
+        mods = np.abs(np.fft.fft(arr * 2.0 - 1.0)[: n // 2])
         n1 = int(np.count_nonzero(mods < threshold))
     n0 = 0.95 * n / 2.0
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
@@ -415,11 +501,10 @@ def non_overlapping_templates(bits, m: int = 9, n_blocks: int = 8) -> list[float
         raise ValueError(f"blocks of {block_len} bits are too short for m={m}")
     mean = (block_len - m + 1) / 2.0**m
     var = block_len * (1.0 / 2.0**m - (2.0 * m - 1.0) / 2.0 ** (2 * m))
-    codes = _window_codes(_blocks(arr, block_len)[:n_blocks], m)
     templates = template_codes(m)
     chi2 = np.zeros(templates.size)
-    for block in codes:
-        w = np.bincount(block, minlength=2**m)[templates]
+    for block in _blocks(arr, block_len)[:n_blocks]:
+        w = _window_counts(block, m)[templates]
         chi2 += (w - mean) ** 2 / var
     return [float(p) for p in chi2_tail(chi2, n_blocks)]
 
@@ -436,7 +521,14 @@ def overlapping_template(bits) -> list[float]:
     """Overlapping occurrences of the all-ones length-_OVERLAP_M template."""
     blocks = _blocks(_as_bits(bits), _OVERLAP_BLOCK_LEN)
     k = len(_OVERLAP_PI) - 1
-    hits = np.count_nonzero(_window_codes(blocks, _OVERLAP_M) == 2**_OVERLAP_M - 1, axis=1)
+    rows = _SLICE // _OVERLAP_BLOCK_LEN
+    all_ones = 2**_OVERLAP_M - 1
+    hits = np.concatenate(
+        [
+            np.count_nonzero(_window_codes(blocks[a : a + rows], _OVERLAP_M) == all_ones, axis=1)
+            for a in range(0, blocks.shape[0], rows)
+        ]
+    )
     counts = np.bincount(np.minimum(hits, k), minlength=k + 1)
     return [chi2_fit(counts, hits.size * np.asarray(_OVERLAP_PI))]
 

@@ -163,6 +163,19 @@ class TestWindowCodes:
         for row, codes in zip(rows, got):
             assert np.array_equal(codes, reference_window_codes(row, 9))
 
+    @pytest.mark.parametrize("m", [33, 56, 57])
+    def test_widest_windows_match_reference(self, m):
+        # a window from the last bit of a byte spans all 64 bits of its word
+        rng = np.random.default_rng(m)
+        rows = rng.integers(0, 2, size=(3, 301), dtype=np.uint8)
+        for row, codes in zip(rows, M._window_codes(rows, m)):
+            assert np.array_equal(codes, reference_window_codes(row, m))
+
+    @pytest.mark.parametrize("m", [0, 58])
+    def test_windows_wider_than_a_word_allows_are_rejected(self, m):
+        with pytest.raises(ValueError, match="window length must be 1..57"):
+            M._window_codes(np.zeros(100, dtype=np.uint8), m)
+
     @pytest.mark.parametrize("m", [2, 3, 11, 13])
     def test_dropping_last_bit_gives_shorter_wrapped_counts(self, m):
         rng = np.random.default_rng(m)
@@ -190,14 +203,15 @@ class TestSpectral:
     SMALL = [
         np.array(b, dtype=np.uint8) for n in (2, 3, 4) for b in itertools.product((0, 1), repeat=n)
     ]
-    # The radix is the largest power of two dividing n, capped at 16:
-    # lengths 16k (k odd and even), 8 * odd, 4 * odd, 2 * odd and odd
-    # pick every radix from 16 down to 1.
+    # The radix is the largest power of two dividing n, capped at 32:
+    # lengths 32k (k odd and even), 16 * odd, 8 * odd, 4 * odd, 2 * odd
+    # and odd pick every radix from 32 down to 1.
     GROUPS = (
         SMALL
         + random_groups(41, [5, 1001, 1024, 4095, 10_000, 65_537, 100_000, 1_000_000])
         + random_groups(42, [4, 8, 12, 10_004, 1_000_004])
         + random_groups(46, [6, 24, 48, 1000, 1002, 10_002, 100_008, 1_000_008])
+        + random_groups(48, [16, 32, 96, 10_016, 10_048, 100_032, 1_000_032])
     )
 
     @staticmethod
@@ -264,6 +278,8 @@ class TestCumulativeSums:
     GROUPS = (
         [np.full(n, b, dtype=np.uint8) for n in (1, 1000) for b in (0, 1)]
         + random_groups(43, [2, 3, 100, 999, 10_000, 1_000_000])
+        # every residue mod 8, so every tail of bits past the last byte
+        + random_groups(49, [8, 9, 65_538, 65_539, 65_540, 65_541, 65_542, 65_543])
         + [biased_blocks(np.random.default_rng(44), 1, 5000, p)[0] for p in (0.1, 0.9)]
     )
 
@@ -309,20 +325,52 @@ class TestLongestRuns:
         assert M.longest_run(bits) == [float(gammaincc(len(classes) / 2.0 - 0.5, chi2 / 2.0))]
 
 
-@pytest.mark.parametrize("module", [fn for _, fn, _ in _MODULES], ids=MODULE_NAMES)
-def test_one_group_allocates_under_4_mib(module):
-    # A module's temporaries on a 10^6-bit group, beyond the group
-    # itself: slices and one class at a time keep each far below the
-    # 8 MB of one float64 per bit.
-    (bits,) = random_groups(45, [1_000_000])
-    module(bits)  # caches fill first
+def traced_peak(module, bits) -> int:
+    """Bytes a module allocates at its peak on bits, once caches are filled."""
+    module(bits)
     tracemalloc.start()
     try:
         module(bits)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * 2**20, peak
+
+
+# Named for the bound it first held; it now holds every module under 2 MiB.
+@pytest.mark.parametrize("module", [fn for _, fn, _ in _MODULES], ids=MODULE_NAMES)
+def test_one_group_allocates_under_4_mib(module):
+    # A module's temporaries on a 10^6-bit group, beyond the group
+    # itself: slices and one class at a time keep each below 2 bytes
+    # per bit, against the 8 of one float64 per bit.
+    (bits,) = random_groups(45, [1_000_000])
+    peak = traced_peak(module, bits)
+    assert peak < 2 * 2**20, peak
+
+
+SLICED = (
+    "cumulative_sums",
+    "runs",
+    "longest_run",
+    "non_overlapping_template",
+    "overlapping_template",
+    "approximate_entropy",
+    "serial",
+)
+
+
+@pytest.fixture(scope="module")
+def ten_million_bits():
+    (bits,) = random_groups(50, [10_000_000])
+    return bits
+
+
+@pytest.mark.parametrize("name", SLICED)
+def test_sliced_modules_allocate_under_1_mib_on_a_long_group(name, ten_million_bits):
+    # These modules hold nothing that grows with the group: a 10^7-bit
+    # group costs them no more than one slice's temporaries.
+    module = {n: fn for n, fn, _ in _MODULES}[name]
+    peak = traced_peak(module, ten_million_bits)
+    assert peak < 2**20, peak
 
 
 def class_tables():
@@ -405,6 +453,33 @@ class TestSharedStatistics:
         with pytest.raises(ValueError) as exc:
             call()
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            np.array([256, 1, 1, 0]),
+            np.array([0.5, 1.0, 1.0, 0.0]),
+            np.array([0, 1, -1, 1]),
+            [0, 1, 2],
+        ],
+        ids=["wraps-to-zero", "fraction", "negative", "list"],
+    )
+    def test_a_value_that_is_not_a_bit_is_rejected_before_the_cast(self, bits):
+        for call in (M.frequency, M._as_bits, partial(run_nist_suite, n_groups=1)):
+            with pytest.raises(ValueError, match="bit values must be 0 or 1"):
+                call(bits)
+
+    def test_bits_of_other_dtypes_equal_uint8_bits(self):
+        (bits,) = random_groups(51, [1000])
+        for dtype in (bool, np.int64, np.float64, object):
+            np.testing.assert_array_equal(M._as_bits(bits.astype(dtype)), bits)
+
+    @pytest.mark.parametrize("n", range(2, 16))
+    def test_runs_of_a_constant_sequence_fail_outright(self, n):
+        # below 16 bits the monobit screen cannot fire, but pi (1 - pi)
+        # is 0: a constant sequence fails as it does from 16 bits on
+        for b in (0, 1):
+            assert M.runs(np.full(n, b, dtype=np.uint8)) == [0.0]
 
     def test_blocks_drop_the_partial_tail(self):
         arr = np.arange(11, dtype=np.uint8)
