@@ -19,18 +19,23 @@ write switches a cell in P and one in AP (device.flip_probs), so
 voltage, temperature and process reach the bits only through them.
 Every unit consumes exactly one uniform draw from its own substream
 per cycle, in cycle order, and BitGenerator.generate turns a block of
-those draws into bits without a per-cycle loop: a conventional cell's
-bit is one comparison, and a feedback cell's chain runs through
-_chain_states, which scans 64 cycles per uint64 word.  The generator
-keeps each cell's chain state, starting at P, so a further generate
-call continues the same chains.  A request that rhs-parallel's lane count
-does not divide still runs whole cycles; the generator keeps the
-unused lanes of the last cycle and emits them first on the next call,
-so any split of a request into calls yields the bits of one call.
-BitGenerator.chunks relies on this: it is the one place that splits a
-request into generate calls of CHUNK_BITS bits, and every consumer of
-long streams (the file writer, the sweep cells) takes its bits from
-it, so memory stays flat however long the request.
+those draws into bits without a per-cycle loop.  Each unit's
+comparisons go into its own row of packed uint64 words, 64 cycles per
+word: a conventional cell's bit is its one comparison, and the chains
+of all feedback cells step together in one _chain_states call, so a
+call costs the same few dozen numpy operations however many cells
+rhs-parallel has.  Its lanes are one XOR of adjacent rows.  The
+generator keeps each cell's chain state, starting at P, so a further
+generate call continues the same chains.  A request that
+rhs-parallel's lane count does not divide still runs whole cycles;
+the generator keeps the unused lanes of the last cycle and emits them
+first on the next call, so any split of a request into calls yields
+the bits of one call.  BitGenerator.chunks relies on this: it is the
+one place that splits a request into generate calls of CHUNK_BITS
+bits, and every consumer of long streams (the file writer, the sweep
+cells) takes its bits from it.  A generator reuses its draw and
+word buffers from call to call, so memory stays flat however long the
+request, and a chunk's other temporaries stay small.
 
 Timing, energy and area are the paper's fixed design figures, held
 as module constants and read through the GeneratorConfig properties
@@ -78,18 +83,31 @@ AREA_UM2_UNIT = 9.79
 # Bits per generate call in BitGenerator.chunks.  A multiple of 64, so
 # every chunk but the last ends on a byte and on an ascii line, and the
 # chunks' file encodings join into the encoding of the whole request.
-# With the word-parallel chain kernel, sweep cells ran 7.0-7.6 ns per
-# bit at every size from 2^16 to 2^20 (2-core x86_64, at the nominal
-# point and at -10% supply), so 2^18 stays: a chunk's uniforms, at
-# most 2 MB, are the one buffer a generator keeps between calls.
-CHUNK_BITS = 1 << 18
+# BitGenerator.chunks(10^7), medians of 9 interleaved runs in ns per
+# bit at the nominal point (2-core x86_64, quartiles 20-30% apart):
+#
+#                     2^15  2^16  2^17  2^18
+#   conv-ap2p          3.5   3.9   3.5   4.1
+#   rhs-single         5.5   5.2   4.8   6.2
+#   rhs-trng          10.2  10.9  10.8  10.4
+#   rhs-parallel(8)    8.3   8.7   6.9   7.1
+#
+# The sizes differ by less than the spread, so memory picks 2^16: a
+# chunk's uniforms are at most 512 KiB, and an rhs-trng chunk's other
+# temporaries stay under glibc's 128 KiB mmap threshold, so they reuse
+# heap pages: `sweep --axis voltage --bits-per-point 1000000` peaks at
+# 36.3 MB against 35.1 MB for its imports alone (38.9 MB at 2^18 with
+# a kernel call per cell).
+CHUNK_BITS = 1 << 16
 
 # Most output lanes the CLI accepts for rhs-parallel, well inside one
 # chunk.  Every cell owns a numpy Generator, built before any work, so
-# the lane count alone sets the cost of a small request: `generate
-# --bits 1000` took 0.16 s and 36 MB peak RSS at one lane, 0.58 s and
-# 40 MB at 2^12 lanes, 1.13 s and 54 MB at 2^14 and 16.8 s and 345 MB
-# at 2^18 (2-core x86_64).
+# the lane count alone sets the cost of a small request: at 2^18 lanes
+# `generate --bits 1000` took 16.8 s and 345 MB peak RSS.  Within the
+# bound, `generate --bits 1000` took 0.23 s and 35.7 MB at 8 and at 64
+# lanes, 0.24 s and 36.1 MB at 512 and 0.37 s and 40.1 MB at 4,096;
+# 10^7 bits took 0.34, 0.33, 0.49 and 0.92 s, within 0.7 MB of those
+# peaks (2-core x86_64, medians of 3).
 MAX_LANES = 1 << 12
 
 
@@ -194,40 +212,43 @@ class BitStream:
     info: StreamInfo
 
 
-def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
-    """States X_1..X_n of the two-state flip chain driven by uniforms u.
+def _chain_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """States of a batch of two-state flip chains, one chain per row.
 
-    Bit-identical with the sequential recursion
-    X_t = X_{t-1} XOR (u_t < flip_prob(X_{t-1})), starting from X_0 = x0.
-    With a_t = u_t < p1 and b_t = u_t < p2, a draw where both are set
-    toggles the state, a draw where neither is keeps it, and a draw
-    where they differ is a restart: it sets X_t = a_t whatever the state
-    was.  So with parity_t the running XOR of the toggles, X_t XOR
-    parity_t is constant between restarts: x0 before the first, and
-    a_t XOR parity_t from a restart at t on.  Each state is that filled
+    Row r of a and b holds chain r's comparisons a_t = u_t < p1 and
+    b_t = u_t < p2 of its own uniforms and (p1, p2), packed
+    little-endian: cycle t at bit t % 64 of word 1 + t // 64.  Word 0
+    is the row's guard, 64 draws that each restart the chain to its
+    starting state x0: all ones in a and zeros in b for x0 = 1, the
+    reverse for x0 = 0.  A last word's padding draws are zero in both,
+    so they neither toggle nor restart.  The result is packed the same
+    way: bit t of row r is X_t of chain r, bit-identical with the
+    sequential recursion X_t = X_{t-1} XOR (u_t < flip_prob(X_{t-1}));
+    a and b are overwritten.
+
+    With a_t and b_t both set a draw toggles the state, with neither it
+    keeps it, and where they differ it is a restart: it sets X_t = a_t
+    whatever the state was.  So with parity_t the running XOR of the
+    toggles, X_t XOR parity_t is constant between restarts, and from a
+    restart at t on it is a_t XOR parity_t.  Each state is that filled
     value XOR parity.
 
-    Both scans run on whole uint64 words, cycle t at bit t % 64 of word
-    t // 64: a and b are packed little-endian, and the last word is
-    padded with draws that neither toggle nor restart.  Parity is a
-    prefix XOR, in-word by six doubling shifts and across words by
-    XORing in the parity of every earlier word.  The fill is one carry
-    chain.  Read propagate = ~restart | value and value as two integers
-    over all the words: at bit t of propagate + value + x0, a restart to
-    1 sets the carry, a restart to 0 clears it, and any other draw
-    passes it on, so the carry out of bit t is the filled value at t.
-    That is value at a restart and the inverse of the sum bit elsewhere.
+    Both scans run over the words of all rows as one sequence.  Parity
+    is a prefix XOR, in-word by six doubling shifts and across words by
+    XORing in the parity of every earlier word; a guard toggles nothing,
+    so a row's parity starts wherever the row before left it and the
+    guard's restart makes up for it.  The fill is one carry chain.  Read
+    propagate = ~restart | value and value as two integers over all the
+    words: at bit t of propagate + value, a restart to 1 sets the carry,
+    a restart to 0 clears it, and any other draw passes it on, so the
+    carry out of bit t is the filled value at t.  That is value at a
+    restart and the inverse of the sum bit elsewhere.  A guard restarts
+    every one of its bits, so no carry crosses from one row into the
+    next.
     """
-    n = u.size
-    if n == 0:
-        return np.empty(0, dtype=np.uint8)
-    n_words = -(-n // 64)
-    below = np.zeros(64 * n_words, dtype=bool)
-    np.less(u, p1, out=below[:n])
-    a = np.packbits(below, bitorder="little").view("<u8")
-    np.less(u, p2, out=below[:n])
-    b = np.packbits(below, bitorder="little").view("<u8")
-    del below
+    shape = a.shape
+    a = a.reshape(-1)
+    b = b.reshape(-1)
     restart = a ^ b
     parity = np.bitwise_and(a, b, out=b)
     tmp = np.empty_like(parity)
@@ -241,13 +262,23 @@ def _chain_states(u: np.ndarray, p1: float, p2: float, x0: int) -> np.ndarray:
     parity ^= np.negative(earlier, out=earlier)
     value = np.bitwise_and(np.bitwise_xor(a, parity, out=a), restart, out=a)
     propagate = np.bitwise_or(np.invert(restart, out=tmp), value, out=tmp)
-    total = int.from_bytes(propagate, "little") + int.from_bytes(value, "little") + int(x0)
-    sum_bytes = total.to_bytes(8 * n_words + 1, "little")
-    carry_sum = np.frombuffer(sum_bytes, dtype="<u8", count=n_words)
+    total = int.from_bytes(propagate, "little") + int.from_bytes(value, "little")
+    sum_bytes = total.to_bytes(8 * a.size + 1, "little")
+    carry_sum = np.frombuffer(sum_bytes, dtype="<u8", count=a.size)
     states = np.invert(np.bitwise_or(restart, carry_sum, out=restart), out=restart)
     states |= value
     states ^= parity
-    return np.unpackbits(states.view(np.uint8), count=n, bitorder="little")
+    return states.reshape(shape)
+
+
+def _pack_less(u: np.ndarray, p: np.ndarray, out: np.ndarray, below: np.ndarray) -> None:
+    """Write u < p into out: row r of u against p[r], packed
+    little-endian with zero padding.  below is a bool buffer with
+    out's shape in bits."""
+    below = below[: out.size * 64].reshape(out.shape[0], -1)
+    below[:, u.shape[1]:] = False
+    np.less(u, p[:, None], out=below[:, : u.shape[1]])
+    out[...] = np.packbits(below, axis=1, bitorder="little").view("<u8")
 
 
 class BitGenerator:
@@ -272,29 +303,66 @@ class BitGenerator:
         root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         self.seed_entropy = root.entropy
         self._rngs = [np.random.default_rng(ss) for ss in root.spawn(config.n_units)]
+        # Every unit's p1 and p2, as the columns its rows compare against.
+        self._p1, self._p2 = np.array(self._probs).T
         # Each cell's chain state after the last cycle run.
-        self._states = [STATE_P] * config.n_units
+        self._states = np.full(config.n_units, STATE_P, dtype=np.uint64)
         # rhs-parallel lanes of the last cycle that no call has emitted yet.
         self._carried = np.empty(0, dtype=np.uint8)
-        # Every unit's uniforms for one call, drawn in turn into one
-        # buffer that later calls reuse.
-        self._uniforms = np.empty(0)
+        # One buffer per dtype for a call's uniforms, comparisons and
+        # packed rows, grown as needed and reused by later calls.
+        self._scratch: dict[type, np.ndarray] = {}
 
     def realized_flip_probs(self) -> list[tuple[float, float]]:
         """Per-unit (p1, p2) in effect for this run."""
         return list(self._probs)
 
-    def _unit_states(self, k: int, n_cycles: int) -> np.ndarray:
-        """Unit k's states over the next n_cycles cycles."""
-        if self._uniforms.size < n_cycles:
-            self._uniforms = np.empty(n_cycles)
-        u = self._rngs[k].random(out=self._uniforms[:n_cycles])
-        p1, p2 = self._probs[k]
-        if self.config.variant is Variant.CONV_P_TO_AP:
-            return (u < p1).astype(np.uint8)
-        if self.config.variant is Variant.CONV_AP_TO_P:
-            return (u >= p2).astype(np.uint8)
-        return _chain_states(u, p1, p2, self._states[k])
+    def _buffer(self, size: int, dtype: type) -> np.ndarray:
+        """The first size items of the reused dtype buffer."""
+        buf = self._scratch.get(dtype)
+        if buf is None or buf.size < size:
+            buf = self._scratch[dtype] = np.empty(size, dtype=dtype)
+        return buf[:size]
+
+    def _cell_states(self, n_cycles: int) -> np.ndarray:
+        """Every unit's states over the next n_cycles cycles, one row
+        per unit, packed little-endian: cycle t at bit t % 64 of word
+        t // 64.  Bits past n_cycles are padding.
+
+        Each unit draws its uniforms from its own substream into a
+        shared buffer, as many units at a time as fit in CHUNK_BITS
+        doubles, and its comparisons go into its packed rows.  A
+        conventional cell's bit is its one comparison; the feedback
+        cells' chains all run in one _chain_states call.
+        """
+        variant = self.config.variant
+        n_units = self.config.n_units
+        n_words = -(-n_cycles // 64)
+        a, b = self._buffer(2 * n_units * (n_words + 1), np.uint64).reshape(2, n_units, -1)
+        # Each row's guard restarts its chain where the last call left it.
+        a[:, 0] = np.negative(self._states)
+        b[:, 0] = ~a[:, 0]
+        group = max(1, CHUNK_BITS // max(n_cycles, 1))
+        for start in range(0, n_units, group):
+            rows = slice(start, min(start + group, n_units))
+            n_rows = rows.stop - start
+            u = self._buffer(n_rows * n_cycles, np.float64).reshape(n_rows, n_cycles)
+            for rng, row in zip(self._rngs[rows], u):
+                rng.random(out=row)
+            below = self._buffer(n_rows * 64 * n_words, np.bool_)
+            if variant is not Variant.CONV_AP_TO_P:
+                _pack_less(u, self._p1[rows], a[rows, 1:], below)
+            if variant is not Variant.CONV_P_TO_AP:
+                _pack_less(u, self._p2[rows], b[rows, 1:], below)
+        if variant is Variant.CONV_P_TO_AP:
+            return a[:, 1:]
+        if variant is Variant.CONV_AP_TO_P:
+            return np.invert(b[:, 1:])
+        states = _chain_states(a, b)
+        if n_cycles:
+            last = states[:, n_words] >> np.uint64((n_cycles - 1) % 64)
+            self._states = last & np.uint64(1)
+        return states[:, 1:]
 
     def _n_cycles(self, n_bits: int) -> int:
         """Cycles a generate(n_bits) call made now runs, after the
@@ -336,27 +404,16 @@ class BitGenerator:
         info = self.stream_info(n_bits)
         carried = self._carried
         n_cycles = self._n_cycles(n_bits)
-        states = [self._unit_states(k, n_cycles) for k in range(self.config.n_units)]
-
-        if len(states) == 1:
-            bits = states[0]
-        else:
-            # Lane k of a cycle is cell k XOR cell k + 1, written
-            # straight into the row-major output.
-            lanes = np.empty((n_cycles, len(states) - 1), dtype=np.uint8)
-            for k in range(len(states) - 1):
-                np.bitwise_xor(states[k], states[k + 1], out=lanes[:, k])
-            bits = lanes.reshape(-1)
-        if carried.size:
-            bits = np.concatenate((carried, bits))
+        rows = self._cell_states(n_cycles)
+        if rows.shape[0] > 1:
+            # Lane k of a cycle is cell k XOR cell k + 1.
+            rows = rows[:-1] ^ rows[1:]
+        bits = np.empty(carried.size + n_cycles * rows.shape[0], dtype=np.uint8)
+        bits[: carried.size] = carried
+        cycles = np.unpackbits(rows.view(np.uint8), axis=1, count=n_cycles, bitorder="little")
+        bits[carried.size :].reshape(n_cycles, rows.shape[0])[...] = cycles.T
         self._carried = bits[n_bits:].copy()
-        bits = bits[:n_bits]
-
-        # Carry each cell's state into the next generate call.
-        if n_cycles:
-            self._states = [int(traj[-1]) for traj in states]
-
-        return BitStream(bits, info)
+        return BitStream(bits[:n_bits], info)
 
 
 def generate_bitstream(

@@ -56,12 +56,12 @@ textbook loop, so the p-values are unchanged:
   partial sums are s_n - s_i for i = 0..n-1 (s_0 = 0), so its largest
   excursion is the larger of s_n - min(s_0..s_n) and max(s_0..s_n) -
   s_n: the same integer the reversed cumsum gives.
-* The longest-run test lays its blocks end to end with a zero after
-  each one, so no run crosses a block.  The positions where a bit
-  differs from the one before alternate between run starts and
-  one-past-ends, their differences are the run lengths, and a
-  reduceat over each block's runs gives the same maximum as the
-  per-block loop (0 for a block without ones).
+* The longest-run test scans each block once: at every bit, the
+  position of the last zero up to it is a running maximum of the zero
+  positions (0 before the first), the bit's run of ones is its own
+  position minus that, and the block's longest run is the largest
+  such difference: the per-block loop's maximum, 0 for a block
+  without ones.
 
 The window codes of the serial, approximate-entropy and both template
 tests, the partial sums, the runs test's transitions and the longest
@@ -288,23 +288,13 @@ _LONGEST_RUN_TABLES = (
 
 
 def _longest_one_runs(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in every row of a (rows, m) 0/1 array."""
-    n_rows, m = blocks.shape
-    # The rows laid end to end, each followed by a zero, after one
-    # leading zero: every run starts and ends inside its own row, so the
-    # bits that differ from the bit before them alternate between starts
-    # and one-past-ends.
-    flat = np.zeros(n_rows * (m + 1) + 1, dtype=np.uint8)
-    flat[1:].reshape(n_rows, m + 1)[:, :m] = blocks
-    edges = np.flatnonzero(flat[1:] != flat[:-1])
-    starts = edges[::2]
-    lengths = edges[1::2] - starts
-    longest = np.zeros(n_rows, dtype=np.int64)
-    if lengths.size:
-        row = starts // (m + 1)
-        first = np.flatnonzero(np.diff(row, prepend=-1))
-        longest[row[first]] = np.maximum.reduceat(lengths, first)
-    return longest
+    """Longest run of ones in every row of a (rows, m) 0/1 array, m < 2^15."""
+    position = np.arange(1, blocks.shape[1] + 1, dtype=np.int16)
+    run = np.subtract(1, blocks, dtype=np.int16)
+    run *= position
+    np.maximum.accumulate(run, axis=1, out=run)
+    np.subtract(position, run, out=run)
+    return run.max(axis=1)
 
 
 def longest_run(bits) -> list[float]:
@@ -319,7 +309,10 @@ def longest_run(bits) -> list[float]:
         raise ValueError(f"need at least 128 bits, got {n}")
     m, classes, pi = table
     blocks = _blocks(arr, m)
-    rows = max(1, _SLICE // m)
+    # Two bytes per bit: half a slice keeps the run lengths at 64 KiB,
+    # under glibc's 128 KiB mmap threshold, so each slice reuses heap
+    # pages rather than faulting in fresh ones.
+    rows = max(1, _SLICE // (2 * m))
     longest = np.concatenate(
         [_longest_one_runs(blocks[a : a + rows]) for a in range(0, blocks.shape[0], rows)]
     )

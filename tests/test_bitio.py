@@ -345,10 +345,13 @@ class TestWriteGenerated:
         assert generator.CHUNK_BITS % 64 == 0
 
     # 5,003 bits end mid-byte and mid-line; no chunk size below is a
-    # multiple of rhs-parallel's 3 lanes, so lanes carry between chunks.
+    # multiple of rhs-parallel's 3 or 65 lanes, so lanes carry between
+    # chunks.  At 64 and 65 lanes a 64-bit chunk holds one cycle or less.
     @pytest.mark.parametrize("chunk_bits", [64, 320, 4096, 8192])
     @pytest.mark.parametrize("fmt", [bitio.FORMAT_PACKED, bitio.FORMAT_ASCII])
-    @pytest.mark.parametrize("variant,lanes", VARIANT_LANES)
+    @pytest.mark.parametrize(
+        "variant,lanes", [*VARIANT_LANES, (Variant.RHS_PARALLEL, 64), (Variant.RHS_PARALLEL, 65)]
+    )
     def test_chunked_file_equals_one_shot(self, tmp_path, monkeypatch, variant, lanes, fmt, chunk_bits):
         config = GeneratorConfig(variant=variant, lanes=lanes)
         one_shot = str(tmp_path / "one.dat")

@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from spintrng import cli, nist
-from spintrng.generator import BitGenerator, GeneratorConfig
+from spintrng import bitio, cli, nist
+from spintrng.generator import BitGenerator, GeneratorConfig, Variant
 from spintrng.sweeps import Axis, run_sweep, spec_for_axis
 from spintrng.system import speedup_report
 
@@ -619,6 +619,20 @@ def test_generate_command_output_is_pinned(tmp_path, capsys, monkeypatch, varian
     out, _ = capsys.readouterr()
     got = [out.encode(), (tmp_path / "s.out.json").read_bytes(), (tmp_path / "s.out").read_bytes()]
     assert [hashlib.sha256(b).hexdigest() for b in got] == list(_PINNED_GENERATE[variant, fmt])
+
+
+@pytest.mark.parametrize("fmt", ["packed", "ascii"])
+def test_generate_writes_the_bits_of_one_generate_call(tmp_path, capsys, monkeypatch, fmt):
+    # 65 lanes divide neither the request nor a chunk, so lanes carry
+    # from chunk to chunk.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    monkeypatch.chdir(tmp_path)
+    argv = ["generate", "--variant", "rhs-parallel", "--lanes", "65", "--bits", "100003"]
+    assert cli.main([*argv, "--seed", "11", "--format", fmt, "--out", "s.out"]) == 0
+    config = GeneratorConfig(variant=Variant.RHS_PARALLEL, lanes=65)
+    bitio.save_stream(BitGenerator(config, seed=11).generate(100_003), "one.out", fmt)
+    for suffix in ("", ".json"):
+        assert (tmp_path / f"s.out{suffix}").read_bytes() == (tmp_path / f"one.out{suffix}").read_bytes()
 
 
 # sha256 of stdout, sidecar and file of an rhs-parallel run with forced

@@ -24,6 +24,7 @@ from spintrng.generator import (
     GeneratorConfig,
     Variant,
     _chain_states,
+    _pack_less,
     generate_bitstream,
 )
 
@@ -74,11 +75,16 @@ class TestCycleSemantics:
         assert bits.mean() == pytest.approx(0.3 / 0.8, abs=0.004)
 
 
+def unpack_rows(rows, n_cycles):
+    """Packed little-endian rows as one uint8 array of n_cycles bits each."""
+    return np.unpackbits(rows.view(np.uint8), axis=1, count=n_cycles, bitorder="little")
+
+
 def unit_trajectories(config, pair, seed, n_cycles):
     """Each unit's states over the first n_cycles cycles that a
     generator built with this config, flip probabilities and seed runs."""
     gen = BitGenerator(config, seed=seed, probs=forced(config, pair))
-    return [gen._unit_states(k, n_cycles) for k in range(config.n_units)]
+    return list(unpack_rows(gen._cell_states(n_cycles), n_cycles))
 
 
 class TestXorWiring:
@@ -234,27 +240,67 @@ def word_boundary_uniforms(n, p1, p2, rng):
     return u
 
 
+def batch_states(chains):
+    """States of chains = [(u, p1, p2, x0), ...] of equal length, all
+    stepped in one _chain_states call, one uint8 row per chain."""
+    n = chains[0][0].size
+    a, b = np.empty((2, len(chains), 1 + -(-n // 64)), dtype=np.uint64)
+    below = np.empty(a.shape[1] * 64, dtype=bool)
+    for k, (u, p1, p2, x0) in enumerate(chains):
+        a[k, 0] = np.negative(np.uint64(x0))
+        b[k, 0] = ~a[k, 0]
+        _pack_less(u[None], np.array([p1]), a[k : k + 1, 1:], below)
+        _pack_less(u[None], np.array([p2]), b[k : k + 1, 1:], below)
+    states = _chain_states(a, b)
+    assert states.dtype == np.uint64
+    return unpack_rows(states[:, 1:], n)
+
+
+_KERNEL_PAIRS = [*_ORACLE_OVERRIDES, (0.3, 0.3)]
+
+
+def batch_neighbours(n, p1, p2, x0, rng):
+    """Two chains of n draws to batch around one with (p1, p2, x0):
+    other flip probabilities, one starting from the other state."""
+    i = _KERNEL_PAIRS.index((p1, p2))
+    before = _KERNEL_PAIRS[(i + 1) % len(_KERNEL_PAIRS)]
+    after = _KERNEL_PAIRS[(i + 3) % len(_KERNEL_PAIRS)]
+    return (
+        (word_boundary_uniforms(n, *before, rng), *before, 1 - x0),
+        (rng.random(n), *after, x0),
+    )
+
+
 class TestChainState:
     @pytest.mark.parametrize("x0", [0, 1])
-    @pytest.mark.parametrize("p1,p2", [*_ORACLE_OVERRIDES, (0.3, 0.3)], ids=lambda p: f"{p:g}")
+    @pytest.mark.parametrize("p1,p2", _KERNEL_PAIRS, ids=lambda p: f"{p:g}")
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 128, 129, 5000, (1 << 18) + 1])
     def test_chain_kernel_matches_the_recursion(self, n, p1, p2, x0):
-        rng = np.random.default_rng(n)
+        # Each chain alone, then between two with other flip
+        # probabilities and starting states, each checked as well.
+        rng, neighbour_rng = np.random.default_rng(n), np.random.default_rng([n, 1])
         for u in (rng.random(n), word_boundary_uniforms(n, p1, p2, rng)):
-            states = _chain_states(u, p1, p2, x0)
-            assert states.dtype == np.uint8
-            np.testing.assert_array_equal(states, sequential_states(u, p1, p2, x0))
+            chain = (u, p1, p2, x0)
+            before, after = batch_neighbours(n, p1, p2, x0, neighbour_rng)
+            for chains in ([chain], [before, chain, after]):
+                for states, (v, q1, q2, y0) in zip(batch_states(chains), chains, strict=True):
+                    np.testing.assert_array_equal(states, sequential_states(v, q1, q2, y0))
 
     @pytest.mark.parametrize("p1,p2", [(0.5000005371, 0.4999990962), (0.37, 0.61), (1.0, 0.0)])
     def test_chain_kernel_allocates_few_bytes_per_cycle(self, p1, p2):
-        u = np.random.default_rng(3).random(1_000_000)
-        tracemalloc.start()
-        try:
-            _chain_states(u, p1, p2, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 8 * u.size
+        # Packing, stepping and unpacking, over every row's cycles: the
+        # chain alone, then between two others.
+        rng = np.random.default_rng(3)
+        chain = (rng.random(1_000_000), p1, p2, 1)
+        others = [(rng.random(1_000_000), 0.37, 0.61, 0), (rng.random(1_000_000), 0.3, 0.3, 1)]
+        for chains in ([chain], [others[0], chain, others[1]]):
+            tracemalloc.start()
+            try:
+                batch_states(chains)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * sum(u.size for u, *_ in chains)
 
     def test_generate_leaves_its_devices_unchanged(self):
         # (1, 1) flips every cycle, so the bits show the chain's phase:
