@@ -15,18 +15,16 @@ runs, so an output that cannot be written, or that would overwrite
 the command's input, the input's sidecar, the config file or another
 of its outputs, costs no work, and a failure while the work runs
 leaves none of its outputs behind.
-The argparse parser is the one schema of the options: each option's
-default lives in its add_argument call, read from the library where
-the library declares it (SweepSpec's fields, DEFAULT_PATH_GRID).  A
-JSON config file (--config or the SPINTRNG_CONFIG environment
-variable) replaces those defaults for the command that runs, and
-explicit flags win over the file.
-Every section of the file is checked whichever command runs: a
-command section's keys must be that command's options and its values
-pass the same type and choice checks as the flags, and the device and
-option sections must build a DeviceParams whose write currents
-calibrate and an OptionSpec (bench takes its path counts from --paths,
-not from the option section).
+Flags set every option, and argparse is their one schema: each
+option's default lives in its add_argument call, read from the
+library where the library declares it (SweepSpec's fields,
+DEFAULT_PATH_GRID).  A JSON config file (--config, or the
+SPINTRNG_CONFIG environment variable, which --config overrides) sets
+only the values no flag sets, in two sections: device builds the
+DeviceParams, whose write currents must calibrate, and option builds
+the OptionSpec (bench takes its path counts from --paths, not from the
+option section).  Both sections are checked whichever command runs,
+and any other key in the file is an error.
 """
 
 from __future__ import annotations
@@ -60,29 +58,13 @@ CONFIG_ENV_VAR = "SPINTRNG_CONFIG"
 
 
 class UsageError(Exception):
-    """Bad flags, a malformed config, or an input the command cannot use."""
+    """A flag value argparse cannot check, a bad config file, or an
+    input the command cannot use."""
 
 
 # Dataclass fields that a config section may not set: bench takes its
 # path counts from --paths.
 _CONFIG_EXCLUDED = {"option": {"n_paths"}}
-
-
-def _normalize_key(key: str) -> str:
-    return key.replace("-", "_")
-
-
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"malformed config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise UsageError(f"config root must be a JSON object: {path}")
-    return {_normalize_key(k): v for k, v in raw.items()}
 
 
 def _ranged(cast, lo, hi=None):
@@ -101,71 +83,41 @@ def _ranged(cast, lo, hi=None):
     return check
 
 
+def _path(text: str) -> str:
+    """The option type of a required path: empty text names no file."""
+    if not text:
+        raise argparse.ArgumentTypeError("must name a file")
+    return text
+
+
 _positive_int = _ranged(int, 1)
 _seed = _ranged(int, 0)
 _probability = _ranged(float, 0, 1)
 _lanes = _ranged(int, 1, MAX_LANES)
 
 
-def _check_values(section: str, values: dict, parser: argparse.ArgumentParser) -> None:
-    """Pass config values through the type and choices of the flags
-    they stand for, in place, so that each value means what the same
-    text would mean as a flag: a number given to an untyped option is
-    its text, and an integer option takes only integral numbers.  A
-    JSON null stands for an option's default only where that is None."""
-    for action in parser._actions:
-        if action.dest not in values:
-            continue
-        value = values[action.dest]
-        if value is None and action.default is None:
-            continue
+def _read_config(path: str | None) -> tuple[DeviceParams, OptionSpec]:
+    """The device and option sections of the JSON config at path (or
+    the defaults when there is none), built and checked: the device's
+    write currents must calibrate, and any other key is an error."""
+    config = {}
+    if path:
         try:
-            if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-                raise ValueError(f"expected a JSON string or number, got {value!r}")
-            if isinstance(value, float) and getattr(action.type, "__name__", None) == "int":
-                if not value.is_integer():
-                    raise ValueError(f"{value!r} is not an integer")
-                value = int(value)
-            value = str(value) if action.type is None else action.type(value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
-            raise UsageError(f"bad {section} config value {action.dest}: {exc}") from exc
-        if action.choices is not None and value not in action.choices:
-            raise UsageError(
-                f"bad {section} config value {action.dest}: {value!r} "
-                f"(choose from {', '.join(action.choices)})"
-            )
-        values[action.dest] = value
-
-
-def _apply_config(command: str, config: dict, commands: dict) -> tuple[DeviceParams, OptionSpec]:
-    """Check every config section, then make the running command's
-    section its subparser's defaults, so explicit flags still win; keys
-    outside any section belong to `command`.  Returns the device and
-    option sections as built and checked here."""
-    sections: dict[str, dict] = {name: {} for name in commands}
-    for key, value in config.items():
-        if key in commands:
-            if not isinstance(value, dict):
-                raise UsageError(f"config section {key!r} must be a JSON object")
-            sections[key].update((_normalize_key(k), v) for k, v in value.items())
-        elif key not in ("device", "option"):
-            sections[command][key] = value
-    for name, values in sections.items():
-        known = {action.dest for action in commands[name]._actions} - {"help", "config"}
-        unknown = set(values) - known
-        if unknown:
-            raise UsageError(
-                f"unknown config keys for {name}: {', '.join(sorted(unknown))}"
-            )
-        _check_values(name, values, commands[name])
+            with open(path, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise UsageError(f"malformed config {path}: {exc}") from exc
+        if not isinstance(config, dict):
+            raise UsageError(f"config root must be a JSON object: {path}")
+    unknown = set(config) - {"device", "option"}
+    if unknown:
+        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
     params = _config_section(config, "device", DeviceParams)
     try:
         calibrated_currents(params)
     except ValueError as exc:
         raise UsageError(f"bad device config: {exc}") from exc
-    option = _config_section(config, "option", OptionSpec)
-    commands[command].set_defaults(**sections[command])
-    return params, option
+    return params, _config_section(config, "option", OptionSpec)
 
 
 def _config_section(config: dict, name: str, cls):
@@ -176,7 +128,7 @@ def _config_section(config: dict, name: str, cls):
         return cls()
     if not isinstance(section, dict):
         raise UsageError(f"config section {name!r} must be a JSON object")
-    values = {_normalize_key(k): v for k, v in section.items()}
+    values = {k.replace("-", "_"): v for k, v in section.items()}
     known = {f.name for f in dataclasses.fields(cls)} - _CONFIG_EXCLUDED.get(name, set())
     unknown = set(values) - known
     if unknown:
@@ -239,8 +191,6 @@ def _build(cls, kind: str, /, **kwargs):
 
 
 def _cmd_generate(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
-    if not opts["out"]:
-        raise UsageError("generate requires --out PATH")
     _refuse_overwrites(opts, (opts["out"], bitio.metadata_path(opts["out"])))
     variant = Variant(opts["variant"])
     forced = (opts["force_p1"], opts["force_p2"])
@@ -275,8 +225,6 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     from .nist import all_pass, any_ran, format_report, result_rows, run_nist_suite
 
     path = opts["in_path"]
-    if not path:
-        raise UsageError("test requires --in PATH")
     stream = _build(bitio.BitFile, f"input file {path}", path=path)
     if stream.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
@@ -352,8 +300,6 @@ def _cmd_analyze(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
 
 
 def _cmd_sweep(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
-    if not opts["out"]:
-        raise UsageError("sweep requires --out PATH")
     axis = Axis(opts["axis"])
     spec = _build(
         SweepSpec,
@@ -420,8 +366,7 @@ _DISPATCH = {
 # -- parser ------------------------------------------------------------------
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The parser, and each command's subparser by name."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spintrng",
         description="Spintronic TRNG simulator: generation, statistical "
@@ -434,7 +379,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     g.add_argument("--bits", type=_positive_int, default=1_000_000, help="number of output bits")
     g.add_argument("--lanes", type=_lanes, default=8, help="output lanes (rhs-parallel only)")
     g.add_argument("--seed", type=_seed)
-    g.add_argument("--out", help="bitstream path; sidecar written to PATH.json")
+    g.add_argument(
+        "--out", type=_path, required=True, help="bitstream path; sidecar written to PATH.json"
+    )
     g.add_argument(
         "--format", choices=[bitio.FORMAT_PACKED, bitio.FORMAT_ASCII], default=bitio.FORMAT_PACKED
     )
@@ -456,7 +403,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     )
 
     t = sub.add_parser("test", help="statistical battery for a bitstream file")
-    t.add_argument("--in", dest="in_path", help="bitstream file to test")
+    t.add_argument(
+        "--in", dest="in_path", type=_path, required=True, help="bitstream file to test"
+    )
     t.add_argument(
         "--groups",
         type=_positive_int,
@@ -482,7 +431,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         help="device samples (process axis only)",
     )
     s.add_argument("--seed", type=_seed, default=SweepSpec.seed)
-    s.add_argument("--out", help="CSV output path")
+    s.add_argument("--out", type=_path, required=True, help="CSV output path")
     s.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
 
     b = sub.add_parser("bench", help="option-pricing backend comparison")
@@ -499,24 +448,21 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     for p in sub.choices.values():
         p.add_argument(
             "--config",
-            help=f"JSON config file (or set {CONFIG_ENV_VAR}); flags override it",
+            help=f"JSON file of device and option parameters (or set {CONFIG_ENV_VAR})",
         )
-    return parser, sub.choices
+    return parser
 
 
 def main(argv=None) -> int:
-    parser, commands = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        opts = vars(_build_parser().parse_args(argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors; help/version exit 0.
         return 0 if exc.code in (0, None) else 1
     try:
-        config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
-        params, option = _apply_config(args.command, _load_config(config_path), commands)
-        opts = vars(parser.parse_args(argv))
-        opts["config"] = config_path
-        _DISPATCH[args.command](opts, params, option)
+        opts["config"] = opts["config"] or os.environ.get(CONFIG_ENV_VAR)
+        params, option = _read_config(opts["config"])
+        _DISPATCH[opts["command"]](opts, params, option)
     except UsageError as exc:
         print(f"spintrng: error: {exc}", file=sys.stderr)
         return 1

@@ -87,6 +87,8 @@ def composite_p_value(p_values) -> float:
     p = np.asarray(p_values, dtype=np.float64)
     if p.size == 0:
         raise ValueError("no p-values")
+    if not np.isfinite(p).all():
+        raise ValueError("p-values must be finite")
     return mod.chi2_fit(np.histogram(p, bins=10, range=(0.0, 1.0))[0], p.size / 10.0)
 
 

@@ -107,8 +107,10 @@ def _blocks(arr: np.ndarray, m: int) -> np.ndarray:
 
 
 def chi2_tail(chi2, dof):
-    """Chi-square upper tail at dof degrees of freedom, elementwise."""
-    return gammaincc(dof / 2.0, chi2 / 2.0)
+    """Chi-square upper tail at dof degrees of freedom, elementwise.  A
+    statistic that rounding takes below 0 (approximate entropy and
+    serial on exactly balanced patterns) counts as 0, with tail 1."""
+    return gammaincc(dof / 2.0, np.maximum(chi2, 0.0) / 2.0)
 
 
 def chi2_fit(counts, expected) -> float:

@@ -21,6 +21,12 @@ from spintrng.sweeps import Axis, run_sweep, spec_for_axis
 from spintrng.system import speedup_report
 
 
+@pytest.fixture(autouse=True)
+def _no_config_from_the_environment(monkeypatch):
+    # Every command reads SPINTRNG_CONFIG, so no test may see the caller's.
+    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+
+
 def test_stream_too_short_for_every_module_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "short.bin"
     path.write_bytes(np.arange(8, dtype=np.uint8).tobytes())  # 64 bits
@@ -56,8 +62,7 @@ def test_a_runnable_battery_still_exits_zero(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("axis", [a.value for a in Axis])
-def test_sweep_writes_the_report_csv_whatever_the_jobs(axis, tmp_path, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+def test_sweep_writes_the_report_csv_whatever_the_jobs(axis, tmp_path):
     spec = spec_for_axis(Axis(axis), bits_per_point=10_000, n_samples=10, seed=3)
     expected = run_sweep(spec).to_csv()
     for jobs in ("1", "2"):
@@ -68,8 +73,7 @@ def test_sweep_writes_the_report_csv_whatever_the_jobs(axis, tmp_path, monkeypat
         assert out.read_text(encoding="utf-8") == expected
 
 
-def test_bench_writes_the_report_csv(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+def test_bench_writes_the_report_csv(tmp_path, capsys):
     out = tmp_path / "b.csv"
     assert cli.main(["bench", "--paths", "100,200", "--seed", "3", "--out", str(out)]) == 0
     expected = speedup_report(n_paths_grid=(100, 200), seed=3).to_csv()
@@ -82,28 +86,28 @@ def _write_config(tmp_path, payload) -> str:
     return str(path)
 
 
-def _analyze_p1(capsys, argv) -> str:
-    assert cli.main(["analyze", *argv]) == 0
-    out, _ = capsys.readouterr()
-    return out.split()[0]
+def test_config_flag_beats_env_beats_defaults(tmp_path, capsys, monkeypatch):
+    # Off the nominal supply a higher barrier changes the flip
+    # probabilities, and so the bits.
+    device = _write_config(tmp_path, {"device": {"delta_300": 10}})
+    empty = tmp_path / "empty.json"
+    empty.write_text("{}")
+
+    def bits(name, *flags) -> bytes:
+        args = ["generate", "--bits", "1000", "--seed", "4", "--v-rate", "0.1"]
+        assert cli.main([*args, "--out", str(tmp_path / name), *flags]) == 0
+        return (tmp_path / name).read_bytes()
+
+    default = bits("a.bin")
+    monkeypatch.setenv(cli.CONFIG_ENV_VAR, device)
+    assert bits("b.bin") == bits("c.bin", "--config", device) != default
+    assert bits("d.bin", "--config", str(empty)) == default
 
 
-def test_flags_beat_config_beats_defaults(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-    config = _write_config(tmp_path, {"analyze": {"p1": "0.3"}})
-    assert _analyze_p1(capsys, []) == "p1=0.5000"
-    assert _analyze_p1(capsys, ["--config", config]) == "p1=0.3000"
-    assert _analyze_p1(capsys, ["--config", config, "--p1", "0.2"]) == "p1=0.2000"
-    monkeypatch.setenv(cli.CONFIG_ENV_VAR, config)
-    assert _analyze_p1(capsys, []) == "p1=0.3000"
-    assert _analyze_p1(capsys, ["--p1", "0.2"]) == "p1=0.2000"
-
-
-def test_analyze_prints_positive_zero_min_entropy(capsys, monkeypatch):
+def test_analyze_prints_positive_zero_min_entropy(capsys):
     # p1 = 0.5, p2 = 0 drives the cell to AP for good: a constant lane
     # is no error, its lag-1 correlation is 0, and its min-entropy
     # prints without a minus sign.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     assert cli.main(["analyze", "--p1", "0.5", "--p2", "0"]) == 0
     out, _ = capsys.readouterr()
     assert out == (
@@ -125,7 +129,6 @@ def test_analyze_prints_positive_zero_min_entropy(capsys, monkeypatch):
     ids=["above-one", "nan", "negative", "absorbing", "empty"],
 )
 def test_analyze_bad_probabilities_exit_one(tmp_path, capsys, monkeypatch, args, message):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     code = cli.main(["analyze", *args, "--json", "a.json"])
     out, err = capsys.readouterr()
@@ -135,62 +138,20 @@ def test_analyze_bad_probabilities_exit_one(tmp_path, capsys, monkeypatch, args,
     assert os.listdir(tmp_path) == []
 
 
-def test_flags_beat_config_for_typed_options(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-    config = _write_config(tmp_path, {"generate": {"bits": 1e3, "seed": 1}})
-    out = str(tmp_path / "s.bin")
-    for flags, n_bits in (([], 1000), (["--bits", "500"], 500)):
-        assert cli.main(["generate", "--config", config, "--out", out, *flags]) == 0
-        stdout, _ = capsys.readouterr()
-        assert stdout.splitlines()[0] == f"wrote {out} ({n_bits} bits, packed)"
-
-
-def test_numeric_config_path_is_its_text(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-    monkeypatch.chdir(tmp_path)
-    config = _write_config(tmp_path, {"generate": {"out": 7}})
-    assert cli.main(["generate", "--bits", "100", "--seed", "1", "--config", config]) == 0
-    assert (tmp_path / "7").stat().st_size == 13
-
-
-def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
-    config = _write_config(tmp_path, {"generate": {"seed": None, "force_p1": None}})
-    out = tmp_path / "s.bin"
-    assert cli.main(["generate", "--bits", "100", "--out", str(out), "--config", config]) == 0
-    assert out.stat().st_size == 13
-
-
 @pytest.mark.parametrize(
     "command,payload,message",
     [
-        (["analyze"], {"analyze": {"bogus": 1}}, "unknown config keys for analyze: bogus"),
-        (["analyze"], {"bogus": 1}, "unknown config keys for analyze: bogus"),
+        (["analyze"], {"analyze": {"p1": "0.3"}}, "unknown config keys: analyze"),
+        (["analyze"], {"bogus": 1}, "unknown config keys: bogus"),
         (["bench", "--paths", "100"], {"option": {"bogus": 1}}, "unknown option config keys: bogus"),
         (["sweep", "--out", "x.csv"], {"device": {"bogus": 1}}, "unknown device config keys: bogus"),
         (["analyze"], "{not json", "malformed config"),
         (["analyze"], "[1, 2]", "config root must be a JSON object"),
-        (["analyze"], {"generate": {"bogus": 1}}, "unknown config keys for generate: bogus"),
+        (["analyze"], {"generate": {"bits": 1000}}, "unknown config keys: generate"),
         (["analyze"], {"device": {"bogus": 1}}, "unknown device config keys: bogus"),
         (["analyze"], {"option": {"bogus": 1}}, "unknown option config keys: bogus"),
         (["analyze"], {"device": {"delta_300": -1.0}}, "bad device config"),
-        (["generate", "--out", "x.bin"], {"generate": {"format": "bogus"}}, "bad generate config value format"),
-        (["generate", "--out", "x.bin"], {"generate": {"bits": "abc"}}, "bad generate config value bits"),
-        (["analyze"], {"sweep": {"axis": "bogus"}}, "bad sweep config value axis"),
-        (["sweep", "--out", "x.csv"], {"sweep": {"jobs": 0}}, "bad sweep config value jobs: must be >= 1"),
-        (["generate", "--out", "x.bin"], {"generate": {"bits": 2.5}}, "bad generate config value bits"),
-        (["generate", "--out", "x.bin"], {"generate": {"bits": True}}, "bad generate config value bits"),
-        (["generate", "--out", "x.bin"], {"generate": {"v_rate": False}}, "bad generate config value v_rate"),
-        (["analyze"], {"analyze": {"p1": True}}, "bad analyze config value p1"),
-        (["generate"], {"generate": {"out": ["x.bin"]}}, "bad generate config value out"),
         (["bench", "--paths", "100"], {"option": {"n_paths": 7}}, "unknown option config keys: n_paths"),
-        (["generate", "--out", "x.bin"], {"generate": {"bits": None}}, "bad generate config value bits"),
-        (["sweep", "--out", "x.csv"], {"sweep": {"jobs": None}}, "bad sweep config value jobs"),
-        (
-            ["sweep", "--axis", "process", "--out", "x.csv"],
-            {"sweep": {"samples": 20000, "bits_per_point": 10000}},
-            "bad sweep config: bits_per_point must be >= n_samples",
-        ),
         (["generate", "--out", "x.bin"], {"device": {"cd_nm": 32}}, "unknown device config keys: cd_nm"),
         (["bench", "--paths", "100"], {"option": {"s0": float("nan")}}, "bad option config"),
         (["bench", "--paths", "100"], {"option": {"rate": float("inf")}}, "bad option config"),
@@ -214,7 +175,7 @@ def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
             {"device": {"delta_300": 1e-9}},
             "bad device config: target probability 0.5 unreachable",
         ),
-        (["analyze"], {"analyze": [1]}, "config section 'analyze' must be a JSON object"),
+        (["analyze"], {"analyze": [1]}, "unknown config keys: analyze"),
         (["analyze"], {"device": 3}, "config section 'device' must be a JSON object"),
         (
             ["bench", "--paths", "100"],
@@ -226,12 +187,12 @@ def test_null_config_value_keeps_a_none_default(tmp_path, capsys, monkeypatch):
     ],
 )
 def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, message):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     code = cli.main([*command, "--config", _write_config(tmp_path, payload)])
     _, err = capsys.readouterr()
     assert code == 1
     assert message in err
+    assert os.listdir(tmp_path) == ["config.json"]
 
 
 @pytest.mark.parametrize(
@@ -259,7 +220,6 @@ def test_bad_config_exits_one(tmp_path, capsys, monkeypatch, command, payload, m
 )
 def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args, directory):
     # Outputs are opened before the work, so the work never runs.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     (tmp_path / directory).mkdir()
     bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
@@ -286,59 +246,35 @@ def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args, d
 @pytest.mark.parametrize(
     "command",
     [
-        (["sweep", "--out", "x.csv"], "--jobs", "flag"),
-        (["bench", "--paths", "100"], "--jobs", "flag"),
-        (["generate", "--out", "x.csv"], "--bits", "flag"),
-        (["generate", "--out", "x.csv"], "--bits", "config"),
-        (["generate", "--out", "x.csv"], "--lanes", "flag"),
-        (["generate", "--out", "x.csv"], "--lanes", "config"),
-        (["test", "--in", "x.csv"], "--groups", "flag"),
-        (["test", "--in", "x.csv"], "--groups", "config"),
+        (["sweep", "--out", "x.csv"], "--jobs"),
+        (["bench", "--paths", "100"], "--jobs"),
+        (["generate", "--out", "x.csv"], "--bits"),
+        (["generate", "--out", "x.csv"], "--lanes"),
+        (["test", "--in", "x.csv"], "--groups"),
     ],
 )
 def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, count):
-    # Every count option, --lanes of rhs-trng included, whether given
-    # as a flag or in a config section.  --lanes also has an upper bound.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+    # Every count option, --lanes of rhs-trng included.  --lanes also
+    # has an upper bound.
     monkeypatch.chdir(tmp_path)
-    args, flag, source = command
+    args, flag = command
     bound = "lie in [1, 4096]" if flag == "--lanes" else "be >= 1"
-    if source == "flag":
-        code = cli.main([*args, flag, count])
-        message = f"argument {flag}: must {bound}, got {count}"
-    else:
-        key = flag.removeprefix("--")
-        config = _write_config(tmp_path, {args[0]: {key: int(count)}})
-        code = cli.main([*args, "--config", config])
-        message = f"bad {args[0]} config value {key}: must {bound}, got {count}"
+    code = cli.main([*args, flag, count])
     _, err = capsys.readouterr()
     assert code == 1
-    assert message in err
+    assert f"argument {flag}: must {bound}, got {count}" in err
     assert not (tmp_path / "x.csv").exists()
 
 
-@pytest.mark.parametrize(
-    "source,message",
-    [
-        ("flag", "argument --lanes: must lie in [1, 4096], got 4097"),
-        ("config", "bad generate config value lanes: must lie in [1, 4096], got 4097"),
-    ],
-    ids=["flag", "config"],
-)
-def test_lanes_above_the_bound_exit_one(tmp_path, capsys, monkeypatch, source, message):
+def test_lanes_above_the_bound_exit_one(tmp_path, capsys, monkeypatch):
     # One lane more than generator.MAX_LANES, refused by the parser
     # before any of its cells is built.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     args = ["generate", "--variant", "rhs-parallel", "--bits", "1000", "--out", "x.bin"]
-    if source == "flag":
-        code = cli.main([*args, "--lanes", "4097"])
-    else:
-        config = _write_config(tmp_path, {"generate": {"lanes": 4097}})
-        code = cli.main([*args, "--config", config])
+    code = cli.main([*args, "--lanes", "4097"])
     _, err = capsys.readouterr()
     assert code == 1
-    assert message in err
+    assert "argument --lanes: must lie in [1, 4096], got 4097" in err
     assert not list(tmp_path.glob("x.bin*"))
 
 
@@ -352,7 +288,6 @@ def test_lanes_above_the_bound_exit_one(tmp_path, capsys, monkeypatch, source, m
     ids=["sweep", "bench", "test"],
 )
 def test_a_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch, module, name, args):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
     (tmp_path / "s.bin").write_bytes(np.packbits(bits).tobytes())
@@ -383,7 +318,6 @@ def test_a_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch, module, na
 )
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_a_bench_that_overflows_exits_one(tmp_path, capsys, monkeypatch, option, message, jobs):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     config = _write_config(tmp_path, {"option": option})
     args = ["bench", "--paths", "100,1000", "--jobs", jobs, "--out", "b.csv", "--json", "b.json"]
@@ -396,7 +330,6 @@ def test_a_bench_that_overflows_exits_one(tmp_path, capsys, monkeypatch, option,
 
 
 def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
 
     def fail(*args, **kwargs):
         raise RuntimeError("simulated fault")
@@ -411,7 +344,6 @@ def test_runtime_failure_exits_two(tmp_path, capsys, monkeypatch):
 
 def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkeypatch):
     # str(MemoryError()) is empty, as when numpy cannot allocate a huge --lanes
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
 
     def fail(*args, **kwargs):
         raise MemoryError()
@@ -425,7 +357,6 @@ def test_runtime_error_without_a_message_names_its_type(tmp_path, capsys, monkey
 
 
 def test_an_os_error_without_a_path_exits_two(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
 
     def fail(*args, **kwargs):
         raise OSError(errno.EIO, "Input/output error")
@@ -438,10 +369,9 @@ def test_an_os_error_without_a_path_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "s.bin").exists()
 
 
-def test_a_barrier_that_overflows_the_switching_law_still_runs(tmp_path, capsys, monkeypatch):
+def test_a_barrier_that_overflows_the_switching_law_still_runs(tmp_path, capsys):
     # At delta_300 = 1000 the write at zero current overflows exp(), yet
     # the target 0.5 is reachable at a larger current.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     config = _write_config(tmp_path, {"device": {"delta_300": 1000}})
     out = tmp_path / "s.bin"
     assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", str(out), "--config", config]) == 0
@@ -450,8 +380,7 @@ def test_a_barrier_that_overflows_the_switching_law_still_runs(tmp_path, capsys,
     assert code == 0
 
 
-def test_an_infinite_temperature_exits_one(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+def test_an_infinite_temperature_exits_one(tmp_path, capsys):
     code = cli.main(["generate", "--temperature-k", "inf", "--out", str(tmp_path / "s.bin")])
     _, err = capsys.readouterr()
     assert code == 1
@@ -461,7 +390,6 @@ def test_an_infinite_temperature_exits_one(tmp_path, capsys, monkeypatch):
 
 def test_output_larger_than_the_free_disk_exits_one(tmp_path, capsys, monkeypatch):
     # 10^13 bits would fill the disk long before the run ended.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(shutil, "disk_usage", lambda _: SimpleNamespace(free=1000))
     code = cli.main(["generate", "--bits", "10000000000000", "--seed", "1", "--out", "s.bin"])
@@ -473,7 +401,6 @@ def test_output_larger_than_the_free_disk_exits_one(tmp_path, capsys, monkeypatc
 
 
 def test_a_missing_output_directory_is_named_as_given(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     code = cli.main(["generate", "--bits", "100", "--out", "nodir/s.bin"])
     out, err = capsys.readouterr()
@@ -486,9 +413,7 @@ def test_a_missing_output_directory_is_named_as_given(tmp_path, capsys, monkeypa
 def _cli_env() -> dict:
     """Environment for a fresh interpreter that imports this spintrng."""
     src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    env.pop(cli.CONFIG_ENV_VAR, None)
-    return env
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
 
 
 @pytest.mark.parametrize(
@@ -611,7 +536,6 @@ _PINNED_GENERATE = {
 
 @pytest.mark.parametrize("variant,fmt", list(_PINNED_GENERATE))
 def test_generate_command_output_is_pinned(tmp_path, capsys, monkeypatch, variant, fmt):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     argv = ["generate", "--variant", variant, "--bits", "600001", "--seed", "13"]
     argv += ["--format", fmt, "--out", "s.out", "--lanes", "3"]
@@ -625,7 +549,6 @@ def test_generate_command_output_is_pinned(tmp_path, capsys, monkeypatch, varian
 def test_generate_writes_the_bits_of_one_generate_call(tmp_path, capsys, monkeypatch, fmt):
     # 65 lanes divide neither the request nor a chunk, so lanes carry
     # from chunk to chunk.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     argv = ["generate", "--variant", "rhs-parallel", "--lanes", "65", "--bits", "100003"]
     assert cli.main([*argv, "--seed", "11", "--format", fmt, "--out", "s.out"]) == 0
@@ -646,7 +569,6 @@ _PINNED_FORCED = (
 
 
 def test_generate_with_forced_flip_probabilities_is_pinned(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     argv = ["generate", "--variant", "rhs-parallel", "--lanes", "3", "--force-p1", "0.37"]
     argv += ["--force-p2", "0.61", "--bits", "600001", "--seed", "5", "--out", "s.out"]
@@ -658,18 +580,12 @@ def test_generate_with_forced_flip_probabilities_is_pinned(tmp_path, capsys, mon
 
 @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan"])
 def test_a_flip_probability_outside_zero_one_exits_one(tmp_path, capsys, monkeypatch, value):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     code = cli.main(["generate", "--force-p1", value, "--force-p2", "0.5", "--out", "s.bin"])
     _, err = capsys.readouterr()
     assert code == 1
     assert f"argument --force-p1: must lie in [0, 1], got {float(value)}" in err
-    config = _write_config(tmp_path, {"generate": {"force_p1": 0.4, "force_p2": float(value)}})
-    code = cli.main(["generate", "--out", "s.bin", "--config", config])
-    _, err = capsys.readouterr()
-    assert code == 1
-    assert f"bad generate config value force_p2: must lie in [0, 1], got {float(value)}" in err
-    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -678,18 +594,12 @@ def test_a_flip_probability_outside_zero_one_exits_one(tmp_path, capsys, monkeyp
     ids=["generate", "sweep", "bench"],
 )
 def test_a_negative_seed_exits_one(tmp_path, capsys, monkeypatch, command):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     code = cli.main([*command, "--seed", "-1"])
     _, err = capsys.readouterr()
     assert code == 1
     assert "argument --seed: must be >= 0, got -1" in err
-    config = _write_config(tmp_path, {command[0]: {"seed": -1}})
-    code = cli.main([*command, "--config", config])
-    _, err = capsys.readouterr()
-    assert code == 1
-    assert f"bad {command[0]} config value seed: must be >= 0, got -1" in err
-    assert sorted(os.listdir(tmp_path)) == ["config.json"]
+    assert os.listdir(tmp_path) == []
 
 
 @pytest.mark.parametrize(
@@ -706,7 +616,6 @@ def test_an_output_that_names_an_input_or_another_output_exits_one(
     tmp_path, capsys, monkeypatch, args, message
 ):
     # Checked before the work runs, and before any output is opened.
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", "s.bin"]) == 0
     capsys.readouterr()
@@ -727,18 +636,46 @@ def test_an_output_that_names_an_input_or_another_output_exits_one(
 @pytest.mark.parametrize(
     "args,message",
     [
-        (["generate", "--bits", "100"], "generate requires --out PATH"),
+        (["generate", "--bits", "100"], "the following arguments are required: --out"),
         (["generate", "--out", "g.bin", "--force-p1", "0.4"], "--force-p1 and --force-p2 must be given together"),
-        (["test"], "test requires --in PATH"),
+        (["test"], "the following arguments are required: --in"),
         (["test", "--in", "s.bin", "--groups", "3"], "stream of 1000 bits does not divide into 3 groups"),
-        (["sweep"], "sweep requires --out PATH"),
+        (["sweep"], "the following arguments are required: --out"),
         (["bench", "--paths", "0", "--out", "b.csv"], "--paths values must be >= 1"),
         (["sweep", "--samples", "0", "--out", "x.csv"], "bad sweep config: n_samples must be >= 1"),
+        (
+            ["sweep", "--axis", "process", "--samples", "20000", "--bits-per-point", "10000", "--out", "x.csv"],
+            "bad sweep config: bits_per_point must be >= n_samples",
+        ),
+        (["generate", "--out", ""], "argument --out: must name a file"),
+        (["test", "--in", ""], "argument --in: must name a file"),
+        (["sweep", "--out", ""], "argument --out: must name a file"),
+        (["generate", "--format", "bogus", "--out", "x"], "argument --format: invalid choice: 'bogus'"),
+        (["generate", "--bits", "abc", "--out", "x"], "argument --bits: invalid int value: 'abc'"),
+        (["generate", "--bits", "2.5", "--out", "x"], "argument --bits: invalid int value: '2.5'"),
+        (["generate", "--v-rate", "x", "--out", "x"], "argument --v-rate: invalid float value: 'x'"),
+        (["sweep", "--axis", "bogus", "--out", "x"], "argument --axis: invalid choice: 'bogus'"),
     ],
-    ids=["generate-out", "force-p2", "test-in", "test-groups", "sweep-out", "bench-paths", "sweep-samples"],
+    ids=[
+        "generate-out",
+        "force-p2",
+        "test-in",
+        "test-groups",
+        "sweep-out",
+        "bench-paths",
+        "sweep-samples",
+        "sweep-samples-above-bits",
+        "generate-out-empty",
+        "test-in-empty",
+        "sweep-out-empty",
+        "generate-format",
+        "generate-bits-text",
+        "generate-bits-fraction",
+        "generate-v-rate",
+        "sweep-axis",
+    ],
 )
 def test_a_missing_or_bad_argument_exits_one(tmp_path, capsys, monkeypatch, args, message):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["generate", "--bits", "1000", "--seed", "1", "--out", "s.bin"]) == 0
     capsys.readouterr()
@@ -747,7 +684,12 @@ def test_a_missing_or_bad_argument_exits_one(tmp_path, capsys, monkeypatch, args
     out, err = capsys.readouterr()
     assert code == 1
     assert out == ""
-    assert err == f"spintrng: error: {message}\n"
+    if message.startswith(("argument ", "the following arguments")):
+        # argparse's own check: its usage line, then the subcommand's error
+        assert err.startswith("usage: ")
+        assert f"\nspintrng {args[0]}: error: {message}" in err
+    else:
+        assert err == f"spintrng: error: {message}\n"
     assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
@@ -778,10 +720,7 @@ assert "scipy" not in sys.modules, "bench"
     "section,key,value",
     [("device", "delta-300", 3.5), ("device", "r_p_ohm", 5000.0), ("option", "maturity-years", 1.0)],
 )
-def test_config_sections_accept_dashed_and_underscored_keys(
-    tmp_path, capsys, monkeypatch, section, key, value
-):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+def test_config_sections_accept_dashed_and_underscored_keys(tmp_path, capsys, section, key, value):
     config = _write_config(tmp_path, {section: {key: value}})
     if section == "device":
         args = ["generate", "--bits", "1000", "--seed", "4", "--out"]
@@ -792,8 +731,7 @@ def test_config_sections_accept_dashed_and_underscored_keys(
         assert cli.main(["bench", "--paths", "100", "--config", config]) == 0
 
 
-def test_json_outputs_parse(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
+def test_json_outputs_parse(tmp_path, capsys):
     bits = tmp_path / "bits.bin"
     assert cli.main(["generate", "--bits", "100000", "--seed", "2", "--out", str(bits)]) == 0
     test_json, analyze_json, bench_json = (tmp_path / f"{c}.json" for c in ("t", "a", "b"))
@@ -871,7 +809,6 @@ _PINNED_CLI = {
 
 
 def test_json_commands_output_is_pinned(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     assert cli.main(["generate", "--bits", "100000", "--seed", "1", "--out", "s.bin"]) == 0
     capsys.readouterr()
@@ -898,7 +835,6 @@ def test_json_commands_output_is_pinned(tmp_path, capsys, monkeypatch):
 def test_an_output_that_names_the_config_exits_one(
     tmp_path, capsys, monkeypatch, args, output, via_env
 ):
-    monkeypatch.delenv(cli.CONFIG_ENV_VAR, raising=False)
     monkeypatch.chdir(tmp_path)
     bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
     (tmp_path / "s.bin").write_bytes(np.packbits(bits).tobytes())

@@ -384,6 +384,24 @@ def class_tables():
     return tables
 
 
+def _de_bruijn(order: int) -> np.ndarray:
+    """The binary de Bruijn sequence B(2, order), by the
+    Fredricksen-Kessler-Maiorana algorithm (Lyndon words in order)."""
+    word, seq = [0] * (order + 1), []
+    t = 1
+    while True:
+        if order % t == 0:
+            seq.extend(word[1 : t + 1])
+        for j in range(t + 1, order + 1):
+            word[j] = word[j - t]
+        t = order
+        while t > 0 and word[t] == 1:
+            t -= 1
+        if t == 0:
+            return np.array(seq, dtype=np.uint8)
+        word[t] = 1
+
+
 class TestSharedStatistics:
     @pytest.mark.parametrize("name", sorted(class_tables()))
     def test_fit_equals_scipy_chisquare(self, name):
@@ -402,6 +420,15 @@ class TestSharedStatistics:
         counts = np.random.default_rng(n).multinomial(n, [0.1] * 10)
         want = chisquare(counts, np.full(10, n / 10.0)).pvalue
         assert abs(M.chi2_fit(counts, n / 10.0) - want) <= 1e-12
+
+    @pytest.mark.parametrize("tiles", [1, 64])
+    @pytest.mark.parametrize("order", [11, 13, 14])
+    def test_balanced_patterns_give_approximate_entropy_one(self, order, tiles):
+        # Every 11-bit pattern of a de Bruijn sequence of order >= 11
+        # occurs equally often (with wraparound), so ApEn is ln 2 and
+        # rounding takes the statistic just below 0.
+        bits = np.tile(_de_bruijn(order), tiles)
+        assert M.approximate_entropy(bits) == [1.0]
 
     def test_two_dof_tail_is_exponential(self):
         x = np.linspace(0.0, 60.0, 241)

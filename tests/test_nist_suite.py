@@ -191,6 +191,12 @@ class TestComposite:
         with pytest.raises(ValueError):
             composite_p_value([])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, bad):
+        # np.histogram would drop it silently
+        with pytest.raises(ValueError, match="p-values must be finite"):
+            composite_p_value([0.5] * 9 + [bad])
+
 
 class TestSuiteDriver:
     def test_group_divisibility_enforced(self):
