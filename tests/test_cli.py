@@ -151,7 +151,23 @@ def test_analyze_bad_probabilities_exit_one(tmp_path, capsys, monkeypatch, args,
         (["analyze"], {"device": {"bogus": 1}}, "unknown device config keys: bogus"),
         (["analyze"], {"option": {"bogus": 1}}, "unknown option config keys: bogus"),
         (["analyze"], {"device": {"delta_300": -1.0}}, "bad device config"),
+        # A command section is refused by name, whatever it holds, and
+        # before the command writes anything ...
+        (["generate", "--out", "x.bin"], {"generate": {"format": "ascii"}}, "unknown config keys: generate"),
+        (["sweep", "--out", "x.csv"], {"sweep": {"jobs": 2}}, "unknown config keys: sweep"),
+        (["bench", "--paths", "100", "--out", "b.csv"], {"bench": {"jobs": 2}}, "unknown config keys: bench"),
+        (["test", "--in", "x.bin"], {"test": {"groups": 1}}, "unknown config keys: test"),
+        (["analyze"], {"sweep": {"axis": "bogus"}}, "unknown config keys: sweep"),
+        # ... as is a top-level key, an option's or a section's own ...
+        (["generate", "--out", "x.bin"], {"bits": 1000}, "unknown config keys: bits"),
+        (["sweep", "--out", "x.csv"], {"jobs": None}, "unknown config keys: jobs"),
+        (["analyze"], {"p1": "0.3"}, "unknown config keys: p1"),
+        (["generate", "--out", "x.bin"], {"tmr": 1.5}, "unknown config keys: tmr"),
         (["bench", "--paths", "100"], {"option": {"n_paths": 7}}, "unknown option config keys: n_paths"),
+        (["bench", "--paths", "100", "--out", "b.csv"], {"s0": 100.0}, "unknown config keys: s0"),
+        # ... and every such key is named, beside a good section too.
+        (["sweep", "--out", "x.csv"], {"sweep": {}, "generate": {}}, "unknown config keys: generate, sweep"),
+        (["analyze"], {"device": {}, "extra": 1}, "unknown config keys: extra"),
         (["generate", "--out", "x.bin"], {"device": {"cd_nm": 32}}, "unknown device config keys: cd_nm"),
         (["bench", "--paths", "100"], {"option": {"s0": float("nan")}}, "bad option config"),
         (["bench", "--paths", "100"], {"option": {"rate": float("inf")}}, "bad option config"),
@@ -249,13 +265,16 @@ def test_a_directory_for_a_path_exits_one(tmp_path, capsys, monkeypatch, args, d
         (["sweep", "--out", "x.csv"], "--jobs"),
         (["bench", "--paths", "100"], "--jobs"),
         (["generate", "--out", "x.csv"], "--bits"),
+        (["generate", "--variant", "rhs-parallel", "--out", "x.csv"], "--bits"),
         (["generate", "--out", "x.csv"], "--lanes"),
+        (["generate", "--variant", "rhs-parallel", "--out", "x.csv"], "--lanes"),
         (["test", "--in", "x.csv"], "--groups"),
     ],
 )
 def test_jobs_below_one_exits_one(tmp_path, capsys, monkeypatch, command, count):
-    # Every count option, --lanes of rhs-trng included.  --lanes also
-    # has an upper bound.
+    # Every count option, --lanes of rhs-trng included, and --bits and
+    # --lanes of rhs-parallel, which uses its lanes.  --lanes also has
+    # an upper bound.
     monkeypatch.chdir(tmp_path)
     args, flag = command
     bound = "lie in [1, 4096]" if flag == "--lanes" else "be >= 1"
