@@ -84,7 +84,7 @@ def _ranged(cast, lo, hi=None):
 
 
 def _path(text: str) -> str:
-    """The option type of a required path: empty text names no file."""
+    """The option type of every path: empty text names no file."""
     if not text:
         raise argparse.ArgumentTypeError("must name a file")
     return text
@@ -229,12 +229,11 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if stream.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
+    if stream.size % groups:
+        raise UsageError(f"stream of {stream.size} bits does not divide into {groups} groups")
     inputs = {path: "the input", bitio.metadata_path(path): "the input's sidecar"}
     with _open_outputs(opts, opts["json_out"], inputs=inputs) as (json_fh,):
-        try:
-            results = run_nist_suite(stream, n_groups=groups)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from exc
+        results = run_nist_suite(stream, n_groups=groups)
         ent = counts_report(stream.ones, stream.size)
 
         print(
@@ -412,12 +411,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=10,
         help="equal-size substreams (default %(default)s)",
     )
-    t.add_argument("--json", dest="json_out", help="also write the report as JSON")
+    t.add_argument("--json", dest="json_out", type=_path, help="also write the report as JSON")
 
     a = sub.add_parser("analyze", help="closed-form chain predictions")
     a.add_argument("--p1", default="0.5", help="comma-separated P-to-AP flip probabilities")
     a.add_argument("--p2", default="0.5", help="comma-separated AP-to-P flip probabilities")
-    a.add_argument("--json", dest="json_out", help="also write rows as JSON")
+    a.add_argument("--json", dest="json_out", type=_path, help="also write rows as JSON")
 
     s = sub.add_parser("sweep", help="environmental/process sweep to CSV")
     s.add_argument("--axis", choices=[ax.value for ax in Axis], default=Axis.VOLTAGE.value)
@@ -441,8 +440,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated path counts",
     )
     b.add_argument("--seed", type=_seed, default=0)
-    b.add_argument("--out", help="CSV output path")
-    b.add_argument("--json", dest="json_out", help="also write rows as JSON")
+    b.add_argument("--out", type=_path, help="CSV output path")
+    b.add_argument("--json", dest="json_out", type=_path, help="also write rows as JSON")
     b.add_argument("--jobs", type=_positive_int, default=1, help="parallel workers")
 
     for p in sub.choices.values():

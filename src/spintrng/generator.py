@@ -33,9 +33,9 @@ first on the next call, so any split of a request into calls yields
 the bits of one call.  BitGenerator.chunks relies on this: it is the
 one place that splits a request into generate calls of CHUNK_BITS
 bits, and every consumer of long streams (the file writer, the sweep
-cells) takes its bits from it.  A generator reuses its draw and
-word buffers from call to call, so memory stays flat however long the
-request, and a chunk's other temporaries stay small.
+cells) takes its bits from it.  A generator reuses its draw buffer
+from call to call, so memory stays flat however long the request, and
+a chunk's other temporaries stay small.
 
 Timing, energy and area are the paper's fixed design figures, held
 as module constants and read through the GeneratorConfig properties
@@ -271,14 +271,13 @@ def _chain_states(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return states.reshape(shape)
 
 
-def _pack_less(u: np.ndarray, p: np.ndarray, out: np.ndarray, below: np.ndarray) -> None:
+def _pack_less(u: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
     """Write u < p into out: row r of u against p[r], packed
-    little-endian with zero padding.  below is a bool buffer with
-    out's shape in bits."""
-    below = below[: out.size * 64].reshape(out.shape[0], -1)
-    below[:, u.shape[1]:] = False
-    np.less(u, p[:, None], out=below[:, : u.shape[1]])
-    out[...] = np.packbits(below, axis=1, bitorder="little").view("<u8")
+    little-endian with zero padding."""
+    packed = np.packbits(u < p[:, None], axis=1, bitorder="little")
+    rows = out.view(np.uint8)
+    rows[:, : packed.shape[1]] = packed
+    rows[:, packed.shape[1] :] = 0
 
 
 class BitGenerator:
@@ -309,20 +308,12 @@ class BitGenerator:
         self._states = np.full(config.n_units, STATE_P, dtype=np.uint64)
         # rhs-parallel lanes of the last cycle that no call has emitted yet.
         self._carried = np.empty(0, dtype=np.uint8)
-        # One buffer per dtype for a call's uniforms, comparisons and
-        # packed rows, grown as needed and reused by later calls.
-        self._scratch: dict[type, np.ndarray] = {}
+        # A call's uniforms, grown as needed and reused by later calls.
+        self._uniforms = np.empty(0)
 
     def realized_flip_probs(self) -> list[tuple[float, float]]:
         """Per-unit (p1, p2) in effect for this run."""
         return list(self._probs)
-
-    def _buffer(self, size: int, dtype: type) -> np.ndarray:
-        """The first size items of the reused dtype buffer."""
-        buf = self._scratch.get(dtype)
-        if buf is None or buf.size < size:
-            buf = self._scratch[dtype] = np.empty(size, dtype=dtype)
-        return buf[:size]
 
     def _cell_states(self, n_cycles: int) -> np.ndarray:
         """Every unit's states over the next n_cycles cycles, one row
@@ -338,7 +329,7 @@ class BitGenerator:
         variant = self.config.variant
         n_units = self.config.n_units
         n_words = -(-n_cycles // 64)
-        a, b = self._buffer(2 * n_units * (n_words + 1), np.uint64).reshape(2, n_units, -1)
+        a, b = np.empty((2, n_units, n_words + 1), dtype=np.uint64)
         # Each row's guard restarts its chain where the last call left it.
         a[:, 0] = np.negative(self._states)
         b[:, 0] = ~a[:, 0]
@@ -346,14 +337,15 @@ class BitGenerator:
         for start in range(0, n_units, group):
             rows = slice(start, min(start + group, n_units))
             n_rows = rows.stop - start
-            u = self._buffer(n_rows * n_cycles, np.float64).reshape(n_rows, n_cycles)
+            if self._uniforms.size < n_rows * n_cycles:
+                self._uniforms = np.empty(n_rows * n_cycles)
+            u = self._uniforms[: n_rows * n_cycles].reshape(n_rows, n_cycles)
             for rng, row in zip(self._rngs[rows], u):
                 rng.random(out=row)
-            below = self._buffer(n_rows * 64 * n_words, np.bool_)
             if variant is not Variant.CONV_AP_TO_P:
-                _pack_less(u, self._p1[rows], a[rows, 1:], below)
+                _pack_less(u, self._p1[rows], a[rows, 1:])
             if variant is not Variant.CONV_P_TO_AP:
-                _pack_less(u, self._p2[rows], b[rows, 1:], below)
+                _pack_less(u, self._p2[rows], b[rows, 1:])
         if variant is Variant.CONV_P_TO_AP:
             return a[:, 1:]
         if variant is Variant.CONV_AP_TO_P:

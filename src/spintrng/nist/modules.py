@@ -21,13 +21,12 @@ The block-structured modules run as whole-array kernels rather than
 per-block or per-bit Python loops; each gives the same integers as the
 textbook loop, so the p-values are unchanged:
 
-* Window codes are read from the packed bits: word k is bytes k..k+7
-  read big endian, and the window at bit 8k + s is word k shifted and
-  masked, one shift and one mask for each residue s mod 8.  The
-  serial and approximate-entropy tests count codes once at their
-  largest m on the wraparound-extended sequence: dropping a code's last
-  bit gives the (m-1)-window starting at the same position, so each
-  smaller m's counts are the sums of adjacent pairs of the larger m's.
+* Window codes are built by doubling their width, about log2 m passes
+  for windows of m <= 64 bits.  The serial and approximate-entropy
+  tests count codes once at their largest m on the wraparound-extended
+  sequence: dropping a code's last bit gives the (m-1)-window starting
+  at the same position, so each smaller m's counts are the sums of
+  adjacent pairs of the larger m's.
 * Every non-overlapping template is borderless (no proper prefix equals
   a suffix), so two hits of one template can never overlap and the
   greedy "jump m after a hit" count is the plain hit count.  One
@@ -49,13 +48,11 @@ textbook loop, so the p-values are unchanged:
   differ from fft's only by rounding, far below SPECTRAL_GUARD; a
   group with a modulus within SPECTRAL_GUARD of the threshold is
   recounted from fft, so the count below the threshold is always fft's.
-* The cumulative-sums test walks the packed bytes: per-byte tables of
-  the step total and the highest and lowest partial sum within the
-  byte give the extremes from a cumsum of n/8 byte totals, and the
-  last n mod 8 bits are walked one at a time.  The reverse sequence's
-  partial sums are s_n - s_i for i = 0..n-1 (s_0 = 0), so its largest
-  excursion is the larger of s_n - min(s_0..s_n) and max(s_0..s_n) -
-  s_n: the same integer the reversed cumsum gives.
+* The cumulative-sums test keeps only the largest, smallest and last
+  partial sum.  The reverse sequence's partial sums are s_n - s_i for
+  i = 0..n-1 (s_0 = 0), so its largest excursion is the larger of
+  s_n - min(s_0..s_n) and max(s_0..s_n) - s_n: the same integer the
+  reversed cumsum gives.
 * The longest-run test scans each block once: at every bit, the
   position of the last zero up to it is a running maximum of the zero
   positions (0 before the first), the bit's run of ones is its own
@@ -126,40 +123,30 @@ def chi2_fit(counts, expected) -> float:
 _SLICE = 1 << 16
 
 
-# The longest window _window_codes reads: a window starting at bit s of
-# a byte spans s + m <= 64 bits of the 8 bytes from that one.
-_MAX_WINDOW = 57
-
-
 def _window_codes(arr: np.ndarray, m: int) -> np.ndarray:
     """Integer code of every length-m window along the last axis
     (MSB = earliest bit), in the smallest unsigned dtype that holds it.
 
-    The bits are packed to bytes and word k is bytes k..k+7 read big
-    endian, so the window starting at bit 8k + s is word k shifted right
-    by 64 - s - m and masked to m bits: one shift and one mask for each
-    residue s mod 8.
+    Built by doubling from the 1-bit codes: the window of width w + s
+    at i, for s <= w, is the width-w code at i shifted left by s, ORed
+    with the last s bits of the width-w code at i + s (all its bits when
+    s = w).  Each pass takes s = min(w, m - w), so m bits take about
+    log2 m passes.  The rows run on as one sequence, padded with m - 1
+    zeros, and the windows that cross out of a row are cut at the end.
     """
-    if not 1 <= m <= _MAX_WINDOW:
-        raise ValueError(f"window length must be 1..{_MAX_WINDOW}, got {m}")
-    lead = arr.shape[:-1]
-    n_win = arr.shape[-1] - m + 1
-    n_words = -(-n_win // 8)
-    packed = np.zeros(lead + (8 * -(-n_words // 8) + 8,), dtype=np.uint8)
-    packed[..., : -(-arr.shape[-1] // 8)] = np.packbits(arr, axis=-1)
-    # words k = o mod 8 are one big-endian view of the bytes from o on
-    words = np.empty(lead + (n_words,), dtype=np.uint64)
-    for o in range(8):
-        count = len(range(o, n_words, 8))
-        words[..., o::8] = packed[..., o : o + 8 * count].view(">u8")
-    codes = np.empty(lead + (n_win,), dtype=np.min_scalar_type((1 << m) - 1))
-    shifted = np.empty_like(words)
-    for s in range(8):
-        out = codes[..., s::8]
-        part = shifted[..., : out.shape[-1]]
-        np.right_shift(words[..., : out.shape[-1]], np.uint64(64 - s - m), out=part)
-        np.bitwise_and(part, np.uint64((1 << m) - 1), out=out, casting="unsafe")
-    return codes
+    if not 1 <= m <= 64:
+        raise ValueError(f"window length must be 1..64, got {m}")
+    dtype = np.min_scalar_type((1 << m) - 1)
+    codes = np.zeros(arr.size + m - 1, dtype=dtype)
+    codes[: arr.size] = arr.ravel()
+    w = 1
+    while w < m:
+        s = min(w, m - w)
+        tail = codes[s:] if s == w else codes[s:] & dtype.type((1 << s) - 1)
+        codes = codes[:-s] << s
+        codes |= tail
+        w += s
+    return codes.reshape(arr.shape)[..., : arr.shape[-1] - m + 1]
 
 
 def _window_counts(arr: np.ndarray, m: int) -> np.ndarray:
@@ -213,39 +200,20 @@ def _cusum_p_value(z: int, n: int) -> float:
     return min(max(total, 0.0), 1.0)
 
 
-def _byte_walks():
-    """For every byte, MSB first: the sum of its 8 steps of +-1, and the
-    highest and lowest of its 8 partial sums less that total, so that
-    added to the sum after the byte they give the extremes within it."""
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
-    walks = np.cumsum(bits.astype(np.int64) * 2 - 1, axis=1)
-    total = walks[:, -1]
-    return total, walks.max(axis=1) - total, walks.min(axis=1) - total
-
-
-_BYTE_STEP, _BYTE_HIGH, _BYTE_LOW = _byte_walks()
-
-
 def cumulative_sums(bits) -> list[float]:
     """Maximum partial-sum excursion, forward and reverse."""
     arr = _as_bits(bits)
     n = arr.size
-    # The largest, smallest and last of the partial sums s_1..s_n: the
-    # whole bytes one slice at a time from the byte tables, with the sum
-    # so far carried in, then the last n mod 8 bits one at a time.
+    # The largest, smallest and last of the partial sums s_1..s_n, one
+    # slice at a time, with the sum so far carried in.
     s_n = high = low = 0
-    whole = n - n % 8
-    for a in range(0, whole, _SLICE):
-        codes = np.packbits(arr[a : min(a + _SLICE, whole)])
-        after = np.cumsum(_BYTE_STEP[codes])
-        after += s_n
-        high = max(high, int((after + _BYTE_HIGH[codes]).max()))
-        low = min(low, int((after + _BYTE_LOW[codes]).min()))
-        s_n = int(after[-1])
-    for bit in arr[whole:].tolist():
-        s_n += 2 * bit - 1
-        high = max(high, s_n)
-        low = min(low, s_n)
+    for a in range(0, n, _SLICE):
+        sums = np.multiply(arr[a : a + _SLICE], 2, dtype=np.int32)
+        sums -= 1
+        np.cumsum(sums, out=sums)
+        high = max(high, s_n + int(sums.max()))
+        low = min(low, s_n + int(sums.min()))
+        s_n += int(sums[-1])
     # The reverse partial sums are s_n - s_i for i = 0..n-1, with s_0 =
     # 0; i = n adds a zero, which changes no maximum.
     forward = max(high, -low)

@@ -310,16 +310,19 @@ def test_a_failed_run_leaves_no_output(tmp_path, capsys, monkeypatch, module, na
     monkeypatch.chdir(tmp_path)
     bits = np.random.default_rng(2).integers(0, 2, size=1000, dtype=np.uint8)
     (tmp_path / "s.bin").write_bytes(np.packbits(bits).tobytes())
+    # A ValueError inside the battery is a fault too, not a usage error.
+    faults = (RuntimeError, ValueError) if name == "run_nist_suite" else (RuntimeError,)
+    for fault in faults:
 
-    def fail(*args, **kwargs):
-        raise RuntimeError("simulated fault")
+        def fail(*args, **kwargs):
+            raise fault("simulated fault")
 
-    monkeypatch.setattr(module, name, fail)
-    code = cli.main(args)
-    _, err = capsys.readouterr()
-    assert code == 2
-    assert err == "spintrng: runtime error: simulated fault\n"
-    assert sorted(os.listdir(tmp_path)) == ["s.bin"]
+        monkeypatch.setattr(module, name, fail)
+        code = cli.main(args)
+        _, err = capsys.readouterr()
+        assert code == 2
+        assert err == "spintrng: runtime error: simulated fault\n"
+        assert sorted(os.listdir(tmp_path)) == ["s.bin"]
 
 
 @pytest.mark.parametrize(
@@ -674,6 +677,10 @@ def test_an_output_that_names_an_input_or_another_output_exits_one(
         (["generate", "--bits", "2.5", "--out", "x"], "argument --bits: invalid int value: '2.5'"),
         (["generate", "--v-rate", "x", "--out", "x"], "argument --v-rate: invalid float value: 'x'"),
         (["sweep", "--axis", "bogus", "--out", "x"], "argument --axis: invalid choice: 'bogus'"),
+        (["analyze", "--json", ""], "argument --json: must name a file"),
+        (["test", "--in", "s.bin", "--json", ""], "argument --json: must name a file"),
+        (["bench", "--paths", "100", "--out", ""], "argument --out: must name a file"),
+        (["bench", "--paths", "100", "--json", ""], "argument --json: must name a file"),
     ],
     ids=[
         "generate-out",
@@ -692,6 +699,10 @@ def test_an_output_that_names_an_input_or_another_output_exits_one(
         "generate-bits-fraction",
         "generate-v-rate",
         "sweep-axis",
+        "analyze-json-empty",
+        "test-json-empty",
+        "bench-out-empty",
+        "bench-json-empty",
     ],
 )
 def test_a_missing_or_bad_argument_exits_one(tmp_path, capsys, monkeypatch, args, message):

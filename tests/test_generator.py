@@ -245,12 +245,11 @@ def batch_states(chains):
     stepped in one _chain_states call, one uint8 row per chain."""
     n = chains[0][0].size
     a, b = np.empty((2, len(chains), 1 + -(-n // 64)), dtype=np.uint64)
-    below = np.empty(a.shape[1] * 64, dtype=bool)
     for k, (u, p1, p2, x0) in enumerate(chains):
         a[k, 0] = np.negative(np.uint64(x0))
         b[k, 0] = ~a[k, 0]
-        _pack_less(u[None], np.array([p1]), a[k : k + 1, 1:], below)
-        _pack_less(u[None], np.array([p2]), b[k : k + 1, 1:], below)
+        _pack_less(u[None], np.array([p1]), a[k : k + 1, 1:])
+        _pack_less(u[None], np.array([p2]), b[k : k + 1, 1:])
     states = _chain_states(a, b)
     assert states.dtype == np.uint64
     return unpack_rows(states[:, 1:], n)
