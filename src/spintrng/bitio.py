@@ -161,9 +161,7 @@ class BitFile:
             self.size = meta.n_bits
 
     def groups(self, n_groups: int):
-        if self.size % n_groups:
-            raise ValueError(f"{self.size} bits do not divide into {n_groups} groups")
-        group_bits = self.size // n_groups
+        group_bits = group_length(self.size, n_groups)
         with open(self.path, "rb") as fh:
             bits = np.empty(0, dtype=np.uint8)  # read, in no group yet
             for _ in range(n_groups):
@@ -191,6 +189,14 @@ class BitFile:
         bits = data[_ASCII_CLASS[data] == _BIT]
         bits -= ord("0")
         return bits
+
+
+def group_length(n_bits: int, n_groups: int) -> int:
+    """Bits in each of n_groups equal groups of a stream of n_bits; the
+    one check that the stream divides into them."""
+    if n_groups < 1 or n_bits % n_groups:
+        raise ValueError(f"stream of {n_bits} bits does not divide into {n_groups} groups")
+    return n_bits // n_groups
 
 
 def read_bits(path: str) -> np.ndarray:

@@ -51,8 +51,8 @@ from .system import (
     speedup_report,
 )
 
-# .nist loads scipy, so only `test` imports it: the other commands
-# start without scipy.
+# The battery (.nist) is imported only by `test`, so the other commands
+# start without it.  No command loads scipy.
 
 CONFIG_ENV_VAR = "SPINTRNG_CONFIG"
 
@@ -229,8 +229,10 @@ def _cmd_test(opts: dict, params: DeviceParams, option: OptionSpec) -> None:
     if stream.size == 0:
         raise UsageError(f"input file holds no bits: {path}")
     groups = opts["groups"]
-    if stream.size % groups:
-        raise UsageError(f"stream of {stream.size} bits does not divide into {groups} groups")
+    try:
+        bitio.group_length(stream.size, groups)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     inputs = {path: "the input", bitio.metadata_path(path): "the input's sidecar"}
     with _open_outputs(opts, opts["json_out"], inputs=inputs) as (json_fh,):
         results = run_nist_suite(stream, n_groups=groups)

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from spintrng.bitio import group_length
 from spintrng.nist import modules as mod
 
 COMPOSITE_ALPHA = 1e-4
@@ -111,11 +112,9 @@ def run_nist_suite(bits, n_groups: int = 10) -> list[TestResult]:
         bits = mod.bit_array(bits)
     if n_groups < 1:
         raise ValueError(f"n_groups must be >= 1, got {n_groups}")
-    if bits.size == 0 or bits.size % n_groups:
-        raise ValueError(
-            f"stream of {bits.size} bits does not divide into {n_groups} groups"
-        )
-    group_len = bits.size // n_groups
+    if bits.size == 0:
+        raise ValueError("empty bit sequence")
+    group_len = group_length(bits.size, n_groups)
     groups = bits.groups(n_groups) if from_file else bits.reshape(n_groups, group_len)
     ran = [(name, fn) for name, fn, min_bits in _MODULES if group_len >= min_bits]
     pooled: dict[str, list[float]] = {name: [] for name, _ in ran}

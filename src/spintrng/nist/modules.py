@@ -14,8 +14,11 @@ wraparound pattern counting, and so on).
 Three helpers hold what the modules share: _blocks is the one split
 into whole m-bit blocks, chi2_tail the one chi-square upper tail, and
 chi2_fit the one Pearson fit of class counts (the driver's composite
-p-value is one too).  The rank test's 2-dof tail is chi2_tail's
-gammaincc like every other, not exp(-x), which differs by rounding.
+p-value is one too).  chi2_tail, erfc and ndtr come from
+spintrng.nist.special, in numpy and math alone: every chi-square tail
+here has an integer dof, so it is a finite Poisson sum (Abramowitz and
+Stegun 26.4.4-5), each term in Loader's stirlerr/bd0 form (Loader,
+2000).  The rank test's 2-dof tail is that sum like every other.
 
 The block-structured modules run as whole-array kernels rather than
 per-block or per-bit Python loops; each gives the same integers as the
@@ -72,7 +75,8 @@ import math
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, gammaincc, ndtr
+
+from .special import chi2_tail, erfc, ndtr
 
 
 def bit_array(bits) -> np.ndarray:
@@ -101,13 +105,6 @@ def _blocks(arr: np.ndarray, m: int) -> np.ndarray:
     if n_blocks < 1:
         raise ValueError(f"need at least {m} bits, got {arr.size}")
     return arr[: n_blocks * m].reshape(n_blocks, m)
-
-
-def chi2_tail(chi2, dof):
-    """Chi-square upper tail at dof degrees of freedom, elementwise.  A
-    statistic that rounding takes below 0 (approximate entropy and
-    serial on exactly balanced patterns) counts as 0, with tail 1."""
-    return gammaincc(dof / 2.0, np.maximum(chi2, 0.0) / 2.0)
 
 
 def chi2_fit(counts, expected) -> float:
@@ -181,20 +178,26 @@ def frequency(bits) -> list[float]:
 def block_frequency(bits, m: int = 128) -> list[float]:
     """Per-block balance, chi-square over n//m blocks."""
     blocks = _blocks(_as_bits(bits), m)
-    pi = blocks.mean(axis=1)
+    # Ones per block in the smallest dtype that holds m: the same pi as
+    # a float mean, in half the time at m = 128.
+    pi = blocks.sum(axis=1, dtype=np.min_scalar_type(m)) / m
     chi2 = 4.0 * m * float(np.sum((pi - 0.5) ** 2))
     return [float(chi2_tail(chi2, blocks.shape[0]))]
 
 
 def _cusum_p_value(z: int, n: int) -> float:
     # Summation bounds truncate toward zero, matching the published
-    # reference computations of this statistic.
+    # reference computations of this statistic.  Beyond |k| = 10 sqrt(n)
+    # / z + 1 both arguments of every ndtr difference lie past +-40,
+    # where ndtr is exactly 0 or exactly 1, so those terms are 0 and k
+    # stops there.
     sqn = math.sqrt(n)
-    k_lo = int((-n / z + 1) / 4)
-    k_hi = int((n / z - 1) / 4)
+    k_max = int(10 * sqn / z) + 1
+    k_lo = max(int((-n / z + 1) / 4), -k_max)
+    k_hi = min(int((n / z - 1) / 4), k_max)
     k = np.arange(k_lo, k_hi + 1)
     total = 1.0 - float(np.sum(ndtr((4 * k + 1) * z / sqn) - ndtr((4 * k - 1) * z / sqn)))
-    k_lo2 = int((-n / z - 3) / 4)
+    k_lo2 = max(int((-n / z - 3) / 4), -k_max)
     k = np.arange(k_lo2, k_hi + 1)
     total += float(np.sum(ndtr((4 * k + 3) * z / sqn) - ndtr((4 * k + 1) * z / sqn)))
     return min(max(total, 0.0), 1.0)

@@ -219,7 +219,7 @@ class TestGroups:
     def test_groups_must_divide_the_stream(self, tmp_path, bits):
         path = str(tmp_path / "s.bin")
         write_fixture(path, bits, bitio.FORMAT_PACKED)
-        with pytest.raises(ValueError, match="1003 bits do not divide into 10 groups"):
+        with pytest.raises(ValueError, match="stream of 1003 bits does not divide into 10 groups"):
             next(bitio.BitFile(path).groups(10))
 
     def test_overclaiming_sidecar_is_refused_when_opened(self, tmp_path, bits):
