@@ -29,16 +29,25 @@ textbook loop, so the p-values are unchanged:
   tests count codes once at their largest m on the wraparound-extended
   sequence: dropping a code's last bit gives the (m-1)-window starting
   at the same position, so each smaller m's counts are the sums of
-  adjacent pairs of the larger m's.
+  adjacent pairs of the larger m's.  Each statistic is computed from
+  counts by one helper, so serial_and_approximate_entropy can give
+  both tests' p-values at their default m from serial's 13-bit counts:
+  dropped twice, they are approximate entropy's 11-bit counts.
 * Every non-overlapping template is borderless (no proper prefix equals
   a suffix), so two hits of one template can never overlap and the
   greedy "jump m after a hit" count is the plain hit count.  One
   bincount of each block's window codes gives every template's count.
 * Berlekamp-Massey runs over all blocks in lockstep, bit-sliced: the
   blocks are packed 64 to a uint64 word, one word row per polynomial
-  coefficient, so one XOR steps 64 blocks.  GF(2) rank eliminates all
-  32x32 matrices in lockstep, one column per step, on rows that are
-  the packed bits viewed as big-endian uint32.
+  coefficient, so one XOR steps 64 blocks.  A step costs about 16 numpy
+  calls whatever the number of blocks, so the driver runs it once over
+  several groups: each group's blocks are sliced into whole words of
+  their own, laid side by side, and linear_complexity_batch gives one
+  p-value per group.  linear_complexity is a batch of one group.
+* GF(2) rank eliminates all 32x32 matrices in lockstep, one column per
+  step, on rows that are the packed bits viewed as big-endian uint32.
+  A step is one multiply-mask pass: the column's bits as 0/1, times the
+  pivot row where the matrix has one, XORed into every row.
 * The spectral test counts moduli by radix-R decimation in frequency
   (Gentleman and Sande, 1966), with R the largest power of two that
   divides n, at most 32.  The bins k = r mod R form class r, the
@@ -56,17 +65,17 @@ textbook loop, so the p-values are unchanged:
   i = 0..n-1 (s_0 = 0), so its largest excursion is the larger of
   s_n - min(s_0..s_n) and max(s_0..s_n) - s_n: the same integer the
   reversed cumsum gives.
-* The longest-run test scans each block once: at every bit, the
-  position of the last zero up to it is a running maximum of the zero
-  positions (0 before the first), the bit's run of ones is its own
-  position minus that, and the block's longest run is the largest
-  such difference: the per-block loop's maximum, 0 for a block
-  without ones.
+* The longest-run test needs only each block's class, its longest run
+  clamped to the table's lowest..highest class.  A run of k ones at bit
+  i is the AND of bits i..i+k-1; the ANDs at k and at k shifted by s <=
+  k give those at k + s, so k doubles up to the lowest class, and each
+  further step of one says whether a run of k ones is left.
 
 The window codes of the serial, approximate-entropy and both template
-tests, the partial sums, the runs test's transitions and the longest
-runs are all taken one slice of _SLICE bits (or of the blocks in it)
-at a time, so those temporaries do not grow with the group.
+tests, the partial sums, the runs test's transitions, the longest-run
+ANDs and the transposed linear-complexity blocks are all taken one
+slice of _SLICE bits (or of the blocks in it) at a time, so those
+temporaries do not grow with the group.
 """
 
 from __future__ import annotations
@@ -260,14 +269,27 @@ _LONGEST_RUN_TABLES = (
 )
 
 
-def _longest_one_runs(blocks: np.ndarray) -> np.ndarray:
-    """Longest run of ones in every row of a (rows, m) 0/1 array, m < 2^15."""
-    position = np.arange(1, blocks.shape[1] + 1, dtype=np.int16)
-    run = np.subtract(1, blocks, dtype=np.int16)
-    run *= position
-    np.maximum.accumulate(run, axis=1, out=run)
-    np.subtract(position, run, out=run)
-    return run.max(axis=1)
+def _clamped_longest_runs(blocks: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Longest run of ones in every row of a (rows, m) 0/1 uint8 array,
+    clamped to lo..hi, minus lo: the row's class.
+
+    runs[:, i] is true where bits i..i+k-1 of the row are all ones.  The
+    arrays at k and at an offset s <= k AND to the one at k + s, so k
+    doubles up to lo; past lo each step adds one bit, and every k in
+    lo+1..hi that a row still has a run of adds 1 to its class.
+    """
+    runs = blocks.view(bool)
+    k = 1
+    while k < lo:
+        s = min(k, lo - k)
+        runs = runs[:, :-s] & runs[:, s:]
+        k += s
+    classes = np.zeros(blocks.shape[0], dtype=np.intp)
+    while k < hi:
+        runs = runs[:, :-1] & runs[:, 1:]
+        k += 1
+        classes += runs.any(axis=1)
+    return classes
 
 
 def longest_run(bits) -> list[float]:
@@ -282,18 +304,20 @@ def longest_run(bits) -> list[float]:
         raise ValueError(f"need at least 128 bits, got {n}")
     m, classes, pi = table
     blocks = _blocks(arr, m)
-    # Two bytes per bit: half a slice keeps the run lengths at 64 KiB,
-    # under glibc's 128 KiB mmap threshold, so each slice reuses heap
-    # pages rather than faulting in fresh ones.
-    rows = max(1, _SLICE // (2 * m))
-    longest = np.concatenate(
-        [_longest_one_runs(blocks[a : a + rows]) for a in range(0, blocks.shape[0], rows)]
-    )
+    # One byte per bit: a slice keeps each run array at 64 KiB, under
+    # glibc's 128 KiB mmap threshold, so each slice reuses heap pages
+    # rather than faulting in fresh ones.
+    rows = max(1, _SLICE // m)
     lo = classes[0]
     hi = classes[-1]
-    clamped = np.clip(longest, lo, hi)
-    counts = np.bincount(clamped - lo, minlength=hi - lo + 1)
-    return [chi2_fit(counts, longest.size * np.asarray(pi))]
+    clamped = np.concatenate(
+        [
+            _clamped_longest_runs(blocks[a : a + rows], lo, hi)
+            for a in range(0, blocks.shape[0], rows)
+        ]
+    )
+    counts = np.bincount(clamped, minlength=hi - lo + 1)
+    return [chi2_fit(counts, clamped.size * np.asarray(pi))]
 
 
 def _gf2_ranks(rows, n_cols: int) -> np.ndarray:
@@ -304,15 +328,23 @@ def _gf2_ranks(rows, n_cols: int) -> np.ndarray:
     first row with that bit set is the pivot, and it is added to every
     row with the bit set, itself included.  The pivot row so becomes
     zero, as if removed, and the column is cleared from all other rows.
+    A step is one multiply-mask pass: bit is the column as 0/1, and the
+    pivot row times bit is added to every row; in a matrix without the
+    bit, bit is 0 in every row and nothing changes.  has, the pivot's
+    bit, counts the rank.
     """
     rows = np.array(rows, dtype=np.uint32)
     idx = np.arange(rows.shape[0])
     ranks = np.zeros(rows.shape[0], dtype=np.int64)
+    bit = np.empty_like(rows)
     for col in range(n_cols - 1, -1, -1):
-        has_bit = (rows & np.uint32(1 << col)) != 0
-        pivot_row = rows[idx, has_bit.argmax(axis=1)]
-        rows ^= np.where(has_bit, pivot_row[:, None], np.uint32(0))
-        ranks += has_bit.any(axis=1)
+        np.right_shift(rows, col, out=bit)
+        bit &= 1
+        pivot = bit.argmax(axis=1)
+        has = bit[idx, pivot]
+        bit *= rows[idx, pivot][:, None]
+        rows ^= bit
+        ranks += has
     return ranks
 
 
@@ -504,20 +536,37 @@ def _phi(counts: np.ndarray, n: int) -> float:
     return float(np.sum(probs * np.log(probs)))
 
 
+def _approximate_entropy_p_value(counts: np.ndarray, n: int) -> float:
+    """The approximate-entropy p-value at m from the wraparound counts of
+    n bits at m + 1."""
+    phi_m = _phi(_drop_last_bit(counts), n) if counts.size > 2 else 0.0
+    apen = phi_m - _phi(counts, n)
+    chi2 = 2.0 * n * (math.log(2.0) - apen)
+    return float(chi2_tail(chi2, counts.size // 2))
+
+
 def approximate_entropy(bits, m: int = 10) -> list[float]:
     """Difference of m- and (m+1)-pattern entropies (wraparound counts)."""
     arr = _as_bits(bits)
     if arr.size < m + 1:
         raise ValueError(f"need more than {m} bits, got {arr.size}")
-    counts = _wrapped_counts(arr, m + 1)
-    phi_m = _phi(_drop_last_bit(counts), arr.size) if m > 0 else 0.0
-    apen = phi_m - _phi(counts, arr.size)
-    chi2 = 2.0 * arr.size * (math.log(2.0) - apen)
-    return [float(chi2_tail(chi2, 2**m))]
+    return [_approximate_entropy_p_value(_wrapped_counts(arr, m + 1), arr.size)]
 
 
 def _psi_sq(counts: np.ndarray, n: int) -> float:
     return float(counts.size / n * np.sum(counts.astype(np.float64) ** 2) - n)
+
+
+def _serial_p_values(counts: np.ndarray, n: int) -> list[float]:
+    """The serial test's two p-values at m from the wraparound counts of
+    n bits at m."""
+    counts_m1 = _drop_last_bit(counts)
+    psi_m = _psi_sq(counts, n)
+    psi_m1 = _psi_sq(counts_m1, n)
+    psi_m2 = _psi_sq(_drop_last_bit(counts_m1), n) if counts.size > 4 else 0.0
+    d1 = psi_m - psi_m1
+    d2 = psi_m - 2.0 * psi_m1 + psi_m2
+    return [float(chi2_tail(d1, counts.size // 2)), float(chi2_tail(d2, counts.size // 4))]
 
 
 def serial(bits, m: int = 13) -> list[float]:
@@ -527,59 +576,84 @@ def serial(bits, m: int = 13) -> list[float]:
     arr = _as_bits(bits)
     if arr.size < m:
         raise ValueError(f"need at least {m} bits, got {arr.size}")
-    counts_m = _wrapped_counts(arr, m)
-    counts_m1 = _drop_last_bit(counts_m)
-    psi_m = _psi_sq(counts_m, arr.size)
-    psi_m1 = _psi_sq(counts_m1, arr.size)
-    psi_m2 = _psi_sq(_drop_last_bit(counts_m1), arr.size) if m > 2 else 0.0
-    d1 = psi_m - psi_m1
-    d2 = psi_m - 2.0 * psi_m1 + psi_m2
-    return [float(chi2_tail(d1, 2 ** (m - 1))), float(chi2_tail(d2, 2 ** (m - 2)))]
+    return _serial_p_values(_wrapped_counts(arr, m), arr.size)
 
 
-def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
-    """Berlekamp-Massey LFSR length of every row of a (blocks, n) array.
+def serial_and_approximate_entropy(bits) -> tuple[list[float], list[float]]:
+    """serial(bits) and approximate_entropy(bits) from one count: serial
+    counts the wraparound 13-bit windows, and dropping their last bit
+    twice gives the 11-bit counts approximate entropy takes at m = 10."""
+    arr = _as_bits(bits)
+    counts = _wrapped_counts(arr, 13)
+    return (
+        _serial_p_values(counts, arr.size),
+        [_approximate_entropy_p_value(_drop_last_bit(_drop_last_bit(counts)), arr.size)],
+    )
 
-    Bit-sliced: word w of row j of a polynomial array holds bit j (the
-    coefficient of x^j) of blocks 64w to 64w + 63, and all blocks step
-    through bit i together.  c holds the connection polynomials and seq
-    the bits, last bit first, so s[i - j] for j = 0.. is a run of rows.
-    The term a discrepancy adds to c is b * x^(i - last_fail): between
-    updates of b it gains one power of x per step, the same for every
-    block, so update keeps it at a base row that moves down one row per
-    step (row n - i + j holds x^j at step i) and nothing is shifted;
-    no row below the base is ever written, so those rows stay zero.
-    An update sets last_fail = i and b = the old c, so the term becomes
-    the old c, which the next step reads as c * x.  c and every term a
-    discrepancy adds have degree at most L, so each step touches only
-    the rows up to the largest L over the blocks.
+
+def sliced_blocks(bits, block_len: int = 500) -> tuple[np.ndarray, int]:
+    """The whole block_len-bit blocks of bits bit-sliced for
+    _sliced_complexities, and how many there are: (n, words) uint64,
+    where word w of row j holds bit n - 1 - j of blocks 64w to 64w + 63,
+    the last bit first; the top word's unused bits are 0.
+
+    The transposed blocks are copied out a slice of _SLICE bits at a
+    time: packbits is twice as fast on contiguous rows as on the view.
     """
+    blocks = _blocks(_as_bits(bits), block_len)
     n_blocks, n = blocks.shape
     n_words = -(-n_blocks // 64)
-    n_bytes = -(-n_blocks // 8)
     packed = np.zeros((n, n_words * 8), dtype=np.uint8)
-    packed[:, :n_bytes] = np.packbits(blocks.T[::-1], axis=1, bitorder="little")
-    seq = packed.view(np.uint64)
+    columns = blocks.T[::-1]
+    rows = max(1, _SLICE // n_blocks)
+    for a in range(0, n, rows):
+        part = np.ascontiguousarray(columns[a : a + rows])
+        packed[a : a + rows, : -(-n_blocks // 8)] = np.packbits(part, axis=1, bitorder="little")
+    return packed.view(np.uint64), n_blocks
+
+
+def _sliced_complexities(seq: np.ndarray) -> np.ndarray:
+    """Berlekamp-Massey LFSR length of every block of a bit-sliced
+    (n, words) array from sliced_blocks (or several side by side), one
+    per bit of a word: 64 * words lengths, 0 for an unused bit.
+
+    Word w of row j of a polynomial array holds bit j (the coefficient
+    of x^j) of blocks 64w to 64w + 63, and all blocks step through bit i
+    together.  c holds the connection polynomials and seq the bits, last
+    bit first, so s[i - j] for j = 0.. is a run of rows.  The term a
+    discrepancy adds to c is b * x^(i - last_fail): between updates of b
+    it gains one power of x per step, the same for every block, so
+    update keeps it at a base row that moves down one row per step (row
+    n - i + j holds x^j at step i) and nothing is shifted; no row below
+    the base is ever written, so those rows stay zero.  An update sets
+    last_fail = i and b = the old c, so the term becomes the old c,
+    which the next step reads as c * x.  c and every term a discrepancy
+    adds have degree at most L, so each step touches only the rows up to
+    the largest L over the blocks.
+    """
+    n, n_words = seq.shape
     c = np.zeros((n + 1, n_words), dtype=np.uint64)
     c[0] = ~np.uint64(0)
     update = np.zeros((n + 2, n_words), dtype=np.uint64)
     update[n + 1] = ~np.uint64(0)  # b * x^(i - last_fail) = x at i = 0
-    grow_bytes = np.zeros(n_words * 8, dtype=np.uint8)
-    length = np.zeros(n_blocks, dtype=np.int64)
+    grow_words = np.zeros(n_words, dtype=np.uint64)
+    length = np.zeros(64 * n_words, dtype=np.int32)
     top = 0  # the largest L
     for i in range(n):
-        fail_words = np.bitwise_xor.reduce(c[: top + 1] & seq[n - 1 - i : n - i + top], axis=0)
-        fails = np.unpackbits(fail_words.view(np.uint8), count=n_blocks, bitorder="little")
+        rows = slice(0, top + 1)
+        fail_words = np.bitwise_xor.reduce(c[rows] & seq[n - 1 - i : n - i + top], axis=0)
+        fails = np.unpackbits(fail_words.view(np.uint8), bitorder="little")
         twice = 2 * length
         grows = fails & (twice <= i)
         length += grows * (i + 1 - twice)
         top = int(length.max())
-        grow_bytes[:n_bytes] = np.packbits(grows, bitorder="little")
+        rows = slice(0, top + 1)
+        grow_words.view(np.uint8)[:] = np.packbits(grows, bitorder="little")
         # c ^= term where a discrepancy fails; where L grows, the new
         # term is the old c, which is the new c ^ term.
         term = update[n - i : n - i + top + 1]
-        c[: top + 1] ^= term & fail_words
-        term ^= c[: top + 1] & grow_bytes.view(np.uint64)
+        c[rows] ^= term & fail_words
+        term ^= c[rows] & grow_words
     return length
 
 
@@ -587,13 +661,30 @@ def _linear_complexities(blocks: np.ndarray) -> np.ndarray:
 _LC_PI = (0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
 
 
-def linear_complexity(bits, block_len: int = 500) -> list[float]:
-    """Per-block linear complexity against the theoretical law."""
-    m = block_len
-    lengths = _linear_complexities(_blocks(_as_bits(bits), m))
+def _linear_complexity_p_value(lengths: np.ndarray, m: int) -> float:
+    """The linear-complexity p-value of m-bit blocks' LFSR lengths."""
     sign = -1.0 if m % 2 else 1.0
     mean = m / 2.0 + (9.0 - sign) / 36.0 - (m / 3.0 + 2.0 / 9.0) / 2.0**m
     t = sign * (lengths - mean) + 2.0 / 9.0
     classes = np.where(t <= -2.5, 0, np.where(t > 2.5, 6, np.floor(t + 2.5) + 1))
     counts = np.bincount(classes.astype(np.int64), minlength=7)
-    return [chi2_fit(counts, lengths.size * np.asarray(_LC_PI))]
+    return chi2_fit(counts, lengths.size * np.asarray(_LC_PI))
+
+
+def linear_complexity_batch(words: np.ndarray, counts) -> list[float]:
+    """One linear-complexity p-value per group, from one Berlekamp-Massey
+    run over several groups' sliced_blocks: words holds their words side
+    by side, and counts their block counts in the same order."""
+    lengths = _sliced_complexities(words)
+    p_values = []
+    start = 0
+    for count in counts:
+        p_values.append(_linear_complexity_p_value(lengths[start : start + count], words.shape[0]))
+        start += 64 * -(-count // 64)
+    return p_values
+
+
+def linear_complexity(bits, block_len: int = 500) -> list[float]:
+    """Per-block linear complexity against the theoretical law."""
+    words, count = sliced_blocks(bits, block_len)
+    return linear_complexity_batch(words, [count])

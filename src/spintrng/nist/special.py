@@ -142,4 +142,6 @@ def chi2_tail(chi2, dof):
         raise ValueError("chi-square statistic must be finite")
     nu, scale = _poisson_terms(int(dof))
     head = erfc(np.sqrt(lam)) if dof % 2 else np.exp(-lam)
+    if nu.size == 0:  # dof 1 and 2: the head is the whole tail
+        return head
     return head + (scale * np.exp(-_bd0(nu, lam[..., None]))).sum(axis=-1)

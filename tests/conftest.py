@@ -6,7 +6,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from spintrng.nist.modules import _linear_complexities
+from spintrng.nist.modules import _sliced_complexities, sliced_blocks
 
 
 def bits_from_string(s: str) -> np.ndarray:
@@ -14,10 +14,18 @@ def bits_from_string(s: str) -> np.ndarray:
     return np.frombuffer(s.encode(), dtype=np.uint8) - ord("0")
 
 
+def lockstep_complexities(blocks) -> np.ndarray:
+    """Berlekamp-Massey LFSR length of every row of a (blocks, n) 0/1
+    array, through the battery's bit-sliced kernel."""
+    blocks = np.asarray(blocks, dtype=np.uint8)
+    words, count = sliced_blocks(blocks, blocks.shape[1])
+    return _sliced_complexities(words)[:count]
+
+
 def linear_complexity_of(bits) -> int:
     """Berlekamp-Massey LFSR length of one sequence, through the
     battery's lockstep kernel."""
-    return int(_linear_complexities(np.asarray(bits, dtype=np.uint8)[None, :])[0])
+    return int(lockstep_complexities(np.asarray(bits, dtype=np.uint8)[None, :])[0])
 
 
 def _constant_bits(x, n: int) -> np.ndarray:

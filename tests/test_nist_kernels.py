@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import chisquare
 
-from conftest import linear_complexity_of
+from conftest import linear_complexity_of, lockstep_complexities
 from spintrng.nist import _MODULES, MODULE_NAMES, run_nist_suite
 from spintrng.nist import modules as M
 from spintrng.nist.special import chi2_tail, erfc
@@ -101,7 +101,7 @@ class TestLockstepBerlekampMassey:
         for n_blocks in (1, 24, 63, 64, 65, 2001):
             blocks = biased_blocks(rng, n_blocks, n, p_one)
             blocks[-1] = blocks[-1, 0]
-            got = M._linear_complexities(blocks)
+            got = lockstep_complexities(blocks)
             assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks], n_blocks
 
     @pytest.mark.parametrize("n", [1, 64, 500])
@@ -109,7 +109,7 @@ class TestLockstepBerlekampMassey:
         blocks = np.zeros((3, n), dtype=np.uint8)
         blocks[1] = 1
         blocks[2, -1] = 1  # n - 1 zeros then a one: complexity n
-        got = M._linear_complexities(blocks)
+        got = lockstep_complexities(blocks)
         assert got.tolist() == [0, 1, n]
         assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks]
 
@@ -121,7 +121,7 @@ class TestLockstepBerlekampMassey:
         for row, first in zip(blocks, (62, 63, 64, 126, 127, 128)):
             row[:first] = 0
             row[first] = 1
-        got = M._linear_complexities(blocks)
+        got = lockstep_complexities(blocks)
         assert got.tolist() == [reference_berlekamp_massey(b) for b in blocks]
 
     def test_single_block_wrapper(self):
@@ -185,6 +185,31 @@ class TestWindowCodes:
         assert np.array_equal(shorter, M._wrapped_counts(arr, m - 1))
         assert shorter.sum() == arr.size
 
+    @pytest.mark.parametrize("n", [2**16, 65_547, 200_003])
+    def test_serial_counts_dropped_twice_are_approximate_entropy_counts(self, n):
+        # the 13-bit counts with the last bit dropped twice are the 11-bit
+        # ones, over slice boundaries, so one count serves both modules
+        (arr,) = random_groups(n, [n])
+        twice = M._drop_last_bit(M._drop_last_bit(M._wrapped_counts(arr, 13)))
+        assert np.array_equal(twice, M._wrapped_counts(arr, 11))
+        shared = M.serial_and_approximate_entropy(arr)
+        assert shared == (M.serial(arr), M.approximate_entropy(arr))
+
+
+def reference_gf2_rank(rows) -> int:
+    """GF(2) rank of one matrix of row ints: reduce each row by the rows
+    kept so far, keyed by their leading bit, and keep it if anything is
+    left."""
+    kept: dict[int, int] = {}
+    for row in rows:
+        while row:
+            lead = row.bit_length() - 1
+            if lead not in kept:
+                kept[lead] = row
+                break
+            row ^= kept[lead]
+    return len(kept)
+
 
 class TestLockstepRank:
     def test_ranks_match_single_matrix_elimination(self):
@@ -197,6 +222,24 @@ class TestLockstepRank:
         got = M._gf2_ranks(rows, 32)
         assert got.tolist() == [M._gf2_ranks([r], 32)[0] for r in rows]
         assert len(set(got.tolist())) > 3
+
+    @pytest.mark.parametrize("n_cols", [3, 17, 32])
+    def test_multiply_mask_step_matches_a_reference_elimination(self, n_cols):
+        # products of random factors give every rank from 0 to full, and
+        # zero, all-ones and one-hot matrices have none or one pivot per
+        # column
+        rng = np.random.default_rng(n_cols)
+        mats = []
+        for r in range(n_cols + 1):
+            left = rng.integers(0, 2, size=(32, r))
+            right = rng.integers(0, 2, size=(r, n_cols))
+            mats.append((left @ right) % 2)
+        mats += [np.zeros((32, n_cols), int), np.ones((32, n_cols), int)]
+        mats.append(np.eye(32, n_cols, k=1, dtype=int))
+        rows = [[int("".join(map(str, r)), 2) for r in mat] for mat in mats]
+        want = [reference_gf2_rank(r) for r in rows]
+        assert M._gf2_ranks(rows, n_cols).tolist() == want
+        assert len(set(want)) > n_cols // 2
 
 
 class TestSpectral:
@@ -296,7 +339,14 @@ class TestCumulativeSums:
             assert M.cumulative_sums(bits[::-1]) == M.cumulative_sums(bits)[::-1], bits.size
 
 
+def longest_run_table(m: int) -> tuple[int, int]:
+    """The lowest and highest class of the longest-run table with m-bit blocks."""
+    (classes,) = [t[2] for t in M._LONGEST_RUN_TABLES if t[1] == m]
+    return classes[0], classes[-1]
+
+
 class TestLongestRuns:
+    # the block lengths of the three tables
     @pytest.mark.parametrize("m", [8, 128, 10**4])
     @pytest.mark.parametrize("p_one", [0.02, 0.5, 0.98])
     def test_rows_match_per_row_oracle(self, m, p_one):
@@ -310,11 +360,27 @@ class TestLongestRuns:
         blocks[4, :2] = 1  # ...and one from the start of the next
         blocks[5] = 1
         blocks[5, 1] = 0  # the longest run ends at the row's end
-        got = M._longest_one_runs(blocks)
-        assert got.tolist() == [reference_longest_one_run(row) for row in blocks]
+        lo, hi = longest_run_table(m)
+        want = np.clip([reference_longest_one_run(row) for row in blocks], lo, hi) - lo
+        assert M._clamped_longest_runs(blocks, lo, hi).tolist() == want.tolist()
 
     def test_no_ones_anywhere(self):
-        assert M._longest_one_runs(np.zeros((5, 8), np.uint8)).tolist() == [0] * 5
+        for m in (8, 128, 10**4):
+            lo, hi = longest_run_table(m)
+            assert M._clamped_longest_runs(np.zeros((5, m), np.uint8), lo, hi).tolist() == [0] * 5
+
+    def test_every_class_range(self):
+        # lo reached by doubling from any start, and a top class past the
+        # block length, where the run arrays run out of columns
+        rng = np.random.default_rng(52)
+        blocks = biased_blocks(rng, 300, 12, 0.7)
+        blocks[0] = 0
+        blocks[1] = 1
+        longest = [reference_longest_one_run(row) for row in blocks]
+        for lo in range(1, 14):
+            for hi in range(lo, 16):
+                want = np.clip(longest, lo, hi) - lo
+                assert M._clamped_longest_runs(blocks, lo, hi).tolist() == want.tolist(), (lo, hi)
 
     @pytest.mark.parametrize("n", [128, 6271, 6272, 10_000, 750_000])
     def test_module_equals_per_block_loop(self, n):

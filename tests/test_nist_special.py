@@ -61,6 +61,16 @@ def test_an_array_call_equals_scalar_calls(dof):
     assert chi2_tail(grid, dof).tolist() == [float(chi2_tail(x, dof)) for x in grid]
 
 
+def test_one_and_two_dof_tails_are_their_first_term_alone():
+    # Q(1/2, lam) = erfc(sqrt lam) and Q(1, lam) = e^-lam have no
+    # Poisson terms after the first, in an array call or a scalar one
+    grid = np.array(chi2_grid(1) + chi2_grid(2))
+    lam = grid / 2.0
+    for dof, want in ((1, erfc(np.sqrt(lam))), (2, np.exp(-lam))):
+        assert chi2_tail(grid, dof).tolist() == want.tolist()
+        assert [chi2_tail(x, dof) for x in grid] == want.tolist()
+
+
 def test_a_negative_statistic_counts_as_zero():
     assert chi2_tail(-1e-12, 1024) == chi2_tail(0.0, 1024) == 1.0
 

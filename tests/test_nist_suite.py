@@ -4,12 +4,15 @@ behavior: grouping, verdicts, skips, and report serialization."""
 import itertools
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import spintrng.nist as nist
 from spintrng.nist import (
+    _MODULES,
     MODULE_NAMES,
     all_pass,
     composite_p_value,
@@ -18,7 +21,7 @@ from spintrng.nist import (
     result_rows,
     run_nist_suite,
 )
-from conftest import linear_complexity_of
+from conftest import linear_complexity_of, lockstep_complexities
 from spintrng.bitio import BitFile, save_stream
 from spintrng.generator import BitStream, StreamInfo
 from spintrng.nist import modules as M
@@ -39,7 +42,7 @@ class TestBerlekampMassey:
         # implementation exactly.
         n = 12
         blocks = np.array(list(itertools.product((0, 1), repeat=n)), dtype=np.uint8)
-        lengths, tally = np.unique(M._linear_complexities(blocks), return_counts=True)
+        lengths, tally = np.unique(lockstep_complexities(blocks), return_counts=True)
         counts = dict(zip(lengths.tolist(), tally.tolist()))
         expected = {0: 1}
         for length in range(1, n + 1):
@@ -337,6 +340,113 @@ class TestSuiteDriver:
             bits = np.random.default_rng(seed).integers(0, 2, size=10**6, dtype=np.uint8)
             failed += not all_pass(run_nist_suite(bits, n_groups=10))
         assert failed <= 5
+
+
+def save_bits(bits, path) -> BitFile:
+    save_stream(BitStream(bits, StreamInfo(bits.size, "rhs-trng", 1, 0, 0.0, 0.0)), str(path))
+    return BitFile(str(path))
+
+
+def module_by_module(bits, n_groups: int) -> dict[str, list[float]]:
+    """Each module's public function called on each group in turn, its
+    p-values pooled in group order (empty for a module that is skipped)."""
+    groups = bits.reshape(n_groups, -1)
+    return {
+        name: [p for group in groups for p in fn(group)] if groups.shape[1] >= min_bits else []
+        for name, fn, min_bits in _MODULES
+    }
+
+
+class TestDriverEqualsModules:
+    """The driver shares one pattern count between serial and approximate
+    entropy, and runs linear complexity over batches of groups; every
+    pooled sub-p-value still equals the public module's, in order."""
+
+    # 10^5-bit groups hold 200 linear-complexity blocks each, against a
+    # cap of 600: batches below, at and just over the cap, and one group
+    # of 700 blocks that runs alone
+    @pytest.mark.parametrize(
+        "n_groups, group_len, batches",
+        [
+            (2, 100_000, [[200, 200]]),
+            (3, 100_000, [[200, 200, 200]]),
+            (4, 100_000, [[200, 200, 200], [200]]),
+            (7, 100_000, [[200, 200, 200], [200, 200, 200], [200]]),
+            (1, 350_000, [[700]]),
+            (2, 350_000, [[700], [700]]),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["memory", "file"])
+    def test_pooled_p_values_equal_the_public_modules(
+        self, monkeypatch, tmp_path, n_groups, group_len, batches, source
+    ):
+        bits = np.random.default_rng(n_groups * group_len).integers(
+            0, 2, size=n_groups * group_len, dtype=np.uint8
+        )
+        want = module_by_module(bits, n_groups)
+        monkeypatch.setattr(nist, "LC_BATCH_BLOCKS", 600)
+        seen = []
+        batch = M.linear_complexity_batch
+
+        def spy(words, counts):
+            seen.append(list(counts))
+            return batch(words, counts)
+
+        monkeypatch.setattr(M, "linear_complexity_batch", spy)
+        stream = save_bits(bits, tmp_path / "s.bin") if source == "file" else bits
+        results = run_nist_suite(stream, n_groups=n_groups)
+        assert {r.module_name: list(r.group_p_values) for r in results} == want
+        assert seen == batches
+        assert all(r.verdict != "skipped" for r in results)
+
+    # 7 x 10^4 bits: serial and approximate entropy run, linear
+    # complexity does not; 5 x 10^4: neither runs, rank does
+    @pytest.mark.parametrize("group_len", [70_000, 50_000])
+    @pytest.mark.parametrize("source", ["memory", "file"])
+    def test_groups_too_short_for_a_shared_module_skip_it(self, tmp_path, group_len, source):
+        bits = np.random.default_rng(group_len).integers(0, 2, size=3 * group_len, dtype=np.uint8)
+        stream = save_bits(bits, tmp_path / "s.bin") if source == "file" else bits
+        results = run_nist_suite(stream, n_groups=3)
+        by_name = {r.module_name: list(r.group_p_values) for r in results}
+        assert by_name == module_by_module(bits, 3)
+        assert by_name["linear_complexity"] == []
+        assert (by_name["serial"] == []) == (group_len < 2**16)
+        assert by_name["rank"] != []
+
+
+def traced_suite_peak(stream, n_groups: int) -> int:
+    """Bytes run_nist_suite allocates at its peak, once caches are filled."""
+    run_nist_suite(stream, n_groups=n_groups)
+    tracemalloc.start()
+    try:
+        run_nist_suite(stream, n_groups=n_groups)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestDriverMemory:
+    def test_the_peak_does_not_grow_with_the_group_count(self, monkeypatch, tmp_path):
+        # With the batch capped at 3 groups' blocks, 40 groups peak where
+        # 4 do: a batch, one group read from the file and one module's
+        # temporaries.  The margin covers the pooled sub-p-values, about
+        # 170 floats a group.
+        monkeypatch.setattr(nist, "LC_BATCH_BLOCKS", 600)
+        rng = np.random.default_rng(53)
+        peaks = []
+        for n_groups in (4, 40):
+            bits = rng.integers(0, 2, size=n_groups * 100_000, dtype=np.uint8)
+            peaks.append(traced_suite_peak(save_bits(bits, tmp_path / f"{n_groups}.bin"), n_groups))
+        assert abs(peaks[1] - peaks[0]) < 2**19, peaks
+
+    def test_ten_groups_of_a_million_bits_peak_under_4_mib(self, tmp_path):
+        # One 10^6-bit group read from the file (1 MB) and a full batch of
+        # 4 groups' bit-sliced blocks with the Berlekamp-Massey arrays
+        # (about 1.9 MiB) lead: about 3.0 MiB, against 2.5 MiB with one
+        # group at a time.
+        bits = np.random.default_rng(54).integers(0, 2, size=10**7, dtype=np.uint8)
+        peak = traced_suite_peak(save_bits(bits, tmp_path / "s.bin"), 10)
+        assert peak < 4 * 2**20, peak
 
 
 class TestLinearComplexityLaw:
